@@ -447,12 +447,24 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
     return report
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
+def _loads(text: str):
+    """json.loads without NaN, Infinity or numbers that overflow to inf."""
+    return json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+
+
 def _apply_override(scenario: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ValueError(f"override {assignment!r} is not of the form key=value")
     key, raw = assignment.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _loads(raw)
     except json.JSONDecodeError:
         value = raw
     node = scenario
@@ -466,18 +478,24 @@ def _apply_override(scenario: dict, assignment: str) -> None:
 
 def cmd_run(args) -> int:
     path = Path(args.scenario)
+    if args.threads < 0:
+        print(f"--threads must be 0 or more, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         text = path.read_text()
     except OSError as exc:
         print(f"cannot read scenario file {path}: {exc}", file=sys.stderr)
         return 2
     try:
-        scenario = json.loads(text)
+        scenario = _loads(text)
     except json.JSONDecodeError as exc:
         print(
             f"scenario parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return 2
+    except ValueError as exc:
+        print(f"scenario parse error in {path}: {exc}", file=sys.stderr)
         return 2
     try:
         for assignment in args.override or []:
@@ -497,12 +515,18 @@ def cmd_run(args) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         print(f"scenario could not be executed: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"scenario output could not be written: {exc}", file=sys.stderr)
+        return 2
 
     out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
     out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
+    try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+        out_path.write_text(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
+        return 2
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{status} {scenario['check']}: report written to {out_path}")
     return 0 if report["pass"] else 1

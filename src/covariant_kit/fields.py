@@ -66,6 +66,9 @@ class FieldFunction:
     ``evaluate`` maps points of shape (..., 4) to values (..., n);
     ``gradient`` maps them to (..., n, 4) where the last axis is the
     coordinate derivative direction.  Both must be pure functions.
+    ``evaluate`` may return a real (float64) array for a field whose
+    values are real, such as a wave packet with real coefficients; it
+    stands for the complex array with zero imaginary parts.
     """
 
     n: int
@@ -103,6 +106,32 @@ def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int
     return terms
 
 
+def _r2(ys: list) -> np.ndarray:
+    """|y|^2 from the 4 coordinate columns, added left to right as np.sum(y * y, axis=-1) adds."""
+    r2 = ys[0] * ys[0]
+    for y in ys[1:]:
+        r2 += y * y
+    return r2
+
+
+def _polynomial(ys: list, comp_terms, imag: bool = False):
+    """Real (or imaginary) part of one component polynomial at columns ``ys``.
+
+    Terms are summed from 0 in order, each coefficient part times the
+    powers multiplied left to right: the parts of the complex sum,
+    operation for operation.  The unit monomial stays a scalar.
+    """
+    acc = 0.0
+    for coeff, powers in comp_terms:
+        term = coeff.imag if imag else coeff.real
+        mono = None
+        for k, p in enumerate(powers):
+            if p:
+                mono = ys[k] ** p if mono is None else mono * ys[k] ** p
+        acc = acc + (term if mono is None else term * mono)
+    return acc
+
+
 def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction:
     """Gaussian wave packet with optional polynomial prefactors.
 
@@ -111,6 +140,8 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     compactly supported).  ``components`` is either an int (that many
     unit-amplitude components), or one entry per component: a scalar
     amplitude or a list of monomial terms ``(coeff, (p0, p1, p2, p3))``.
+    When every coefficient is real, ``evaluate`` returns float64 values
+    equal to the real parts of the complex ones; otherwise complex128.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (4,) or not np.all(np.isfinite(c)):
@@ -120,6 +151,7 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
         raise ValueError("wave packet width must be positive and finite")
     terms = _normalise_components(components)
     n = len(terms)
+    real = all(coeff.imag == 0 for comp_terms in terms for coeff, _ in comp_terms)
 
     def _monomials(y: np.ndarray):
         # Evaluate every component polynomial and its gradient at y (..., 4).
@@ -142,15 +174,33 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
                         grads[..., i, k] += coeff * dmono
         return vals, grads
 
+    def _envelope(ys: list) -> np.ndarray:
+        # r2 / -s^2 is -r2 / s^2 exactly, one pass sooner.
+        return np.exp(_r2(ys) / -s**2)
+
     def evaluate(points: np.ndarray) -> np.ndarray:
-        y = np.asarray(points, dtype=float) - c
-        envelope = np.exp(-np.sum(y * y, axis=-1) / s**2)
-        vals, _ = _monomials(y)
-        return vals * envelope[..., None]
+        # Values only, no gradient; (a+0j)(b+0j) == ab, so a real packet stays real.
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            # Keep the columns arrays: numpy scalars take y ** p through pow().
+            return evaluate(pts[None])[0]
+        ys = [pts[..., k] - c[k] for k in range(4)]
+        envelope = _envelope(ys)
+        if real:
+            vals = np.empty(envelope.shape + (n,))
+            for i, comp_terms in enumerate(terms):
+                np.multiply(_polynomial(ys, comp_terms), envelope, out=vals[..., i])
+            return vals
+        vals = np.empty(envelope.shape + (n,), dtype=complex)
+        for i, comp_terms in enumerate(terms):
+            vals.real[..., i] = _polynomial(ys, comp_terms)
+            vals.imag[..., i] = _polynomial(ys, comp_terms, imag=True)
+        vals *= envelope[..., None]
+        return vals
 
     def gradient(points: np.ndarray) -> np.ndarray:
         y = np.asarray(points, dtype=float) - c
-        envelope = np.exp(-np.sum(y * y, axis=-1) / s**2)
+        envelope = _envelope([y[..., k] for k in range(4)])
         vals, grads = _monomials(y)
         # d/dx_k (P e) = (dP/dy_k - 2 y_k / s^2 * P) e
         out = grads - (2.0 / s**2) * vals[..., :, None] * y[..., None, :]
@@ -251,12 +301,26 @@ def _spacetime_matrix(rep: FieldRep, g) -> tuple[np.ndarray, AffineMap, float]:
 
 
 def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap, scale: float) -> FieldFunction:
-    """scale * matrix @ field(mapping(x)) with the chain-ruled gradient."""
+    """scale * matrix @ field(mapping(x)) with the chain-ruled gradient.
+
+    float64 values under a real matrix stay real: each row is added into
+    zeros in column order, as the complex contraction adds.  A negative
+    scale keeps the complex path, whose imaginary zeros it turns to -0.
+    """
     lin = mapping.linear
+    real_matrix = matrix.real if scale > 0 and not np.any(matrix.imag) else None
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         vals = field.evaluate(mapping(points))
-        return scale * np.einsum("ij,...j->...i", matrix, vals)
+        if real_matrix is None or getattr(vals, "dtype", None) != np.float64:
+            return scale * np.einsum("ij,...j->...i", matrix, vals)
+        out = np.zeros_like(vals)
+        for i, row in enumerate(real_matrix):
+            for j, m in enumerate(row):
+                out[..., i] += m * vals[..., j]
+        if scale != 1.0:
+            out *= scale
+        return out
 
     def gradient(points: np.ndarray) -> np.ndarray:
         grads = field.gradient(mapping(points))
@@ -267,10 +331,7 @@ def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap
 
 def passive_transform(field: FieldFunction, rep: FieldRep, g: PoincareElement) -> FieldFunction:
     """Component relabeling phi'(x) = D phi(L^-1 (x - a))."""
-    if rep.n != field.n:
-        raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
-    mat, _, _ = _spacetime_matrix(rep, g)
-    return _composed_field(field, mat, g.inverse().point_map(), 1.0)
+    return transform_test_function(field, rep, g)
 
 
 def active_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
@@ -391,9 +452,25 @@ def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
     total = 0.0 + 0.0j
     for i0, x0 in enumerate(axes[0]):
         pts[..., 0] = x0
-        integrand = np.sum(phi.evaluate(pts) * f.evaluate(pts), axis=-1)
+        integrand = _component_sum(phi.evaluate(pts) * f.evaluate(pts))
         total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
     return complex(total)
+
+
+def _component_sum(products: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in the order numpy adds complex columns.
+
+    numpy sums up to 3 complex columns left to right and 4 in pairs, so
+    real products, (a+0j)(b+0j) == ab, are added the same way; wider
+    real ones go through the complex sum.
+    """
+    n = products.shape[-1]
+    if np.iscomplexobj(products) or n > 4:
+        return np.sum(products.astype(complex, copy=False), axis=-1)
+    cols = [products[..., i] for i in range(n)]
+    if n == 4:
+        return (cols[0] + cols[1]) + (cols[2] + cols[3])
+    return sum(cols[1:], cols[0])
 
 
 def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:

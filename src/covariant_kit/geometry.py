@@ -228,7 +228,10 @@ class AffineMap:
         object.__setattr__(self, "offset", c)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.linear.T + self.offset
+        # One (N, 4) x (4, 4) product: the sums of points @ linear.T, sooner.
+        out = np.tensordot(points, self.linear.T, axes=1)
+        out += self.offset
+        return out
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""

@@ -37,3 +37,15 @@ def trapezoid_1d(f, lo, hi, count):
     y = f(x)
     h = (hi - lo) / (count - 1)
     return h * (y.sum() - 0.5 * (y[0] + y[-1]))
+
+
+def gaussian_overlap(A1, m1, A2, m2):
+    """Integral over R^4 of exp(-(x-m1)^T A1 (x-m1)) exp(-(x-m2)^T A2 (x-m2)).
+
+    Closed form pi^2 / sqrt(det(A1 + A2)) exp(-d^T A1 (A1 + A2)^-1 A2 d)
+    with d = m1 - m2, for symmetric positive-definite A1, A2.
+    """
+    A1, A2 = np.asarray(A1, dtype=float), np.asarray(A2, dtype=float)
+    d = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
+    A = A1 + A2
+    return np.pi**2 / np.sqrt(np.linalg.det(A)) * np.exp(-d @ A1 @ np.linalg.solve(A, A2 @ d))

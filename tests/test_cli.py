@@ -191,6 +191,64 @@ class TestOverrides:
         assert code == 2
 
 
+class TestExitContractHoles:
+    """Inputs that once escaped the 0/1/2 contract with a traceback or a false pass."""
+
+    def _one_line(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_out_naming_a_directory_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["run", str(SCENARIOS / "rep_check_scalar.json"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "cannot write report" in self._one_line(capsys)
+
+    def test_field_csv_in_missing_directory_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / "transform_vector_boost.json")
+        scenario["output"]["field_csv"] = str(tmp_path / "missing" / "field.csv")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = run_cli(["run", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "missing" in self._one_line(capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_override_exits_two(self, capsys, tmp_path, monkeypatch, value):
+        # tolerance inf would turn the deliberately failing check into a pass
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            ["run", str(SCENARIOS / "failing_tolerance.json"), "--override", f"tolerances.local={value}"]
+        )
+        assert code == 2
+        assert "bad override" in self._one_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "1e999"])
+    def test_non_finite_number_in_scenario_exits_two(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        text = (SCENARIOS / "failing_tolerance.json").read_text()
+        scenario = load(SCENARIOS / "failing_tolerance.json")
+        old = json.dumps(scenario["tolerances"]["local"])
+        assert old in text
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(old, value, 1))
+        code = run_cli(["run", str(path)])
+        assert code == 2
+        assert "parse error" in self._one_line(capsys)
+
+    def test_negative_threads_exit_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["run", str(SCENARIOS / "rep_check_scalar.json"), "--threads", "-5"])
+        assert code == 2
+        assert "--threads" in self._one_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+
 class TestSchemaCommand:
     def test_prints_both_schemas(self, capsys):
         assert run_cli(["schema"]) == 0

@@ -23,7 +23,7 @@ from covariant_kit.fields import (
 from covariant_kit.geometry import AffineMap, PoincareElement
 from covariant_kit.representations import FieldRep, rep_matrix
 
-from oracles import trapezoid_1d
+from oracles import gaussian_overlap, trapezoid_1d
 
 RNG = np.random.default_rng(42)
 POINTS = RNG.uniform(-2.0, 2.0, (40, 4))
@@ -373,6 +373,140 @@ class TestPairing:
         lhs = pairing(active_transform(phi, rep, g), f, grid)
         rhs = pairing(phi, transform_test_function(f, rep, g), grid)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-6
+
+
+def _bits(values):
+    return np.ascontiguousarray(np.asarray(values, dtype=complex)).view(np.int64)
+
+
+def _complex_packet(center, width, comps, points):
+    """The complex evaluation: monomials from ones, terms added into zeros."""
+    y = np.asarray(points, dtype=float) - center
+    envelope = np.exp(-np.sum(y * y, axis=-1) / width**2)
+    vals = np.zeros(y.shape[:-1] + (len(comps),), dtype=complex)
+    for i, terms in enumerate(comps):
+        for coeff, powers in terms:
+            mono = np.ones(y.shape[:-1], dtype=complex)
+            for k, p in enumerate(powers):
+                if p:
+                    mono = mono * y[..., k] ** p
+            vals[..., i] += complex(coeff) * mono
+    return vals * envelope[..., None]
+
+
+def _complex_pairing(phi, f, grid):
+    """Trapezoid sum of complex integrands, one axis-0 slice at a time."""
+    axes = grid.axes()
+    w0, w1, w2, w3 = grid.weights()
+    total = 0.0 + 0.0j
+    for i0, x0 in enumerate(axes[0]):
+        pts = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0]
+        integrand = np.sum(phi(pts) * f(pts), axis=-1)
+        total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
+    return complex(total)
+
+
+class TestClosedFormPairing:
+    """Quadrature against the exact Gaussian overlap over R^4."""
+
+    GRID = GridSpec(((-7.0, 7.0),) * 4, (33,) * 4)
+    C1 = np.array([0.3, -0.2, 0.1, 0.0])
+    C2 = np.array([-0.25, 0.4, 0.0, 0.2])
+    S1, S2 = 1.1, 1.3
+
+    def _check(self, value, exact):
+        assert abs(value.imag) == 0.0
+        assert abs(value.real - exact) <= 1e-12 * abs(exact)
+
+    def test_one_component_pair(self):
+        phi = wave_packet(self.C1, self.S1, [0.8])
+        f = wave_packet(self.C2, self.S2, [1.3])
+        exact = 0.8 * 1.3 * gaussian_overlap(np.eye(4) / self.S1**2, self.C1, np.eye(4) / self.S2**2, self.C2)
+        self._check(pairing(phi, f, self.GRID), exact)
+
+    def test_four_component_constant_amplitudes(self):
+        a, b = [1.0, 0.5, -0.7, 1.2], [0.9, 1.1, 0.6, -1.0]
+        phi = wave_packet(self.C1, self.S1, a)
+        f = wave_packet(self.C2, self.S2, b)
+        exact = np.dot(a, b) * gaussian_overlap(np.eye(4) / self.S1**2, self.C1, np.eye(4) / self.S2**2, self.C2)
+        self._check(pairing(phi, f, self.GRID), exact)
+
+    def test_active_side_under_boost(self):
+        # phi(L x + a) = exp(-(x - m)^T L^T L (x - m) / s^2) with m = L^-1 (c - a)
+        g = PoincareElement.from_params([0.3, 0.0, 0.0, 0.2, 0.0, 0.0], [0.3, 0.0, -0.2, 0.1])
+        moved = active_transform(wave_packet(self.C1, self.S1, 1), FieldRep.scalar(), g)
+        f = wave_packet(self.C2, self.S2, 1)
+        lin = g.matrix
+        m = np.linalg.solve(lin, self.C1 - g.translation)
+        exact = gaussian_overlap(lin.T @ lin / self.S1**2, m, np.eye(4) / self.S2**2, self.C2)
+        self._check(pairing(moved, f, self.GRID), exact)
+
+
+class TestEvaluateDtype:
+    CENTER = np.array([0.2, -0.1, 0.3, 0.0])
+    WIDTH = 1.1
+
+    def _independent(self, comps, points):
+        # P(y) exp(-|y|^2 / s^2), one point and one term at a time
+        out = np.zeros((len(points), len(comps)), dtype=complex)
+        for p, x in enumerate(points):
+            y = x - self.CENTER
+            envelope = math.exp(-sum(v * v for v in y) / self.WIDTH**2)
+            for i, terms in enumerate(comps):
+                out[p, i] = sum(coeff * math.prod(v**k for v, k in zip(y, powers)) for coeff, powers in terms) * envelope
+        return out
+
+    def test_real_packet_returns_float64(self):
+        comps = [[(1.0, (0, 0, 0, 0)), (-0.4, (1, 0, 2, 0))], [(0.7, (0, 1, 0, 1))]]
+        values = wave_packet(self.CENTER, self.WIDTH, comps).evaluate(POINTS)
+        assert values.dtype == np.float64
+        assert_allclose(values, self._independent(comps, POINTS).real, rtol=1e-13, atol=1e-15)
+
+    def test_complex_monomial_packet_returns_complex128(self):
+        comps = [[(1.0, (0, 0, 0, 0)), (0.5 - 0.25j, (1, 0, 0, 1))], [(0.7j, (0, 2, 0, 0))]]
+        values = wave_packet(self.CENTER, self.WIDTH, comps).evaluate(POINTS)
+        assert values.dtype == np.complex128
+        assert_allclose(values, self._independent(comps, POINTS), rtol=1e-13, atol=1e-15)
+
+    def test_same_numbers_as_the_complex_evaluation(self):
+        # Real evaluation must repeat the complex arithmetic bit for bit,
+        # zero signs included: exact zeros of y, negative terms, and far
+        # points where the envelope underflows to 0.
+        comps = [[(-1.0, (1, 0, 0, 0)), (0.5, (0, 2, 0, 1))], [(-0.3, (0, 0, 0, 0))], [(-1.0, (1, 0, 0, 0))],
+                 [(0.7 - 0.2j, (0, 0, 1, 0))]]
+        pts = np.concatenate([POINTS, [[0.2, 0.0, 0.3, 1.0], [40.0, -0.1, 0.3, 0.0], [-40.0, 1.0, 0.0, 0.0]]])
+        for packet_comps in (comps[:3], comps):
+            packet = wave_packet(self.CENTER, self.WIDTH, packet_comps)
+            expected = _complex_packet(self.CENTER, self.WIDTH, packet_comps, pts)
+            assert np.array_equal(_bits(packet.evaluate(pts)), _bits(expected))
+            assert np.array_equal(_bits(packet.evaluate(pts[0])), _bits(expected[0]))
+
+    def test_same_numbers_as_the_complex_laws_and_pairing(self):
+        # Negative amplitudes at a far point give -0 values, which the
+        # complex contraction adds into +0.
+        comps = [[(a, (0, 0, 0, 0))] for a in (-0.3, -0.7, -1.1, -0.9)]
+        g = PoincareElement.from_params([0.3, 0.0, 0.0, 0.0, 0.0, 0.0], [0.3, 0.0, -0.2, 0.1])
+        moved = active_transform(wave_packet(self.CENTER, self.WIDTH, comps), FieldRep.vector(), g)
+        pts = np.concatenate([POINTS, [[60.0, 0.0, 0.0, 0.0]]])
+        expected = 1.0 * np.einsum(
+            "ij,...j->...i",
+            g.matrix.T.astype(complex),
+            _complex_packet(self.CENTER, self.WIDTH, comps, pts @ g.matrix.T + g.translation),
+        )
+        assert np.array_equal(_bits(moved.evaluate(pts)), _bits(expected))
+
+        phi = wave_packet(self.CENTER, self.WIDTH, [0.3, 0.7, 1.1, 0.9])
+        f = wave_packet([-0.25, 0.4, 0.0, 0.2], 1.2, [1.3, 0.2, 0.8, 0.5])
+        grid = GridSpec(((-6.0, 6.0),) * 4, (9,) * 4)
+        as_complex = lambda field: lambda pts: np.asarray(field.evaluate(pts), dtype=complex)
+        reference = _complex_pairing(as_complex(phi), as_complex(f), grid)
+        assert np.array_equal(_bits(pairing(phi, f, grid)), _bits(reference))
+
+    def test_real_values_survive_real_laws_only(self):
+        packet = wave_packet(self.CENTER, self.WIDTH, 4)
+        g = PoincareElement.from_params([0.3, 0.0, 0.0, 0.2, 0.0, 0.0], [0.3, 0.0, -0.2, 0.1])
+        assert active_transform(packet, FieldRep.vector(), g).evaluate(POINTS).dtype == np.float64
+        assert active_transform(packet, FieldRep.spinor(), g).evaluate(POINTS).dtype == np.complex128
 
 
 class TestCsvDump:
