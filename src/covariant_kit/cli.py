@@ -15,14 +15,21 @@ timing fields.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
+import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import ValidationError
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 from scipy.linalg import expm
 
 from . import __version__
@@ -39,10 +46,10 @@ from .fields import (
 from .generators import (
     FDScheme,
     analytic_rep_derivatives,
-    extract_all,
     internal_family,
     poincare_family,
     poincare_frame_family,
+    rep_generators,
 )
 from .geometry import ETA, PLANES, AffineChart, PoincareElement, chart_transition, lorentz_exp
 from .heisenberg import (
@@ -164,10 +171,9 @@ def _build_family(scenario: dict, rep: FieldRep):
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _generator_table(family, scheme, points) -> dict:
-    coeffs = extract_all(family, scheme, points)
+def _generator_table(family, scheme) -> dict:
     table = {}
-    for label, mat in zip(coeffs.labels, coeffs.rep_derivs):
+    for label, mat in zip(family.labels, rep_generators(family, scheme)):
         table[label] = [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
     return table
 
@@ -316,7 +322,7 @@ def run_verify_local(scenario: dict) -> tuple[list, dict]:
         tolerance=_tol(scenario, "local", 1e-6),
         convergence_steps=_convergence_steps(scenario),
     )
-    tables = {"generator_matrices": _generator_table(family, scheme, pts)}
+    tables = {"generator_matrices": _generator_table(family, scheme)}
     return [_report_result("local_relation", report, _tol(scenario, "local", 1e-6))], tables
 
 
@@ -334,7 +340,7 @@ def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
     report = verify_bundle_relation(
         field, family, scheme, pts, tolerance=_tol(scenario, "bundle", 1e-8)
     )
-    tables = {"generator_matrices": _generator_table(family, scheme, pts)}
+    tables = {"generator_matrices": _generator_table(family, scheme)}
     return [_report_result("bundle_relation", report, _tol(scenario, "bundle", 1e-8))], tables
 
 
@@ -447,6 +453,50 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
     return report
 
 
+@functools.cache
+def _scenario_validator():
+    cls = validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
+def validate(scenario: dict) -> None:
+    """Raise what ``jsonschema.validate(scenario, SCENARIO_SCHEMA)`` raises.
+
+    The schema is checked and its validator built once per process, on
+    first use, instead of on every call.
+    """
+    error = best_match(_scenario_validator().iter_errors(scenario))
+    if error is not None:
+        raise error
+
+
+#: Most points a scenario may ask for, in its finest grid or its sample:
+#: about 56 times the 65^4 production grid.
+POINT_BUDGET = 10**9
+# Past this many doublings every grid is far above the budget, so the
+# count stops there instead of building a huge integer.
+_MAX_COUNTED_DOUBLINGS = 64
+
+
+def _over_budget(scenario: dict) -> str | None:
+    """Why the scenario needs more than POINT_BUDGET points, or None.
+
+    Computed from the scenario's numbers alone; nothing is allocated.
+    """
+    spec = scenario.get("grid", {})
+    samples = spec.get("sample_count", 200)
+    if samples > POINT_BUDGET:
+        return f"grid.sample_count asks for {samples} points"
+    levels = spec.get("doublings", 3) if scenario["check"] == "pairing" else 0
+    counted = min(levels, _MAX_COUNTED_DOUBLINGS)
+    finest = math.prod((k - 1) * 2**counted + 1 for k in spec.get("counts", [9] * 4))
+    if finest > POINT_BUDGET:
+        more = "more than " if levels > counted else ""
+        return f"the finest grid has {more}{Decimal(finest):.4g} points"
+    return None
+
+
 def _finite_number(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -504,10 +554,20 @@ def cmd_run(args) -> int:
         print(f"bad override: {exc}", file=sys.stderr)
         return 2
     try:
-        validate(scenario, SCENARIO_SCHEMA)
+        validate(scenario)
     except ValidationError as exc:
         where = ".".join(str(p) for p in exc.absolute_path) or "(root)"
         print(f"scenario field {where}: {exc.message}", file=sys.stderr)
+        return 2
+    why = _over_budget(scenario)
+    if why is not None:
+        print(f"scenario exceeds the budget of {POINT_BUDGET} points: {why}", file=sys.stderr)
+        return 2
+    out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
+    out_path = Path(out)
+    if out_path.is_dir():
+        exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
+        print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -518,9 +578,10 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"scenario output could not be written: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"scenario ran out of memory: {exc}", file=sys.stderr)
+        return 2
 
-    out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
-    out_path = Path(out)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(json.dumps(report, indent=2) + "\n")

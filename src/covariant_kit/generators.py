@@ -17,6 +17,7 @@ anything canonical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-12
+#: Lorentz and spinor matrices a Poincare family keeps.  An order-4 stencil
+#: over all ten parameters visits 25 distinct plane-parameter points.
+_MEMO_SIZE = 64
 _IDENTITY_TOL = 1e-12
 #: Sample used to validate the identity-at-b0 family invariant.
 _PROBE_POINTS = np.array(
@@ -263,12 +267,27 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     only (the matrix is independent of translations)."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_family needs a scalar, vector, or spinor representation")
+    # The linear part, the point map and the rep matrix at one b share one
+    # exponential, and so do the difference stencils that revisit the same
+    # b (rep_generators, flow_fields, volume_rates and the global map of a
+    # relation check).  Keys are the plane parameters' bytes; lru_cache is
+    # safe to call concurrently.
+    memo = functools.lru_cache(maxsize=_MEMO_SIZE)
+    lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)).matrix)
+    spin = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
+    key_of = lambda b: np.asarray(b[:6], dtype=float).tobytes()
+
+    def linear_part(b):
+        return lorentz(key_of(b))
 
     def point_map(b, pts):
-        lam = lorentz_exp(b[:6]).matrix
-        return np.asarray(pts, dtype=float) @ lam.T + b[6:]
+        return np.asarray(pts, dtype=float) @ linear_part(b).T + b[6:]
 
     def rep_map(b):
+        if rep.kind == "vector":
+            return linear_part(b).astype(complex)
+        if rep.kind == "spinor":
+            return spin(key_of(b)).copy()
         return rep_matrix(rep, b[:6])
 
     return ParamFamily(
@@ -278,7 +297,7 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
         point_map=point_map,
         rep_map=rep_map,
         labels=_POINCARE_LABELS,
-        linear_part=lambda b: lorentz_exp(b[:6]).matrix,
+        linear_part=linear_part,
         translation_params=(6, 7, 8, 9),
     )
 

@@ -72,9 +72,16 @@ def plane_generator(alpha: int, beta: int) -> np.ndarray:
     return J
 
 
+_GENERATORS = np.stack([plane_generator(a, b) for a, b in PLANES])
+_GENERATORS.setflags(write=False)
+
+
 def lorentz_generators() -> np.ndarray:
-    """All six generators, stacked in ``PLANES`` order, shape (6, 4, 4)."""
-    return np.stack([plane_generator(a, b) for a, b in PLANES])
+    """All six generators, stacked in ``PLANES`` order, shape (6, 4, 4).
+
+    Returns a fresh, writable copy of the module's read-only stack.
+    """
+    return np.array(_GENERATORS)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -139,7 +146,7 @@ def lorentz_exp(params: np.ndarray, tol: float = ALGEBRAIC_TOL) -> LorentzTransf
     p = _check_finite(params, "rotation parameters")
     if p.shape != (6,):
         raise ValueError(f"expected 6 plane parameters, got shape {p.shape}")
-    X = np.einsum("i,ijk->jk", p, lorentz_generators())
+    X = np.einsum("i,ijk->jk", p, _GENERATORS)
     return LorentzTransform(expm(X), p, tol)
 
 
@@ -153,7 +160,7 @@ def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:
     L = np.real(logm(m))
     # In this generator basis the strict upper triangle of the log *is* omega.
     params = np.array([L[a, b] for a, b in PLANES])
-    check = expm(np.einsum("i,ijk->jk", params, lorentz_generators()))
+    check = expm(np.einsum("i,ijk->jk", params, _GENERATORS))
     if np.abs(check - m).max() > 1e-9:
         raise ValueError("matrix log failed to land in the rotation/boost chart")
     return params

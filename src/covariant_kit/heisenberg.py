@@ -29,6 +29,7 @@ from .fields import FieldFunction
 from .generators import (
     FDScheme,
     ParamFamily,
+    _central_diff,
     _inner_jacobian_det,
     flow_fields,
     rep_generators,
@@ -149,11 +150,17 @@ def _field_values(field: FieldFunction, pts: np.ndarray) -> np.ndarray:
 
 
 def _local_residuals(
-    field: FieldFunction, family: ParamFamily, scheme: FDScheme, pts: np.ndarray
+    field: FieldFunction,
+    family: ParamFamily,
+    scheme: FDScheme,
+    pts: np.ndarray,
+    phi: np.ndarray,
+    grads: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sup, rms) residuals of global-vs-local derivative per parameter."""
-    phi = _field_values(field, pts)
-    grads = np.asarray(field.gradient(pts), dtype=complex)
+    """(sup, rms) residuals of global-vs-local derivative per parameter.
+
+    ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
+    """
     gen = rep_generators(family, scheme)
     flows = flow_fields(family, scheme, pts)
     rates = volume_rates(family, scheme, pts)
@@ -167,18 +174,7 @@ def _local_residuals(
     sup = np.empty(family.s)
     rms = np.empty(family.s)
     for w in range(family.s):
-        e = np.zeros(family.s)
-        e[w] = 1.0
-        h = steps[w]
-        if scheme.order == 2:
-            lhs = (global_map(family.b0 + h * e) - global_map(family.b0 - h * e)) / (2 * h)
-        else:
-            lhs = (
-                -global_map(family.b0 + 2 * h * e)
-                + 8 * global_map(family.b0 + h * e)
-                - 8 * global_map(family.b0 - h * e)
-                + global_map(family.b0 - 2 * h * e)
-            ) / (12 * h)
+        lhs = _central_diff(global_map, family.b0, w, steps[w], scheme.order)
         rhs = (
             rates[w][..., None] * phi
             + np.einsum("ij,pj->pi", gen[w], phi)
@@ -209,11 +205,16 @@ def verify_local_relation(
     pts = np.asarray(points, dtype=float)
     if family.n != field.n:
         raise ValueError(f"family dimension {family.n} != field dimension {field.n}")
-    sup, rms = _local_residuals(field, family, scheme, pts)
+    phi = _field_values(field, pts)
+    grads = np.asarray(field.gradient(pts), dtype=complex)
+    sup, rms = _local_residuals(field, family, scheme, pts, phi, grads)
     conv = None
     if convergence_steps:
         conv = np.stack(
-            [_local_residuals(field, family, FDScheme(h, scheme.order), pts)[0] for h in convergence_steps]
+            [
+                _local_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)[0]
+                for h in convergence_steps
+            ]
         )
     return RelationReport(
         labels=family.labels,
@@ -252,18 +253,7 @@ def verify_bundle_relation(
     sup = np.empty(family.s)
     rms = np.empty(family.s)
     for w in range(family.s):
-        e = np.zeros(family.s)
-        e[w] = 1.0
-        h = steps[w]
-        if scheme.order == 2:
-            dmat = (rep_f(family.b0 + h * e) - rep_f(family.b0 - h * e)) / (2 * h)
-        else:
-            dmat = (
-                -rep_f(family.b0 + 2 * h * e)
-                + 8 * rep_f(family.b0 + h * e)
-                - 8 * rep_f(family.b0 - h * e)
-                + rep_f(family.b0 - 2 * h * e)
-            ) / (12 * h)
+        dmat = _central_diff(rep_f, family.b0, w, steps[w], scheme.order)
         diff = np.abs(np.einsum("ij,pj->pi", dmat - gen[w], phi))
         sup[w] = float(diff.max())
         rms[w] = float(np.sqrt(np.mean(diff**2)))

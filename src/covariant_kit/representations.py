@@ -20,7 +20,7 @@ The phase matrix keeps charge q and unit charge e separate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,8 @@ class GammaBasis:
     """Four 4x4 matrices with {gamma_mu, gamma_nu} = 2 eta_mu_nu."""
 
     matrices: np.ndarray  # shape (4, 4, 4), complex
+    #: sigma[mu, nu] = (i/2) [gamma_mu, gamma_nu], built once, read-only.
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.matrices, dtype=complex)
@@ -60,6 +62,14 @@ class GammaBasis:
         object.__setattr__(self, "matrices", g)
         if self.anticommutator_residual() > 1e-12:
             raise ValueError("gamma matrices do not satisfy the (-+++) Clifford relations")
+        sig = np.zeros((4, 4, 4, 4), dtype=complex)
+        for mu in range(4):
+            for nu in range(mu + 1, 4):
+                s = 0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu])
+                sig[mu, nu] = s
+                sig[nu, mu] = -s
+        sig.setflags(write=False)
+        object.__setattr__(self, "sigma", sig)
 
     @classmethod
     def standard(cls) -> "GammaBasis":
@@ -93,15 +103,10 @@ def sigma_tensor(gamma: GammaBasis) -> np.ndarray:
     """Spinor generator tensor sigma[mu, nu] = (i/2) [gamma_mu, gamma_nu].
 
     Antisymmetric in (mu, nu) by construction; shape (4, 4, 4, 4).
+    Returns the basis's cached, read-only array (built once when the
+    basis is constructed); copy it before writing.
     """
-    g = gamma.matrices
-    sig = np.zeros((4, 4, 4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            s = 0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu])
-            sig[mu, nu] = s
-            sig[nu, mu] = -s
-    return sig
+    return gamma.sigma
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class FieldRep:
 
 
 def _spinor_generator_sum(rep: FieldRep, omega: np.ndarray) -> np.ndarray:
-    sig = sigma_tensor(rep.gamma)
+    sig = rep.gamma.sigma
     total = np.zeros((4, 4), dtype=complex)
     for w, (a, b) in zip(omega, PLANES):
         total += w * sig[a, b]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from covariant_kit.generators import (
     volume_rates,
 )
 from covariant_kit.geometry import ETA, PLANES, lorentz_exp, plane_generator
-from covariant_kit.representations import FieldRep, sigma_tensor
+from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
 POINTS = np.random.default_rng(14).uniform(-2.0, 2.0, (25, 4))
 SCHEME = FDScheme(1e-4, order=2)
@@ -298,3 +300,81 @@ class TestPoincareFamilyGeometry:
         b = np.random.default_rng(5).uniform(-0.5, 0.5, 10)
         assert np.array_equal(fam.point_map(b, POINTS), POINTS)
         assert fam.identity_point_map
+
+
+def _param_sequence():
+    """Parameter points with repeats, interleavings and translation-only changes."""
+    rng = np.random.default_rng(21)
+    b1, b2, b3 = (rng.uniform(-0.6, 0.6, 10) for _ in range(3))
+    b1_shifted = b1.copy()
+    b1_shifted[6:] += 0.5  # same Lorentz part, new translation
+    b1_turned = b1.copy()
+    b1_turned[5] += 1e-9  # only the last plane parameter differs
+    neg_zero = np.zeros(10)
+    neg_zero[0] = -0.0
+    return [b1, b1, b2, b1, b3, b2, b2, b1_shifted, b1, b1_turned, b1, np.zeros(10), neg_zero, b3]
+
+
+class TestPoincareFamilyMemo:
+    @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
+    def test_memoised_maps_equal_uncached_bit_for_bit(self, variant):
+        rep = getattr(FieldRep, variant)()
+        fam = poincare_family(rep)
+        for i, b in enumerate(_param_sequence()):
+            lam = lorentz_exp(b[:6]).matrix
+            calls = [
+                ("linear", lambda: fam.linear_part(b), lam),
+                ("point", lambda: fam.point_map(b, POINTS), POINTS @ lam.T + b[6:]),
+                ("rep", lambda: fam.rep_map(b), rep_matrix(rep, b[:6])),
+            ]
+            # vary the call order so every map sees both a cold and a warm memo
+            for name, call, expected in calls[i % 3 :] + calls[: i % 3]:
+                got = call()
+                assert got.dtype == expected.dtype, name
+                assert np.array_equal(got, expected), name
+
+    def test_evicted_entries_are_rebuilt_exactly(self):
+        rep = FieldRep.spinor()
+        fam = poincare_family(rep)
+        seq = np.random.default_rng(8).uniform(-0.5, 0.5, (100, 10))  # more than the memo holds
+        for b in [*seq, *seq[:5]]:
+            assert np.array_equal(fam.linear_part(b), lorentz_exp(b[:6]).matrix)
+            assert np.array_equal(fam.rep_map(b), rep_matrix(rep, b[:6]))
+
+    def test_returned_rep_matrix_is_the_callers_own(self):
+        fam = poincare_family(FieldRep.spinor())
+        b = _param_sequence()[0]
+        first = fam.rep_map(b)
+        first[:] = 0.0
+        assert np.array_equal(fam.rep_map(b), rep_matrix(FieldRep.spinor(), b[:6]))
+
+    def test_memo_is_private_to_each_family(self):
+        rep = FieldRep.vector()
+        fam1, fam2 = poincare_family(rep), poincare_family(rep)
+        b1, b2 = _param_sequence()[:3:2]
+        fam1.rep_map(b1)
+        assert np.array_equal(fam2.rep_map(b2), rep_matrix(rep, b2[:6]))
+        assert np.array_equal(fam1.rep_map(b1), rep_matrix(rep, b1[:6]))
+
+    @pytest.mark.parametrize("variant", ["vector", "spinor"])
+    def test_concurrent_callers_get_their_own_parameters(self, variant):
+        rep = getattr(FieldRep, variant)()
+        fam = poincare_family(rep)
+        seq = _param_sequence()
+        expected = [(lorentz_exp(b[:6]).matrix, rep_matrix(rep, b[:6])) for b in seq]
+
+        def worker(offset):
+            for k in range(200):
+                j = (offset + k) % len(seq)
+                lam, mat = expected[j]
+                if not (np.array_equal(fam.linear_part(seq[j]), lam) and np.array_equal(fam.rep_map(seq[j]), mat)):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:  # more workers than cores
+                assert all(pool.map(worker, range(6), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)

@@ -56,6 +56,14 @@ class TestGenerators:
         with pytest.raises(ValueError):
             plane_generator(2, 1)
 
+    def test_returned_stack_is_a_fresh_copy(self):
+        omega = np.array([0.3, -0.2, 0.1, 0.5, -0.4, 0.25])
+        before = lorentz_exp(omega).matrix.copy()
+        stack = lorentz_generators()
+        stack[:] = 7.0
+        assert not np.array_equal(lorentz_generators(), stack)
+        assert np.array_equal(lorentz_exp(omega).matrix, before)
+
 
 class TestLorentzExp:
     def test_zero_gives_identity(self):

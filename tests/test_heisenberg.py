@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covariant_kit.fields import constant_field, wave_packet
+from covariant_kit.fields import FieldFunction, constant_field, wave_packet
 from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
@@ -142,6 +142,22 @@ class TestLocalRelation:
         assert 3.5 <= worst[0] / worst[1] <= 4.5
         assert 3.5 <= worst[1] / worst[2] <= 4.5
         assert ratios.shape == (2, 10)
+
+    def test_field_and_gradient_evaluated_once_on_the_sample(self):
+        packet = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4)
+        calls = {"gradient": 0}
+
+        def gradient(pts):
+            calls["gradient"] += 1
+            return packet.gradient(pts)
+
+        counted = FieldFunction(packet.n, packet.evaluate, gradient)
+        family = poincare_family(FieldRep.vector())
+        steps = (4e-3, 2e-3, 1e-3)
+        report = verify_local_relation(counted, family, SCHEME, POINTS, convergence_steps=steps)
+        assert calls["gradient"] == 1
+        plain = verify_local_relation(packet, family, SCHEME, POINTS, convergence_steps=steps)
+        assert report.to_dict() == plain.to_dict()
 
     def test_metadata_correspondence_labels(self):
         field = wave_packet([0, 0, 0, 0], 1.0, 1)

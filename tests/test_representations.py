@@ -39,6 +39,12 @@ class TestGammaAlgebra:
     def test_residual_helper(self, gamma):
         assert gamma.anticommutator_residual() <= 1e-12
 
+    def test_sigma_tensor_is_cached_and_read_only(self, gamma, sigma):
+        assert sigma_tensor(gamma) is sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 1, 0, 0] = 1.0
+
     def test_bad_basis_rejected(self):
         broken = np.stack([np.eye(4, dtype=complex)] * 4)
         with pytest.raises(ValueError):
