@@ -565,8 +565,10 @@ def cmd_run(args) -> int:
         return 2
     out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
     out_path = Path(out)
-    if out_path.is_dir():
-        exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
+    blocker = next((d for d in out_path.parents if d.exists() and not d.is_dir()), None)
+    if out_path.is_dir() or blocker is not None:
+        code, name = (errno.EISDIR, out_path) if blocker is None else (errno.ENOTDIR, blocker)
+        exc = OSError(code, os.strerror(code), str(name))
         print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .generators import _central_diff
 from .geometry import AffineMap, PoincareElement
 from .representations import FieldRep, rep_matrix_for_element
 
@@ -79,14 +80,14 @@ class FieldFunction:
         return self.evaluate(points)
 
 
-def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int, int, int]]]]:
-    """Turn the accepted component shorthands into monomial term lists."""
+def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int, int, int], int]]]:
+    """Turn the accepted component shorthands into ``(coeff, powers, 1)`` term lists."""
     if isinstance(components, int):
         components = [1.0] * components
     terms = []
     for comp in components:
         if np.isscalar(comp):
-            terms.append([(complex(comp), (0, 0, 0, 0))])
+            terms.append([(complex(comp), (0, 0, 0, 0), 1)])
             continue
         comp_terms = []
         for term in comp:
@@ -99,7 +100,7 @@ def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int
             powers = tuple(int(p) for p in powers)
             if len(powers) != 4 or any(p < 0 for p in powers):
                 raise ValueError(f"monomial powers must be 4 nonnegative ints, got {powers}")
-            comp_terms.append((complex(coeff), powers))
+            comp_terms.append((complex(coeff), powers, 1))
         terms.append(comp_terms)
     if not terms:
         raise ValueError("a wave packet needs at least one component")
@@ -118,13 +119,14 @@ def _polynomial(ys: list, comp_terms, imag: bool = False):
     """Real (or imaginary) part of one component polynomial at columns ``ys``.
 
     Terms are summed from 0 in order, each coefficient part times the
-    powers multiplied left to right: the parts of the complex sum,
-    operation for operation.  The unit monomial stays a scalar.
+    powers multiplied left to right, starting from the term's integer
+    factor when it is not 1: the parts of the complex sum, operation for
+    operation.  The unit monomial stays a scalar.
     """
     acc = 0.0
-    for coeff, powers in comp_terms:
+    for coeff, powers, factor in comp_terms:
         term = coeff.imag if imag else coeff.real
-        mono = None
+        mono = None if factor == 1 else factor
         for k, p in enumerate(powers):
             if p:
                 mono = ys[k] ** p if mono is None else mono * ys[k] ** p
@@ -151,28 +153,11 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
         raise ValueError("wave packet width must be positive and finite")
     terms = _normalise_components(components)
     n = len(terms)
-    real = all(coeff.imag == 0 for comp_terms in terms for coeff, _ in comp_terms)
+    real = all(coeff.imag == 0 for comp_terms in terms for coeff, _, _ in comp_terms)
 
-    def _monomials(y: np.ndarray):
-        # Evaluate every component polynomial and its gradient at y (..., 4).
-        vals = np.zeros(y.shape[:-1] + (n,), dtype=complex)
-        grads = np.zeros(y.shape[:-1] + (n, 4), dtype=complex)
-        for i, comp_terms in enumerate(terms):
-            for coeff, powers in comp_terms:
-                mono = np.ones(y.shape[:-1], dtype=complex)
-                for k, p in enumerate(powers):
-                    if p:
-                        mono = mono * y[..., k] ** p
-                vals[..., i] += coeff * mono
-                for k, p in enumerate(powers):
-                    if p:
-                        dmono = np.full(y.shape[:-1], complex(p))
-                        for j, pj in enumerate(powers):
-                            pw = pj - 1 if j == k else pj
-                            if pw:
-                                dmono = dmono * y[..., j] ** pw
-                        grads[..., i, k] += coeff * dmono
-        return vals, grads
+    # dP_i/dy_k: each term with p_k > 0, with p_k lowered by one and kept as its factor.
+    dterms = [[[(coeff, tuple(p - (j == k) for j, p in enumerate(powers)), powers[k])
+                for coeff, powers, _ in comp_terms if powers[k]] for k in range(4)] for comp_terms in terms]
 
     def _envelope(ys: list) -> np.ndarray:
         # r2 / -s^2 is -r2 / s^2 exactly, one pass sooner.
@@ -199,12 +184,20 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
         return vals
 
     def gradient(points: np.ndarray) -> np.ndarray:
-        y = np.asarray(points, dtype=float) - c
-        envelope = _envelope([y[..., k] for k in range(4)])
-        vals, grads = _monomials(y)
-        # d/dx_k (P e) = (dP/dy_k - 2 y_k / s^2 * P) e
-        out = grads - (2.0 / s**2) * vals[..., :, None] * y[..., None, :]
-        return out * envelope[..., None, None]
+        # d/dx_k (P e) = (dP/dy_k - (2 / s^2) P y_k) e, per part in the complex order.
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            return gradient(pts[None])[0]
+        ys = [pts[..., k] - c[k] for k in range(4)]
+        envelope = _envelope(ys)
+        out = np.zeros(envelope.shape + (n, 4), dtype=complex)
+        parts = ((out.real, False),) if real else ((out.real, False), (out.imag, True))
+        for i, comp_terms in enumerate(terms):
+            for part, imag in parts:
+                scaled = (2.0 / s**2) * _polynomial(ys, comp_terms, imag)
+                for k in range(4):
+                    part[..., i, k] = (_polynomial(ys, dterms[i][k], imag) - scaled * ys[k]) * envelope
+        return out
 
     return FieldFunction(n, evaluate, gradient)
 
@@ -260,14 +253,8 @@ class FrameChange:
         if self.matrix_gradient is not None:
             return np.asarray(self.matrix_gradient(points), dtype=complex)
         pts = np.asarray(points, dtype=float)
-        h = 1e-6
-        out = np.zeros(pts.shape[:-1] + (self.n, self.n, 4), dtype=complex)
-        for k in range(4):
-            step = np.zeros(4)
-            step[k] = h
-            out[..., k] = (np.asarray(self.matrix(pts + step), dtype=complex)
-                           - np.asarray(self.matrix(pts - step), dtype=complex)) / (2 * h)
-        return out
+        f = lambda r: np.asarray(self.matrix(r), dtype=complex)
+        return np.stack([_central_diff(f, pts, k, 1e-6, 2) for k in range(4)], axis=-1)
 
 
 def _inverse_frames(change: FrameChange, points: np.ndarray) -> np.ndarray:
@@ -431,6 +418,16 @@ class GridSpec:
         return int(np.prod(self.counts))
 
 
+def _slice_points(grid: GridSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """The grid's axes and one axis-0 slice of points; the caller sets ``pts[..., 0]``."""
+    axes = grid.axes()
+    pts = np.empty(grid.counts[1:] + (4,))
+    pts[..., 1] = axes[1][:, None, None]
+    pts[..., 2] = axes[2][None, :, None]
+    pts[..., 3] = axes[3][None, None, :]
+    return axes, pts
+
+
 def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
     """Trapezoid quadrature of sum_i phi_i(r) f_i(r) over the grid.
 
@@ -442,13 +439,8 @@ def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
         raise ValueError(f"component counts differ: {phi.n} != {f.n}")
     if not isinstance(grid, GridSpec):
         raise ValueError("pairing requires a GridSpec")
-    axes = grid.axes()
+    axes, pts = _slice_points(grid)
     w0, w1, w2, w3 = grid.weights()
-    n1, n2, n3 = grid.counts[1:]
-    pts = np.empty((n1, n2, n3, 4))
-    pts[..., 1] = axes[1][:, None, None]
-    pts[..., 2] = axes[2][None, :, None]
-    pts[..., 3] = axes[3][None, None, :]
     total = 0.0 + 0.0j
     for i0, x0 in enumerate(axes[0]):
         pts[..., 0] = x0
@@ -479,12 +471,7 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
     One row per grid point: 4 coordinate columns, then re/im columns per
     component.  All numbers are printed with 17 significant digits.
     """
-    axes = grid.axes()
-    n1, n2, n3 = grid.counts[1:]
-    pts = np.empty((n1, n2, n3, 4))
-    pts[..., 1] = axes[1][:, None, None]
-    pts[..., 2] = axes[2][None, :, None]
-    pts[..., 3] = axes[3][None, None, :]
+    axes, pts = _slice_points(grid)
     header = ["x0", "x1", "x2", "x3"]
     for i in range(field.n):
         header += [f"re{i}", f"im{i}"]
@@ -505,10 +492,6 @@ def gradient_fd_residual(field: FieldFunction, points: np.ndarray, step: float =
     """Relative sup deviation of the analytic gradient from central differences."""
     pts = np.asarray(points, dtype=float)
     grad = np.asarray(field.gradient(pts), dtype=complex)
-    fd = np.zeros_like(grad)
-    for k in range(4):
-        offset = np.zeros(4)
-        offset[k] = step
-        fd[..., k] = (field.evaluate(pts + offset) - field.evaluate(pts - offset)) / (2 * step)
+    fd = np.stack([_central_diff(field.evaluate, pts, k, step, 2) for k in range(4)], axis=-1)
     scale = max(float(np.abs(grad).max()), 1e-30)
     return float(np.abs(fd - grad).max()) / scale

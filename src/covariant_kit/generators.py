@@ -11,8 +11,12 @@ relation checks in :mod:`covariant_kit.heisenberg`:
 * ``volume_rates``     d/db of det[dH(b)/dr], the volume-change rate.
 
 Derivatives are central differences (order 2 or 4) unless a family
-carries analytic ones.  Steps and tolerances are artifact choices, not
-anything canonical.
+carries analytic ones.  Every numerical derivative in the package goes
+through one stencil, :func:`_central_diff`: along a group parameter at the
+scheme's steps, and along a point coordinate at fixed inner steps (1e-5
+for the point-map Jacobian in ``volume_rates``, 1e-6 for a
+:class:`~covariant_kit.fields.FrameChange` without an analytic gradient).
+Steps and tolerances are artifact choices, not anything canonical.
 """
 
 from __future__ import annotations
@@ -126,13 +130,20 @@ class ParamFamily:
             raise ValueError("point_map(b0, .) is not the identity map")
 
 
-def _central_diff(f: Callable[[np.ndarray], np.ndarray], b0: np.ndarray, w: int, h: float, order: int):
-    """Central difference of f along parameter w at b0."""
-    e = np.zeros_like(b0)
+def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: float, order: int):
+    """Central difference of f along coordinate w of x0, a parameter vector (s,)
+    or a point batch (..., 4); a tuple f(x) has each entry differenced."""
+    e = np.zeros(x0.shape[-1])
     e[w] = 1.0
     if order == 2:
-        return (f(b0 + h * e) - f(b0 - h * e)) / (2 * h)
-    return (-f(b0 + 2 * h * e) + 8 * f(b0 + h * e) - 8 * f(b0 - h * e) + f(b0 - 2 * h * e)) / (12 * h)
+        vals = f(x0 + h * e), f(x0 - h * e)
+        diff = lambda p1, m1: (p1 - m1) / (2 * h)
+    else:
+        vals = f(x0 + 2 * h * e), f(x0 + h * e), f(x0 - h * e), f(x0 - 2 * h * e)
+        diff = lambda p2, p1, m1, m2: (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+    if isinstance(vals[0], tuple):
+        return tuple(diff(*parts) for parts in zip(*vals))
+    return diff(*vals)
 
 
 def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
@@ -161,16 +172,8 @@ def _inner_jacobian_det(family: ParamFamily, b: np.ndarray, pts: np.ndarray) -> 
     if family.linear_part is not None:
         det = np.linalg.det(np.asarray(family.linear_part(b), dtype=float))
         return np.full(pts.shape[:-1], det)
-    inner = 1e-5
-    jac = np.empty(pts.shape[:-1] + (4, 4))
-    for l in range(4):
-        step = np.zeros(4)
-        step[l] = inner
-        jac[..., l] = (
-            np.asarray(family.point_map(b, pts + step), dtype=float)
-            - np.asarray(family.point_map(b, pts - step), dtype=float)
-        ) / (2 * inner)
-    return np.linalg.det(jac)
+    f = lambda r: np.asarray(family.point_map(b, r), dtype=float)
+    return np.linalg.det(np.stack([_central_diff(f, pts, l, 1e-5, 2) for l in range(4)], axis=-1))
 
 
 def volume_rates(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
@@ -223,12 +226,14 @@ def det_trace_residual(
         raise ValueError("matrix family is not the identity at the base parameters")
     s = b0.shape[0]
     steps = scheme.steps(s)
-    det_f = lambda b: np.linalg.det(np.asarray(matrix_map(b), dtype=float))
-    tr_f = lambda b: np.trace(np.asarray(matrix_map(b), dtype=float))
+
+    def det_trace(b):
+        m = np.asarray(matrix_map(b), dtype=float)
+        return np.linalg.det(m), np.trace(m)
+
     out = np.empty(s)
     for w in range(s):
-        d_det = _central_diff(det_f, b0, w, steps[w], scheme.order)
-        d_tr = _central_diff(tr_f, b0, w, steps[w], scheme.order)
+        d_det, d_tr = _central_diff(det_trace, b0, w, steps[w], scheme.order)
         out[w] = abs(d_det - d_tr)
     return out
 

@@ -33,7 +33,6 @@ from .generators import (
     _inner_jacobian_det,
     flow_fields,
     rep_generators,
-    volume_rates,
 )
 
 __all__ = [
@@ -160,25 +159,32 @@ def _local_residuals(
     """(sup, rms) residuals of global-vs-local derivative per parameter.
 
     ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
+    One stencil differences the moved points (flow), the inner Jacobian
+    (volume rate) and the global value: one point map per stencil point.
     """
     gen = rep_generators(family, scheme)
-    flows = flow_fields(family, scheme, pts)
-    rates = volume_rates(family, scheme, pts)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sample points must be finite")
+    analytic_flows = None if family.point_derivative is None else flow_fields(family, scheme, pts)
     steps = scheme.steps(family.s)
 
     def global_map(b):
         jac = _inner_jacobian_det(family, b, pts)
-        vals = _field_values(field, np.asarray(family.point_map(b, pts), dtype=float))
-        return jac[..., None] * np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
+        moved = np.asarray(family.point_map(b, pts), dtype=float)
+        vals = _field_values(field, moved)
+        rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
+        return moved, jac, jac[..., None] * rotated
 
     sup = np.empty(family.s)
     rms = np.empty(family.s)
     for w in range(family.s):
-        lhs = _central_diff(global_map, family.b0, w, steps[w], scheme.order)
+        flow, rate, lhs = _central_diff(global_map, family.b0, w, steps[w], scheme.order)
+        if analytic_flows is not None:
+            flow = analytic_flows[w]
         rhs = (
-            rates[w][..., None] * phi
+            rate[..., None] * phi
             + np.einsum("ij,pj->pi", gen[w], phi)
-            + np.einsum("pk,pik->pi", flows[w], grads)
+            + np.einsum("pk,pik->pi", flow, grads)
         )
         diff = np.abs(lhs - rhs)
         sup[w] = float(diff.max())

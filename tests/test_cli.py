@@ -110,12 +110,9 @@ class TestReportContract:
         return json.dumps(self._strip_volatile(load(out)), sort_keys=False)
 
     def test_reruns_are_byte_identical_modulo_timing(self, tmp_path, monkeypatch):
-        # rep_check_spinor's homomorphism residual is roundoff that varies
-        # between runs (a known defect); pairing_invariance is too slow here
+        # pairing_invariance is too slow here
         monkeypatch.chdir(tmp_path)
         for name in FAST_PASSING:
-            if name == "rep_check_spinor.json":
-                continue
             first = self._report_text(name, tmp_path / "r0.json")
             assert self._report_text(name, tmp_path / "r1.json") == first, name
 
@@ -269,6 +266,17 @@ class TestExitContractHoles:
         code = run_cli(["run", str(SCENARIOS / "verify_local_vector_rotation.json"), "--out", str(tmp_path)])
         assert code == 2
         assert f"cannot write report {tmp_path}: [Errno 21] Is a directory" in self._one_line(capsys)
+
+    @pytest.mark.parametrize("below", ["r.json", "sub/r.json"])
+    def test_out_below_a_regular_file_is_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, below):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", _must_not_run)
+        (tmp_path / "afile").write_text("")
+        out = Path("afile") / below
+        code = run_cli(["run", str(SCENARIOS / "verify_local_vector_rotation.json"), "--out", str(out)])
+        assert code == 2
+        assert f"cannot write report {out}: [Errno 20] Not a directory: 'afile'" in self._one_line(capsys)
+        assert (tmp_path / "afile").read_text() == ""
 
     @pytest.mark.parametrize(
         "grid, named",

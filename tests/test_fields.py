@@ -394,6 +394,32 @@ def _complex_packet(center, width, comps, points):
     return vals * envelope[..., None]
 
 
+def _complex_gradient(center, width, comps, points):
+    """The complex gradient: every monomial and its derivatives from ones and
+    full(p) arrays, added into zeros, then (dP - (2/s^2) P y) e."""
+    y = np.asarray(points, dtype=float) - center
+    envelope = np.exp(-np.sum(y * y, axis=-1) / width**2)
+    vals = np.zeros(y.shape[:-1] + (len(comps),), dtype=complex)
+    grads = np.zeros(y.shape[:-1] + (len(comps), 4), dtype=complex)
+    for i, terms in enumerate(comps):
+        for coeff, powers in terms:
+            mono = np.ones(y.shape[:-1], dtype=complex)
+            for k, p in enumerate(powers):
+                if p:
+                    mono = mono * y[..., k] ** p
+            vals[..., i] += complex(coeff) * mono
+            for k, p in enumerate(powers):
+                if p:
+                    dmono = np.full(y.shape[:-1], complex(p))
+                    for j, pj in enumerate(powers):
+                        pw = pj - 1 if j == k else pj
+                        if pw:
+                            dmono = dmono * y[..., j] ** pw
+                    grads[..., i, k] += complex(coeff) * dmono
+    out = grads - (2.0 / width**2) * vals[..., :, None] * y[..., None, :]
+    return out * envelope[..., None, None]
+
+
 def _complex_pairing(phi, f, grid):
     """Trapezoid sum of complex integrands, one axis-0 slice at a time."""
     axes = grid.axes()
@@ -501,6 +527,28 @@ class TestEvaluateDtype:
         as_complex = lambda field: lambda pts: np.asarray(field.evaluate(pts), dtype=complex)
         reference = _complex_pairing(as_complex(phi), as_complex(f), grid)
         assert np.array_equal(_bits(pairing(phi, f, grid)), _bits(reference))
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_gradient_equals_the_complex_gradient(self, complex_coeffs):
+        # Same numbers (zero signs aside) on random monomial packets, with
+        # exact zeros of y, far points whose envelope underflows, and a
+        # single point.
+        rng = np.random.default_rng(7 + complex_coeffs)
+        for _ in range(40):
+            coeff = lambda: complex(*rng.normal(size=2)) if complex_coeffs else float(rng.normal())
+            comps = [
+                [(coeff(), tuple(int(p) for p in rng.integers(0, 4, 4))) for _ in range(rng.integers(1, 5))]
+                for _ in range(rng.integers(1, 5))
+            ]
+            center, width = rng.uniform(-1, 1, 4), rng.uniform(0.5, 2.0)
+            pts = rng.uniform(-3, 3, (30, 4)) * np.where(np.arange(30) < 25, 1.0, 15.0)[:, None]
+            pts[0, 2] = center[2]
+            packet = wave_packet(center, width, comps)
+            expected = _complex_gradient(center, width, comps, pts)
+            got = packet.gradient(pts)
+            assert got.dtype == np.complex128 and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(packet.gradient(pts[3]), expected[3])
 
     def test_real_values_survive_real_laws_only(self):
         packet = wave_packet(self.CENTER, self.WIDTH, 4)

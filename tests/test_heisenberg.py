@@ -159,6 +159,24 @@ class TestLocalRelation:
         plain = verify_local_relation(packet, family, SCHEME, POINTS, convergence_steps=steps)
         assert report.to_dict() == plain.to_dict()
 
+    @pytest.mark.parametrize("order, steps", [(2, ()), (4, (2e-3, 1e-3))])
+    def test_one_point_map_per_stencil_point(self, order, steps):
+        family = poincare_family(FieldRep.vector())
+        calls = []
+
+        def point_map(b, pts):
+            calls.append(b)
+            return family.point_map(b, pts)
+
+        counted = dataclasses.replace(family, point_map=point_map)
+        calls.clear()
+        field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4)
+        scheme = FDScheme(1e-4, order=order)
+        report = verify_local_relation(field, counted, scheme, POINTS, convergence_steps=steps)
+        assert len(calls) == order * family.s * (1 + len(steps))
+        plain = verify_local_relation(field, family, scheme, POINTS, convergence_steps=steps)
+        assert report.to_dict() == plain.to_dict()
+
     def test_metadata_correspondence_labels(self):
         field = wave_packet([0, 0, 0, 0], 1.0, 1)
         report = verify_local_relation(field, poincare_family(FieldRep.scalar()), SCHEME, POINTS[:5])
