@@ -15,6 +15,7 @@ timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import json
@@ -51,7 +52,7 @@ from .generators import (
     poincare_frame_family,
     rep_generators,
 )
-from .geometry import ETA, PLANES, AffineChart, PoincareElement, chart_transition, lorentz_exp
+from .geometry import AffineChart, PoincareElement, chart_transition, lorentz_exp
 from .heisenberg import (
     number_operator_model,
     observer_groupoid_check,
@@ -60,12 +61,16 @@ from .heisenberg import (
     verify_bundle_relation,
     verify_local_relation,
 )
-from .representations import FieldRep, homomorphism_check, rep_matrix, sigma_tensor
+from .representations import FieldRep, homomorphism_check, rep_matrix, rep_matrix_for_element
 from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
+
+
+def _fmt_matrix(mat) -> list:
+    return [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
 
 
 def _result(name: str, sup: float, tol: float, detail: dict | None = None) -> dict:
@@ -147,10 +152,6 @@ def _build_scheme(scenario: dict) -> FDScheme:
     return FDScheme(spec.get("step", 1e-4), spec.get("order", 2))
 
 
-def _convergence_steps(scenario: dict) -> tuple:
-    return tuple(scenario.get("fd", {}).get("convergence_steps", ()))
-
-
 def _group_element(scenario: dict) -> PoincareElement:
     spec = scenario.get("group", {})
     omega = np.asarray(spec.get("omega", [0.0] * 6), dtype=float)
@@ -169,13 +170,6 @@ def _build_family(scenario: dict, rep: FieldRep):
             raise ValueError("the internal family needs a phase representation")
         return internal_family(rep)
     raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _generator_table(family, scheme) -> dict:
-    table = {}
-    for label, mat in zip(family.labels, rep_generators(family, scheme)):
-        table[label] = [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
-    return table
 
 
 def run_group_check(scenario: dict) -> tuple[list, dict]:
@@ -295,15 +289,23 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
         csv_path = Path(out_spec.get("field_csv", "field_dump.csv"))
         dump_field_csv(moved, _build_grid(scenario), csv_path)
         tables["field_csv"] = str(csv_path)
-    # Echo the representation matrices in play.
-    mat = rep_matrix(rep, g.params if rep.kind != "phase" else 0.0)
-    tables["rep_matrix"] = [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
+    # Echo the representation matrix in play.
+    tables["rep_matrix"] = _fmt_matrix(rep_matrix_for_element(rep, g))
     return results, tables
 
 
-def run_verify_local(scenario: dict) -> tuple[list, dict]:
-    import dataclasses
+def _run_relation(scenario: dict, rep: FieldRep, family, verify, name: str, tol: float, **options):
+    """Field, scheme and sample of the scenario, then ``verify`` on ``family``: result and table."""
+    field = _build_field(scenario, rep)
+    scheme = _build_scheme(scenario)
+    pts = _build_points(scenario)
+    report = verify(field, family, scheme, pts, tolerance=tol, **options)
+    gens = rep_generators(family, scheme)
+    tables = {"generator_matrices": {label: _fmt_matrix(mat) for label, mat in zip(family.labels, gens)}}
+    return [_report_result(name, report, tol)], tables
 
+
+def run_verify_local(scenario: dict) -> tuple[list, dict]:
     rep = _build_rep(scenario)
     if rep.kind == "phase":
         # Compare the differenced law against the closed-form charge
@@ -311,37 +313,21 @@ def run_verify_local(scenario: dict) -> tuple[list, dict]:
         family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
     else:
         family = _build_family(scenario, rep)
-    field = _build_field(scenario, rep)
-    scheme = _build_scheme(scenario)
-    pts = _build_points(scenario)
-    report = verify_local_relation(
-        field,
-        family,
-        scheme,
-        pts,
-        tolerance=_tol(scenario, "local", 1e-6),
-        convergence_steps=_convergence_steps(scenario),
+    tol = _tol(scenario, "local", 1e-6)
+    steps = tuple(scenario.get("fd", {}).get("convergence_steps", ()))
+    return _run_relation(
+        scenario, rep, family, verify_local_relation, "local_relation", tol, convergence_steps=steps
     )
-    tables = {"generator_matrices": _generator_table(family, scheme)}
-    return [_report_result("local_relation", report, _tol(scenario, "local", 1e-6))], tables
 
 
 def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
-    import dataclasses
-
     rep = _build_rep(scenario)
     base = internal_family(rep) if rep.kind == "phase" else poincare_frame_family(rep)
     # Closed-form derivatives make the residual compare the differenced
     # frame law against known coefficients rather than against itself.
     family = dataclasses.replace(base, rep_derivative=analytic_rep_derivatives(rep))
-    field = _build_field(scenario, rep)
-    scheme = _build_scheme(scenario)
-    pts = _build_points(scenario)
-    report = verify_bundle_relation(
-        field, family, scheme, pts, tolerance=_tol(scenario, "bundle", 1e-8)
-    )
-    tables = {"generator_matrices": _generator_table(family, scheme)}
-    return [_report_result("bundle_relation", report, _tol(scenario, "bundle", 1e-8))], tables
+    tol = _tol(scenario, "bundle", 1e-8)
+    return _run_relation(scenario, rep, family, verify_bundle_relation, "bundle_relation", tol)
 
 
 def run_toy(scenario: dict) -> tuple[list, dict]:
@@ -384,6 +370,8 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
 
     grid = _build_grid(scenario)
     doublings = scenario.get("grid", {}).get("doublings", 3)
+    if doublings < 1:
+        raise ValueError("the pairing check needs grid.doublings >= 1 to measure convergence")
     grids = [grid]
     for _ in range(doublings):
         grids.append(grids[-1].refine())
@@ -393,7 +381,7 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         for i in range(len(values) - 1)
     ]
     conv_tol = _tol(scenario, "pairing_convergence", 1e-7)
-    conv_res = rel_diffs[-1] if rel_diffs else 0.0
+    conv_res = rel_diffs[-1]
     table = {
         "counts": [list(g.counts) for g in grids],
         "values": [[_fmt(v.real), _fmt(v.imag)] for v in values],
@@ -526,70 +514,63 @@ def _apply_override(scenario: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _config_error(message: str) -> int:
+    """Print the one-line diagnostic of a configuration or I/O error on stderr; exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     path = Path(args.scenario)
     if args.threads < 0:
-        print(f"--threads must be 0 or more, got {args.threads}", file=sys.stderr)
-        return 2
+        return _config_error(f"--threads must be 0 or more, got {args.threads}")
     try:
         text = path.read_text()
     except OSError as exc:
-        print(f"cannot read scenario file {path}: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"cannot read scenario file {path}: {exc}")
     try:
         scenario = _loads(text)
     except json.JSONDecodeError as exc:
-        print(
-            f"scenario parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
+        return _config_error(
+            f"scenario parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
-        return 2
     except ValueError as exc:
-        print(f"scenario parse error in {path}: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario parse error in {path}: {exc}")
     try:
         for assignment in args.override or []:
             _apply_override(scenario, assignment)
     except ValueError as exc:
-        print(f"bad override: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"bad override: {exc}")
     try:
         validate(scenario)
     except ValidationError as exc:
         where = ".".join(str(p) for p in exc.absolute_path) or "(root)"
-        print(f"scenario field {where}: {exc.message}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario field {where}: {exc.message}")
     why = _over_budget(scenario)
     if why is not None:
-        print(f"scenario exceeds the budget of {POINT_BUDGET} points: {why}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario exceeds the budget of {POINT_BUDGET} points: {why}")
     out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
     out_path = Path(out)
     blocker = next((d for d in out_path.parents if d.exists() and not d.is_dir()), None)
     if out_path.is_dir() or blocker is not None:
         code, name = (errno.EISDIR, out_path) if blocker is None else (errno.ENOTDIR, blocker)
         exc = OSError(code, os.strerror(code), str(name))
-        print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"cannot write report {out_path}: {exc}")
 
     try:
         report = run_scenario(scenario, threads=args.threads, overrides=args.override)
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"scenario could not be executed: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario could not be executed: {exc}")
     except OSError as exc:
-        print(f"scenario output could not be written: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario output could not be written: {exc}")
     except MemoryError as exc:
-        print(f"scenario ran out of memory: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"scenario ran out of memory: {exc}")
 
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(json.dumps(report, indent=2) + "\n")
     except OSError as exc:
-        print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(f"cannot write report {out_path}: {exc}")
     status = "PASS" if report["pass"] else "FAIL"
     print(f"{status} {scenario['check']}: report written to {out_path}")
     return 0 if report["pass"] else 1

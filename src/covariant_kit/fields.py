@@ -25,7 +25,7 @@ outside the matrix action is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,20 +202,22 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     return FieldFunction(n, evaluate, gradient)
 
 
+def _constant(v: np.ndarray):
+    """``evaluate`` and ``gradient`` closures of a value equal to ``v`` everywhere."""
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(v, np.shape(points)[:-1] + v.shape).copy()
+
+    def gradient(points: np.ndarray) -> np.ndarray:
+        return np.zeros(np.shape(points)[:-1] + v.shape + (4,), dtype=complex)
+
+    return evaluate, gradient
+
+
 def constant_field(values: Sequence[complex]) -> FieldFunction:
     """Field equal to ``values`` everywhere; gradient identically zero."""
     v = np.atleast_1d(np.asarray(values, dtype=complex))
-    n = v.shape[0]
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points)
-        return np.broadcast_to(v, pts.shape[:-1] + (n,)).copy()
-
-    def gradient(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points)
-        return np.zeros(pts.shape[:-1] + (n, 4), dtype=complex)
-
-    return FieldFunction(n, evaluate, gradient)
+    return FieldFunction(v.shape[0], *_constant(v))
 
 
 @dataclass(frozen=True)
@@ -237,17 +239,7 @@ class FrameChange:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("constant frame change needs a square matrix")
-        n = m.shape[0]
-
-        def mat(points):
-            pts = np.asarray(points)
-            return np.broadcast_to(m, pts.shape[:-1] + (n, n)).copy()
-
-        def grad(points):
-            pts = np.asarray(points)
-            return np.zeros(pts.shape[:-1] + (n, n, 4), dtype=complex)
-
-        return cls(n, mat, grad)
+        return cls(m.shape[0], *_constant(m))
 
     def _gradient(self, points: np.ndarray) -> np.ndarray:
         if self.matrix_gradient is not None:
@@ -268,23 +260,21 @@ def _inverse_frames(change: FrameChange, points: np.ndarray) -> np.ndarray:
     return np.linalg.inv(mats)
 
 
-def _spacetime_matrix(rep: FieldRep, g) -> tuple[np.ndarray, AffineMap, float]:
-    """Representation matrix, forward point map, and Jacobian for ``g``.
+def _spacetime_matrix(rep: FieldRep, g, field: FieldFunction) -> tuple[np.ndarray, AffineMap, float]:
+    """Representation matrix, forward point map, and Jacobian for ``g`` acting on ``field``.
 
     ``g`` may be a PoincareElement (Jacobian 1) or a plain AffineMap; the
     latter only supports scalar and vector representations.
     """
+    if rep.n != field.n:
+        raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
     if isinstance(g, PoincareElement):
-        return rep_matrix_for_element(rep, g), g.point_map(), 1.0
-    if isinstance(g, AffineMap):
-        if rep.kind == "scalar":
-            mat = np.eye(1, dtype=complex)
-        elif rep.kind == "vector":
-            mat = g.linear.astype(complex)
-        else:
-            raise ValueError(f"{rep.kind!r} representation is undefined for general affine point maps")
-        return mat, g, float(np.linalg.det(g.linear))
-    raise TypeError(f"expected PoincareElement or AffineMap, got {type(g).__name__}")
+        mapping, jac = g.point_map(), 1.0
+    elif isinstance(g, AffineMap):
+        mapping, jac = g, float(np.linalg.det(g.linear))
+    else:
+        raise TypeError(f"expected PoincareElement or AffineMap, got {type(g).__name__}")
+    return rep_matrix_for_element(rep, g), mapping, jac
 
 
 def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap, scale: float) -> FieldFunction:
@@ -327,17 +317,13 @@ def active_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
     ``g`` may be a PoincareElement (J = 1) or a general AffineMap, in
     which case the Jacobian determinant of the map multiplies the result.
     """
-    if rep.n != field.n:
-        raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
-    mat, mapping, jac = _spacetime_matrix(rep, g)
+    mat, mapping, jac = _spacetime_matrix(rep, g, field)
     return _composed_field(field, mat.T, mapping, jac)
 
 
 def transform_test_function(field: FieldFunction, rep: FieldRep, g: PoincareElement) -> FieldFunction:
     """Test-function law f'(x) = D f(L^-1 (x - a))."""
-    if rep.n != field.n:
-        raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
-    mat, _, _ = _spacetime_matrix(rep, g)
+    mat, _, _ = _spacetime_matrix(rep, g, field)
     return _composed_field(field, mat, g.inverse().point_map(), 1.0)
 
 
@@ -472,20 +458,14 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
     component.  All numbers are printed with 17 significant digits.
     """
     axes, pts = _slice_points(grid)
-    header = ["x0", "x1", "x2", "x3"]
-    for i in range(field.n):
-        header += [f"re{i}", f"im{i}"]
+    header = ["x0", "x1", "x2", "x3"] + [f"{part}{i}" for i in range(field.n) for part in ("re", "im")]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for x0 in axes[0]:
             pts[..., 0] = x0
             vals = field.evaluate(pts).reshape(-1, field.n)
-            coords = pts.reshape(-1, 4)
-            for row_pt, row_val in zip(coords, vals):
-                cells = [f"{v:.17g}" for v in row_pt]
-                for v in row_val:
-                    cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-                fh.write(",".join(cells) + "\n")
+            parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(vals), -1)
+            np.savetxt(fh, np.hstack([pts.reshape(-1, 4), parts]), fmt="%.17g", delimiter=",")
 
 
 def gradient_fd_residual(field: FieldFunction, points: np.ndarray, step: float = 1e-4) -> float:

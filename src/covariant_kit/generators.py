@@ -22,7 +22,7 @@ Steps and tolerances are artifact choices, not anything canonical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,9 +79,6 @@ class FDScheme:
         if np.any(steps < _MIN_STEP):
             raise ValueError(f"finite-difference step underflow (< {_MIN_STEP:g})")
         return steps
-
-    def halved(self) -> "FDScheme":
-        return FDScheme(np.atleast_1d(np.asarray(self.step, dtype=float)) / 2.0, self.order)
 
 
 @dataclass(frozen=True)
@@ -307,21 +304,23 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     )
 
 
+def _fixed_points(b, pts):
+    return np.array(pts, dtype=float)
+
+
+def _unit_linear(b):
+    return np.eye(4)
+
+
 def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     """Frame-only twin of :func:`poincare_family`: the matrices change,
     the points never move."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
-    return ParamFamily(
-        s=10,
-        b0=np.zeros(10),
-        n=rep.n,
-        point_map=lambda b, pts: np.array(pts, dtype=float),
-        rep_map=lambda b: rep_matrix(rep, b[:6]),
-        labels=_POINCARE_LABELS,
-        linear_part=lambda b: np.eye(4),
-        identity_point_map=True,
-        translation_params=(6, 7, 8, 9),
+    # rep_map stays the Poincare family's, with its own memoised Lorentz
+    # (and spinor) matrices; only the point map becomes the identity.
+    return replace(
+        poincare_family(rep), point_map=_fixed_points, linear_part=_unit_linear, identity_point_map=True
     )
 
 
@@ -345,9 +344,9 @@ def internal_family(rep: FieldRep) -> ParamFamily:
         s=s,
         b0=np.zeros(s),
         n=rep.n,
-        point_map=lambda b, pts: np.array(pts, dtype=float),
+        point_map=_fixed_points,
         rep_map=rep_map,
         labels=labels,
-        linear_part=lambda b: np.eye(4),
+        linear_part=_unit_linear,
         identity_point_map=True,
     )

@@ -128,11 +128,6 @@ class LorentzTransform:
         params = None if self.params is None else -self.params
         return LorentzTransform(inv, params, self.tol)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to one point (4,) or a batch (..., 4)."""
-        pts = np.asarray(points)
-        return pts @ self.matrix.T
-
     def metric_residual(self) -> float:
         return float(np.abs(self.matrix.T @ ETA @ self.matrix - ETA).max())
 

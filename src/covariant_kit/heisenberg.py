@@ -128,8 +128,8 @@ class RelationReport:
         return out
 
 
-def _correspondence(labels, hbar_scale: float) -> dict:
-    """Conserved-quantity relabeling of the generator labels (metadata only)."""
+def _correspondence(labels) -> dict:
+    """Conserved-quantity relabeling of the generator labels (metadata only), at hbar = 1."""
     tags = {}
     for lab in labels:
         if lab.startswith("T_"):
@@ -138,7 +138,7 @@ def _correspondence(labels, hbar_scale: float) -> dict:
             tags[lab] = f"i*hbar*{lab} -> M_{lab[2:]}"
         elif lab.startswith("Q"):
             tags[lab] = f"{lab} -> conserved charge"
-    return {"hbar_scale": hbar_scale, "correspondence": tags}
+    return {"hbar_scale": 1.0, "correspondence": tags}
 
 
 def _field_values(field: FieldFunction, pts: np.ndarray) -> np.ndarray:
@@ -199,7 +199,6 @@ def verify_local_relation(
     points: np.ndarray,
     tolerance: float = 1e-6,
     convergence_steps: tuple[float, ...] = (),
-    hbar_scale: float = 1.0,
 ) -> RelationReport:
     """Check the differentiated transformation law on sampled points.
 
@@ -229,7 +228,7 @@ def verify_local_relation(
         tolerances=np.asarray(tolerance, dtype=float),
         convergence_steps=tuple(convergence_steps),
         convergence_sup=conv,
-        metadata=_correspondence(family.labels, hbar_scale),
+        metadata=_correspondence(family.labels),
     )
 
 
@@ -239,7 +238,6 @@ def verify_bundle_relation(
     scheme: FDScheme,
     points: np.ndarray,
     tolerance: float = 1e-8,
-    hbar_scale: float = 1.0,
 ) -> RelationReport:
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
@@ -263,7 +261,7 @@ def verify_bundle_relation(
         diff = np.abs(np.einsum("ij,pj->pi", dmat - gen[w], phi))
         sup[w] = float(diff.max())
         rms[w] = float(np.sqrt(np.mean(diff**2)))
-    meta = _correspondence(family.labels, hbar_scale)
+    meta = _correspondence(family.labels)
     meta["note"] = (
         "frame-only family: translation parameters act trivially, so their "
         "relation is 0 = 0 and the conserved-quantity relabeling is a label, "

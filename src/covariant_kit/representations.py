@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .geometry import ETA, PLANES, LorentzTransform, PoincareElement, lorentz_exp, lorentz_log_params
+from .geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_log_params
 
 __all__ = [
     "GammaBasis",
@@ -148,9 +148,6 @@ class FieldRep:
             raise ValueError("custom rule does not evaluate to the identity at zero parameters")
         return rep
 
-    def matrix(self, params: np.ndarray | float) -> np.ndarray:
-        return rep_matrix(self, params)
-
 
 def _spinor_generator_sum(rep: FieldRep, omega: np.ndarray) -> np.ndarray:
     sig = rep.gamma.sigma
@@ -172,13 +169,11 @@ def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
         raise ValueError("representation parameters must be finite")
     if rep.kind == "scalar":
         return np.eye(1, dtype=complex)
+    if rep.kind in ("vector", "spinor") and p.shape != (6,):
+        raise ValueError(f"{rep.kind} representation expects 6 parameters, got shape {p.shape}")
     if rep.kind == "vector":
-        if p.shape != (6,):
-            raise ValueError(f"vector representation expects 6 parameters, got shape {p.shape}")
         return lorentz_exp(p).matrix.astype(complex)
     if rep.kind == "spinor":
-        if p.shape != (6,):
-            raise ValueError(f"spinor representation expects 6 parameters, got shape {p.shape}")
         return expm(-0.5j * _spinor_generator_sum(rep, p))
     if rep.kind == "phase":
         if p.size != 1:
@@ -226,17 +221,21 @@ def homomorphism_check(
     return (res_plus, 1) if res_plus <= res_minus else (res_minus, -1)
 
 
-def rep_matrix_for_element(rep: FieldRep, g: PoincareElement) -> np.ndarray:
-    """Representation matrix attached to a Poincare element.
+def rep_matrix_for_element(rep: FieldRep, g: PoincareElement | AffineMap) -> np.ndarray:
+    """Representation matrix attached to a Poincare element or affine map.
 
-    Scalar and vector read the matrix off directly; spinor needs the
-    exponential coordinates and falls back to the matrix log when the
-    element was not built from parameters.  Translations never enter.
+    Scalar and vector read the matrix off directly (for an AffineMap, the
+    vector takes its linear part).  Spinor needs exponential coordinates,
+    from the matrix log when the element was not built from parameters;
+    a general AffineMap has none.  Translations never enter.
     """
+    affine = isinstance(g, AffineMap)
     if rep.kind == "scalar":
         return np.eye(1, dtype=complex)
     if rep.kind == "vector":
-        return g.matrix.astype(complex)
+        return (g.linear if affine else g.matrix).astype(complex)
+    if affine:
+        raise ValueError(f"{rep.kind!r} representation is undefined for general affine point maps")
     if rep.kind == "spinor":
         params = g.params
         if params is None:

@@ -10,6 +10,13 @@ CHECK_KINDS = [
     "pairing",
 ]
 
+#: The tolerance names the checks read; ``tolerances`` accepts no other key.
+TOLERANCE_NAMES = [
+    "metric", "det", "group_law", "algebraic", "identity", "homomorphism", "anticommutator", "unitarity",
+    "roundtrip", "gradient", "local", "bundle", "commutator", "conjugation", "groupoid",
+    "pairing_convergence", "pairing",
+]
+
 _VEC4 = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 _VEC6 = {"type": "array", "items": {"type": "number"}, "minItems": 6, "maxItems": 6}
 
@@ -140,6 +147,7 @@ SCENARIO_SCHEMA = {
         },
         "tolerances": {
             "type": "object",
+            "propertyNames": {"enum": TOLERANCE_NAMES},
             "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
         },
         "output": {

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import random
@@ -11,7 +12,7 @@ from jsonschema import ValidationError, validate
 
 from covariant_kit import cli, generators
 from covariant_kit.cli import main
-from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA
+from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -337,9 +338,35 @@ class TestExitContractHoles:
         assert "--threads" in self._one_line(capsys)
         assert not list(tmp_path.iterdir())
 
+    def test_pairing_without_a_doubling_exits_two(self, capsys, tmp_path, monkeypatch):
+        # one level has no relative difference, which once read as a converged 0
+        monkeypatch.chdir(tmp_path)
+        args = [
+            "--override", "grid.counts=[5,5,5,5]",
+            "--override", "tolerances.pairing_convergence=1e-30",
+            "--override", "tolerances.pairing=1",
+        ]
+        scenario = str(SCENARIOS / "pairing_invariance.json")
+        assert run_cli(["run", scenario, "--out", "one.json", *args, "--override", "grid.doublings=1"]) == 1
+        capsys.readouterr()
+        assert run_cli(["run", scenario, "--out", "zero.json", *args, "--override", "grid.doublings=0"]) == 2
+        assert "grid.doublings >= 1" in self._one_line(capsys)
+        assert not (tmp_path / "zero.json").exists()
 
-def _benchmark_schema_invalid() -> list:
-    """The four schema-invalid scenario shapes of the benchmark's corpus workload."""
+    def test_misspelled_tolerance_name_exits_two(self, capsys, tmp_path, monkeypatch):
+        # an unknown name was ignored, so the failing check passed at its default tolerance
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", _must_not_run)
+        override = 'tolerances={"locall": 1e-20}'
+        code = run_cli(["run", str(SCENARIOS / "failing_tolerance.json"), "--override", override])
+        assert code == 2
+        err = self._one_line(capsys)
+        assert err.startswith("scenario field tolerances: 'locall' is not one of")
+        assert not list(tmp_path.iterdir())
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, imported read-only."""
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
@@ -347,7 +374,41 @@ def _benchmark_schema_invalid() -> list:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return [module._schema_invalid(random.Random(i), i) for i in range(4)]
+    return module
+
+
+class TestToleranceNames:
+    """The schema's closed set of tolerance names is the set the checks read."""
+
+    def test_names_are_the_tol_literals_of_the_cli(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = [
+            node.args[1].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_tol"
+        ]
+        assert all(isinstance(name, str) for name in read)
+        assert len(set(TOLERANCE_NAMES)) == len(TOLERANCE_NAMES) == 17
+        assert set(read) == set(TOLERANCE_NAMES)
+
+    def test_corpus_and_benchmark_use_known_names(self):
+        texts = [f.read_text() for f in SCENARIOS.glob("*.json")]
+        module = _benchmark_workloads()
+        for name in module.WORKLOADS:
+            work = module.generate(name, 0)
+            texts += [e.text for e in work.entries + work.probes + work.holes]
+        used = set()
+        for text in texts:
+            try:
+                used |= set(json.loads(text).get("tolerances", {}))
+            except json.JSONDecodeError:
+                continue  # the deliberately malformed inputs
+        assert used and used <= set(TOLERANCE_NAMES)
+
+
+def _benchmark_schema_invalid() -> list:
+    """The four schema-invalid scenario shapes of the benchmark's corpus workload."""
+    return [_benchmark_workloads()._schema_invalid(random.Random(i), i) for i in range(4)]
 
 
 class TestValidate:

@@ -575,9 +575,89 @@ class TestCsvDump:
         val = float(first[4])
         assert f"{val:.17g}" == first[4]
 
+    @staticmethod
+    def _reference_csv(field, grid) -> str:
+        """The per-row, per-cell formatter the one-savetxt-per-slice dump replaced."""
+        axes = grid.axes()
+        pts = np.empty(grid.counts[1:] + (4,))
+        pts[..., 1] = axes[1][:, None, None]
+        pts[..., 2] = axes[2][None, :, None]
+        pts[..., 3] = axes[3][None, None, :]
+        header = ["x0", "x1", "x2", "x3"]
+        for i in range(field.n):
+            header += [f"re{i}", f"im{i}"]
+        lines = [",".join(header) + "\n"]
+        for x0 in axes[0]:
+            pts[..., 0] = x0
+            vals = field.evaluate(pts).reshape(-1, field.n)
+            for row_pt, row_val in zip(pts.reshape(-1, 4), vals):
+                cells = [f"{v:.17g}" for v in row_pt]
+                for v in row_val:
+                    cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
+                lines.append(",".join(cells) + "\n")
+        return "".join(lines)
+
+    @staticmethod
+    def _signed_zero_field():
+        """Two complex components with -0.0 parts, tiny and huge magnitudes."""
+
+        def evaluate(points):
+            pts = np.asarray(points, dtype=float)
+            vals = np.empty(pts.shape[:-1] + (2,), dtype=complex)
+            vals.real[..., 0] = -0.0
+            vals.imag[..., 0] = pts[..., 1] / 3.0
+            vals.real[..., 1] = 1e-300 * pts[..., 2] - 1e300 * pts[..., 3]
+            vals.imag[..., 1] = -0.0 * pts[..., 0]
+            return vals
+
+        return FieldFunction(2, evaluate, lambda points: None)
+
+    @pytest.mark.parametrize("case", ["complex-signed-zeros", "real-four-components", "transformed"])
+    def test_bytes_equal_the_per_row_formatter(self, case, tmp_path):
+        grid = GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (3, 4, 2, 5))
+        if case == "complex-signed-zeros":
+            field = self._signed_zero_field()
+        elif case == "real-four-components":
+            field = wave_packet([0.1, -0.2, 0.3, 0.0], 0.9, [1.0, -0.5, [(2.0, (1, 0, 2, 0))], 0.25])
+            assert field.evaluate(np.zeros((1, 4))).dtype == np.float64
+        else:
+            g = PoincareElement.from_params([0.3, -0.2, 0.1, 0.4, 0.0, -0.5], [0.2, 0.0, -0.1, 0.3])
+            field = active_transform(wave_packet([0, 0, 0, 0], 1.1, 4), FieldRep.spinor(), g)
+        path = tmp_path / "dump.csv"
+        dump_field_csv(field, grid, path)
+        expected = self._reference_csv(field, grid)
+        if case == "complex-signed-zeros":
+            assert ",-0," in expected and "-0\n" in expected
+        assert path.read_bytes() == expected.encode()
+
 
 class TestConstantField:
     def test_values_and_gradient(self):
         f = constant_field([1.0, 2.0 - 1.0j])
         assert np.array_equal(f(POINTS)[0], np.array([1.0, 2.0 - 1.0j]))
         assert np.abs(f.gradient(POINTS)).max() == 0.0
+
+    BATCH = RNG.uniform(-1.0, 1.0, (3, 5, 4))
+
+    def test_field_on_a_batch(self):
+        v = np.array([1.0, 2.0 - 1.0j, -0.5j])
+        f = constant_field(v)
+        vals, grads = f.evaluate(self.BATCH), f.gradient(self.BATCH)
+        assert vals.shape == (3, 5, 3) and vals.dtype == np.complex128
+        assert np.array_equal(vals, np.broadcast_to(v, (3, 5, 3)))
+        assert grads.shape == (3, 5, 3, 4) and grads.dtype == np.complex128
+        assert not np.any(grads)
+        vals[0, 0] = 7.0  # the caller owns its copy
+        assert np.array_equal(f.evaluate(self.BATCH)[0, 0], v)
+
+    def test_frame_change_on_a_batch(self):
+        m = np.array([[2.0, 1.0j], [0.0, -1.0]])
+        change = FrameChange.constant(m)
+        mats, grads = change.matrix(self.BATCH), change.matrix_gradient(self.BATCH)
+        assert change.n == 2
+        assert mats.shape == (3, 5, 2, 2) and mats.dtype == np.complex128
+        assert np.array_equal(mats, np.broadcast_to(m, (3, 5, 2, 2)))
+        assert grads.shape == (3, 5, 2, 2, 4) and grads.dtype == np.complex128
+        assert not np.any(grads)
+        mats[0, 0] = 0.0
+        assert np.array_equal(change.matrix(self.BATCH)[0, 0], m)

@@ -24,21 +24,10 @@ from covariant_kit.generators import (
 from covariant_kit.geometry import ETA, PLANES, lorentz_exp, plane_generator
 from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
+from families import dilation_family
+
 POINTS = np.random.default_rng(14).uniform(-2.0, 2.0, (25, 4))
 SCHEME = FDScheme(1e-4, order=2)
-
-
-def dilation_family(with_linear_part=True):
-    """H(b) = exp(b) r; trivial one-component matrix."""
-    return ParamFamily(
-        s=1,
-        b0=np.zeros(1),
-        n=1,
-        point_map=lambda b, pts: math.exp(b[0]) * np.asarray(pts, dtype=float),
-        rep_map=lambda b: np.eye(1, dtype=complex),
-        labels=("D",),
-        linear_part=(lambda b: math.exp(b[0]) * np.eye(4)) if with_linear_part else None,
-    )
 
 
 class TestSchemeValidation:
@@ -321,6 +310,20 @@ class TestPoincareFamilyGeometry:
         b = np.random.default_rng(5).uniform(-0.5, 0.5, 10)
         assert np.array_equal(fam.point_map(b, POINTS), POINTS)
         assert fam.identity_point_map
+
+    @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
+    def test_frame_family_rep_map_equals_rep_matrix_bit_for_bit(self, variant):
+        rep = getattr(FieldRep, variant)()
+        fam = poincare_frame_family(rep)
+        for b in [*np.random.default_rng(17).uniform(-0.8, 0.8, (12, 10)), *_param_sequence()]:
+            got = fam.rep_map(b)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, rep_matrix(rep, b[:6]))
+            moved = fam.point_map(b, POINTS)
+            assert np.array_equal(moved, POINTS) and moved is not POINTS
+            assert np.array_equal(fam.linear_part(b), np.eye(4))
+        assert fam.identity_point_map and fam.labels == poincare_family(rep).labels
+        assert fam.translation_params == (6, 7, 8, 9)
 
 
 def _param_sequence():

@@ -27,20 +27,10 @@ from covariant_kit.heisenberg import (
 )
 from covariant_kit.representations import FieldRep, rep_matrix
 
+from families import dilation_family
+
 SCHEME = FDScheme(1e-4, order=2)
 POINTS = sample_points(count=60, seed=2, box=1.5)
-
-
-def dilation_family():
-    return ParamFamily(
-        s=1,
-        b0=np.zeros(1),
-        n=1,
-        point_map=lambda b, pts: math.exp(b[0]) * np.asarray(pts, dtype=float),
-        rep_map=lambda b: np.eye(1, dtype=complex),
-        labels=("D",),
-        linear_part=lambda b: math.exp(b[0]) * np.eye(4),
-    )
 
 
 class TestRelationReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covariant_kit.geometry import ETA, PLANES, LorentzTransform, PoincareElement, lorentz_exp
+from covariant_kit.geometry import ETA, PLANES, AffineMap, LorentzTransform, PoincareElement, lorentz_exp
 from covariant_kit.representations import (
     FieldRep,
     GammaBasis,
@@ -215,3 +215,19 @@ class TestRepForElement:
         g = PoincareElement.identity()
         with pytest.raises(ValueError):
             rep_matrix_for_element(FieldRep.phase(1.0, 1.0), g)
+
+    AFFINE = AffineMap(np.diag([1.5, 0.5, 2.0, 1.0]) + np.triu(np.full((4, 4), 0.1), 1), [0.3, -1.0, 0.0, 2.0])
+
+    def test_affine_map_scalar(self):
+        mat = rep_matrix_for_element(FieldRep.scalar(), self.AFFINE)
+        assert mat.dtype == np.complex128
+        assert np.array_equal(mat, np.eye(1))
+
+    def test_affine_map_vector_is_its_linear_part(self):
+        mat = rep_matrix_for_element(FieldRep.vector(), self.AFFINE)
+        assert mat.dtype == np.complex128
+        assert np.array_equal(mat, self.AFFINE.linear.astype(complex))
+
+    def test_affine_map_spinor_rejected(self):
+        with pytest.raises(ValueError, match="'spinor' representation is undefined for general affine point maps"):
+            rep_matrix_for_element(FieldRep.spinor(), self.AFFINE)

@@ -1,0 +1,166 @@
+"""Compare every output of two source trees of covariant-kit.
+
+Usage:
+    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seed N]
+
+For each tree, in a fresh temporary directory (under ``$TMPDIR``) and
+with that tree's ``src`` first on the path, this runs:
+
+* every ``scenarios/*.json`` through ``covariant_kit.cli.main``;
+* the entries, probes and holes of the ``relations`` and ``corpus``
+  workloads of the tree's ``perfbench/workloads.generate(name, seed)``
+  (imported read-only; only the scenario texts and arguments are used);
+* every ``demos/*.py``, each in its own process.
+
+It then compares, key by key: each report without ``timestamp`` and
+``timings``, each exit code, stdout and stderr, and the SHA-256 digest of
+every CSV file the runs leave behind.  Every differing key is printed;
+the exit code is 1 on any difference, 0 when the outputs are identical.
+Both trees run the same relative paths, so paths in stdout and stderr
+compare equal.  The pairing scenario at 65^4 makes one tree take about a
+minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("relations", "corpus")
+
+
+def _flatten(value, prefix: str, out: dict) -> None:
+    """Leaves of a JSON value under dotted keys."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(item, f"{prefix}.{key}", out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(item, f"{prefix}.{i}", out)
+    else:
+        out[prefix] = value
+
+
+def _invoke(cli, key: str, argv: list, out: str, outputs: dict) -> None:
+    """Run cli.main(argv) in this process and record what it printed and wrote."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as err:
+            rc = err.code
+        except Exception as err:  # a raising cli.main is an output like any other
+            rc = f"raised {type(err).__name__}: {err}"
+    outputs[f"{key}:rc"] = rc
+    outputs[f"{key}:stdout"] = stdout.getvalue()
+    outputs[f"{key}:stderr"] = stderr.getvalue()
+    report = Path(out)
+    if report.is_file():
+        data = json.loads(report.read_text())
+        data.pop("timestamp", None)
+        data.pop("timings", None)
+        _flatten(data, f"{key}:report", outputs)
+
+
+def collect(tree: Path, seed: int) -> dict:
+    """Every output of one tree; the working directory must be empty."""
+    from covariant_kit import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(tree / "src"):
+        raise SystemExit(f"covariant_kit was imported from {cli.__file__}, not from {tree / 'src'}")
+    outputs: dict = {}
+    Path("reports").mkdir()
+    scenario_dir = Path("scenarios")
+    scenario_dir.mkdir()
+    for src in sorted((tree / "scenarios").glob("*.json")):
+        (scenario_dir / src.name).write_text(src.read_text())
+        out = f"reports/{src.stem}.json"
+        _invoke(cli, f"scenario/{src.name}", ["run", str(scenario_dir / src.name), "--out", out], out, outputs)
+
+    spec = importlib.util.spec_from_file_location("_workloads", tree / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    for name in WORKLOADS:
+        work = workloads.generate(name, seed)
+        for entry in work.entries + work.probes + work.holes:
+            Path(entry.file).write_text(entry.text)
+            if entry.out_dir:
+                Path(entry.name).mkdir()
+            out = entry.name if entry.out_dir else f"reports/{entry.name}.json"
+            argv = ["run", entry.file, "--out", out, *entry.args]
+            _invoke(cli, f"{name}/{entry.name}", argv, out, outputs)
+
+    for demo in sorted((tree / "demos").glob("*.py")):
+        run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
+        outputs[f"demo/{demo.name}:rc"] = run.returncode
+        outputs[f"demo/{demo.name}:stdout"] = run.stdout
+        outputs[f"demo/{demo.name}:stderr"] = run.stderr
+
+    for csv in sorted(Path(".").rglob("*.csv")):
+        outputs[f"csv/{csv.as_posix()}:sha256"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    return outputs
+
+
+def _run_tree(tree: Path, seed: int, workdir: Path) -> dict:
+    """Collect one tree's outputs in a child process with the tree's ``src`` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    result = workdir.parent / f"{workdir.name}.outputs.json"
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree), str(result), "--seed", str(seed)]
+    subprocess.run(cmd, cwd=workdir, env=env, check=True)
+    return json.loads(result.read_text())
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """One line per key whose value differs or that only one side has."""
+    lines = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in change:
+            lines.append(f"{key}: only in the parent tree")
+        elif key not in parent:
+            lines.append(f"{key}: only in the changed tree")
+        elif parent[key] != change[key]:
+            lines.append(f"{key}: {parent[key]!r} != {change[key]!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, nargs="?", help="source tree of the parent commit")
+    parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
+    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
+    parser.add_argument("--collect", nargs=2, metavar=("TREE", "RESULT"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        tree, result = args.collect
+        Path(result).write_text(json.dumps(collect(Path(tree).resolve(), args.seed)))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("PARENT_TREE and CHANGE_TREE are required")
+
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        sides = []
+        for label, tree in (("parent", args.parent), ("change", args.change)):
+            workdir = Path(tmp) / label / "run"
+            workdir.mkdir(parents=True)
+            sides.append(_run_tree(tree.resolve(), args.seed, workdir))
+    diffs = compare(*sides)
+    for line in diffs:
+        print(line)
+    print(f"{len(sides[0])} parent and {len(sides[1])} changed outputs compared; {len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
