@@ -320,6 +320,43 @@ class TestExitContractHoles:
             if "check" in scenario:
                 assert cli._over_budget(scenario) is None, f.name
 
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_toy_dimension_cap(self, capsys, tmp_path, monkeypatch, over):
+        # the cap itself reaches the run; one more exits 2 before anything is built
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", reached)
+        dim = cli.TOY_DIM_BUDGET + over
+        argv = ["run", str(SCENARIOS / "toy_charge.json"), "--override", f"group.dim={dim}"]
+        if not over:
+            with pytest.raises(Reached):
+                run_cli(argv)
+            return
+        assert run_cli(argv) == 2
+        err = self._one_line(capsys)
+        assert f"budget of dimension {cli.TOY_DIM_BUDGET}: group.dim is {dim}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_benchmark_toy_dimensions_are_within_the_cap(self):
+        module = _benchmark_workloads()
+        dims = []
+        for name in module.WORKLOADS:
+            work = module.generate(name, 0)
+            for entry in work.entries + work.probes:
+                try:
+                    scenario = json.loads(entry.text)
+                except json.JSONDecodeError:
+                    continue  # the deliberately malformed inputs
+                if scenario.get("check") == "toy" and scenario["group"]["dim"] >= 2:
+                    dims.append(scenario["group"]["dim"])
+                    assert cli._over_budget(scenario) is None, entry.name
+        assert dims and max(dims) <= 64
+
     def test_memory_error_exits_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import covariant_kit.fields as fields_module
 from covariant_kit.fields import (
     FieldFunction,
     FrameChange,
@@ -468,6 +469,99 @@ class TestClosedFormPairing:
         self._check(pairing(moved, f, self.GRID), exact)
 
 
+def _slice_at_once_pairing(phi, f, grid):
+    """The pairing that evaluates each whole axis-0 slice in one call."""
+    axes = grid.axes()
+    w0, w1, w2, w3 = grid.weights()
+    pts = np.empty(grid.counts[1:] + (4,))
+    pts[..., 1] = axes[1][:, None, None]
+    pts[..., 2] = axes[2][None, :, None]
+    pts[..., 3] = axes[3][None, None, :]
+    total = 0.0 + 0.0j
+    for i0, x0 in enumerate(axes[0]):
+        pts[..., 0] = x0
+        integrand = fields_module._component_sum(phi.evaluate(pts) * f.evaluate(pts))
+        total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
+    return complex(total)
+
+
+def _counting(field, sizes):
+    """``field`` with every evaluate call's point count appended to ``sizes``."""
+
+    def evaluate(points):
+        sizes.append(int(np.prod(np.shape(points)[:-1])))
+        return field.evaluate(points)
+
+    return FieldFunction(field.n, evaluate, field.gradient)
+
+
+class TestBlockedPairing:
+    """Evaluating in blocks of axis-1 rows cannot change a pairing's bits."""
+
+    # A 129 x 3 point row: 42 rows per block, 4 blocks per slice.
+    GRID = GridSpec(((-5.0, 5.0), (-6.0, 6.0), (-6.0, 6.0), (-5.0, 5.0)), (3, 129, 129, 3))
+    G = PoincareElement.from_params([0.3, -0.2, 0.1, 0.4, 0.0, -0.5], [0.2, 0.0, -0.1, 0.3])
+    C1, C2 = [0.3, -0.2, 0.1, 0.0], [-0.25, 0.4, 0.0, 0.2]
+    MONOMIALS = [
+        [(0.5 + 0.25j, (1, 0, 0, 0)), (1.0, (0, 0, 0, 0))],
+        [(0.7j, (0, 2, 0, 0)), (-0.3, (0, 0, 1, 1))],
+        [(1.0, (0, 0, 0, 0))],
+        [(0.2, (0, 1, 0, 0))],
+    ]
+
+    def _pairs(self, rep):
+        n = rep.n
+        phi = wave_packet(self.C1, 1.1, n)
+        f = wave_packet(self.C2, 1.3, [0.9, 1.1, -0.6, 1.0][:n])
+        monomial = wave_packet(self.C1, 1.0, self.MONOMIALS[:n])
+        return {
+            "active": (active_transform(phi, rep, self.G), f),
+            "test-function": (phi, transform_test_function(f, rep, self.G)),
+            "complex-monomial": (active_transform(monomial, rep, self.G), transform_test_function(f, rep, self.G)),
+        }
+
+    @staticmethod
+    def _frame_pair():
+        def matrix(p):
+            out = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+            out[..., 0, 0] = 2.0 + np.sin(p[..., 0])
+            out[..., 0, 1] = 0.3j * p[..., 1]
+            out[..., 1, 1] = 1.5 + 0.1 * p[..., 3] ** 2
+            return out
+
+        packet = wave_packet(TestBlockedPairing.C1, 1.1, TestBlockedPairing.MONOMIALS[:2])
+        return frame_change_components(packet, FrameChange(2, matrix)), wave_packet(TestBlockedPairing.C2, 1.2, 2)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
+    def test_equals_the_slice_at_once_pairing(self, kind):
+        rep = getattr(FieldRep, kind)()
+        for name, (phi, f) in self._pairs(rep).items():
+            sizes = []
+            value = pairing(_counting(phi, sizes), _counting(f, sizes), self.GRID)
+            assert np.array_equal(_bits(value), _bits(_slice_at_once_pairing(phi, f, self.GRID))), name
+            assert max(sizes) <= fields_module.BLOCK_POINTS
+            assert len(sizes) == 2 * 3 * 4
+
+    def test_frame_change_field(self):
+        phi, f = self._frame_pair()
+        sizes = []
+        value = pairing(_counting(phi, sizes), f, self.GRID)
+        assert np.array_equal(_bits(value), _bits(_slice_at_once_pairing(phi, f, self.GRID)))
+        assert max(sizes) <= fields_module.BLOCK_POINTS
+
+    @pytest.mark.parametrize("block", [1, 100, 1000])
+    def test_small_blocks_and_a_partial_last_block(self, monkeypatch, block):
+        # Below one row a block holds one row; 129 rows never split evenly here.
+        grid = GridSpec(((-5.0, 5.0),) * 4, (3, 129, 5, 7))
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
+        pairs = list(self._pairs(FieldRep.spinor()).values()) + [self._frame_pair()]
+        for phi, f in pairs:
+            sizes = []
+            value = pairing(_counting(phi, sizes), f, grid)
+            assert np.array_equal(_bits(value), _bits(_slice_at_once_pairing(phi, f, grid)))
+            assert max(sizes) == max(35, block // 35 * 35) and sum(sizes) == grid.npoints
+
+
 class TestEvaluateDtype:
     CENTER = np.array([0.2, -0.1, 0.3, 0.0])
     WIDTH = 1.1
@@ -577,7 +671,7 @@ class TestCsvDump:
 
     @staticmethod
     def _reference_csv(field, grid) -> str:
-        """The per-row, per-cell formatter the one-savetxt-per-slice dump replaced."""
+        """The per-row, per-cell formatter: the reference for the dump's bytes."""
         axes = grid.axes()
         pts = np.empty(grid.counts[1:] + (4,))
         pts[..., 1] = axes[1][:, None, None]
@@ -629,6 +723,17 @@ class TestCsvDump:
         if case == "complex-signed-zeros":
             assert ",-0," in expected and "-0\n" in expected
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("block", [1, 30])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, tmp_path, block):
+        # 10-point rows: one row per block, or 3 rows and a partial last block
+        grid = GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (3, 4, 2, 5))
+        g = PoincareElement.from_params([0.3, -0.2, 0.1, 0.4, 0.0, -0.5], [0.2, 0.0, -0.1, 0.3])
+        field = active_transform(wave_packet([0, 0, 0, 0], 1.1, 4), FieldRep.spinor(), g)
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
+        path = tmp_path / "dump.csv"
+        dump_field_csv(field, grid, path)
+        assert path.read_bytes() == self._reference_csv(field, grid).encode()
 
 
 class TestConstantField:

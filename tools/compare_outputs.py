@@ -7,9 +7,10 @@ For each tree, in a fresh temporary directory (under ``$TMPDIR``) and
 with that tree's ``src`` first on the path, this runs:
 
 * every ``scenarios/*.json`` through ``covariant_kit.cli.main``;
-* the entries, probes and holes of the ``relations`` and ``corpus``
-  workloads of the tree's ``perfbench/workloads.generate(name, seed)``
-  (imported read-only; only the scenario texts and arguments are used);
+* the entries, probes and holes of the ``quadrature``, ``relations`` and
+  ``corpus`` workloads of the tree's
+  ``perfbench/workloads.generate(name, seed)`` (imported read-only; only
+  the scenario texts and arguments are used);
 * every ``demos/*.py``, each in its own process.
 
 It then compares, key by key: each report without ``timestamp`` and
@@ -17,8 +18,8 @@ It then compares, key by key: each report without ``timestamp`` and
 every CSV file the runs leave behind.  Every differing key is printed;
 the exit code is 1 on any difference, 0 when the outputs are identical.
 Both trees run the same relative paths, so paths in stdout and stderr
-compare equal.  The pairing scenario at 65^4 makes one tree take about a
-minute.
+compare equal.  The 65^4 pairings of ``scenarios/`` and the quadrature
+workload make one tree take a minute or two.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("relations", "corpus")
+WORKLOADS = ("quadrature", "relations", "corpus")
 
 
 def _flatten(value, prefix: str, out: dict) -> None:
