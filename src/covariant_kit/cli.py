@@ -159,17 +159,16 @@ def _group_element(scenario: dict) -> PoincareElement:
     return PoincareElement.from_params(omega, a)
 
 
-def _build_family(scenario: dict, rep: FieldRep):
-    kind = scenario.get("group", {}).get("family", "poincare")
-    if kind == "poincare":
-        return poincare_family(rep)
-    if kind == "frame":
-        return poincare_frame_family(rep)
-    if kind == "internal":
-        if rep.kind != "phase":
-            raise ValueError("the internal family needs a phase representation")
-        return internal_family(rep)
-    raise ValueError(f"unknown family kind {kind!r}")
+_FAMILIES = {"poincare": poincare_family, "frame": poincare_frame_family, "internal": internal_family}
+
+
+def _build_family(scenario: dict, rep: FieldRep, default: str):
+    """The family ``group.family`` names, ``internal`` for a phase representation by default.
+
+    A family the representation cannot take raises its constructor's ValueError.
+    """
+    kind = scenario.get("group", {}).get("family", "internal" if rep.kind == "phase" else default)
+    return _FAMILIES[kind](rep)
 
 
 def run_group_check(scenario: dict) -> tuple[list, dict]:
@@ -307,12 +306,11 @@ def _run_relation(scenario: dict, rep: FieldRep, family, verify, name: str, tol:
 
 def run_verify_local(scenario: dict) -> tuple[list, dict]:
     rep = _build_rep(scenario)
+    family = _build_family(scenario, rep, "poincare")
     if rep.kind == "phase":
         # Compare the differenced law against the closed-form charge
         # coefficient; without it the internal check is trivially zero.
-        family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
-    else:
-        family = _build_family(scenario, rep)
+        family = dataclasses.replace(family, rep_derivative=analytic_rep_derivatives(rep))
     tol = _tol(scenario, "local", 1e-6)
     steps = tuple(scenario.get("fd", {}).get("convergence_steps", ()))
     return _run_relation(
@@ -322,10 +320,10 @@ def run_verify_local(scenario: dict) -> tuple[list, dict]:
 
 def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
     rep = _build_rep(scenario)
-    base = internal_family(rep) if rep.kind == "phase" else poincare_frame_family(rep)
+    family = _build_family(scenario, rep, "frame")
     # Closed-form derivatives make the residual compare the differenced
     # frame law against known coefficients rather than against itself.
-    family = dataclasses.replace(base, rep_derivative=analytic_rep_derivatives(rep))
+    family = dataclasses.replace(family, rep_derivative=analytic_rep_derivatives(rep))
     tol = _tol(scenario, "bundle", 1e-8)
     return _run_relation(scenario, rep, family, verify_bundle_relation, "bundle_relation", tol)
 

@@ -224,26 +224,22 @@ def constant_field(values: Sequence[complex]) -> FieldFunction:
 class FrameChange:
     """Pointwise invertible matrix field A(x) relating two frames.
 
-    ``matrix`` maps points (..., 4) to matrices (..., n, n).  Supply
-    ``matrix_gradient`` (points -> (..., n, n, 4)) when the change varies
-    in spacetime and analytic output gradients are wanted; otherwise the
-    derivative of A is taken by central differences at step 1e-6.
+    ``matrix`` maps points (..., 4) to matrices (..., n, n).  The
+    derivative of A is taken by central differences at step 1e-6; for a
+    constant A it is exactly zero.
     """
 
     n: int
     matrix: Callable[[np.ndarray], np.ndarray]
-    matrix_gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "FrameChange":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("constant frame change needs a square matrix")
-        return cls(m.shape[0], *_constant(m))
+        return cls(m.shape[0], _constant(m)[0])
 
     def _gradient(self, points: np.ndarray) -> np.ndarray:
-        if self.matrix_gradient is not None:
-            return np.asarray(self.matrix_gradient(points), dtype=complex)
         pts = np.asarray(points, dtype=float)
         f = lambda r: np.asarray(self.matrix(r), dtype=complex)
         return np.stack([_central_diff(f, pts, k, 1e-6, 2) for k in range(4)], axis=-1)
@@ -481,16 +477,17 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
     component.  All numbers are printed with 17 significant digits.
     """
     header = ["x0", "x1", "x2", "x3"] + [f"{part}{i}" for i in range(field.n) for part in ("re", "im")]
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    # One % formats one axis-1 row of n2 * n3 points: not one per point,
+    # and not a whole block's worth of Python floats at once.
+    row_fmt = (",".join(["%.17g"] * len(header)) + "\n") * (grid.counts[2] * grid.counts[3])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for blocks in _slice_blocks(grid):
             for pts in blocks:
                 vals = field.evaluate(pts).reshape(-1, field.n)
                 parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(vals), -1)
-                rows = np.hstack([pts.reshape(-1, 4), parts])
-                # One % formats the whole block instead of one per row.
-                fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+                for row in np.hstack([pts.reshape(-1, 4), parts]).reshape(len(pts), -1):
+                    fh.write(row_fmt % tuple(row.tolist()))
 
 
 def gradient_fd_residual(field: FieldFunction, points: np.ndarray, step: float = 1e-4) -> float:

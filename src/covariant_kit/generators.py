@@ -14,8 +14,9 @@ Derivatives are central differences (order 2 or 4) unless a family
 carries analytic ones.  Every numerical derivative in the package goes
 through one stencil, :func:`_central_diff`: along a group parameter at the
 scheme's steps, and along a point coordinate at fixed inner steps (1e-5
-for the point-map Jacobian in ``volume_rates``, 1e-6 for a
-:class:`~covariant_kit.fields.FrameChange` without an analytic gradient).
+for the point-map Jacobian in ``volume_rates``, 1e-6 for the derivative of
+a :class:`~covariant_kit.fields.FrameChange`).  :func:`_param_diffs` is the
+one loop over group parameters.
 Steps and tolerances are artifact choices, not anything canonical.
 """
 
@@ -143,13 +144,18 @@ def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: 
     return diff(*vals)
 
 
+def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDScheme):
+    """Central differences of f along each parameter of b0 at the scheme's steps, lazily."""
+    steps = scheme.steps(b0.shape[0])
+    return (_central_diff(f, b0, w, h, scheme.order) for w, h in enumerate(steps))
+
+
 def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
     """Derivative of the component matrix at b0, per parameter: (s, n, n)."""
     if family.rep_derivative is not None:
         return np.asarray(family.rep_derivative, dtype=complex).copy()
-    steps = scheme.steps(family.s)
     f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-    return np.stack([_central_diff(f, family.b0, w, steps[w], scheme.order) for w in range(family.s)])
+    return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
 
 def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
@@ -159,9 +165,8 @@ def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np
         raise ValueError("sample points must be finite")
     if family.point_derivative is not None:
         return np.asarray(family.point_derivative(pts), dtype=float).copy()
-    steps = scheme.steps(family.s)
     f = lambda b: np.asarray(family.point_map(b, pts), dtype=float)
-    return np.stack([_central_diff(f, family.b0, w, steps[w], scheme.order) for w in range(family.s)])
+    return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
 
 def _inner_jacobian_det(family: ParamFamily, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -176,9 +181,8 @@ def _inner_jacobian_det(family: ParamFamily, b: np.ndarray, pts: np.ndarray) -> 
 def volume_rates(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
     """d/db of the point-map Jacobian determinant at b0: (s, ...)."""
     pts = np.asarray(points, dtype=float)
-    steps = scheme.steps(family.s)
     f = lambda b: _inner_jacobian_det(family, b, pts)
-    return np.stack([_central_diff(f, family.b0, w, steps[w], scheme.order) for w in range(family.s)])
+    return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
 
 @dataclass(frozen=True)
@@ -221,18 +225,12 @@ def det_trace_residual(
     base = np.asarray(matrix_map(b0), dtype=float)
     if base.shape[0] != base.shape[1] or np.abs(base - np.eye(base.shape[0])).max() > _IDENTITY_TOL:
         raise ValueError("matrix family is not the identity at the base parameters")
-    s = b0.shape[0]
-    steps = scheme.steps(s)
 
     def det_trace(b):
         m = np.asarray(matrix_map(b), dtype=float)
         return np.linalg.det(m), np.trace(m)
 
-    out = np.empty(s)
-    for w in range(s):
-        d_det, d_tr = _central_diff(det_trace, b0, w, steps[w], scheme.order)
-        out[w] = abs(d_det - d_tr)
-    return out
+    return np.array([abs(d_det - d_tr) for d_det, d_tr in _param_diffs(det_trace, b0, scheme)])
 
 
 _POINCARE_LABELS = ("S_01", "S_02", "S_03", "S_12", "S_13", "S_23", "T_0", "T_1", "T_2", "T_3")

@@ -132,7 +132,7 @@ class LorentzTransform:
         return float(np.abs(self.matrix.T @ ETA @ self.matrix - ETA).max())
 
 
-def lorentz_exp(params: np.ndarray, tol: float = ALGEBRAIC_TOL) -> LorentzTransform:
+def lorentz_exp(params: np.ndarray) -> LorentzTransform:
     """Exponentiate a 6-vector of plane parameters to a LorentzTransform.
 
     Returns exp(sum_i params[i] * J_i) with the generators in ``PLANES``
@@ -142,7 +142,7 @@ def lorentz_exp(params: np.ndarray, tol: float = ALGEBRAIC_TOL) -> LorentzTransf
     if p.shape != (6,):
         raise ValueError(f"expected 6 plane parameters, got shape {p.shape}")
     X = np.einsum("i,ijk->jk", p, _GENERATORS)
-    return LorentzTransform(expm(X), p, tol)
+    return LorentzTransform(expm(X), p)
 
 
 def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:

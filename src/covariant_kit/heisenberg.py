@@ -29,8 +29,8 @@ from .fields import FieldFunction
 from .generators import (
     FDScheme,
     ParamFamily,
-    _central_diff,
     _inner_jacobian_det,
+    _param_diffs,
     flow_fields,
     rep_generators,
 )
@@ -148,6 +148,20 @@ def _field_values(field: FieldFunction, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _sampled(field: FieldFunction, family: ParamFamily, points) -> tuple[np.ndarray, np.ndarray]:
+    """The sample as floats and the field's values on it, for a family of the field's dimension."""
+    pts = np.asarray(points, dtype=float)
+    if family.n != field.n:
+        raise ValueError(f"family dimension {family.n} != field dimension {field.n}")
+    return pts, _field_values(field, pts)
+
+
+def _residual_summary(residuals) -> tuple[np.ndarray, np.ndarray]:
+    """Sup and rms of |r| for each residual array r, taken one at a time."""
+    rows = [(float(d.max()), float(np.sqrt(np.mean(d**2)))) for d in map(np.abs, residuals)]
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
+
+
 def _local_residuals(
     field: FieldFunction,
     family: ParamFamily,
@@ -166,7 +180,6 @@ def _local_residuals(
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample points must be finite")
     analytic_flows = None if family.point_derivative is None else flow_fields(family, scheme, pts)
-    steps = scheme.steps(family.s)
 
     def global_map(b):
         jac = _inner_jacobian_det(family, b, pts)
@@ -175,21 +188,17 @@ def _local_residuals(
         rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
         return moved, jac, jac[..., None] * rotated
 
-    sup = np.empty(family.s)
-    rms = np.empty(family.s)
-    for w in range(family.s):
-        flow, rate, lhs = _central_diff(global_map, family.b0, w, steps[w], scheme.order)
-        if analytic_flows is not None:
-            flow = analytic_flows[w]
-        rhs = (
-            rate[..., None] * phi
-            + np.einsum("ij,pj->pi", gen[w], phi)
-            + np.einsum("pk,pik->pi", flow, grads)
-        )
-        diff = np.abs(lhs - rhs)
-        sup[w] = float(diff.max())
-        rms[w] = float(np.sqrt(np.mean(diff**2)))
-    return sup, rms
+    def residuals():
+        for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
+            if analytic_flows is not None:
+                flow = analytic_flows[w]
+            yield lhs - (
+                rate[..., None] * phi
+                + np.einsum("ij,pj->pi", gen[w], phi)
+                + np.einsum("pk,pik->pi", flow, grads)
+            )
+
+    return _residual_summary(residuals())
 
 
 def verify_local_relation(
@@ -207,10 +216,7 @@ def verify_local_relation(
     ``Delta phi + I' phi + h . grad phi``.  ``convergence_steps`` adds a
     sup-residual table at extra step sizes (largest first is customary).
     """
-    pts = np.asarray(points, dtype=float)
-    if family.n != field.n:
-        raise ValueError(f"family dimension {family.n} != field dimension {field.n}")
-    phi = _field_values(field, pts)
+    pts, phi = _sampled(field, family, points)
     grads = np.asarray(field.gradient(pts), dtype=complex)
     sup, rms = _local_residuals(field, family, scheme, pts, phi, grads)
     conv = None
@@ -245,22 +251,13 @@ def verify_bundle_relation(
     derivative is the residual and it vanishes identically, so those
     entries come out exactly zero.
     """
-    pts = np.asarray(points, dtype=float)
-    if family.n != field.n:
-        raise ValueError(f"family dimension {family.n} != field dimension {field.n}")
     if not family.identity_point_map:
         raise ValueError("bundle relations need an identity point map; use verify_local_relation instead")
-    phi = _field_values(field, pts)
+    phi = _sampled(field, family, points)[1]
     gen = rep_generators(family, scheme)
-    steps = scheme.steps(family.s)
     rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-    sup = np.empty(family.s)
-    rms = np.empty(family.s)
-    for w in range(family.s):
-        dmat = _central_diff(rep_f, family.b0, w, steps[w], scheme.order)
-        diff = np.abs(np.einsum("ij,pj->pi", dmat - gen[w], phi))
-        sup[w] = float(diff.max())
-        rms[w] = float(np.sqrt(np.mean(diff**2)))
+    diffs = _param_diffs(rep_f, family.b0, scheme)
+    sup, rms = _residual_summary(np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in zip(diffs, gen))
     meta = _correspondence(family.labels)
     meta["note"] = (
         "frame-only family: translation parameters act trivially, so their "
@@ -367,32 +364,25 @@ def toy_commutator_check(
     U = expm(Q * (b / (1j * e)))
     Uinv = np.linalg.inv(U)
     phase = np.exp(-(q / (1j * e)) * b)
-    labels = []
-    sup = []
-    rms = []
-    tols = []
-    for k, op in enumerate(model.field_ops):
-        if is_diagonal:
-            # [Q, op]_jk = (Q_jj - Q_kk) op_jk; exact for the number model,
-            # where matmul roundoff would otherwise leak in at ~1e-14
-            comm = (diag[:, None] - diag[None, :]) * op
-        else:
-            comm = Q @ op - op @ Q
-        diff = np.abs(comm + q * op)
-        labels.append(f"commutator_{k}")
-        sup.append(float(diff.max()))
-        rms.append(float(np.sqrt(np.mean(diff**2))))
-        tols.append(commutator_tolerance)
-        conj = np.abs(U @ op @ Uinv - phase * op)
-        labels.append(f"conjugation_{k}")
-        sup.append(float(conj.max()))
-        rms.append(float(np.sqrt(np.mean(conj**2))))
-        tols.append(conjugation_tolerance)
+
+    def residuals():
+        for op in model.field_ops:
+            if is_diagonal:
+                # [Q, op]_jk = (Q_jj - Q_kk) op_jk; exact for the number model,
+                # where matmul roundoff would otherwise leak in at ~1e-14
+                comm = (diag[:, None] - diag[None, :]) * op
+            else:
+                comm = Q @ op - op @ Q
+            yield comm + q * op
+            yield U @ op @ Uinv - phase * op
+
+    sup, rms = _residual_summary(residuals())
+    ops = range(len(model.field_ops))
     return RelationReport(
-        labels=tuple(labels),
-        sup_residuals=np.array(sup),
-        rms_residuals=np.array(rms),
-        tolerances=np.array(tols),
+        labels=tuple(f"{kind}_{k}" for k in ops for kind in ("commutator", "conjugation")),
+        sup_residuals=sup,
+        rms_residuals=rms,
+        tolerances=np.tile([commutator_tolerance, conjugation_tolerance], len(ops)),
         metadata={"charge": q, "unit_charge": e, "conjugation_parameter": b},
     )
 

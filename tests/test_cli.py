@@ -401,6 +401,115 @@ class TestExitContractHoles:
         assert err.startswith("scenario field tolerances: 'locall' is not one of")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "name, overrides, named",
+        [
+            ("verify_bundle_vector.json", ["group.family=poincare"], "bundle relations need an identity point map"),
+            ("verify_bundle_vector.json", ["group.family=internal"], "internal_family needs a phase or custom"),
+            ("verify_local_phase.json", ["group.family=poincare"], "poincare_family needs a scalar, vector"),
+            ("verify_local_phase.json", ["group.family=frame"], "poincare_frame_family needs a scalar, vector"),
+            ("failing_tolerance.json", ["group.family=internal"], "internal_family needs a phase or custom"),
+        ],
+    )
+    def test_family_the_check_or_representation_cannot_take_exits_two(
+        self, capsys, tmp_path, monkeypatch, name, overrides, named
+    ):
+        # each of these once ran another family than the one it named, and passed
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / name), "--out", "r.json"]
+        for assignment in overrides:
+            argv += ["--override", assignment]
+        assert run_cli(argv) == 2
+        assert f"scenario could not be executed: {named}" in self._one_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+    def test_local_relation_on_the_frame_family_passes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "verify_local_vector_rotation.json"), "--out", "r.json"]
+        assert run_cli([*argv, "--override", "group.family=frame"]) == 0
+        assert load(tmp_path / "r.json")["pass"] is True
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [
+            ("verify_local_vector_rotation.json", "poincare"),
+            ("verify_local_phase.json", "internal"),
+            ("verify_bundle_vector.json", "frame"),
+        ],
+    )
+    def test_default_family(self, tmp_path, monkeypatch, name, family):
+        # the same results and tables with group.family absent as with it named
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / name)
+        assert scenario["group"] == {"family": family}
+        del scenario["group"]
+        Path("absent.json").write_text(json.dumps(scenario))
+        assert run_cli(["run", "absent.json", "--out", "absent.report.json"]) == 0
+        assert run_cli(["run", str(SCENARIOS / name), "--out", "named.report.json"]) == 0
+        absent, named = load("absent.report.json"), load("named.report.json")
+        assert absent["results"] == named["results"] and absent["tables"] == named["tables"]
+
+    @pytest.mark.parametrize(
+        "name, field, named",
+        [
+            (
+                "pairing_invariance.json",
+                {"center": [0.0, 0.0, 0.0, 0.0], "width": 1.0, "components": 1},
+                "the pairing check needs field.phi and field.test",
+            ),
+            (
+                "transform_vector_boost.json",
+                {"phi": {"components": 4}, "test": {"components": 4}},
+                "this check expects a single field spec",
+            ),
+            (
+                "verify_local_vector_rotation.json",
+                {"center": [0.1, 0.0, 0.3, -0.2], "width": 1.2, "components": [1.0]},
+                "field has 1 components but the representation needs 4",
+            ),
+            (
+                "pairing_invariance.json",
+                {"phi": {"components": 1}, "test": {"components": 2}},
+                "pairing fields and representation must share one component count",
+            ),
+        ],
+    )
+    def test_field_spec_the_check_cannot_take_exits_two(self, capsys, tmp_path, monkeypatch, name, field, named):
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / name)
+        scenario["field"] = field
+        Path("scenario.json").write_text(json.dumps(scenario))
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 2
+        assert f"scenario could not be executed: {named}" in self._one_line(capsys)
+        assert not Path("r.json").exists()
+
+    def test_override_through_a_string_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["run", str(SCENARIOS / "rep_check_scalar.json"), "--override", "check.x=1"])
+        assert code == 2
+        err = self._one_line(capsys)
+        assert err.startswith("bad override: override path 'check.x' crosses a non-object value")
+        assert not list(tmp_path.iterdir())
+
+
+class TestRepCheckInputs:
+    def test_override_that_is_not_json_sets_a_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "rep_check_scalar.json"), "--out", "r.json"]
+        assert run_cli([*argv, "--override", "rep.variant=vector"]) == 0
+        report = load(tmp_path / "r.json")
+        assert report["scenario"]["rep"] == {"variant": "vector"}
+        assert report["overrides"] == ["rep.variant=vector"]
+
+    def test_phase_representation(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "rep_check_scalar.json"), "--out", "r.json"]
+        rep = json.dumps({"variant": "phase", "q": 2.0, "e": 0.5})
+        assert run_cli([*argv, "--override", f"rep={rep}"]) == 0
+        report = load(tmp_path / "r.json")
+        assert [r["name"] for r in report["results"]] == ["identity_at_zero", "homomorphism"]
+        assert report["pass"] is True
+
 
 def _benchmark_workloads():
     """perfbench/workloads.py, imported read-only."""

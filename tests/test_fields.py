@@ -758,7 +758,7 @@ class TestConstantField:
     def test_frame_change_on_a_batch(self):
         m = np.array([[2.0, 1.0j], [0.0, -1.0]])
         change = FrameChange.constant(m)
-        mats, grads = change.matrix(self.BATCH), change.matrix_gradient(self.BATCH)
+        mats, grads = change.matrix(self.BATCH), change._gradient(self.BATCH)
         assert change.n == 2
         assert mats.shape == (3, 5, 2, 2) and mats.dtype == np.complex128
         assert np.array_equal(mats, np.broadcast_to(m, (3, 5, 2, 2)))

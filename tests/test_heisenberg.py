@@ -16,6 +16,7 @@ from covariant_kit.generators import (
 )
 from covariant_kit.heisenberg import (
     RelationReport,
+    ToyOperatorModel,
     frame_independence_check,
     lowering_operator,
     number_operator_model,
@@ -294,6 +295,23 @@ class TestToyModel:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             number_operator_model(dim=1)
+
+    def test_non_diagonal_generator(self):
+        # the number model seen in a rotated basis: Q is no longer diagonal, so
+        # the check takes the general commutator Q op - op Q
+        base = number_operator_model(dim=6, q=1.5, e=0.5)
+        rng = np.random.default_rng(3)
+        V, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        rotate = lambda m: V @ m @ V.conj().T
+        model = ToyOperatorModel(6, 1.5, 0.5, rotate(base.generator), tuple(map(rotate, base.field_ops)))
+        assert np.abs(model.generator - np.diag(np.diagonal(model.generator))).max() > 0.1
+        report = toy_commutator_check(model, commutator_tolerance=1e-12, conjugation_tolerance=1e-9)
+        assert report.labels == ("commutator_0", "conjugation_0")
+        Q, a = model.generator, model.field_ops[0]
+        diff = np.abs(Q @ a - a @ Q + 1.5 * a)
+        assert report.sup_residuals[0] == diff.max() <= 1e-13
+        assert report.rms_residuals[0] == np.sqrt(np.mean(diff**2))
+        assert report.all_passed
 
 
 class TestGroupoid:

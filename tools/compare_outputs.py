@@ -7,6 +7,7 @@ For each tree, in a fresh temporary directory (under ``$TMPDIR``) and
 with that tree's ``src`` first on the path, this runs:
 
 * every ``scenarios/*.json`` through ``covariant_kit.cli.main``;
+* ``covariant-kit schema``, whose printed JSON is compared leaf by leaf;
 * the entries, probes and holes of the ``quadrature``, ``relations`` and
   ``corpus`` workloads of the tree's
   ``perfbench/workloads.generate(name, seed)`` (imported read-only; only
@@ -86,6 +87,12 @@ def collect(tree: Path, seed: int) -> dict:
         (scenario_dir / src.name).write_text(src.read_text())
         out = f"reports/{src.stem}.json"
         _invoke(cli, f"scenario/{src.name}", ["run", str(scenario_dir / src.name), "--out", out], out, outputs)
+    _invoke(cli, "schema", ["schema"], "reports/schema.json", outputs)  # writes no report
+    stdout = outputs.pop("schema:stdout")
+    try:
+        _flatten(json.loads(stdout), "schema:stdout", outputs)
+    except json.JSONDecodeError:
+        outputs["schema:stdout"] = stdout
 
     spec = importlib.util.spec_from_file_location("_workloads", tree / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
