@@ -1,6 +1,6 @@
 """covariant-kit: executable transformation laws and commutator checks.
 
-A numpy/scipy toolkit that builds Lorentz/Poincare and internal-symmetry
+A numpy toolkit that builds Lorentz/Poincare and internal-symmetry
 group actions, applies passive/active/frame transformation laws to
 sampled fields, extracts generators by differentiating parametrised group
 families, and numerically verifies the resulting commutator identities.
@@ -16,8 +16,10 @@ from .geometry import (
     PoincareElement,
     chart_transition,
     lorentz_exp,
+    lorentz_exp_stack,
     lorentz_generators,
     lorentz_log_params,
+    lorentz_residuals,
     minkowski_metric,
     plane_generator,
     transition_jacobian,
@@ -65,6 +67,7 @@ from .heisenberg import (
     GroupoidReport,
     RelationReport,
     ToyOperatorModel,
+    charge_unitary,
     frame_independence_check,
     lowering_operator,
     number_operator_model,

@@ -31,7 +31,6 @@ import numpy as np
 from jsonschema import ValidationError
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
-from scipy.linalg import expm
 
 from . import __version__
 from .fields import (
@@ -52,8 +51,16 @@ from .generators import (
     poincare_frame_family,
     rep_generators,
 )
-from .geometry import AffineChart, PoincareElement, chart_transition, lorentz_exp
+from .geometry import (
+    AffineChart,
+    PoincareElement,
+    chart_transition,
+    lorentz_exp,
+    lorentz_exp_stack,
+    lorentz_residuals,
+)
 from .heisenberg import (
+    charge_unitary,
     number_operator_model,
     observer_groupoid_check,
     sample_points,
@@ -175,12 +182,7 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
     spec = scenario.get("group", {})
     draws = spec.get("draws", 200)
     rng = np.random.default_rng(spec.get("seed", 0))
-    metric_res = 0.0
-    det_res = 0.0
-    for _ in range(draws):
-        lam = lorentz_exp(rng.uniform(-1.0, 1.0, 6))
-        metric_res = max(metric_res, lam.metric_residual())
-        det_res = max(det_res, abs(np.linalg.det(lam.matrix) - 1.0))
+    metric_res, det_res = lorentz_residuals(lorentz_exp_stack(rng.uniform(-1.0, 1.0, (draws, 6))))
 
     subgroup_res = 0.0
     for i in range(6):
@@ -340,7 +342,7 @@ def run_toy(scenario: dict) -> tuple[list, dict]:
     )
     results = [_report_result("charge_commutator", report, _tol(scenario, "commutator", 1e-14))]
 
-    U = lambda t: expm(model.generator * (t / (1j * model.unit_charge)))
+    U = lambda t: charge_unitary(model, t)
     groupoid = observer_groupoid_check(U(b), U(0.7 * b), U(1.7 * b), self_maps=(U(0.0),))
     results.append(
         _result(
@@ -464,9 +466,9 @@ POINT_BUDGET = 10**9
 # count stops there instead of building a huge integer.
 _MAX_COUNTED_DOUBLINGS = 64
 #: Largest ``group.dim`` of a toy scenario.  ``run_toy`` holds about eight
-#: dim x dim complex matrices (16 MB each at this size) and runs ``expm``
-#: and ``inv`` at O(dim^3): dim 1024 took about 1 s and 190 MB peak on a
-#: 2-core Xeon, dim 2048 about 7 s and 575 MB.
+#: dim x dim complex matrices (16 MB each at this size) and runs ``inv``
+#: and matrix products at O(dim^3): dim 1024 took about 1 s and 155 MB peak
+#: on a 2-core Xeon, and each doubling costs eight times the time.
 TOY_DIM_BUDGET = 1024
 
 

@@ -17,10 +17,10 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 __all__ = [
     "ETA",
@@ -31,7 +31,9 @@ __all__ = [
     "plane_generator",
     "lorentz_generators",
     "lorentz_exp",
+    "lorentz_exp_stack",
     "lorentz_log_params",
+    "lorentz_residuals",
     "LorentzTransform",
     "PoincareElement",
     "AffineMap",
@@ -74,6 +76,29 @@ def plane_generator(alpha: int, beta: int) -> np.ndarray:
 
 _GENERATORS = np.stack([plane_generator(a, b) for a, b in PLANES])
 _GENERATORS.setflags(write=False)
+_GENERATOR_ROWS = _GENERATORS.reshape(6, 16)
+
+#: Each plane's generator holds +1 at (alpha, beta), and at (beta, alpha)
+#: +1 for a boost (symmetric) or -1 for a rotation.
+_UPPER = tuple(np.array(ix) for ix in zip(*PLANES))
+_LOWER_SIGN = (1, 1, 1, -1, -1, -1)
+_IDENTITY = np.eye(4)
+
+# Below this a^2 + b^2 the coefficients of the exponential come from their
+# Taylor series (``_divided_series``): the closed form of c3 subtracts two
+# numbers near 1 and divides by a^2 + b^2, losing about eps / (a^2 + b^2)
+# of its relative accuracy.  Eight terms reach roundoff below it.
+_SERIES_BELOW = 0.25
+#: Taylor coefficients in z of cosh sqrt(z) and sinh sqrt(z) / sqrt(z).
+_COSH_SERIES = tuple(1 / math.factorial(2 * n) for n in range(8))
+_SINHC_SERIES = tuple(1 / math.factorial(2 * n + 1) for n in range(8))
+# Added to a^2 and b^2, so that sinh(a)/a, sin(b)/b and the divisions by
+# a^2 + b^2 stay finite at a = 0 or b = 0; no result moves by a
+# representable amount.
+_TINY = 1e-300
+# A rotation this close to pi has its axis set by roundoff, and at pi the
+# principal logarithm is not unique.
+_BRANCH_TOL = 1e-8
 
 
 def lorentz_generators() -> np.ndarray:
@@ -86,9 +111,29 @@ def lorentz_generators() -> np.ndarray:
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def lorentz_residuals(matrices: np.ndarray) -> tuple[float, float]:
+    """Worst metric residual max|L^T eta L - eta| and worst |det L - 1|.
+
+    Takes one 4x4 matrix or a stack of shape (..., 4, 4).
+    """
+    matrices = np.asarray(matrices)
+    metric = np.abs(matrices.swapaxes(-1, -2) @ ETA @ matrices - ETA).max()
+    det = np.abs(np.linalg.det(matrices) - 1.0).max()
+    return float(metric), float(det)
+
+
+def _check_lorentz(matrices: np.ndarray, tol: float) -> None:
+    """Raise unless every matrix preserves the metric and is proper orthochronous within ``tol``."""
+    metric, det = lorentz_residuals(matrices)
+    if metric > tol:
+        raise ValueError(f"matrix does not preserve the metric (residual {metric:.3e})")
+    if det > tol or matrices[..., 0, 0].min() < 1.0 - tol:
+        raise ValueError("matrix is not proper orthochronous (det != +1 or time reversal)")
 
 
 @dataclass(frozen=True)
@@ -115,12 +160,7 @@ class LorentzTransform:
             p = _check_finite(self.params, "Lorentz parameters").copy()
             p.setflags(write=False)
             object.__setattr__(self, "params", p)
-        resid = np.abs(m.T @ ETA @ m - ETA).max()
-        if resid > self.tol:
-            raise ValueError(f"matrix does not preserve the metric (residual {resid:.3e})")
-        det = np.linalg.det(m)
-        if abs(det - 1.0) > self.tol or m[0, 0] < 1.0 - self.tol:
-            raise ValueError("matrix is not proper orthochronous (det != +1 or time reversal)")
+        _check_lorentz(m, self.tol)
 
     def inverse(self) -> "LorentzTransform":
         """Exact inverse eta Lambda^T eta; negated parameters when known."""
@@ -129,34 +169,163 @@ class LorentzTransform:
         return LorentzTransform(inv, params, self.tol)
 
     def metric_residual(self) -> float:
-        return float(np.abs(self.matrix.T @ ETA @ self.matrix - ETA).max())
+        return lorentz_residuals(self.matrix)[0]
+
+
+def _algebra_elements(w: np.ndarray) -> np.ndarray:
+    """The so(1,3) matrices sum_i w[..., i] J_i for coordinates w (..., 6).
+
+    Exact: each entry of the product has one nonzero term, +-w[i].
+    """
+    return (w @ _GENERATOR_ROWS).reshape(w.shape[:-1] + (4, 4))
+
+
+def _eigen_squares(w) -> tuple[float, float, float, float]:
+    """(a^2, b^2, p, q^2) of one so(1,3) element with coordinates w (six floats).
+
+    Its eigenvalues are +-a and +-ib.  The invariants are p = a^2 - b^2 =
+    tr(X^2)/2 and q = +-ab, the Pfaffian of eta X (boost vector . rotation
+    axis; q^2 = -det X).  Reading q off the coordinates, instead of from
+    tr(X^4) = 2 p^2 + 4 q^2, avoids cancelling two fourth powers.  a^2 and
+    b^2 are raised by ``_TINY``.
+    """
+    w0, w1, w2, w3, w4, w5 = w
+    p = (w0 * w0 + w1 * w1 + w2 * w2) - (w3 * w3 + w4 * w4 + w5 * w5)
+    q = w0 * w5 - w1 * w4 + w2 * w3
+    q2 = q * q
+    larger = (math.hypot(p, 2.0 * q) + abs(p)) / 2
+    smaller = q2 / larger if larger else 0.0  # a^2 b^2 = q^2, without cancellation
+    if p < 0:
+        larger, smaller = smaller, larger
+    return larger + _TINY, smaller + _TINY, p, q2
+
+
+def _divided_series(p: float, q2: float, series: tuple) -> tuple[float, float]:
+    """(A, B) with F(z) = A + B z at z = a^2 and z = -b^2, F the power series ``series``.
+
+    B = (F(a^2) - F(-b^2)) / (a^2 + b^2) = sum_n f_n h_{n-1} and
+    A = F(a^2) - B a^2 = f_0 + q^2 sum_n f_n h_{n-2}, where h_n are the
+    complete symmetric polynomials of a^2 and -b^2: h_0 = 1, h_1 = p,
+    h_n = p h_{n-1} + q^2 h_{n-2}.  Exact at p = q = 0.
+    """
+    A, B = series[0], 0.0
+    h_prev, h = 0.0, 1.0
+    for f in series[1:]:
+        A += q2 * f * h_prev
+        B += f * h
+        h_prev, h = h, p * h + q2 * h_prev
+    return A, B
+
+
+def _exp_coefficients(w) -> tuple[float, float, float, float]:
+    """(c0, c1, c2, c3) with exp X = c0 + c1 X + c2 X^2 + c3 X^3, X = sum_i w[i] J_i."""
+    a2, b2, p, q2 = _eigen_squares(w)
+    d = a2 + b2
+    if d < _SERIES_BELOW:
+        (c0, c2), (c1, c3) = _divided_series(p, q2, _COSH_SERIES), _divided_series(p, q2, _SINHC_SERIES)
+        return c0, c1, c2, c3
+    a, b = math.sqrt(a2), math.sqrt(b2)
+    sinhc, sinc = math.sinh(a) / a, math.sin(b) / b
+    return (
+        (b2 * math.cosh(a) + a2 * math.cos(b)) / d,
+        (b2 * sinhc + a2 * sinc) / d,
+        2.0 * (math.sinh(a / 2) ** 2 + math.sin(b / 2) ** 2) / d,  # (cosh a - cos b) / d
+        (sinhc - sinc) / d,
+    )
+
+
+def _exp(w: np.ndarray) -> np.ndarray:
+    """exp(sum_i w[..., i] J_i) for coordinates w (..., 6); unchecked.
+
+    The four coefficients of a row are scalar work, so that a row's matrix
+    does not depend on the stack it came in; the powers of X and their sum
+    are one stacked product each.
+    """
+    lead = w.shape[:-1]
+    try:
+        coeffs = [_exp_coefficients(row) for row in w.reshape(-1, 6).tolist()]
+    except OverflowError:
+        raise ValueError("Lorentz matrix must be finite") from None
+    powers = np.empty(lead + (4, 4, 4))  # I, X, X^2, X^3
+    powers[..., 0, :, :] = _IDENTITY
+    X = powers[..., 1, :, :]
+    X[...] = _algebra_elements(w)
+    np.matmul(X, X, out=powers[..., 2, :, :])
+    np.matmul(powers[..., 2, :, :], X, out=powers[..., 3, :, :])
+    c = np.array(coeffs).reshape(lead + (1, 4))
+    return (c @ powers.reshape(lead + (4, 16))).reshape(lead + (4, 4))
+
+
+def lorentz_exp_stack(params: np.ndarray) -> np.ndarray:
+    """Exponentiate a stack of plane-parameter rows, shape (..., 6) -> (..., 4, 4).
+
+    X = sum_i params[i] J_i has eigenvalues +-a and +-ib, so by
+    Cayley-Hamilton exp X = c0 + c1 X + c2 X^2 + c3 X^3 with
+
+    * c0 = (b^2 cosh a + a^2 cos b) / (a^2 + b^2), c1 the same with
+      sinh(a)/a and sin(b)/b;
+    * c2 = (cosh a - cos b) / (a^2 + b^2), c3 the same with sinh(a)/a and
+      sin(b)/b;
+
+    and all four from their Taylor series for a^2 + b^2 < 0.25.  A null
+    generator (a = b = 0) has X^3 = 0, where the series is exact.
+    Every matrix is checked as ``LorentzTransform`` checks one, and each
+    equals, bit for bit, the matrix ``lorentz_exp`` returns for its row.
+    """
+    p = _check_finite(params, "rotation parameters")
+    if p.shape[-1:] != (6,):
+        raise ValueError(f"expected rows of 6 plane parameters, got shape {p.shape}")
+    m = _check_finite(_exp(p), "Lorentz matrix")
+    _check_lorentz(m, ALGEBRAIC_TOL)
+    return m
 
 
 def lorentz_exp(params: np.ndarray) -> LorentzTransform:
     """Exponentiate a 6-vector of plane parameters to a LorentzTransform.
 
     Returns exp(sum_i params[i] * J_i) with the generators in ``PLANES``
-    order. Uses scaling-and-squaring (scipy) internally.
+    order: the one-row case of ``lorentz_exp_stack``.
     """
     p = _check_finite(params, "rotation parameters")
     if p.shape != (6,):
         raise ValueError(f"expected 6 plane parameters, got shape {p.shape}")
-    X = np.einsum("i,ijk->jk", p, _GENERATORS)
-    return LorentzTransform(expm(X), p)
+    return LorentzTransform(_exp(p[None])[0], p)
 
 
 def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:
     """Recover exponential coordinates of a proper orthochronous matrix.
 
-    Uses the principal matrix logarithm, so transforms containing a
-    rotation by exactly pi (branch point) are rejected.
+    S = (Lambda - eta Lambda^T eta) / 2 = sinh X has eigenvalues +-sinh a
+    and +-i sin b, and tr Lambda = 2 cosh a + 2 cos b places b in [0, pi].
+    Then X = c1 S + c3 S^3, where c1 + c3 z takes the value a / sinh a at
+    z = sinh^2 a and b / sin b at z = -sin^2 b.  This is the principal
+    logarithm, so a rotation by pi (branch point) is rejected, as is any
+    matrix whose logarithm does not exponentiate back to it within 1e-9.
     """
     m = _check_finite(matrix, "Lorentz matrix")
-    L = np.real(logm(m))
-    # In this generator basis the strict upper triangle of the log *is* omega.
-    params = np.array([L[a, b] for a, b in PLANES])
-    check = expm(np.einsum("i,ijk->jk", params, _GENERATORS))
-    if np.abs(check - m).max() > 1e-9:
+    if m.shape != (4, 4):
+        raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
+    rows = m.tolist()
+    # Coordinates of S: (L[a][b] + L[b][a]) / 2 for a boost, the difference for a rotation.
+    s = [(rows[a][b] + sign * rows[b][a]) / 2 for (a, b), sign in zip(PLANES, _LOWER_SIGN)]
+    sinh2_a, sin2_b, _, _ = _eigen_squares(s)
+    sinh_a, sin_b = math.sqrt(sinh2_a), math.sqrt(sin2_b)
+    a = math.asinh(sinh_a)
+    try:
+        cos_b = (rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3]) / 2 - math.cosh(a)
+    except OverflowError:
+        raise ValueError("matrix log failed to land in the rotation/boost chart") from None
+    if cos_b < 0 and sin_b < _BRANCH_TOL:
+        raise ValueError("matrix log is undefined at a rotation by pi (branch point)")
+    # c3 loses relative accuracy as d -> 0, but S^3 shrinks with d, so the
+    # logarithm does not.
+    u, v = a / sinh_a, math.atan2(sin_b, cos_b) / sin_b
+    d = sinh2_a + sin2_b
+    c1, c3 = (sin2_b * u + sinh2_a * v) / d, (u - v) / d
+    s = np.array(s)
+    S = _algebra_elements(s)
+    params = c1 * s + c3 * (S @ S @ S)[_UPPER]
+    if not np.abs(_exp(params[None])[0] - m).max() <= 1e-9:
         raise ValueError("matrix log failed to land in the rotation/boost chart")
     return params
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fields import FieldFunction
 from .generators import (
@@ -43,6 +42,7 @@ __all__ = [
     "ToyOperatorModel",
     "lowering_operator",
     "number_operator_model",
+    "charge_unitary",
     "toy_commutator_check",
     "GroupoidReport",
     "observer_groupoid_check",
@@ -319,6 +319,8 @@ class ToyOperatorModel:
     unit_charge: float
     generator: np.ndarray
     field_ops: tuple
+    #: The diagonal of the generator when it is diagonal, else None.
+    diagonal: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.generator, dtype=complex)
@@ -328,8 +330,10 @@ class ToyOperatorModel:
         for op in ops:
             if op.shape != (self.dim, self.dim):
                 raise ValueError("field operator dimension mismatch")
+        diag = np.diagonal(Q)
         object.__setattr__(self, "generator", Q)
         object.__setattr__(self, "field_ops", ops)
+        object.__setattr__(self, "diagonal", diag if np.count_nonzero(Q - np.diag(diag)) == 0 else None)
 
 
 def number_operator_model(dim: int = 16, q: float = 1.0, e: float = 1.0) -> ToyOperatorModel:
@@ -346,6 +350,20 @@ def number_operator_model(dim: int = 16, q: float = 1.0, e: float = 1.0) -> ToyO
     return ToyOperatorModel(dim, float(q), float(e), Q, (lowering_operator(dim),))
 
 
+def charge_unitary(model: ToyOperatorModel, t: float) -> np.ndarray:
+    """U(t) = exp(t Q / (i e)) for the model's generator Q and unit charge e.
+
+    A diagonal Q exponentiates entry by entry.  Any other Q goes through
+    scipy's ``expm``, imported here so that diagonal models never load scipy.
+    """
+    scale = t / (1j * model.unit_charge)
+    if model.diagonal is not None:
+        return np.diag(np.exp(model.diagonal * scale))
+    from scipy.linalg import expm
+
+    return expm(model.generator * scale)
+
+
 def toy_commutator_check(
     model: ToyOperatorModel,
     b: float = 0.3,
@@ -358,16 +376,14 @@ def toy_commutator_check(
     against the phase factor exp(-q b / (i e)).
     """
     q, e = model.charge, model.unit_charge
-    Q = model.generator
-    diag = np.diagonal(Q)
-    is_diagonal = np.count_nonzero(Q - np.diag(diag)) == 0
-    U = expm(Q * (b / (1j * e)))
+    Q, diag = model.generator, model.diagonal
+    U = charge_unitary(model, b)
     Uinv = np.linalg.inv(U)
     phase = np.exp(-(q / (1j * e)) * b)
 
     def residuals():
         for op in model.field_ops:
-            if is_diagonal:
+            if diag is not None:
                 # [Q, op]_jk = (Q_jj - Q_kk) op_jk; exact for the number model,
                 # where matmul roundoff would otherwise leak in at ~1e-14
                 comm = (diag[:, None] - diag[None, :]) * op

@@ -20,11 +20,11 @@ The phase matrix keeps charge q and unit charge e separate:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_log_params
 
@@ -52,6 +52,11 @@ class GammaBasis:
     matrices: np.ndarray  # shape (4, 4, 4), complex
     #: sigma[mu, nu] = (i/2) [gamma_mu, gamma_nu], built once, read-only.
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    #: sigma of each plane in ``PLANES`` order, flattened: shape (6, 16).
+    plane_sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Chirality projectors (1 + gamma5)/2 and (1 - gamma5)/2, gamma5 =
+    #: i gamma_0 gamma_1 gamma_2 gamma_3: shape (2, 4, 4).
+    chirality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.matrices, dtype=complex)
@@ -68,8 +73,15 @@ class GammaBasis:
                 s = 0.5j * (g[mu] @ g[nu] - g[nu] @ g[mu])
                 sig[mu, nu] = s
                 sig[nu, mu] = -s
-        sig.setflags(write=False)
-        object.__setattr__(self, "sigma", sig)
+        gamma5 = 1j * g[0] @ g[1] @ g[2] @ g[3]
+        derived = {
+            "sigma": sig,
+            "plane_sigma": np.stack([sig[a, b].ravel() for a, b in PLANES]),
+            "chirality": np.stack([(np.eye(4) + gamma5) / 2, (np.eye(4) - gamma5) / 2]),
+        }
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def standard(cls) -> "GammaBasis":
@@ -149,12 +161,27 @@ class FieldRep:
         return rep
 
 
-def _spinor_generator_sum(rep: FieldRep, omega: np.ndarray) -> np.ndarray:
-    sig = rep.gamma.sigma
-    total = np.zeros((4, 4), dtype=complex)
-    for w, (a, b) in zip(omega, PLANES):
-        total += w * sig[a, b]
-    return total
+def _cosh_sinhc(z: complex) -> tuple[complex, complex]:
+    """cosh sqrt(z) and sinh sqrt(z) / sqrt(z): entire in z, so either root serves."""
+    root = cmath.sqrt(z)
+    return cmath.cosh(root), (cmath.sinh(root) / root if root else 1.0)
+
+
+def _spinor_exp(gamma: GammaBasis, omega: np.ndarray) -> np.ndarray:
+    """exp S for S = -(i/2) sum_i omega[i] sigma[plane i], in closed form.
+
+    S commutes with the chirality projectors P+-, and on each chirality it
+    is a traceless 2x2 block, so S^2 P+- = z+- P+-.  Hence
+    exp S = sum_+- P+- (cosh sqrt(z+-) + sinh sqrt(z+-) / sqrt(z+-) S).
+    """
+    S = (-0.5j * (omega @ gamma.plane_sigma)).reshape(4, 4)
+    P_plus, P_minus = gamma.chirality
+    z_plus, z_minus = (np.einsum("kij,ji->k", gamma.chirality, S @ S) / 2).tolist()
+    try:
+        (cosh_p, sinhc_p), (cosh_m, sinhc_m) = _cosh_sinhc(z_plus), _cosh_sinhc(z_minus)
+    except OverflowError:
+        raise ValueError("spinor matrix must be finite") from None
+    return (cosh_p * P_plus + cosh_m * P_minus) + (sinhc_p * P_plus + sinhc_m * P_minus) @ S
 
 
 def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
@@ -165,7 +192,7 @@ def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
     declares.  Always the identity at zero parameters.
     """
     p = np.atleast_1d(np.asarray(params, dtype=float))
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("representation parameters must be finite")
     if rep.kind == "scalar":
         return np.eye(1, dtype=complex)
@@ -174,7 +201,7 @@ def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
     if rep.kind == "vector":
         return lorentz_exp(p).matrix.astype(complex)
     if rep.kind == "spinor":
-        return expm(-0.5j * _spinor_generator_sum(rep, p))
+        return _spinor_exp(rep.gamma, p)
     if rep.kind == "phase":
         if p.size != 1:
             raise ValueError("phase representation expects a single parameter")
@@ -202,7 +229,10 @@ def homomorphism_check(
     the abelian phase variant).  Returns ``(residual, sign)`` where
     ``residual`` is the max-entry deviation minimised over sign and
     ``sign`` is the minimiser; only the spinor variant can report -1.
+    The scalar variant is the identity everywhere, so its residual is 0.
     """
+    if rep.kind == "scalar":
+        return 0.0, 1
     lhs = rep_matrix(rep, params1) @ rep_matrix(rep, params2)
     if rep.kind in ("phase", "custom"):
         combined = np.atleast_1d(np.asarray(params1, dtype=float)) + np.atleast_1d(

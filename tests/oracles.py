@@ -5,6 +5,9 @@ forms, 1-D quadrature) and shares no code path with the package under
 test.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 
 
@@ -49,3 +52,28 @@ def gaussian_overlap(A1, m1, A2, m2):
     d = np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float)
     A = A1 + A2
     return np.pi**2 / np.sqrt(np.linalg.det(A)) * np.exp(-d @ A1 @ np.linalg.solve(A, A2 @ d))
+
+
+def exp_coefficients_series(p, q2, terms=80):
+    """(c0, c1, c2, c3) with exp X = c0 + c1 X + c2 X^2 + c3 X^3 for X in so(1,3).
+
+    X has eigenvalues +-a, +-ib with p = a^2 - b^2 and q2 = a^2 b^2.  The
+    coefficients are power series in p and q2 (through the complete
+    symmetric polynomials h_n of a^2 and -b^2), summed here in exact
+    rational arithmetic and rounded once.
+    """
+    p, q2 = Fraction(p), Fraction(q2)
+    h = [Fraction(1), p]
+    while len(h) < terms:
+        h.append(p * h[-1] + q2 * h[-2])
+    even = [Fraction(1, factorial(2 * n)) for n in range(terms)]
+    odd = [Fraction(1, factorial(2 * n + 1)) for n in range(terms)]
+    return tuple(
+        float(c)
+        for c in (
+            1 + q2 * sum(h[n - 2] * even[n] for n in range(2, terms)),
+            1 + q2 * sum(h[n - 2] * odd[n] for n in range(2, terms)),
+            sum(h[n - 1] * even[n] for n in range(1, terms)),
+            sum(h[n - 1] * odd[n] for n in range(1, terms)),
+        )
+    )

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
@@ -603,6 +604,28 @@ class TestSchemaCommand:
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)
+
+    def test_scipy_stays_off_the_run_path(self, tmp_path):
+        # Every run is a fresh process, so scipy's import would be part of each.
+        script = (
+            "import sys\n"
+            "from covariant_kit import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert loaded() == [], loaded()\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert cli.main(['run', path, '--out', 'report.json']) == 0, path\n"
+            "assert loaded() == [], loaded()\n"
+        )
+        names = ("group_check.json", "rep_check_spinor.json", "toy_charge.json")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *(str(SCENARIOS / name) for name in names)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script_help(self):
         proc = subprocess.run(["covariant-kit", "--help"], capture_output=True, text=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from covariant_kit import geometry
 from covariant_kit.geometry import (
     ETA,
     PLANES,
@@ -13,14 +14,16 @@ from covariant_kit.geometry import (
     PoincareElement,
     chart_transition,
     lorentz_exp,
+    lorentz_exp_stack,
     lorentz_generators,
     lorentz_log_params,
+    lorentz_residuals,
     minkowski_metric,
     plane_generator,
     transition_jacobian,
 )
 
-from oracles import boost_block, expm_series, rotation_block
+from oracles import boost_block, exp_coefficients_series, expm_series, rotation_block
 
 
 class TestMetric:
@@ -129,6 +132,117 @@ class TestLorentzExp:
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
             LorentzTransform(np.eye(4) * 1.5)
+
+
+#: The null generator: a unit boost along x plus a unit rotation about z.
+NULL_OMEGA = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def _generator(omega):
+    return np.einsum("i,ijk->jk", omega, lorentz_generators())
+
+
+class TestLorentzClosedForms:
+    """The closed-form exponential and logarithm against independent oracles."""
+
+    @pytest.mark.parametrize("scale", [3.0, 1e-3, 1e-6])
+    def test_exp_matches_series_oracle(self, scale):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            omega = rng.uniform(-scale, scale, 6)
+            oracle = expm_series(_generator(omega))
+            assert np.abs(lorentz_exp(omega).matrix - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3, 0.24, 0.26, 4.0])
+    def test_exp_coefficients_on_both_sides_of_the_series_switch(self, size):
+        # a^2 + b^2 = size exactly for a pure boost; mixed rows land nearby
+        rng = np.random.default_rng(int(size * 1e9) % 2**32)
+        for omega in (np.array([math.sqrt(size), 0, 0, 0, 0, 0]), rng.uniform(-1.0, 1.0, 6) * math.sqrt(size / 3)):
+            X = _generator(omega)
+            p, q2 = np.trace(X @ X) / 2, -np.linalg.det(X)
+            got = geometry._exp_coefficients(omega.tolist())
+            assert_allclose(got, exp_coefficients_series(p, max(q2, 0.0)), rtol=1e-14, atol=0)
+
+    def test_null_generator_is_exact(self):
+        X = _generator(NULL_OMEGA)
+        assert np.array_equal(X @ X @ X, np.zeros((4, 4)))
+        for omega in (NULL_OMEGA, 2.5 * NULL_OMEGA):
+            X = _generator(omega)
+            assert np.array_equal(lorentz_exp(omega).matrix, np.eye(4) + X + X @ X / 2)
+            assert np.array_equal(lorentz_exp(omega).matrix, expm_series(X))
+
+    def test_near_null_generator(self):
+        rng = np.random.default_rng(23)
+        for eps in (1e-12, 1e-6, 1e-3, 3e-2):
+            omega = 2.0 * NULL_OMEGA + eps * rng.uniform(-1.0, 1.0, 6)
+            oracle = expm_series(_generator(omega))
+            assert np.abs(lorentz_exp(omega).matrix - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_stack_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        rows = rng.uniform(-1.0, 1.0, (40, 6))
+        rows[:10] *= 1e-4  # deep in the Taylor branch; most others in the closed form
+        rows[10] = NULL_OMEGA
+        rows[11] = 0.0
+        stack = lorentz_exp_stack(rows)
+        assert stack.shape == (40, 4, 4)
+        for row, matrix in zip(rows, stack):
+            assert np.array_equal(matrix, lorentz_exp(row).matrix)
+        assert np.array_equal(lorentz_exp_stack(rows.reshape(4, 10, 6)), stack.reshape(4, 10, 4, 4))
+
+    def test_stack_is_checked_like_one_matrix(self):
+        rows = np.zeros((3, 6))
+        rows[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            lorentz_exp_stack(rows)
+        with pytest.raises(ValueError, match="rows of 6"):
+            lorentz_exp_stack(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="finite"):
+            lorentz_exp_stack([[800.0, 0, 0, 0, 0, 0]])  # cosh overflows
+
+    def test_residuals_are_the_worst_over_the_stack(self):
+        stack = lorentz_exp_stack(np.random.default_rng(31).uniform(-1.0, 1.0, (20, 6)))
+        metric, det = lorentz_residuals(stack)
+        assert metric == max(LorentzTransform(m).metric_residual() for m in stack)
+        assert det == max(abs(np.linalg.det(m) - 1.0) for m in stack)
+        with pytest.raises(ValueError, match="proper orthochronous"):
+            LorentzTransform(np.diag([1.0, -1.0, 1.0, 1.0]))
+
+    def test_log_roundtrip_pure_boosts(self):
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            omega = np.concatenate([rng.uniform(-3.0, 3.0, 3), np.zeros(3)])
+            assert np.abs(lorentz_log_params(lorentz_exp(omega).matrix) - omega).max() <= 1e-12
+
+    def test_log_roundtrip_rotations_past_a_right_angle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            axis = rng.normal(size=3)
+            angle = rng.uniform(math.pi / 2, math.pi - 1e-2)
+            x, y, z = angle * axis / np.linalg.norm(axis)
+            omega = np.array([*rng.uniform(-0.5, 0.5, 3), z, -y, x])  # planes (1,2), (1,3), (2,3)
+            assert np.abs(lorentz_log_params(lorentz_exp(omega).matrix) - omega).max() <= 1e-12
+
+    def test_log_roundtrip_near_identity(self):
+        rng = np.random.default_rng(43)
+        for scale in (1e-9, 1e-6, 1e-3):
+            omega = rng.uniform(-scale, scale, 6)
+            assert_allclose(lorentz_log_params(lorentz_exp(omega).matrix), omega, rtol=1e-12, atol=1e-24)
+        assert np.array_equal(lorentz_log_params(np.eye(4)), np.zeros(6))
+
+    @pytest.mark.parametrize(
+        "omega",
+        [[0, 0, 0, math.pi, 0, 0], [0, 0, 0.5, math.pi, 0, 0], [0, 0, 0, 0, 0, math.pi - 1e-9]],
+        ids=["rotation", "with_commuting_boost", "within_1e-9"],
+    )
+    def test_log_rejects_a_rotation_by_pi(self, omega):
+        with pytest.raises(ValueError):
+            lorentz_log_params(lorentz_exp(omega).matrix)
+
+    def test_log_rejects_exact_half_turn_and_non_lorentz(self):
+        for matrix in (np.diag([1.0, -1.0, -1.0, 1.0]), 1.5 * np.eye(4), -np.eye(4)):
+            with pytest.raises(ValueError):
+                lorentz_log_params(matrix)
 
 
 class TestPoincare:

@@ -17,6 +17,7 @@ from covariant_kit.generators import (
 from covariant_kit.heisenberg import (
     RelationReport,
     ToyOperatorModel,
+    charge_unitary,
     frame_independence_check,
     lowering_operator,
     number_operator_model,
@@ -312,6 +313,19 @@ class TestToyModel:
         assert report.sup_residuals[0] == diff.max() <= 1e-13
         assert report.rms_residuals[0] == np.sqrt(np.mean(diff**2))
         assert report.all_passed
+
+    def test_charge_unitary_against_expm(self):
+        from scipy.linalg import expm
+
+        base = number_operator_model(dim=6, q=1.5, e=0.5)
+        U = charge_unitary(base, 0.3)
+        assert base.diagonal is not None
+        assert np.array_equal(U, np.diag(np.diagonal(U)))
+        assert np.abs(U - expm(base.generator * (0.3 / 0.5j))).max() <= 1e-14
+        V, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
+        rotated = ToyOperatorModel(6, 1.5, 0.5, V @ base.generator @ V.T, ())
+        assert rotated.diagonal is None
+        assert np.abs(charge_unitary(rotated, 0.3) - V @ U @ V.T).max() <= 1e-13
 
 
 class TestGroupoid:

@@ -45,6 +45,16 @@ class TestGammaAlgebra:
         with pytest.raises(ValueError):
             sigma[0, 1, 0, 0] = 1.0
 
+    def test_chirality_projectors_and_plane_stack(self, gamma, sigma):
+        P_plus, P_minus = gamma.chirality
+        assert np.array_equal(P_plus + P_minus, np.eye(4))
+        for P in gamma.chirality:
+            assert np.array_equal(P @ P, P)
+            for a, b in PLANES:
+                assert np.array_equal(P @ sigma[a, b], sigma[a, b] @ P)
+        assert np.array_equal(gamma.plane_sigma, np.stack([sigma[a, b].ravel() for a, b in PLANES]))
+        assert not gamma.chirality.flags.writeable and not gamma.plane_sigma.flags.writeable
+
     def test_bad_basis_rejected(self):
         broken = np.stack([np.eye(4, dtype=complex)] * 4)
         with pytest.raises(ValueError):
@@ -111,6 +121,20 @@ class TestRepMatrix:
             omega = rng.uniform(-0.8, 0.8, 6)
             total = sum(w * sigma[a, b] for w, (a, b) in zip(omega, PLANES))
             assert np.abs(rep_matrix(rep, omega) - expm_series(-0.5j * total)).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [3.0, 1e-3, 1e-6])
+    def test_spinor_matches_series_oracle_across_scales(self, sigma, scale):
+        rep = FieldRep.spinor()
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            omega = rng.uniform(-scale, scale, 6)
+            oracle = expm_series(-0.5j * sum(w * sigma[a, b] for w, (a, b) in zip(omega, PLANES)))
+            assert np.abs(rep_matrix(rep, omega) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_spinor_null_generator(self, sigma):
+        S = -0.5j * (sigma[0, 1] + sigma[1, 2])  # omega = (1, 0, 0, 1, 0, 0)
+        assert np.array_equal(S @ S, np.zeros((4, 4)))
+        assert np.array_equal(rep_matrix(FieldRep.spinor(), [1.0, 0, 0, 1.0, 0, 0]), np.eye(4) + S)
 
     def test_spinor_spatial_rotation_unitary(self):
         rep = FieldRep.spinor()

@@ -2,6 +2,7 @@
 
 Usage:
     python tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seed N]
+                                    [--bound rel=R,abs=A]
 
 For each tree, in a fresh temporary directory (under ``$TMPDIR``) and
 with that tree's ``src`` first on the path, this runs:
@@ -21,6 +22,16 @@ the exit code is 1 on any difference, 0 when the outputs are identical.
 Both trees run the same relative paths, so paths in stdout and stderr
 compare equal.  The 65^4 pairings of ``scenarios/`` and the quadrature
 workload make one tree take a minute or two.
+
+``--bound rel=R,abs=A`` lets numbers move.  A number matches when
+``|a - b| <= max(R |a|, A)``, with ``a`` the parent's value.  A float leaf
+is one number; a text leaf (report values, stdout, stderr) matches when
+its text outside the numbers is identical and each number in it matches.
+CSV files are compared by content, cell by cell, instead of by digest.
+Exit codes and every other leaf (pass flags, integers, null) must still be
+identical.  Each key that moved within the bound is printed with its
+worst absolute and relative change, and counted; a key outside the bound
+is printed as differing.
 """
 
 from __future__ import annotations
@@ -32,12 +43,15 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 WORKLOADS = ("quadrature", "relations", "corpus")
+#: A decimal number as the reports, demos and CSV dumps print them.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _flatten(value, prefix: str, out: dict) -> None:
@@ -73,8 +87,11 @@ def _invoke(cli, key: str, argv: list, out: str, outputs: dict) -> None:
         _flatten(data, f"{key}:report", outputs)
 
 
-def collect(tree: Path, seed: int) -> dict:
-    """Every output of one tree; the working directory must be empty."""
+def collect(tree: Path, seed: int, csv_text: bool = False) -> dict:
+    """Every output of one tree; the working directory must be empty.
+
+    CSV files are recorded by SHA-256 digest, or by content with ``csv_text``.
+    """
     from covariant_kit import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(tree / "src"):
@@ -115,32 +132,80 @@ def collect(tree: Path, seed: int) -> dict:
         outputs[f"demo/{demo.name}:stderr"] = run.stderr
 
     for csv in sorted(Path(".").rglob("*.csv")):
-        outputs[f"csv/{csv.as_posix()}:sha256"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+        if csv_text:
+            outputs[f"csv/{csv.as_posix()}"] = csv.read_text()
+        else:
+            outputs[f"csv/{csv.as_posix()}:sha256"] = hashlib.sha256(csv.read_bytes()).hexdigest()
     return outputs
 
 
-def _run_tree(tree: Path, seed: int, workdir: Path) -> dict:
+def _run_tree(tree: Path, seed: int, workdir: Path, csv_text: bool) -> dict:
     """Collect one tree's outputs in a child process with the tree's ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     result = workdir.parent / f"{workdir.name}.outputs.json"
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree), str(result), "--seed", str(seed)]
-    subprocess.run(cmd, cwd=workdir, env=env, check=True)
+    subprocess.run(cmd + ["--csv-text"] * csv_text, cwd=workdir, env=env, check=True)
     return json.loads(result.read_text())
 
 
-def compare(parent: dict, change: dict) -> list[str]:
-    """One line per key whose value differs or that only one side has."""
-    lines = []
+def parse_bound(text: str) -> tuple[float, float]:
+    """``rel=R,abs=A`` -> (R, A), both finite and non-negative."""
+    try:
+        parts = dict(item.split("=", 1) for item in text.split(","))
+        rel, abs_ = float(parts.pop("rel")), float(parts.pop("abs"))
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected rel=R,abs=A, got {text!r}") from None
+    if parts or not all(0 <= v < float("inf") for v in (rel, abs_)):
+        raise argparse.ArgumentTypeError(f"expected rel=R,abs=A with finite R, A >= 0, got {text!r}")
+    return rel, abs_
+
+
+def _move(a, b, bound: tuple[float, float]) -> tuple[float, float, bool] | None:
+    """(worst absolute change, worst relative change, all within bound) between two leaves.
+
+    None when the leaves cannot be compared number by number: an exit
+    code, a leaf that is neither a float nor text, or text whose words or
+    count of numbers differ.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        numbers = [(a, b)]
+    elif isinstance(a, str) and isinstance(b, str) and _NUMBER.split(a) == _NUMBER.split(b):
+        numbers = [(float(x), float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))]
+    else:
+        return None
+    rel, abs_ = bound
+    worst_abs = max(abs(x - y) for x, y in numbers)
+    worst_rel = max(abs(x - y) / abs(x) if x else float("inf") if y else 0.0 for x, y in numbers)
+    within = all(abs(x - y) <= max(rel * abs(x), abs_) for x, y in numbers)
+    return worst_abs, worst_rel, within
+
+
+def compare(parent: dict, change: dict, bound: tuple[float, float] | None = None) -> tuple[list[str], list[str]]:
+    """Lines for the keys that differ, and for the keys that moved within ``bound``.
+
+    Without a bound every differing value differs; exit codes (keys
+    ending in ``:rc``) always must be identical.
+    """
+    differ, moved = [], []
     for key in sorted(parent.keys() | change.keys()):
         if key not in change:
-            lines.append(f"{key}: only in the parent tree")
+            differ.append(f"{key}: only in the parent tree")
         elif key not in parent:
-            lines.append(f"{key}: only in the changed tree")
+            differ.append(f"{key}: only in the changed tree")
         elif parent[key] != change[key]:
-            lines.append(f"{key}: {parent[key]!r} != {change[key]!r}")
-    return lines
+            move = None if bound is None or key.endswith(":rc") else _move(parent[key], change[key], bound)
+            if move is None:
+                differ.append(f"{key}: {parent[key]!r} != {change[key]!r}")
+            else:
+                worst_abs, worst_rel, within = move
+                line = f"{key}: moved by {worst_abs:.3g} absolute, {worst_rel:.3g} relative"
+                if within:
+                    moved.append(line)
+                else:
+                    differ.append(f"{line}, outside the bound")
+    return differ, moved
 
 
 def main(argv=None) -> int:
@@ -148,11 +213,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, nargs="?", help="source tree of the parent commit")
     parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
     parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
+    parser.add_argument(
+        "--bound", type=parse_bound, metavar="rel=R,abs=A", help="let numbers move by up to max(R |a|, A)"
+    )
     parser.add_argument("--collect", nargs=2, metavar=("TREE", "RESULT"), help=argparse.SUPPRESS)
+    parser.add_argument("--csv-text", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
         tree, result = args.collect
-        Path(result).write_text(json.dumps(collect(Path(tree).resolve(), args.seed)))
+        Path(result).write_text(json.dumps(collect(Path(tree).resolve(), args.seed, args.csv_text)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT_TREE and CHANGE_TREE are required")
@@ -162,11 +231,14 @@ def main(argv=None) -> int:
         for label, tree in (("parent", args.parent), ("change", args.change)):
             workdir = Path(tmp) / label / "run"
             workdir.mkdir(parents=True)
-            sides.append(_run_tree(tree.resolve(), args.seed, workdir))
-    diffs = compare(*sides)
-    for line in diffs:
+            sides.append(_run_tree(tree.resolve(), args.seed, workdir, args.bound is not None))
+    diffs, moved = compare(*sides, args.bound)
+    for line in diffs + moved:
         print(line)
-    print(f"{len(sides[0])} parent and {len(sides[1])} changed outputs compared; {len(diffs)} differ")
+    summary = f"{len(sides[0])} parent and {len(sides[1])} changed outputs compared; {len(diffs)} differ"
+    if args.bound is not None:
+        summary += f"; {len(moved)} moved within rel={args.bound[0]:g}, abs={args.bound[1]:g}"
+    print(summary)
     return 1 if diffs else 0
 
 
