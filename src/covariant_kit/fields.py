@@ -21,6 +21,9 @@ pairing satisfies  pairing(active phi, f) == pairing(phi, transformed f)
 exactly (up to quadrature), which is the check ``pairing`` is built for.
 The Jacobian factor is a scalar, so whether it is written inside or
 outside the matrix action is immaterial.
+
+Values follow their data: real coefficients under a real matrix give float64
+values computed in real arithmetic; a complex one anywhere gives complex128.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ class FieldFunction:
     ``evaluate`` maps points of shape (..., 4) to values (..., n);
     ``gradient`` maps them to (..., n, 4) where the last axis is the
     coordinate derivative direction.  Both must be pure functions.
-    ``evaluate`` may return a real (float64) array for a field whose
-    values are real, such as a wave packet with real coefficients; it
-    stands for the complex array with zero imaginary parts.
+    ``evaluate`` may return a real (float64) array, computed in real
+    arithmetic, for a field whose values are real (a wave packet with real
+    coefficients); it stands for the complex array with zero imaginary parts.
     """
 
     n: int
@@ -80,14 +83,14 @@ class FieldFunction:
         return self.evaluate(points)
 
 
-def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int, int, int], int]]]:
-    """Turn the accepted component shorthands into ``(coeff, powers, 1)`` term lists."""
+def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int, int, int]]]]:
+    """Turn the accepted component shorthands into ``(coeff, powers)`` term lists."""
     if isinstance(components, int):
         components = [1.0] * components
     terms = []
     for comp in components:
         if np.isscalar(comp):
-            terms.append([(complex(comp), (0, 0, 0, 0), 1)])
+            terms.append([(complex(comp), (0, 0, 0, 0))])
             continue
         comp_terms = []
         for term in comp:
@@ -100,37 +103,22 @@ def _normalise_components(components) -> list[list[tuple[complex, tuple[int, int
             powers = tuple(int(p) for p in powers)
             if len(powers) != 4 or any(p < 0 for p in powers):
                 raise ValueError(f"monomial powers must be 4 nonnegative ints, got {powers}")
-            comp_terms.append((complex(coeff), powers, 1))
+            comp_terms.append((complex(coeff), powers))
         terms.append(comp_terms)
     if not terms:
         raise ValueError("a wave packet needs at least one component")
     return terms
 
 
-def _r2(ys: list) -> np.ndarray:
-    """|y|^2 from the 4 coordinate columns, added left to right as np.sum(y * y, axis=-1) adds."""
-    r2 = ys[0] * ys[0]
-    for y in ys[1:]:
-        r2 += y * y
-    return r2
-
-
-def _polynomial(ys: list, comp_terms, imag: bool = False):
-    """Real (or imaginary) part of one component polynomial at columns ``ys``.
-
-    Terms are summed from 0 in order, each coefficient part times the
-    powers multiplied left to right, starting from the term's integer
-    factor when it is not 1: the parts of the complex sum, operation for
-    operation.  The unit monomial stays a scalar.
-    """
+def _polynomial(ys: list, comp_terms):
+    """One component polynomial at columns ``ys``, its terms added into 0; the unit monomial stays a scalar."""
     acc = 0.0
-    for coeff, powers, factor in comp_terms:
-        term = coeff.imag if imag else coeff.real
-        mono = None if factor == 1 else factor
-        for k, p in enumerate(powers):
+    for coeff, powers in comp_terms:
+        mono = None
+        for y, p in zip(ys, powers):
             if p:
-                mono = ys[k] ** p if mono is None else mono * ys[k] ** p
-        acc = acc + (term if mono is None else term * mono)
+                mono = y**p if mono is None else mono * y**p
+        acc = acc + (coeff if mono is None else coeff * mono)
     return acc
 
 
@@ -142,8 +130,8 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     compactly supported).  ``components`` is either an int (that many
     unit-amplitude components), or one entry per component: a scalar
     amplitude or a list of monomial terms ``(coeff, (p0, p1, p2, p3))``.
-    When every coefficient is real, ``evaluate`` returns float64 values
-    equal to the real parts of the complex ones; otherwise complex128.
+    When every coefficient is real, ``evaluate`` computes in real
+    arithmetic and returns float64 values; otherwise complex128.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (4,) or not np.all(np.isfinite(c)):
@@ -153,51 +141,39 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
         raise ValueError("wave packet width must be positive and finite")
     terms = _normalise_components(components)
     n = len(terms)
-    real = all(coeff.imag == 0 for comp_terms in terms for coeff, _, _ in comp_terms)
+    dtype = complex if any(coeff.imag for comp_terms in terms for coeff, _ in comp_terms) else float
+    terms = [[(coeff if dtype is complex else coeff.real, powers) for coeff, powers in t] for t in terms]
 
-    # dP_i/dy_k: each term with p_k > 0, with p_k lowered by one and kept as its factor.
-    dterms = [[[(coeff, tuple(p - (j == k) for j, p in enumerate(powers)), powers[k])
-                for coeff, powers, _ in comp_terms if powers[k]] for k in range(4)] for comp_terms in terms]
+    # dP_i/dy_k: each term with p_k > 0, coefficient p_k * coeff, p_k lowered by one.
+    dterms = [[[(powers[k] * coeff, tuple(p - (j == k) for j, p in enumerate(powers)))
+                for coeff, powers in comp_terms if powers[k]] for k in range(4)] for comp_terms in terms]
 
-    def _envelope(ys: list) -> np.ndarray:
-        # r2 / -s^2 is -r2 / s^2 exactly, one pass sooner.
-        return np.exp(_r2(ys) / -s**2)
+    def _columns(points: np.ndarray):
+        # The columns of y = x - center and exp(-|y|^2 / s^2); r2 / -s^2 is -r2 / s^2 exactly.
+        # A single point is a 1-row batch: numpy scalars would take y ** p through pow().
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ys = [pts[..., k] - c[k] for k in range(4)]
+        r2 = ys[0] * ys[0]
+        for y in ys[1:]:
+            r2 += y * y
+        return ys, np.exp(r2 / -s**2)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        # Values only, no gradient; (a+0j)(b+0j) == ab, so a real packet stays real.
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            # Keep the columns arrays: numpy scalars take y ** p through pow().
-            return evaluate(pts[None])[0]
-        ys = [pts[..., k] - c[k] for k in range(4)]
-        envelope = _envelope(ys)
-        if real:
-            vals = np.empty(envelope.shape + (n,))
-            for i, comp_terms in enumerate(terms):
-                np.multiply(_polynomial(ys, comp_terms), envelope, out=vals[..., i])
-            return vals
-        vals = np.empty(envelope.shape + (n,), dtype=complex)
+        ys, envelope = _columns(points)
+        vals = np.empty(envelope.shape + (n,), dtype=dtype)
         for i, comp_terms in enumerate(terms):
-            vals.real[..., i] = _polynomial(ys, comp_terms)
-            vals.imag[..., i] = _polynomial(ys, comp_terms, imag=True)
-        vals *= envelope[..., None]
-        return vals
+            np.multiply(_polynomial(ys, comp_terms), envelope, out=vals[..., i])
+        return vals.reshape(np.shape(points)[:-1] + (n,))
 
     def gradient(points: np.ndarray) -> np.ndarray:
-        # d/dx_k (P e) = (dP/dy_k - (2 / s^2) P y_k) e, per part in the complex order.
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return gradient(pts[None])[0]
-        ys = [pts[..., k] - c[k] for k in range(4)]
-        envelope = _envelope(ys)
-        out = np.zeros(envelope.shape + (n, 4), dtype=complex)
-        parts = ((out.real, False),) if real else ((out.real, False), (out.imag, True))
+        # d/dx_k (P e) = (dP/dy_k - (2 / s^2) P y_k) e.
+        ys, envelope = _columns(points)
+        out = np.empty(envelope.shape + (n, 4), dtype=complex)
         for i, comp_terms in enumerate(terms):
-            for part, imag in parts:
-                scaled = (2.0 / s**2) * _polynomial(ys, comp_terms, imag)
-                for k in range(4):
-                    part[..., i, k] = (_polynomial(ys, dterms[i][k], imag) - scaled * ys[k]) * envelope
-        return out
+            scaled = (2.0 / s**2) * _polynomial(ys, comp_terms)
+            for k in range(4):
+                np.multiply(_polynomial(ys, dterms[i][k]) - scaled * ys[k], envelope, out=out[..., i, k])
+        return out.reshape(np.shape(points)[:-1] + (n, 4))
 
     return FieldFunction(n, evaluate, gradient)
 
@@ -276,28 +252,18 @@ def _spacetime_matrix(rep: FieldRep, g, field: FieldFunction) -> tuple[np.ndarra
 def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap, scale: float) -> FieldFunction:
     """scale * matrix @ field(mapping(x)) with the chain-ruled gradient.
 
-    float64 values under a real matrix stay real: each row is added into
-    zeros in column order, as the complex contraction adds.  A negative
-    scale keeps the complex path, whose imaginary zeros it turns to -0.
+    The scaled matrix is kept real when it has no imaginary part, so real
+    values under a real law stay real.
     """
     lin = mapping.linear
-    real_matrix = matrix.real if scale > 0 and not np.any(matrix.imag) else None
+    m = scale * matrix if np.any(matrix.imag) else scale * matrix.real
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         vals = field.evaluate(mapping(points))
-        if real_matrix is None or getattr(vals, "dtype", None) != np.float64:
-            return scale * np.einsum("ij,...j->...i", matrix, vals)
-        out = np.zeros_like(vals)
-        for i, row in enumerate(real_matrix):
-            for j, m in enumerate(row):
-                out[..., i] += m * vals[..., j]
-        if scale != 1.0:
-            out *= scale
-        return out
+        return np.einsum("ij,...j->...i", m.astype(np.result_type(m, vals)), vals)
 
     def gradient(points: np.ndarray) -> np.ndarray:
-        grads = field.gradient(mapping(points))
-        return scale * np.einsum("ij,...jm,mk->...ik", matrix, grads, lin)
+        return np.einsum("ij,...jm,mk->...ik", m, field.gradient(mapping(points)), lin)
 
     return FieldFunction(field.n, evaluate, gradient)
 
@@ -449,25 +415,9 @@ def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
     w0, w1, w2, w3 = grid.weights()
     total = 0.0 + 0.0j
     for w, blocks in zip(w0, _slice_blocks(grid)):
-        integrand = np.concatenate([_component_sum(phi.evaluate(pts) * f.evaluate(pts)) for pts in blocks])
+        integrand = np.concatenate([np.einsum("...i,...i->...", phi.evaluate(pts), f.evaluate(pts)) for pts in blocks])
         total += w * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
     return complex(total)
-
-
-def _component_sum(products: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in the order numpy adds complex columns.
-
-    numpy sums up to 3 complex columns left to right and 4 in pairs, so
-    real products, (a+0j)(b+0j) == ab, are added the same way; wider
-    real ones go through the complex sum.
-    """
-    n = products.shape[-1]
-    if np.iscomplexobj(products) or n > 4:
-        return np.sum(products.astype(complex, copy=False), axis=-1)
-    cols = [products[..., i] for i in range(n)]
-    if n == 4:
-        return (cols[0] + cols[1]) + (cols[2] + cols[3])
-    return sum(cols[1:], cols[0])
 
 
 def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:

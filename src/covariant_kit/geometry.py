@@ -116,23 +116,28 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _residuals(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix max|L^T eta L - eta| and |det L - 1| of one 4x4 matrix or a stack (..., 4, 4)."""
+    m = np.asarray(matrices)
+    return np.abs(m.swapaxes(-1, -2) @ ETA @ m - ETA).max(axis=(-2, -1)), np.abs(np.linalg.det(m) - 1.0)
+
+
 def lorentz_residuals(matrices: np.ndarray) -> tuple[float, float]:
     """Worst metric residual max|L^T eta L - eta| and worst |det L - 1|.
 
     Takes one 4x4 matrix or a stack of shape (..., 4, 4).
     """
-    matrices = np.asarray(matrices)
-    metric = np.abs(matrices.swapaxes(-1, -2) @ ETA @ matrices - ETA).max()
-    det = np.abs(np.linalg.det(matrices) - 1.0).max()
-    return float(metric), float(det)
+    return tuple(float(r.max()) for r in _residuals(matrices))
 
 
 def _check_lorentz(matrices: np.ndarray, tol: float) -> None:
-    """Raise unless every matrix preserves the metric and is proper orthochronous within ``tol``."""
-    metric, det = lorentz_residuals(matrices)
-    if metric > tol:
-        raise ValueError(f"matrix does not preserve the metric (residual {metric:.3e})")
-    if det > tol or matrices[..., 0, 0].min() < 1.0 - tol:
+    """Raise unless every matrix is proper orthochronous and preserves the metric within
+    ``tol * max(1, max|L|)^2``: roundoff in L^T eta L and det L grows with the entries squared."""
+    metric, det = _residuals(matrices)
+    bound = tol * np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1))) ** 2
+    if (metric > bound).any():
+        raise ValueError(f"matrix does not preserve the metric (residual {metric.max():.3e})")
+    if (det > bound).any() or matrices[..., 0, 0].min() < 1.0 - tol:
         raise ValueError("matrix is not proper orthochronous (det != +1 or time reversal)")
 
 

@@ -77,3 +77,40 @@ def exp_coefficients_series(p, q2, terms=80):
             sum(h[n - 1] * odd[n] for n in range(1, terms)),
         )
     )
+
+
+def hermite_pairing(phi, f, nodes=8):
+    """Integral over R^4 of sum_i phi_i(x) f_i(x) for two transformed monomial packets.
+
+    Each side is ``(matrix, linear, offset, center, width, comps)``, the
+    field x -> matrix @ P(u) exp(-|u|^2 / width^2) with
+    u = linear @ x + offset - center and P_i(u) = sum of coeff * prod u_k^p_k
+    over the terms ``(coeff, (p0, p1, p2, p3))`` of ``comps[i]``.  Side j's
+    Gaussian is exp(-(x - m_j)^T A_j (x - m_j)) with A_j = linear^T linear /
+    width^2 and m_j where u = 0; their product is exp(-(x - mu)^T A (x - mu) - q0)
+    with A = A_1 + A_2.  In the eigenbasis of A a tensor Gauss-Hermite rule
+    with ``nodes`` points per axis integrates the remaining polynomial
+    exactly up to degree 2 * nodes - 1.
+    """
+    forms = []
+    for matrix, linear, offset, center, width, _ in (phi, f):
+        linear = np.asarray(linear, dtype=float)
+        m = np.linalg.solve(linear, np.asarray(center, dtype=float) - offset)
+        forms.append((linear.T @ linear / width**2, m))
+    A = forms[0][0] + forms[1][0]
+    mu = np.linalg.solve(A, sum(Aj @ m for Aj, m in forms))
+    q0 = sum((mu - m) @ Aj @ (mu - m) for Aj, m in forms)
+    lam, V = np.linalg.eigh(A)
+    z, w = np.polynomial.hermite.hermgauss(nodes)
+    Z = np.stack(np.meshgrid(z, z, z, z, indexing="ij"), axis=-1).reshape(-1, 4)
+    W = np.einsum("a,b,c,d->abcd", w, w, w, w).reshape(-1)
+    X = mu + np.einsum("kj,nj->nk", V, Z / np.sqrt(lam))
+    sides = []
+    for matrix, linear, offset, center, _, comps in (phi, f):
+        u = np.einsum("kj,nj->nk", np.asarray(linear, dtype=float), X) + offset - center
+        P = np.zeros((len(X), len(comps)), dtype=complex)
+        for i, terms in enumerate(comps):
+            for coeff, powers in terms:
+                P[:, i] += coeff * np.prod(u ** np.array(powers), axis=-1)
+        sides.append(np.einsum("ij,nj->ni", np.asarray(matrix, dtype=complex), P))
+    return complex(np.exp(-q0) / np.sqrt(np.prod(lam)) * (W @ np.sum(sides[0] * sides[1], axis=-1)))

@@ -493,6 +493,21 @@ class TestExitContractHoles:
         assert not list(tmp_path.iterdir())
 
 
+class TestLargeBoostScenario:
+    def test_transform_at_rapidity_five_runs(self, capsys, tmp_path, monkeypatch):
+        # An exact boost with cosh 5 = 74 used to fail the absolute metric check and exit 2.
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / "transform_vector_boost.json")
+        scenario["group"]["omega"][0] = 5.0
+        scenario["output"] = {"report": "r.json", "dump_fields": False}
+        Path("scenario.json").write_text(json.dumps(scenario))
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) in (0, 1)
+        assert "could not be executed" not in capsys.readouterr().err
+        report = load(tmp_path / "r.json")
+        validate(report, REPORT_SCHEMA)
+        assert {r["name"]: r["passed"] for r in report["results"]}["active_roundtrip"] is True
+
+
 class TestRepCheckInputs:
     def test_override_that_is_not_json_sets_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -22,9 +22,9 @@ from covariant_kit.fields import (
     wave_packet,
 )
 from covariant_kit.geometry import AffineMap, PoincareElement
-from covariant_kit.representations import FieldRep, rep_matrix
+from covariant_kit.representations import FieldRep, rep_matrix, rep_matrix_for_element
 
-from oracles import gaussian_overlap, trapezoid_1d
+from oracles import gaussian_overlap, hermite_pairing, trapezoid_1d
 
 RNG = np.random.default_rng(42)
 POINTS = RNG.uniform(-2.0, 2.0, (40, 4))
@@ -396,8 +396,9 @@ def _complex_packet(center, width, comps, points):
 
 
 def _complex_gradient(center, width, comps, points):
-    """The complex gradient: every monomial and its derivatives from ones and
-    full(p) arrays, added into zeros, then (dP - (2/s^2) P y) e."""
+    """The complex gradient: every monomial and its derivatives from ones,
+    each derivative term p * coeff times its monomial, added into zeros,
+    then (dP - (2/s^2) P y) e."""
     y = np.asarray(points, dtype=float) - center
     envelope = np.exp(-np.sum(y * y, axis=-1) / width**2)
     vals = np.zeros(y.shape[:-1] + (len(comps),), dtype=complex)
@@ -411,12 +412,12 @@ def _complex_gradient(center, width, comps, points):
             vals[..., i] += complex(coeff) * mono
             for k, p in enumerate(powers):
                 if p:
-                    dmono = np.full(y.shape[:-1], complex(p))
+                    dmono = np.ones(y.shape[:-1], dtype=complex)
                     for j, pj in enumerate(powers):
                         pw = pj - 1 if j == k else pj
                         if pw:
                             dmono = dmono * y[..., j] ** pw
-                    grads[..., i, k] += complex(coeff) * dmono
+                    grads[..., i, k] += complex(p * coeff) * dmono
     out = grads - (2.0 / width**2) * vals[..., :, None] * y[..., None, :]
     return out * envelope[..., None, None]
 
@@ -469,6 +470,59 @@ class TestClosedFormPairing:
         self._check(pairing(moved, f, self.GRID), exact)
 
 
+class TestHermitePairing:
+    """Monomial packets under the laws against the Gauss-Hermite oracle over R^4."""
+
+    GRID = GridSpec(((-7.0, 7.0),) * 4, (33,) * 4)
+    C1 = np.array([0.3, -0.2, 0.1, 0.0])
+    C2 = np.array([-0.25, 0.4, 0.0, 0.2])
+    S1, S2 = 1.1, 1.3
+    G = PoincareElement.from_params([0.3, -0.1, 0.2, 0.2, 0.1, -0.15], [0.3, 0.0, -0.2, 0.1])
+    # Components 1 + c y^p with |p| <= 2.
+    POWERS = [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0), (0, 0, 0, 1)]
+    REAL = [[(1.0, (0, 0, 0, 0)), (c, p)] for c, p in zip([0.4, -0.3, 0.5, 0.2], POWERS)]
+    COMPLEX = [[(1.0, (0, 0, 0, 0)), (c, p)] for c, p in zip([0.4 - 0.3j, 0.6j, -0.2 + 0.1j, 0.7], POWERS[::-1])]
+
+    def _check(self, value, exact):
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_oracle_reduces_to_the_gaussian_overlap(self):
+        # constant amplitudes, a boosted pull-back on one side
+        lam, a = self.G.matrix, self.G.translation
+        value = hermite_pairing(
+            (np.eye(1), lam, a, self.C1, self.S1, [[(0.8, (0, 0, 0, 0))]]),
+            (np.eye(1), np.eye(4), np.zeros(4), self.C2, self.S2, [[(1.3, (0, 0, 0, 0))]]),
+        )
+        m = np.linalg.solve(lam, self.C1 - a)
+        exact = 0.8 * 1.3 * gaussian_overlap(lam.T @ lam / self.S1**2, m, np.eye(4) / self.S2**2, self.C2)
+        self._check(value, exact)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
+    @pytest.mark.parametrize("coeffs", ["real", "complex"])
+    def test_active_and_test_function_laws(self, kind, coeffs):
+        # The representation matrix comes from the package; the packets,
+        # the laws' pull-backs and the integral do not.
+        rep = getattr(FieldRep, kind)()
+        n, D = rep.n, rep_matrix_for_element(rep, self.G)
+        lam, a = self.G.matrix, self.G.translation
+        inv = np.linalg.inv(lam)
+        # Both packets real (float64 until a complex law acts) or both complex.
+        comps = self.REAL if coeffs == "real" else self.COMPLEX
+        mine, other = comps[:n], comps[::-1][:n]
+
+        moved = active_transform(wave_packet(self.C1, self.S1, mine), rep, self.G)
+        exact = hermite_pairing(
+            (D.T, lam, a, self.C1, self.S1, mine), (np.eye(n), np.eye(4), np.zeros(4), self.C2, self.S2, other)
+        )
+        self._check(pairing(moved, wave_packet(self.C2, self.S2, other), self.GRID), exact)
+
+        test = transform_test_function(wave_packet(self.C2, self.S2, mine), rep, self.G)
+        exact = hermite_pairing(
+            (np.eye(n), np.eye(4), np.zeros(4), self.C1, self.S1, other), (D, inv, -inv @ a, self.C2, self.S2, mine)
+        )
+        self._check(pairing(wave_packet(self.C1, self.S1, other), test, self.GRID), exact)
+
+
 def _slice_at_once_pairing(phi, f, grid):
     """The pairing that evaluates each whole axis-0 slice in one call."""
     axes = grid.axes()
@@ -480,7 +534,7 @@ def _slice_at_once_pairing(phi, f, grid):
     total = 0.0 + 0.0j
     for i0, x0 in enumerate(axes[0]):
         pts[..., 0] = x0
-        integrand = fields_module._component_sum(phi.evaluate(pts) * f.evaluate(pts))
+        integrand = np.einsum("...i,...i->...", phi.evaluate(pts), f.evaluate(pts))
         total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
     return complex(total)
 

@@ -245,6 +245,34 @@ class TestLorentzClosedForms:
                 lorentz_log_params(matrix)
 
 
+class TestLargeBoosts:
+    """The metric and determinant bounds scale with max|L|^2, so exact large boosts pass."""
+
+    @pytest.mark.parametrize("rapidity", [5.0, 8.0])
+    def test_exact_boosts_construct_and_round_trip(self, rapidity):
+        rows = np.array([rapidity * np.eye(6)[k] for k in range(3)] + [[rapidity, 0.3, -0.2, 0.4, 0.1, -0.7]])
+        stack = lorentz_exp_stack(rows)
+        assert_allclose(stack[0][:2, :2], boost_block(rapidity), rtol=1e-14)
+        for omega, matrix in zip(rows, stack):
+            assert np.array_equal(lorentz_exp(omega).matrix, matrix)
+            assert np.abs(lorentz_log_params(matrix) - omega).max() <= 1e-11
+
+    def test_a_unit_scale_matrix_off_the_metric_still_raises(self):
+        off = np.eye(4)
+        off[1, 2] = 1e-9
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            LorentzTransform(off)
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            geometry._check_lorentz(np.stack([np.eye(4), off]), geometry.ALGEBRAIC_TOL)
+
+    def test_a_large_boost_off_the_metric_still_raises(self):
+        # rapidity 8: the bound is 1e-12 * 1490^2 = 2.2e-6, the error below about 1.5e-2
+        off = lorentz_exp([8.0, 0, 0, 0, 0, 0]).matrix.copy()
+        off[0, 1] += 1e-5
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            LorentzTransform(off)
+
+
 class TestPoincare:
     def _random_element(self, rng):
         return PoincareElement.from_params(rng.uniform(-0.6, 0.6, 6), rng.uniform(-1, 1, 4))
