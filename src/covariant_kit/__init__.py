@@ -27,7 +27,6 @@ from .geometry import (
 from .representations import (
     FieldRep,
     GammaBasis,
-    dual_rep_matrix,
     homomorphism_check,
     rep_matrix,
     rep_matrix_for_element,

@@ -109,12 +109,8 @@ def _tol(scenario: dict, name: str, default: float) -> float:
 def _build_rep(scenario: dict) -> FieldRep:
     spec = scenario.get("rep", {"variant": "scalar"})
     variant = spec.get("variant", "scalar")
-    if variant == "scalar":
-        return FieldRep.scalar()
-    if variant == "vector":
-        return FieldRep.vector()
-    if variant == "spinor":
-        return FieldRep.spinor()
+    if variant in ("scalar", "vector", "spinor"):
+        return getattr(FieldRep, variant)()
     if variant == "phase":
         return FieldRep.phase(spec.get("q", 1.0), spec.get("e", 1.0))
     raise ValueError(f"unknown representation variant {variant!r}")
@@ -141,14 +137,14 @@ def _build_field(scenario: dict, rep: FieldRep):
 def _build_grid(scenario: dict) -> GridSpec:
     spec = scenario.get("grid", {})
     bounds = spec.get("bounds", [[-8.0, 8.0]] * 4)
-    counts = spec.get("counts", [9] * 4)
+    counts = spec.get("counts", _DEFAULT_COUNTS)
     return GridSpec(tuple(tuple(b) for b in bounds), tuple(counts))
 
 
 def _build_points(scenario: dict) -> np.ndarray:
     spec = scenario.get("grid", {})
     return sample_points(
-        count=spec.get("sample_count", 200),
+        count=spec.get("sample_count", _DEFAULT_SAMPLE_COUNT),
         seed=spec.get("sample_seed", 0),
         box=spec.get("sample_box", 2.0),
     )
@@ -273,7 +269,8 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     back = active_transform(moved, rep, g.inverse())
     round_res = float(np.abs(back.evaluate(pts) - field.evaluate(pts)).max())
 
-    grad_res = gradient_fd_residual(moved, pts[:32])
+    # A step scaled by 1/max|L| spans the same fraction of the moved packet at any boost.
+    grad_res = gradient_fd_residual(moved, pts[:32], 1e-4 / np.abs(g.matrix).max())
 
     twice = passive_transform(passive_transform(field, rep, g), rep, g)
     composed = passive_transform(field, rep, g.compose(g))
@@ -332,7 +329,7 @@ def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
 
 def run_toy(scenario: dict) -> tuple[list, dict]:
     spec = scenario.get("group", {})
-    model = number_operator_model(spec.get("dim", 16), spec.get("q", 1.0), spec.get("e", 1.0))
+    model = number_operator_model(spec.get("dim", _DEFAULT_DIM), spec.get("q", 1.0), spec.get("e", 1.0))
     b = spec.get("b", 0.3)
     report = toy_commutator_check(
         model,
@@ -369,7 +366,7 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         raise ValueError("pairing fields and representation must share one component count")
 
     grid = _build_grid(scenario)
-    doublings = scenario.get("grid", {}).get("doublings", 3)
+    doublings = scenario.get("grid", {}).get("doublings", _DEFAULT_DOUBLINGS)
     if doublings < 1:
         raise ValueError("the pairing check needs grid.doublings >= 1 to measure convergence")
     grids = [grid]
@@ -470,6 +467,12 @@ _MAX_COUNTED_DOUBLINGS = 64
 #: and matrix products at O(dim^3): dim 1024 took about 1 s and 155 MB peak
 #: on a 2-core Xeon, and each doubling costs eight times the time.
 TOY_DIM_BUDGET = 1024
+#: Defaults of the sizes ``_over_budget`` judges and the run allocates: toy
+#: ``group.dim``, ``grid.sample_count``, pairing ``grid.doublings``, ``grid.counts``.
+_DEFAULT_DIM = 16
+_DEFAULT_SAMPLE_COUNT = 200
+_DEFAULT_DOUBLINGS = 3
+_DEFAULT_COUNTS = (9, 9, 9, 9)
 
 
 def _over_budget(scenario: dict) -> str | None:
@@ -477,16 +480,16 @@ def _over_budget(scenario: dict) -> str | None:
 
     Computed from the scenario's numbers alone; nothing is allocated.
     """
-    dim = scenario.get("group", {}).get("dim", 16)
+    dim = scenario.get("group", {}).get("dim", _DEFAULT_DIM)
     if scenario["check"] == "toy" and dim > TOY_DIM_BUDGET:
         return f"scenario exceeds the toy model budget of dimension {TOY_DIM_BUDGET}: group.dim is {dim}"
     spec = scenario.get("grid", {})
-    samples = spec.get("sample_count", 200)
+    samples = spec.get("sample_count", _DEFAULT_SAMPLE_COUNT)
     if samples > POINT_BUDGET:
         return f"scenario exceeds the budget of {POINT_BUDGET} points: grid.sample_count asks for {samples} points"
-    levels = spec.get("doublings", 3) if scenario["check"] == "pairing" else 0
+    levels = spec.get("doublings", _DEFAULT_DOUBLINGS) if scenario["check"] == "pairing" else 0
     counted = min(levels, _MAX_COUNTED_DOUBLINGS)
-    finest = math.prod((k - 1) * 2**counted + 1 for k in spec.get("counts", [9] * 4))
+    finest = math.prod((k - 1) * 2**counted + 1 for k in spec.get("counts", _DEFAULT_COUNTS))
     if finest > POINT_BUDGET:
         more = "more than " if levels > counted else ""
         return f"scenario exceeds the budget of {POINT_BUDGET} points: the finest grid has {more}{Decimal(finest):.4g} points"

@@ -2,9 +2,12 @@
 
 A :class:`ParamFamily` packages an s-parameter family of point maps
 ``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
-field components, with the identity at the base parameters ``b0``.
-Differentiating at ``b0`` yields the infinitesimal data consumed by the
-relation checks in :mod:`covariant_kit.heisenberg`:
+field components, with the identity at the base parameters ``b0``.  A
+family declares only what it cannot derive: ``s`` is the number of its
+parameter labels, ``n`` the size of ``I(b0)``, and the ``T_*`` labels mark
+the pure translations.  Differentiating at ``b0`` yields the
+infinitesimal data consumed by the relation checks in
+:mod:`covariant_kit.heisenberg`:
 
 * ``rep_generators``   dI/db per parameter, an (s, n, n) stack;
 * ``flow_fields``      dH/db per parameter, sampled velocity fields;
@@ -23,13 +26,13 @@ Steps and tolerances are artifact choices, not anything canonical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import PLANES, lorentz_exp, lorentz_generators
-from .representations import FieldRep, rep_matrix, sigma_tensor
+from .geometry import PLANES, lorentz_exp
+from .representations import FieldRep, rep_matrix
 
 __all__ = [
     "FDScheme",
@@ -47,8 +50,8 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-12
-#: Lorentz and spinor matrices a Poincare family keeps.  An order-4 stencil
-#: over all ten parameters visits 25 distinct plane-parameter points.
+#: Lorentz and representation matrices a Poincare family keeps.  An order-4
+#: stencil over all ten parameters visits 25 distinct plane-parameter points.
 _MEMO_SIZE = 64
 _IDENTITY_TOL = 1e-12
 #: Sample used to validate the identity-at-b0 family invariant.
@@ -88,21 +91,20 @@ class ParamFamily:
 
     ``point_map(b, points)`` maps points (..., 4) -> (..., 4) and must be
     the identity at ``b0``; ``rep_map(b)`` returns the (n, n) matrix and
-    must be the identity at ``b0``.  Optional extras:
+    must be the identity at ``b0``.  The parameter count ``s`` is derived
+    as the number of ``labels`` (which must match ``b0``), and the
+    component count ``n`` is read off ``rep_map(b0)``.  Labels ``T_*`` name
+    the pure translations.  Optional extras:
 
     * ``linear_part(b)``: 4x4 matrix when H(b) is affine, enabling the
       analytic inner Jacobian in ``volume_rates``;
     * ``rep_derivative``: analytic (s, n, n) derivative stack at b0;
     * ``point_derivative(points)``: analytic (s, ..., 4) velocity fields;
-    * ``translation_params``: indices of parameters that only translate
-      (their rep derivatives vanish for translation-invariant families);
     * ``identity_point_map``: True when H(b) is the identity for every b
       (internal / frame-only families).
     """
 
-    s: int
     b0: np.ndarray
-    n: int
     point_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
@@ -110,19 +112,23 @@ class ParamFamily:
     rep_derivative: np.ndarray | None = None
     point_derivative: Callable[[np.ndarray], np.ndarray] | None = None
     identity_point_map: bool = False
-    translation_params: tuple[int, ...] = ()
+    n: int = field(init=False)
+
+    @property
+    def s(self) -> int:
+        return len(self.labels)
 
     def __post_init__(self):
         b0 = np.asarray(self.b0, dtype=float).copy()
         if b0.shape != (self.s,):
-            raise ValueError(f"b0 must have shape ({self.s},), got {b0.shape}")
+            raise ValueError(f"b0 must have one entry per label, shape ({self.s},), got {b0.shape}")
         b0.setflags(write=False)
         object.__setattr__(self, "b0", b0)
-        if len(self.labels) != self.s:
-            raise ValueError("one label per parameter is required")
         ident = np.asarray(self.rep_map(b0), dtype=complex)
-        if ident.shape != (self.n, self.n) or np.abs(ident - np.eye(self.n)).max() > _IDENTITY_TOL:
+        n = ident.shape[0] if ident.ndim == 2 else -1
+        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > _IDENTITY_TOL:
             raise ValueError("rep_map(b0) is not the identity matrix")
+        object.__setattr__(self, "n", n)
         moved = np.asarray(self.point_map(b0, _PROBE_POINTS), dtype=float)
         if np.abs(moved - _PROBE_POINTS).max() > _IDENTITY_TOL:
             raise ValueError("point_map(b0, .) is not the identity map")
@@ -193,13 +199,6 @@ class GeneratorCoefficients:
     rep_derivs: np.ndarray  # (s, n, n)
     flow: np.ndarray  # (s, npts, 4)
     volume: np.ndarray  # (s, npts)
-    translation_params: tuple[int, ...] = ()
-
-    @property
-    def translation_coeffs(self) -> np.ndarray:
-        """Rep derivatives along pure-translation parameters (zero for
-        translation-invariant families)."""
-        return self.rep_derivs[list(self.translation_params)]
 
 
 def extract_all(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> GeneratorCoefficients:
@@ -209,7 +208,6 @@ def extract_all(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> Ge
         rep_derivs=rep_generators(family, scheme),
         flow=flow_fields(family, scheme, points),
         volume=volume_rates(family, scheme, points),
-        translation_params=family.translation_params,
     )
 
 
@@ -239,26 +237,16 @@ _POINCARE_LABELS = ("S_01", "S_02", "S_03", "S_12", "S_13", "S_23", "T_0", "T_1"
 def analytic_rep_derivatives(rep: FieldRep) -> np.ndarray:
     """Closed-form derivative stack for the shipped representations.
 
-    Matches the parameter layout of the corresponding family constructor:
-    ten rows (six planes, then four translations) for scalar/vector/spinor,
-    one row for phase.  Attach to a family (``dataclasses.replace``) to
-    check extracted data against known values instead of re-differencing.
+    ``rep.generators`` in the parameter layout of the corresponding family
+    constructor: ten rows (six planes, then four translations, which never
+    move the matrix) for scalar/vector/spinor, one row for phase.  Attach
+    to a family (``dataclasses.replace``) to check extracted data against
+    known values instead of re-differencing.
     """
-    if rep.kind == "scalar":
-        return np.zeros((10, 1, 1), dtype=complex)
-    if rep.kind == "vector":
-        out = np.zeros((10, 4, 4), dtype=complex)
-        out[:6] = lorentz_generators()
-        return out
-    if rep.kind == "spinor":
-        sig = sigma_tensor(rep.gamma)
-        out = np.zeros((10, 4, 4), dtype=complex)
-        for w, (a, b) in enumerate(PLANES):
-            out[w] = -0.5j * sig[a, b]
-        return out
-    if rep.kind == "phase":
-        return np.array([[[-rep.charge / (1j * rep.unit_charge)]]], dtype=complex)
-    raise ValueError("no closed-form derivatives for custom representations")
+    if rep.generators is None:
+        raise ValueError(f"no closed-form derivatives for {rep.kind} representations")
+    translations = 4 if rep.nparams == len(PLANES) else 0
+    return np.concatenate([rep.generators, np.zeros((translations, rep.n, rep.n))])
 
 
 def poincare_family(rep: FieldRep) -> ParamFamily:
@@ -274,7 +262,7 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     # safe to call concurrently.
     memo = functools.lru_cache(maxsize=_MEMO_SIZE)
     lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)).matrix)
-    spin = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
+    matrix = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
     key_of = lambda b: np.asarray(b[:6], dtype=float).tobytes()
 
     def linear_part(b):
@@ -286,19 +274,14 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     def rep_map(b):
         if rep.kind == "vector":
             return linear_part(b).astype(complex)
-        if rep.kind == "spinor":
-            return spin(key_of(b)).copy()
-        return rep_matrix(rep, b[:6])
+        return matrix(key_of(b)).copy()
 
     return ParamFamily(
-        s=10,
         b0=np.zeros(10),
-        n=rep.n,
         point_map=point_map,
         rep_map=rep_map,
         labels=_POINCARE_LABELS,
         linear_part=linear_part,
-        translation_params=(6, 7, 8, 9),
     )
 
 
@@ -316,7 +299,7 @@ def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
     # rep_map stays the Poincare family's, with its own memoised Lorentz
-    # (and spinor) matrices; only the point map becomes the identity.
+    # and representation matrices; only the point map becomes the identity.
     return replace(
         poincare_family(rep), point_map=_fixed_points, linear_part=_unit_linear, identity_point_map=True
     )
@@ -325,25 +308,16 @@ def poincare_frame_family(rep: FieldRep) -> ParamFamily:
 def internal_family(rep: FieldRep) -> ParamFamily:
     """Family for internal transformations: spacetime points stay put.
 
-    Phase representations give the one-parameter charge family; custom
-    representations supply their own parameter count.
+    Phase representations give the one-parameter charge family ``Q``;
+    custom representations supply their own parameter count.
     """
-    if rep.kind == "phase":
-        s = 1
-        labels = ("Q",)
-        rep_map = lambda b: rep_matrix(rep, b[0])
-    elif rep.kind == "custom":
-        s = rep.nparams
-        labels = tuple(f"Q_{i + 1}" for i in range(s))
-        rep_map = lambda b: rep_matrix(rep, b)
-    else:
+    if rep.kind not in ("phase", "custom"):
         raise ValueError("internal_family needs a phase or custom representation")
+    labels = ("Q",) if rep.kind == "phase" else tuple(f"Q_{i + 1}" for i in range(rep.nparams))
     return ParamFamily(
-        s=s,
-        b0=np.zeros(s),
-        n=rep.n,
+        b0=np.zeros(rep.nparams),
         point_map=_fixed_points,
-        rep_map=rep_map,
+        rep_map=lambda b: rep_matrix(rep, b),
         labels=labels,
         linear_part=_unit_linear,
         identity_point_map=True,

@@ -26,7 +26,6 @@ __all__ = [
     "ETA",
     "PLANES",
     "ALGEBRAIC_TOL",
-    "GROUP_LAW_TOL",
     "minkowski_metric",
     "plane_generator",
     "lorentz_generators",
@@ -43,10 +42,9 @@ __all__ = [
     "transition_jacobian",
 ]
 
-# Default tolerances: ~100x the double-precision rounding floor for plain
-# algebraic identities, one order looser for composed group laws.
+# Default tolerance: ~100x the double-precision rounding floor for plain
+# algebraic identities.
 ALGEBRAIC_TOL = 1e-12
-GROUP_LAW_TOL = 1e-10
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA.setflags(write=False)

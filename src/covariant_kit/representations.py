@@ -26,14 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_log_params
+from .geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_generators, lorentz_log_params
 
 __all__ = [
     "GammaBasis",
     "sigma_tensor",
     "FieldRep",
     "rep_matrix",
-    "dual_rep_matrix",
     "homomorphism_check",
     "rep_matrix_for_element",
 ]
@@ -123,42 +122,58 @@ def sigma_tensor(gamma: GammaBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldRep:
-    """A rule mapping group parameters to an n x n component matrix."""
+    """A representation: ``rule(params)`` is the (n, n) complex component matrix.
+
+    Fields: ``kind`` (scalar, vector, spinor, phase or custom); ``n``
+    components; ``nparams``, the length of the parameter vector ``rule``
+    takes (6 planes for the spacetime kinds, 1 for phase); ``rule``, the
+    identity at zero; ``generators``, its closed-form derivative at zero as
+    a read-only (nparams, n, n) stack, None for custom; ``gamma``, the
+    spinor's gamma basis, else None.  Each constructor builds these once.
+    """
 
     kind: str
     n: int
+    nparams: int
+    rule: Callable[[np.ndarray], np.ndarray]
+    generators: np.ndarray | None = None
     gamma: GammaBasis | None = None
-    charge: float | None = None
-    unit_charge: float | None = None
-    rule: Callable[[np.ndarray], np.ndarray] | None = None
-    nparams: int = 6
+
+    def __post_init__(self):
+        if self.generators is not None:
+            gens = np.array(self.generators, dtype=complex)
+            gens.setflags(write=False)
+            object.__setattr__(self, "generators", gens)
 
     @classmethod
     def scalar(cls) -> "FieldRep":
-        return cls("scalar", 1)
+        return cls("scalar", 1, 6, lambda p: np.eye(1, dtype=complex), np.zeros((6, 1, 1)))
 
     @classmethod
     def vector(cls) -> "FieldRep":
-        return cls("vector", 4)
+        return cls("vector", 4, 6, lambda p: lorentz_exp(p).matrix.astype(complex), lorentz_generators())
 
     @classmethod
     def spinor(cls, gamma: GammaBasis | None = None) -> "FieldRep":
-        return cls("spinor", 4, gamma=gamma if gamma is not None else GammaBasis.standard())
+        gamma = gamma if gamma is not None else GammaBasis.standard()
+        gens = (-0.5j * gamma.plane_sigma).reshape(6, 4, 4)
+        return cls("spinor", 4, 6, lambda p: _spinor_exp(gamma, p), gens, gamma)
 
     @classmethod
     def phase(cls, q: float, e: float) -> "FieldRep":
         if e == 0:
             raise ValueError("unit charge must be nonzero")
-        return cls("phase", 1, charge=float(q), unit_charge=float(e), nparams=1)
+        q, e = float(q), float(e)
+        rule = lambda p: np.array([[np.exp(-(q / (1j * e)) * float(p[0]))]], dtype=complex)
+        return cls("phase", 1, 1, rule, np.array([[[-q / (1j * e)]]]))
 
     @classmethod
     def custom(cls, rule: Callable[[np.ndarray], np.ndarray], n: int, nparams: int) -> "FieldRep":
         """Wrap a user rule params -> n x n matrix; must be identity at zero."""
-        rep = cls("custom", n, rule=rule, nparams=nparams)
         ident = np.asarray(rule(np.zeros(nparams)), dtype=complex)
         if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > 1e-12:
             raise ValueError("custom rule does not evaluate to the identity at zero parameters")
-        return rep
+        return cls("custom", n, nparams, rule)
 
 
 def _cosh_sinhc(z: complex) -> tuple[complex, complex]:
@@ -187,36 +202,15 @@ def _spinor_exp(gamma: GammaBasis, omega: np.ndarray) -> np.ndarray:
 def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
     """Evaluate the representation matrix at the given group parameters.
 
-    Scalar/vector/spinor take the 6-vector of rotation/boost parameters;
-    phase takes a single real parameter; custom takes whatever its rule
-    declares.  Always the identity at zero parameters.
+    The parameters must be finite and number ``rep.nparams`` (a phase
+    takes a bare float too).  Always the identity at zero parameters.
     """
     p = np.atleast_1d(np.asarray(params, dtype=float))
     if not np.isfinite(p).all():
         raise ValueError("representation parameters must be finite")
-    if rep.kind == "scalar":
-        return np.eye(1, dtype=complex)
-    if rep.kind in ("vector", "spinor") and p.shape != (6,):
-        raise ValueError(f"{rep.kind} representation expects 6 parameters, got shape {p.shape}")
-    if rep.kind == "vector":
-        return lorentz_exp(p).matrix.astype(complex)
-    if rep.kind == "spinor":
-        return _spinor_exp(rep.gamma, p)
-    if rep.kind == "phase":
-        if p.size != 1:
-            raise ValueError("phase representation expects a single parameter")
-        b = float(p[0])
-        return np.array([[np.exp(-(rep.charge / (1j * rep.unit_charge)) * b)]], dtype=complex)
-    if rep.kind == "custom":
-        if p.shape != (rep.nparams,):
-            raise ValueError(f"custom representation expects {rep.nparams} parameters, got shape {p.shape}")
-        return np.asarray(rep.rule(p), dtype=complex)
-    raise ValueError(f"unknown representation kind {rep.kind!r}")
-
-
-def dual_rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
-    """Transpose of ``rep_matrix``; the matrix acting on dual components."""
-    return rep_matrix(rep, params).T
+    if p.shape != (rep.nparams,):
+        raise ValueError(f"{rep.kind} representation expects {rep.nparams} parameters, got shape {p.shape}")
+    return np.asarray(rep.rule(p), dtype=complex)
 
 
 def homomorphism_check(
@@ -267,8 +261,5 @@ def rep_matrix_for_element(rep: FieldRep, g: PoincareElement | AffineMap) -> np.
     if affine:
         raise ValueError(f"{rep.kind!r} representation is undefined for general affine point maps")
     if rep.kind == "spinor":
-        params = g.params
-        if params is None:
-            params = lorentz_log_params(g.matrix)
-        return rep_matrix(rep, params)
+        return rep_matrix(rep, g.params if g.params is not None else lorentz_log_params(g.matrix))
     raise ValueError(f"representation kind {rep.kind!r} is not a spacetime representation")

@@ -10,9 +10,7 @@ from covariant_kit.generators import ParamFamily
 def dilation_family(with_linear_part=True):
     """H(b) = exp(b) r; trivial one-component matrix."""
     return ParamFamily(
-        s=1,
         b0=np.zeros(1),
-        n=1,
         point_map=lambda b, pts: math.exp(b[0]) * np.asarray(pts, dtype=float),
         rep_map=lambda b: np.eye(1, dtype=complex),
         labels=("D",),

@@ -493,19 +493,67 @@ class TestExitContractHoles:
         assert not list(tmp_path.iterdir())
 
 
+class TestBudgetDefaults:
+    """``_over_budget`` judges the sizes a run allocates when the scenario omits them."""
+
+    SPELLED = {"group": {"dim": 16}, "grid": {"sample_count": 200, "doublings": 3, "counts": [9] * 4}}
+
+    def _omitted_and_spelled(self, scenario):
+        omitted = json.loads(json.dumps(scenario))
+        spelled = json.loads(json.dumps(scenario))
+        for section, defaults in self.SPELLED.items():
+            for key, value in defaults.items():
+                omitted.get(section, {}).pop(key, None)
+                spelled.setdefault(section, {})[key] = value
+        return omitted, spelled
+
+    def test_builders_allocate_the_spelled_defaults(self):
+        assert cli._build_points({}).shape == (self.SPELLED["grid"]["sample_count"], 4)
+        assert list(cli._build_grid({}).counts) == self.SPELLED["grid"]["counts"]
+
+    def test_corpus_verdicts_agree(self):
+        for f in SCENARIOS.glob("*.json"):
+            try:
+                scenario = load(f)
+            except json.JSONDecodeError:
+                continue  # the deliberately malformed file
+            if "check" in scenario:
+                omitted, spelled = self._omitted_and_spelled(scenario)
+                assert cli._over_budget(omitted) == cli._over_budget(spelled), f.name
+
+    @pytest.mark.parametrize("doublings, verdict", [(4, None), (5, "the finest grid has 4.362e+9 points")])
+    def test_pairing_doublings_at_the_budget(self, doublings, verdict):
+        omitted, spelled = self._omitted_and_spelled(load(SCENARIOS / "pairing_invariance.json"))
+        omitted["grid"]["doublings"] = spelled["grid"]["doublings"] = doublings
+        got = cli._over_budget(omitted)
+        assert got == cli._over_budget(spelled)
+        assert got is None if verdict is None else got.endswith(verdict)
+
+    def test_pairing_with_default_counts_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", _must_not_run)
+        omitted, _ = self._omitted_and_spelled(load(SCENARIOS / "pairing_invariance.json"))
+        Path("scenario.json").write_text(json.dumps(omitted))
+        assert run_cli(["run", "scenario.json", "--override", "grid.doublings=5"]) == 2
+        assert "4.362e+9 points" in capsys.readouterr().err
+
+
 class TestLargeBoostScenario:
     def test_transform_at_rapidity_five_runs(self, capsys, tmp_path, monkeypatch):
-        # An exact boost with cosh 5 = 74 used to fail the absolute metric check and exit 2.
+        # An exact boost with cosh 5 = 74 used to fail the absolute metric check
+        # and exit 2; with a fixed gradient step it then failed gradient_chain_rule
+        # on truncation (6.0e-5 against 1e-6).
         monkeypatch.chdir(tmp_path)
         scenario = load(SCENARIOS / "transform_vector_boost.json")
         scenario["group"]["omega"][0] = 5.0
         scenario["output"] = {"report": "r.json", "dump_fields": False}
         Path("scenario.json").write_text(json.dumps(scenario))
-        assert run_cli(["run", "scenario.json", "--out", "r.json"]) in (0, 1)
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 0
         assert "could not be executed" not in capsys.readouterr().err
         report = load(tmp_path / "r.json")
         validate(report, REPORT_SCHEMA)
-        assert {r["name"]: r["passed"] for r in report["results"]}["active_roundtrip"] is True
+        passed = {r["name"]: r["passed"] for r in report["results"]}
+        assert passed["active_roundtrip"] is True and passed["gradient_chain_rule"] is True
 
 
 class TestRepCheckInputs:

@@ -55,9 +55,7 @@ class TestFamilyValidation:
     def test_rep_identity_enforced(self):
         with pytest.raises(ValueError):
             ParamFamily(
-                s=1,
                 b0=np.zeros(1),
-                n=1,
                 point_map=lambda b, pts: np.asarray(pts, dtype=float),
                 rep_map=lambda b: 2.0 * np.eye(1, dtype=complex),
                 labels=("X",),
@@ -66,22 +64,39 @@ class TestFamilyValidation:
     def test_point_identity_enforced(self):
         with pytest.raises(ValueError):
             ParamFamily(
-                s=1,
                 b0=np.zeros(1),
-                n=1,
                 point_map=lambda b, pts: np.asarray(pts, dtype=float) + 1.0,
                 rep_map=lambda b: np.eye(1, dtype=complex),
                 labels=("X",),
             )
 
     def test_label_count_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one entry per label"):
             ParamFamily(
-                s=2,
                 b0=np.zeros(2),
-                n=1,
                 point_map=lambda b, pts: np.asarray(pts, dtype=float),
                 rep_map=lambda b: np.eye(1, dtype=complex),
+                labels=("X",),
+            )
+
+    def test_s_and_n_are_derived(self):
+        fam = ParamFamily(
+            b0=np.zeros(2),
+            point_map=lambda b, pts: np.asarray(pts, dtype=float),
+            rep_map=lambda b: np.eye(3, dtype=complex),
+            labels=("X", "Y"),
+        )
+        assert (fam.s, fam.n) == (2, 3)
+        assert dataclasses.replace(fam, rep_map=lambda b: np.eye(2, dtype=complex)).n == 2
+        with pytest.raises(TypeError):
+            ParamFamily(s=2, **{f: getattr(fam, f) for f in ("b0", "point_map", "rep_map", "labels")})
+
+    def test_non_square_rep_map_rejected(self):
+        with pytest.raises(ValueError, match="not the identity"):
+            ParamFamily(
+                b0=np.zeros(1),
+                point_map=lambda b, pts: np.asarray(pts, dtype=float),
+                rep_map=lambda b: np.ones(3, dtype=complex),
                 labels=("X",),
             )
 
@@ -146,9 +161,7 @@ class TestVolumeRates:
 
     def test_anisotropic_scaling_rate(self):
         fam = ParamFamily(
-            s=1,
             b0=np.zeros(1),
-            n=1,
             point_map=lambda b, pts: np.asarray(pts, dtype=float) * np.array([math.exp(b[0]), 1, 1, 1]),
             rep_map=lambda b: np.eye(1, dtype=complex),
             labels=("A",),
@@ -225,7 +238,9 @@ class TestExtractAll:
         assert coeffs.rep_derivs.shape == (10, 4, 4)
         assert coeffs.flow.shape == (10,) + POINTS.shape
         assert coeffs.volume.shape == (10,) + POINTS.shape[:-1]
-        assert np.abs(coeffs.translation_coeffs).max() == 0.0
+        translations = [w for w, label in enumerate(coeffs.labels) if label.startswith("T_")]
+        assert translations == [6, 7, 8, 9]
+        assert np.abs(coeffs.rep_derivs[translations]).max() == 0.0
         assert coeffs.labels[0] == "S_01" and coeffs.labels[6] == "T_0"
 
 
@@ -323,7 +338,7 @@ class TestPoincareFamilyGeometry:
             assert np.array_equal(moved, POINTS) and moved is not POINTS
             assert np.array_equal(fam.linear_part(b), np.eye(4))
         assert fam.identity_point_map and fam.labels == poincare_family(rep).labels
-        assert fam.translation_params == (6, 7, 8, 9)
+        assert (fam.s, fam.n) == (10, rep.n)
 
 
 def _param_sequence():

@@ -1,0 +1,74 @@
+"""Property tests of the representation records over random group parameters.
+
+Strategies are written by hand; ``derandomize=True`` makes every run draw
+the same examples, so the suite stays deterministic.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covariant_kit.fields import active_transform, wave_packet
+from covariant_kit.geometry import PoincareElement
+from covariant_kit.representations import FieldRep, homomorphism_check, rep_matrix
+
+REPS = {
+    "scalar": FieldRep.scalar(),
+    "vector": FieldRep.vector(),
+    "spinor": FieldRep.spinor(),
+    "phase": FieldRep.phase(1.5, 0.7),
+}
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
+POINTS = np.random.default_rng(31).uniform(-2.0, 2.0, (16, 4))
+
+
+def _vectors(size, bound):
+    return st.lists(st.floats(-bound, bound), min_size=size, max_size=size).map(np.array)
+
+
+@pytest.mark.parametrize("variant", REPS)
+def test_generators_are_the_derivative_at_zero(variant):
+    rep = REPS[variant]
+    assert rep.generators.shape == (rep.nparams, rep.n, rep.n)
+    assert not rep.generators.flags.writeable
+    h = 1e-3
+    for w in range(rep.nparams):
+        f = lambda t: rep_matrix(rep, t * np.eye(rep.nparams)[w])
+        fd = (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12 * h)
+        assert np.abs(fd - rep.generators[w]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("variant", REPS)
+@PROPERTY
+@given(data=st.data())
+def test_homomorphism_up_to_the_spinor_sign(variant, data):
+    rep = REPS[variant]
+    p1, p2 = (data.draw(_vectors(rep.nparams, 0.4)) for _ in range(2))
+    res, sign = homomorphism_check(rep, p1, p2)
+    assert res <= 1e-9
+    assert sign == 1 or variant == "spinor"
+
+
+@pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
+@PROPERTY
+@given(omega=_vectors(6, 0.8), a=_vectors(4, 1.0), center=_vectors(4, 0.5), amps=_vectors(8, 2.0))
+def test_active_round_trip(variant, omega, a, center, amps):
+    rep = REPS[variant]
+    phi = wave_packet(center, 1.3, list(amps[: rep.n] + 1j * amps[4 : 4 + rep.n]))
+    g = PoincareElement.from_params(omega, a)
+    back = active_transform(active_transform(phi, rep, g), rep, g.inverse())
+    assert np.abs(back.evaluate(POINTS) - phi.evaluate(POINTS)).max() <= 1e-10
+
+
+@PROPERTY
+@given(b=_vectors(1, 3.0), amp=_vectors(2, 2.0))
+def test_phase_round_trip(b, amp):
+    # active_transform is a spacetime law; a phase acts as I(b) on the components.
+    rep = REPS["phase"]
+    phi = wave_packet(np.zeros(4), 1.3, [amp[0] + 1j * amp[1]])
+    with pytest.raises(ValueError):
+        active_transform(phi, rep, PoincareElement.identity())
+    vals = phi.evaluate(POINTS)
+    back = vals @ (rep_matrix(rep, -b) @ rep_matrix(rep, b)).T
+    assert np.abs(back - vals).max() <= 1e-10

@@ -8,7 +8,6 @@ from covariant_kit.geometry import ETA, PLANES, AffineMap, LorentzTransform, Poi
 from covariant_kit.representations import (
     FieldRep,
     GammaBasis,
-    dual_rep_matrix,
     homomorphism_check,
     rep_matrix,
     rep_matrix_for_element,
@@ -164,23 +163,6 @@ class TestRepMatrix:
     def test_phase_needs_nonzero_unit(self):
         with pytest.raises(ValueError):
             FieldRep.phase(q=1.0, e=0.0)
-
-
-class TestDualRep:
-    def test_scalar(self):
-        assert np.array_equal(dual_rep_matrix(FieldRep.scalar(), np.zeros(6)), np.eye(1))
-
-    def test_vector_boost_symmetric(self):
-        omega = np.array([0.5, 0, 0, 0, 0, 0])
-        direct = rep_matrix(FieldRep.vector(), omega)
-        dual = dual_rep_matrix(FieldRep.vector(), omega)
-        assert np.array_equal(dual, direct.T)
-        assert np.abs(dual - direct).max() <= 1e-13  # pure boost is symmetric
-
-    def test_double_transpose_exact(self):
-        omega = np.array([0, 0, 0, math.pi / 2, 0, 0])
-        rep = FieldRep.spinor()
-        assert np.array_equal(dual_rep_matrix(rep, omega).T, rep_matrix(rep, omega))
 
 
 class TestHomomorphism:
