@@ -9,14 +9,11 @@ transport term is absent.
 Run:  python demos/05_heisenberg_relations.py
 """
 
-import dataclasses
-
 import numpy as np
 
 from covariant_kit import (
     FDScheme,
     FieldRep,
-    analytic_rep_derivatives,
     frame_independence_check,
     internal_family,
     poincare_family,
@@ -52,8 +49,7 @@ print()
 print("=" * 70)
 print("Internal phase family: the charge coefficient appears")
 print("=" * 70)
-rep = FieldRep.phase(1.0, 1.0)
-family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
+family = internal_family(FieldRep.phase(1.0, 1.0))  # carries the closed-form coefficient
 report = verify_local_relation(wave_packet([0, 0, 0, 0], 1.0, 1), family, scheme, points, tolerance=1e-8)
 print(f"differenced law vs -(q/(i e)) phi: sup residual {report.sup_residuals.max():.2e}")
 print(f"correspondence metadata: {report.metadata['correspondence']}")
@@ -63,7 +59,7 @@ print("=" * 70)
 print("Frame-only (pointwise) relations: no transport term")
 print("=" * 70)
 rep = FieldRep.vector()
-frame_fam = dataclasses.replace(poincare_frame_family(rep), rep_derivative=analytic_rep_derivatives(rep))
+frame_fam = poincare_frame_family(rep)
 field = wave_packet([0.1, 0.0, -0.2, 0.0], 1.0, 4)
 report = verify_bundle_relation(field, frame_fam, scheme, points)
 for label, sup in zip(report.labels, report.sup_residuals):

@@ -268,8 +268,8 @@ def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap
     return FieldFunction(field.n, evaluate, gradient)
 
 
-def passive_transform(field: FieldFunction, rep: FieldRep, g: PoincareElement) -> FieldFunction:
-    """Component relabeling phi'(x) = D phi(L^-1 (x - a))."""
+def passive_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
+    """Component relabeling phi'(x) = D phi(L^-1 (x - a)), for ``g`` as in ``active_transform``."""
     return transform_test_function(field, rep, g)
 
 
@@ -283,10 +283,11 @@ def active_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
     return _composed_field(field, mat.T, mapping, jac)
 
 
-def transform_test_function(field: FieldFunction, rep: FieldRep, g: PoincareElement) -> FieldFunction:
-    """Test-function law f'(x) = D f(L^-1 (x - a))."""
-    mat, _, _ = _spacetime_matrix(rep, g, field)
-    return _composed_field(field, mat, g.inverse().point_map(), 1.0)
+def transform_test_function(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
+    """Test-function law f'(x) = D f(L^-1 (x - a)), for ``g`` as in ``active_transform``."""
+    mat, mapping, _ = _spacetime_matrix(rep, g, field)
+    pullback = g.inverse().point_map() if isinstance(g, PoincareElement) else mapping.inverse()
+    return _composed_field(field, mat, pullback, 1.0)
 
 
 def frame_change_components(field: FieldFunction, change: FrameChange) -> FieldFunction:

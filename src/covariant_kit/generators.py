@@ -16,7 +16,7 @@ infinitesimal data consumed by the relation checks in
 Derivatives are central differences (order 2 or 4) unless a family
 carries analytic ones.  Every numerical derivative in the package goes
 through one stencil, :func:`_central_diff`: along a group parameter at the
-scheme's steps, and along a point coordinate at fixed inner steps (1e-5
+scheme's step, and along a point coordinate at fixed inner steps (1e-5
 for the point-map Jacobian in ``volume_rates``, 1e-6 for the derivative of
 a :class:`~covariant_kit.fields.FrameChange`).  :func:`_param_diffs` is the
 one loop over group parameters.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,23 +66,20 @@ _PROBE_POINTS = np.array(
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central-difference scheme: positive step(s) and order 2 or 4."""
+    """Central-difference scheme: one float step (at least 1e-12) for every parameter, order 2 or 4."""
 
-    step: float | Sequence[float] = 1e-4
+    step: float = 1e-4
     order: int = 2
 
     def __post_init__(self):
-        steps = np.atleast_1d(np.asarray(self.step, dtype=float))
-        if not np.all(np.isfinite(steps)) or np.any(steps <= 0):
+        step = float(self.step)
+        if not np.isfinite(step) or step <= 0:
             raise ValueError("finite-difference steps must be positive and finite")
         if self.order not in (2, 4):
             raise ValueError(f"unsupported difference order {self.order}; use 2 or 4")
-
-    def steps(self, s: int) -> np.ndarray:
-        steps = np.broadcast_to(np.atleast_1d(np.asarray(self.step, dtype=float)), (s,)).copy()
-        if np.any(steps < _MIN_STEP):
+        if step < _MIN_STEP:
             raise ValueError(f"finite-difference step underflow (< {_MIN_STEP:g})")
-        return steps
+        object.__setattr__(self, "step", step)
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ class ParamFamily:
 
     * ``linear_part(b)``: 4x4 matrix when H(b) is affine, enabling the
       analytic inner Jacobian in ``volume_rates``;
-    * ``rep_derivative``: analytic (s, n, n) derivative stack at b0;
-    * ``point_derivative(points)``: analytic (s, ..., 4) velocity fields;
+    * ``rep_derivative``: closed-form (s, n, n) derivative stack at b0, which
+      ``rep_generators`` returns; the frame-only and internal families set it;
     * ``identity_point_map``: True when H(b) is the identity for every b
       (internal / frame-only families).
     """
@@ -110,7 +107,6 @@ class ParamFamily:
     labels: tuple[str, ...]
     linear_part: Callable[[np.ndarray], np.ndarray] | None = None
     rep_derivative: np.ndarray | None = None
-    point_derivative: Callable[[np.ndarray], np.ndarray] | None = None
     identity_point_map: bool = False
     n: int = field(init=False)
 
@@ -151,9 +147,8 @@ def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: 
 
 
 def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDScheme):
-    """Central differences of f along each parameter of b0 at the scheme's steps, lazily."""
-    steps = scheme.steps(b0.shape[0])
-    return (_central_diff(f, b0, w, h, scheme.order) for w, h in enumerate(steps))
+    """Central differences of f along each parameter of b0 at the scheme's step, lazily."""
+    return (_central_diff(f, b0, w, scheme.step, scheme.order) for w in range(b0.shape[0]))
 
 
 def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
@@ -169,8 +164,6 @@ def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np
     pts = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample points must be finite")
-    if family.point_derivative is not None:
-        return np.asarray(family.point_derivative(pts), dtype=float).copy()
     f = lambda b: np.asarray(family.point_map(b, pts), dtype=float)
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
@@ -239,9 +232,9 @@ def analytic_rep_derivatives(rep: FieldRep) -> np.ndarray:
 
     ``rep.generators`` in the parameter layout of the corresponding family
     constructor: ten rows (six planes, then four translations, which never
-    move the matrix) for scalar/vector/spinor, one row for phase.  Attach
-    to a family (``dataclasses.replace``) to check extracted data against
-    known values instead of re-differencing.
+    move the matrix) for scalar/vector/spinor, one row for phase.  The
+    frame-only and internal families carry this table as their
+    ``rep_derivative``.
     """
     if rep.generators is None:
         raise ValueError(f"no closed-form derivatives for {rep.kind} representations")
@@ -295,13 +288,17 @@ def _unit_linear(b):
 
 def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     """Frame-only twin of :func:`poincare_family`: the matrices change,
-    the points never move."""
+    the points never move, and the derivative is the closed form."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
     # rep_map stays the Poincare family's, with its own memoised Lorentz
     # and representation matrices; only the point map becomes the identity.
     return replace(
-        poincare_family(rep), point_map=_fixed_points, linear_part=_unit_linear, identity_point_map=True
+        poincare_family(rep),
+        point_map=_fixed_points,
+        linear_part=_unit_linear,
+        rep_derivative=analytic_rep_derivatives(rep),
+        identity_point_map=True,
     )
 
 
@@ -309,7 +306,7 @@ def internal_family(rep: FieldRep) -> ParamFamily:
     """Family for internal transformations: spacetime points stay put.
 
     Phase representations give the one-parameter charge family ``Q``;
-    custom representations supply their own parameter count.
+    custom representations supply their own parameter count and no closed form.
     """
     if rep.kind not in ("phase", "custom"):
         raise ValueError("internal_family needs a phase or custom representation")
@@ -320,5 +317,6 @@ def internal_family(rep: FieldRep) -> ParamFamily:
         rep_map=lambda b: rep_matrix(rep, b),
         labels=labels,
         linear_part=_unit_linear,
+        rep_derivative=None if rep.generators is None else analytic_rep_derivatives(rep),
         identity_point_map=True,
     )

@@ -30,7 +30,6 @@ from .generators import (
     ParamFamily,
     _inner_jacobian_det,
     _param_diffs,
-    flow_fields,
     rep_generators,
 )
 
@@ -179,7 +178,6 @@ def _local_residuals(
     gen = rep_generators(family, scheme)
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample points must be finite")
-    analytic_flows = None if family.point_derivative is None else flow_fields(family, scheme, pts)
 
     def global_map(b):
         jac = _inner_jacobian_det(family, b, pts)
@@ -190,8 +188,6 @@ def _local_residuals(
 
     def residuals():
         for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
-            if analytic_flows is not None:
-                flow = analytic_flows[w]
             yield lhs - (
                 rate[..., None] * phi
                 + np.einsum("ij,pj->pi", gen[w], phi)
@@ -247,12 +243,16 @@ def verify_bundle_relation(
 ) -> RelationReport:
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
-    There is no transport term; for translation-like parameters the whole
+    ``I'`` is the family's closed-form ``rep_derivative``; differencing both
+    sides would read 0 = 0, so a family without one raises.  There is no
+    transport term; for translation-like parameters the whole
     derivative is the residual and it vanishes identically, so those
     entries come out exactly zero.
     """
     if not family.identity_point_map:
         raise ValueError("bundle relations need an identity point map; use verify_local_relation instead")
+    if family.rep_derivative is None:
+        raise ValueError("bundle relations need the family's closed-form rep_derivative")
     phi = _sampled(field, family, points)[1]
     gen = rep_generators(family, scheme)
     rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)

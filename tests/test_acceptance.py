@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -18,7 +17,6 @@ from covariant_kit.cli import main as cli_main
 from covariant_kit.fields import GridSpec, active_transform, pairing, transform_test_function, wave_packet
 from covariant_kit.generators import (
     FDScheme,
-    analytic_rep_derivatives,
     det_trace_residual,
     internal_family,
     poincare_family,
@@ -121,9 +119,8 @@ def test_criterion_04_local_heisenberg_relations():
 
     # infinitesimal form of the exponentiated phase law
     rep = FieldRep.phase(1.0, 1.0)
-    family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
     phase_report = verify_local_relation(
-        wave_packet([0, 0, 0, 0], 1.0, 1), family, FDScheme(1e-4, order=2), points, tolerance=1e-8
+        wave_packet([0, 0, 0, 0], 1.0, 1), internal_family(rep), FDScheme(1e-4, order=2), points, tolerance=1e-8
     )
     ok &= phase_report.all_passed
 
@@ -185,8 +182,7 @@ def test_criterion_07_toy_charge_relation():
 
 def test_criterion_08_bundle_relations():
     points = sample_points(count=200, seed=7, box=1.5)
-    rep = FieldRep.vector()
-    family = dataclasses.replace(poincare_frame_family(rep), rep_derivative=analytic_rep_derivatives(rep))
+    family = poincare_frame_family(FieldRep.vector())
     field = wave_packet([0.1, 0.0, -0.2, 0.0], 1.0, 4)
     report = verify_bundle_relation(field, family, FDScheme(1e-4, order=2), points, tolerance=1e-8)
     trans = [i for i, lab in enumerate(report.labels) if lab.startswith("T_")]

@@ -8,11 +8,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import ValidationError, validate
 
 from covariant_kit import cli, generators
 from covariant_kit.cli import main
+from covariant_kit.heisenberg import RelationReport
 from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -554,6 +556,67 @@ class TestLargeBoostScenario:
         validate(report, REPORT_SCHEMA)
         passed = {r["name"]: r["passed"] for r in report["results"]}
         assert passed["active_roundtrip"] is True and passed["gradient_chain_rule"] is True
+
+
+    @pytest.mark.parametrize("rapidity", [8.0, 0.5])
+    def test_roundtrip_rows_are_judged_relative_to_the_boost(self, tmp_path, monkeypatch, rapidity):
+        # At rapidity 8 (cosh 8 = 1490) the round trip reads 9.8e-10 of pure roundoff,
+        # which failed the absolute 1e-10; 0.5 is the shipped scenario, which passes.
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / "transform_vector_boost.json")
+        scenario["group"]["omega"][0] = rapidity
+        scenario["output"] = {"report": "r.json", "dump_fields": False}
+        Path("scenario.json").write_text(json.dumps(scenario))
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 0
+        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
+        bound = 1e-10 * np.cosh(rapidity) ** 2
+        for name in ("active_roundtrip", "passive_composition"):
+            assert rows[name]["passed"] is True
+            assert float(rows[name]["tolerance"]) == pytest.approx(bound, rel=1e-12)
+            assert float(rows[name]["sup_residual"]) <= bound
+
+    def test_rotation_keeps_the_plain_roundtrip_tolerance(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), "--out", "r.json"]
+        assert run_cli([*argv, "--override", "group.omega=[0,0,0,0.7,0,0]", "--override", "output.dump_fields=false"]) == 0
+        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
+        assert rows["active_roundtrip"]["tolerance"] == rows["passive_composition"]["tolerance"] == "1e-10"
+
+
+class TestReportResultRow:
+    def test_row_nearest_its_own_tolerance_is_shown(self):
+        # the first row fails its strict tolerance although the second has the larger residual
+        report = RelationReport(("a", "b"), np.array([1e-12, 1e-11]), np.zeros(2), np.array([1e-14, 1e-10]))
+        row = cli._report_result("check", report)
+        assert (row["sup_residual"], row["tolerance"], row["passed"]) == ("9.9999999999999998e-13", "1e-14", False)
+        report = RelationReport(("a", "b"), np.array([0.0, 3e-16]), np.zeros(2), np.array([1e-14, 1e-10]))
+        row = cli._report_result("check", report)
+        assert (row["sup_residual"], row["tolerance"], row["passed"]) == ("2.9999999999999999e-16", "1e-10", True)
+
+    def test_ties_go_to_the_larger_residual(self):
+        report = RelationReport(("a", "b", "c"), np.array([1e-10, 4e-10, 2e-10]), np.zeros(3), np.array([1e-10, 4e-10, 2e-10]))
+        row = cli._report_result("check", report)
+        assert (row["sup_residual"], row["tolerance"], row["passed"]) == ("4.0000000000000001e-10", "4.0000000000000001e-10", True)
+
+    def test_one_tolerance_shows_the_largest_residual(self):
+        sup = np.array([3e-9, 7e-9, 0.0, 5e-9])
+        row = cli._report_result("check", RelationReport(tuple("abcd"), sup, np.zeros(4), 1e-8))
+        assert (row["sup_residual"], row["tolerance"]) == (cli._fmt(sup.max()), "1e-08")
+
+    def test_nan_row_is_shown(self):
+        report = RelationReport(("a", "b"), np.array([np.nan, 1.0]), np.zeros(2), np.array([1e-14, 1e-10]))
+        row = cli._report_result("check", report)
+        assert (row["sup_residual"], row["tolerance"], row["passed"]) == ("nan", "1e-14", False)
+
+    def test_toy_row_pairs_residual_and_tolerance(self, tmp_path, monkeypatch):
+        # the commutator is exact, so the conjugation row is the one nearest its tolerance
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / "toy_charge.json"), "--out", "r.json", "--override", "group.q=3"]) == 0
+        row = load(tmp_path / "r.json")["results"][0]
+        detail = row["detail"]
+        assert detail["sup_residuals"][0] == "0"
+        assert (row["sup_residual"], row["tolerance"]) == (detail["sup_residuals"][1], detail["tolerances"][1])
+        assert float(row["sup_residual"]) <= float(row["tolerance"])
 
 
 class TestRepCheckInputs:

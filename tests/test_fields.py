@@ -192,6 +192,44 @@ class TestTestFunctionTransform:
         assert_allclose(out(x), expected, atol=1e-13)
 
 
+class TestAffineMapLaws:
+    """The passive and test-function laws take the AffineMap that active_transform takes."""
+
+    # Orientation-preserving, det L = 1.2 * 0.9 * 1.1 = 1.188, and not a Lorentz matrix.
+    MAP = AffineMap(
+        PoincareElement.from_params([0.3, 0, 0, 0.2, 0, 0]).matrix @ np.diag([1.2, 0.9, 1.1, 1.0]),
+        np.array([0.2, -0.1, 0.0, 0.3]),
+    )
+    GRID = GridSpec(((-7.0, 7.0),) * 4, (33,) * 4)
+
+    @pytest.mark.parametrize("law", [transform_test_function, passive_transform])
+    def test_pulls_back_through_the_inverse(self, law):
+        lin, off = self.MAP.linear, self.MAP.offset
+        pulled = np.linalg.solve(lin, (POINTS - off).T).T
+        f = wave_packet([0.2, -0.1, 0.3, 0.0], 1.1, 1)
+        assert np.abs(law(f, FieldRep.scalar(), self.MAP)(POINTS) - f(pulled)).max() <= 1e-13
+        vec = wave_packet([0.1, 0.0, -0.2, 0.1], 1.2, [1.0, -0.5, 0.25, 0.75])
+        expected = vec(pulled) @ lin.T
+        assert np.abs(law(vec, FieldRep.vector(), self.MAP)(POINTS) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_pairing_invariance_needs_the_jacobian(self, kind):
+        rep = getattr(FieldRep, kind)()
+        comps = [1.0, -0.5, 0.25, 0.75][: rep.n]
+        phi = wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, comps)
+        f = wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, comps[::-1])
+        jac = np.linalg.det(self.MAP.linear)
+        moved = pairing(active_transform(phi, rep, self.MAP), f, self.GRID)
+        pulled = pairing(phi, transform_test_function(f, rep, self.MAP), self.GRID)
+        assert abs(moved - pulled) <= 1e-10 * abs(pulled)
+        # The same law without the factor J is off by 1 - 1/J, about |det L - 1|.
+        mat = rep_matrix_for_element(rep, self.MAP)
+        bare = pairing(fields_module._composed_field(phi, mat.T, self.MAP, 1.0), f, self.GRID)
+        off = abs(bare - pulled) / abs(pulled)
+        assert abs(off - (1 - 1 / jac)) <= 1e-9
+        assert off >= 0.5 * abs(jac - 1)
+
+
 class TestFrameChange:
     def test_identity_change(self):
         f = _poly_packet()

@@ -45,10 +45,14 @@ class TestSchemeValidation:
         fam = poincare_family(FieldRep.scalar())
         with pytest.raises(ValueError):
             rep_generators(fam, FDScheme(1e-13))
+        with pytest.raises(ValueError, match=r"underflow \(< 1e-12\)"):
+            FDScheme(1e-13, order=4)
 
-    def test_per_parameter_steps(self):
-        scheme = FDScheme([1e-4] * 10, order=2)
-        assert scheme.steps(10).shape == (10,)
+    def test_step_is_one_float(self):
+        scheme = FDScheme(np.float32(0.5), order=4)
+        assert type(scheme.step) is float and scheme.step == 0.5
+        with pytest.raises(TypeError):
+            FDScheme([1e-4] * 10)
 
 
 class TestFamilyValidation:
@@ -135,11 +139,6 @@ class TestFlowFields:
         flows = flow_fields(dilation_family(), SCHEME, POINTS)
         assert np.abs(flows[0] - POINTS).max() <= 1e-8
 
-    def test_analytic_point_derivative_used(self):
-        marker = np.full((1,) + POINTS.shape, 7.0)
-        fam = dataclasses.replace(dilation_family(), point_derivative=lambda pts: marker)
-        assert np.array_equal(flow_fields(fam, SCHEME, POINTS), marker)
-
     def test_nonfinite_points_rejected(self):
         with pytest.raises(ValueError):
             flow_fields(dilation_family(), SCHEME, np.array([[np.nan, 0, 0, 0]]))
@@ -203,11 +202,13 @@ class TestRepGenerators:
     def test_phase_charge_coefficient(self):
         # order-4 differences push the truncation error well below 1e-10
         q, e = 2.5, 0.8
-        gen = rep_generators(internal_family(FieldRep.phase(q, e)), FDScheme(1e-4, order=4))
+        fam = dataclasses.replace(internal_family(FieldRep.phase(q, e)), rep_derivative=None)
+        gen = rep_generators(fam, FDScheme(1e-4, order=4))
         assert abs(gen[0][0, 0] - (-q / (1j * e))) <= 1e-10
 
     def test_phase_charge_coefficient_default_scheme(self):
-        gen = rep_generators(internal_family(FieldRep.phase(1.0, 1.0)), SCHEME)
+        fam = dataclasses.replace(internal_family(FieldRep.phase(1.0, 1.0)), rep_derivative=None)
+        gen = rep_generators(fam, SCHEME)
         assert abs(gen[0][0, 0] - 1j) <= 1e-8
 
     def test_stationary_exponent_gives_zero(self):
@@ -219,6 +220,19 @@ class TestRepGenerators:
         table = analytic_rep_derivatives(FieldRep.vector())
         fam = dataclasses.replace(poincare_family(FieldRep.vector()), rep_derivative=table)
         assert np.array_equal(rep_generators(fam, SCHEME), table)
+
+    @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor", "phase"])
+    def test_frame_and_internal_families_carry_the_closed_form(self, variant):
+        rep = FieldRep.phase(1.5, 0.5) if variant == "phase" else getattr(FieldRep, variant)()
+        fam = (internal_family if variant == "phase" else poincare_frame_family)(rep)
+        assert np.array_equal(fam.rep_derivative, analytic_rep_derivatives(rep))
+        assert np.array_equal(rep_generators(fam, SCHEME), analytic_rep_derivatives(rep))
+        if variant != "phase":
+            assert poincare_family(rep).rep_derivative is None
+
+    def test_custom_internal_family_has_no_closed_form(self):
+        rep = FieldRep.custom(lambda b: np.eye(1, dtype=complex) * np.exp(1j * b[0]), 1, 1)
+        assert internal_family(rep).rep_derivative is None
 
     def test_analytic_tables_match_fd(self):
         for rep in (FieldRep.scalar(), FieldRep.vector(), FieldRep.spinor()):

@@ -9,7 +9,6 @@ from covariant_kit.fields import FieldFunction, constant_field, wave_packet
 from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
-    analytic_rep_derivatives,
     internal_family,
     poincare_family,
     poincare_frame_family,
@@ -84,15 +83,14 @@ class TestLocalRelation:
     def test_phase_family_against_analytic_coefficient(self):
         q, e = 1.0, 1.0
         rep = FieldRep.phase(q, e)
-        family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
-        report = verify_local_relation(field, family, SCHEME, POINTS, tolerance=1e-8)
+        report = verify_local_relation(field, internal_family(rep), SCHEME, POINTS, tolerance=1e-8)
         assert report.all_passed
         assert report.sup_residuals[0] <= 1e-8
 
     def test_phase_family_self_consistent_extraction(self):
         # with extracted coefficients both routes are the same difference
-        family = internal_family(FieldRep.phase(2.0, 0.7))
+        family = dataclasses.replace(internal_family(FieldRep.phase(2.0, 0.7)), rep_derivative=None)
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
         report = verify_local_relation(field, family, SCHEME, POINTS)
         assert report.sup_residuals.max() <= 1e-15
@@ -111,8 +109,7 @@ class TestLocalRelation:
 
     def test_dilation_family_off_center(self):
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1)
-        fam = dataclasses.replace(dilation_family(), point_derivative=lambda pts: np.asarray(pts)[None])
-        report = verify_local_relation(field, fam, SCHEME, POINTS)
+        report = verify_local_relation(field, dilation_family(), SCHEME, POINTS)
         assert report.all_passed
 
     def test_constant_field_rotation_has_no_transport_term(self):
@@ -190,31 +187,33 @@ class TestLocalRelation:
 
 class TestBundleRelation:
     def test_translation_residual_exactly_zero(self):
-        rep = FieldRep.vector()
-        family = dataclasses.replace(
-            poincare_frame_family(rep), rep_derivative=analytic_rep_derivatives(rep)
-        )
+        family = poincare_frame_family(FieldRep.vector())
         field = wave_packet([0.1, 0.0, -0.2, 0.0], 1.0, 4)
         report = verify_bundle_relation(field, family, SCHEME, POINTS)
         trans = [i for i, lab in enumerate(report.labels) if lab.startswith("T_")]
         assert np.array_equal(report.sup_residuals[trans], np.zeros(4))
 
     def test_rotation_residual_against_coefficient_table(self):
-        rep = FieldRep.vector()
-        family = dataclasses.replace(
-            poincare_frame_family(rep), rep_derivative=analytic_rep_derivatives(rep)
-        )
+        family = poincare_frame_family(FieldRep.vector())
         field = wave_packet([0.1, 0.0, -0.2, 0.0], 1.0, 4)
         report = verify_bundle_relation(field, family, SCHEME, POINTS, tolerance=1e-8)
         assert report.all_passed
 
     def test_phase_matches_local_relation(self):
-        rep = FieldRep.phase(1.5, 0.5)
-        family = dataclasses.replace(internal_family(rep), rep_derivative=analytic_rep_derivatives(rep))
+        family = internal_family(FieldRep.phase(1.5, 0.5))
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
         bundle = verify_bundle_relation(field, family, SCHEME, POINTS)
         local = verify_local_relation(field, family, SCHEME, POINTS)
         assert np.abs(bundle.sup_residuals - local.sup_residuals).max() <= 1e-14
+
+    def test_family_without_closed_form_rejected(self):
+        # differencing both sides would compare a difference with itself: 0 = 0
+        rep = FieldRep.custom(lambda b: np.eye(1, dtype=complex) * np.exp(1j * b[0]), 1, 1)
+        with pytest.raises(ValueError, match="closed-form rep_derivative"):
+            verify_bundle_relation(wave_packet([0, 0, 0, 0], 1.0, 1), internal_family(rep), SCHEME, POINTS)
+        stripped = dataclasses.replace(poincare_frame_family(FieldRep.vector()), rep_derivative=None)
+        with pytest.raises(ValueError, match="closed-form rep_derivative"):
+            verify_bundle_relation(wave_packet([0, 0, 0, 0], 1.0, 4), stripped, SCHEME, POINTS)
 
     def test_moving_family_rejected(self):
         with pytest.raises(ValueError):

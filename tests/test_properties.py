@@ -1,4 +1,4 @@
-"""Property tests of the representation records over random group parameters.
+"""Property tests of the group law and the representation records over random parameters.
 
 Strategies are written by hand; ``derandomize=True`` makes every run draw
 the same examples, so the suite stays deterministic.
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covariant_kit.fields import active_transform, wave_packet
-from covariant_kit.geometry import PoincareElement
+from covariant_kit.geometry import PoincareElement, lorentz_exp, lorentz_log_params
 from covariant_kit.representations import FieldRep, homomorphism_check, rep_matrix
 
 REPS = {
@@ -72,3 +72,47 @@ def test_phase_round_trip(b, amp):
     vals = phi.evaluate(POINTS)
     back = vals @ (rep_matrix(rep, -b) @ rep_matrix(rep, b)).T
     assert np.abs(back - vals).max() <= 1e-10
+
+
+def _elements(bound=0.6):
+    return st.builds(PoincareElement.from_params, _vectors(6, bound), _vectors(4, 2.0))
+
+
+def _group_tol(*matrices):
+    # Roundoff in a product of Lorentz matrices grows with their entries squared.
+    return 1e-12 * max(1.0, *(np.abs(m).max() for m in matrices)) ** 2
+
+
+@PROPERTY
+@given(w=_vectors(6, 0.8), s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0))
+def test_one_parameter_subgroup(w, s, t):
+    prod = lorentz_exp(s * w).matrix @ lorentz_exp(t * w).matrix
+    whole = lorentz_exp((s + t) * w).matrix
+    assert np.abs(prod - whole).max() <= _group_tol(prod, whole)
+
+
+@PROPERTY
+@given(g1=_elements(), g2=_elements(), g3=_elements())
+def test_compose_is_associative(g1, g2, g3):
+    left = g1.compose(g2).compose(g3)
+    right = g1.compose(g2.compose(g3))
+    tol = _group_tol(left.matrix, right.matrix)
+    assert np.abs(left.matrix - right.matrix).max() <= tol
+    scale = max(1.0, *(np.abs(g.translation).max() for g in (g1, g2, g3)))
+    assert np.abs(left.translation - right.translation).max() <= tol * scale
+
+
+@PROPERTY
+@given(g=_elements(0.8))
+def test_compose_with_inverse_is_identity(g):
+    for unit in (g.compose(g.inverse()), g.inverse().compose(g)):
+        tol = _group_tol(g.matrix)
+        assert np.abs(unit.matrix - np.eye(4)).max() <= tol
+        assert np.abs(unit.translation).max() <= tol * max(1.0, np.abs(g.translation).max())
+
+
+@PROPERTY
+@given(w=_vectors(6, 0.8))
+def test_log_inverts_exp_away_from_the_branch_point(w):
+    # The rotation angle of exp(w) is at most |(w_12, w_13, w_23)| <= 0.8 sqrt(3) < pi.
+    assert np.abs(lorentz_log_params(lorentz_exp(w).matrix) - w).max() <= 1e-10
