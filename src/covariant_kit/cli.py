@@ -67,7 +67,7 @@ from .heisenberg import (
     verify_local_relation,
 )
 from .representations import FieldRep, homomorphism_check, rep_matrix, rep_matrix_for_element
-from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA
+from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCES
 
 
 def _fmt(v: float) -> str:
@@ -97,8 +97,9 @@ def _report_result(name: str, report) -> dict:
     return {**_result(name, sup[worst], tol[worst], report.to_dict()), "passed": report.all_passed}
 
 
-def _tol(scenario: dict, name: str, default: float) -> float:
-    return float(scenario.get("tolerances", {}).get(name, default))
+def _tol(scenario: dict, name: str) -> float:
+    """The scenario's tolerance ``name``, else its default in ``schemas.TOLERANCES``."""
+    return float(scenario.get("tolerances", {}).get(name, TOLERANCES[name]))
 
 
 def _build_rep(scenario: dict) -> FieldRep:
@@ -208,11 +209,11 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
     )
 
     results = [
-        _result("metric_preservation", metric_res, _tol(scenario, "metric", 1e-12), {"draws": draws}),
-        _result("unit_determinant", det_res, _tol(scenario, "det", 1e-12)),
-        _result("one_parameter_subgroup", subgroup_res, _tol(scenario, "group_law", 1e-10)),
-        _result("composition_associativity", assoc_res, _tol(scenario, "group_law", 1e-10)),
-        _result("chart_transition_roundtrip", chart_res, _tol(scenario, "algebraic", 1e-12)),
+        _result("metric_preservation", metric_res, _tol(scenario, "metric"), {"draws": draws}),
+        _result("unit_determinant", det_res, _tol(scenario, "det")),
+        _result("one_parameter_subgroup", subgroup_res, _tol(scenario, "group_law")),
+        _result("composition_associativity", assoc_res, _tol(scenario, "group_law")),
+        _result("chart_transition_roundtrip", chart_res, _tol(scenario, "algebraic")),
     ]
     return results, {}
 
@@ -221,7 +222,7 @@ def run_rep_check(scenario: dict) -> tuple[list, dict]:
     rep = _build_rep(scenario)
     rng = np.random.default_rng(scenario.get("group", {}).get("seed", 0))
     ident = float(np.abs(rep_matrix(rep, np.zeros(rep.nparams)) - np.eye(rep.n)).max())
-    results = [_result("identity_at_zero", ident, _tol(scenario, "identity", 1e-12))]
+    results = [_result("identity_at_zero", ident, _tol(scenario, "identity"))]
 
     hom_res = 0.0
     signs = []
@@ -234,23 +235,21 @@ def run_rep_check(scenario: dict) -> tuple[list, dict]:
         res, sign = homomorphism_check(rep, p1, p2)
         hom_res = max(hom_res, res)
         signs.append(sign)
-    results.append(
-        _result("homomorphism", hom_res, _tol(scenario, "homomorphism", 1e-9), {"signs": signs})
-    )
+    results.append(_result("homomorphism", hom_res, _tol(scenario, "homomorphism"), {"signs": signs}))
 
     if rep.kind == "spinor":
         results.append(
             _result(
                 "gamma_anticommutator",
                 rep.gamma.anticommutator_residual(),
-                _tol(scenario, "anticommutator", 1e-12),
+                _tol(scenario, "anticommutator"),
             )
         )
         omega = np.zeros(6)
         omega[3], omega[4], omega[5] = 0.7, -0.3, 0.4  # spatial planes only
         S = rep_matrix(rep, omega)
         unitary = float(np.abs(S.conj().T @ S - np.eye(4)).max())
-        results.append(_result("spatial_rotation_unitarity", unitary, _tol(scenario, "unitarity", 1e-10)))
+        results.append(_result("spatial_rotation_unitarity", unitary, _tol(scenario, "unitarity")))
     return results, {}
 
 
@@ -272,10 +271,10 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     comp_res = float(np.abs(twice.evaluate(pts) - composed.evaluate(pts)).max())
 
     # Their roundoff grows with the entries of L squared, as in geometry._check_lorentz.
-    round_tol = _tol(scenario, "roundtrip", 1e-10) * max(1.0, np.abs(g.matrix).max()) ** 2
+    round_tol = _tol(scenario, "roundtrip") * max(1.0, np.abs(g.matrix).max()) ** 2
     results = [
         _result("active_roundtrip", round_res, round_tol),
-        _result("gradient_chain_rule", grad_res, _tol(scenario, "gradient", 1e-6)),
+        _result("gradient_chain_rule", grad_res, _tol(scenario, "gradient")),
         _result("passive_composition", comp_res, round_tol),
     ]
     tables = {}
@@ -303,13 +302,13 @@ def _run_relation(scenario: dict, default_family: str, verify, name: str, tol: f
 
 
 def run_verify_local(scenario: dict) -> tuple[list, dict]:
-    tol = _tol(scenario, "local", 1e-6)
+    tol = _tol(scenario, "local")
     steps = tuple(scenario.get("fd", {}).get("convergence_steps", ()))
     return _run_relation(scenario, "poincare", verify_local_relation, "local_relation", tol, convergence_steps=steps)
 
 
 def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
-    return _run_relation(scenario, "frame", verify_bundle_relation, "bundle_relation", _tol(scenario, "bundle", 1e-8))
+    return _run_relation(scenario, "frame", verify_bundle_relation, "bundle_relation", _tol(scenario, "bundle"))
 
 
 def run_toy(scenario: dict) -> tuple[list, dict]:
@@ -319,8 +318,8 @@ def run_toy(scenario: dict) -> tuple[list, dict]:
     report = toy_commutator_check(
         model,
         b=b,
-        commutator_tolerance=_tol(scenario, "commutator", 1e-14),
-        conjugation_tolerance=_tol(scenario, "conjugation", 1e-10),
+        commutator_tolerance=_tol(scenario, "commutator"),
+        conjugation_tolerance=_tol(scenario, "conjugation"),
     )
     results = [_report_result("charge_commutator", report)]
 
@@ -330,7 +329,7 @@ def run_toy(scenario: dict) -> tuple[list, dict]:
         _result(
             "observer_groupoid",
             groupoid.max_residual,
-            _tol(scenario, "groupoid", 1e-10),
+            _tol(scenario, "groupoid"),
             {
                 "composition_residual": _fmt(groupoid.composition_residual),
                 "identity_residual": _fmt(groupoid.identity_residual),
@@ -362,7 +361,7 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         abs(values[i + 1] - values[i]) / max(abs(values[i + 1]), 1e-300)
         for i in range(len(values) - 1)
     ]
-    conv_tol = _tol(scenario, "pairing_convergence", 1e-7)
+    conv_tol = _tol(scenario, "pairing_convergence")
     conv_res = rel_diffs[-1]
     table = {
         "counts": [list(g.counts) for g in grids],
@@ -382,7 +381,7 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
             _result(
                 "pairing_invariance",
                 rel,
-                _tol(scenario, "pairing", 1e-6),
+                _tol(scenario, "pairing"),
                 {
                     "active_side": [_fmt(moved.real), _fmt(moved.imag)],
                     "test_side": [_fmt(pulled.real), _fmt(pulled.imag)],

@@ -13,6 +13,10 @@ infinitesimal data consumed by the relation checks in
 * ``flow_fields``      dH/db per parameter, sampled velocity fields;
 * ``volume_rates``     d/db of det[dH(b)/dr], the volume-change rate.
 
+A family whose points never move (the frame-only and internal families,
+the fibre-bundle case) says so with ``point_map=None``: its flows and
+volume rates are exact zeros, and its relation has no transport term.
+
 Derivatives are central differences (order 2 or 4) unless a family
 carries analytic ones.  Every numerical derivative in the package goes
 through one stencil, :func:`_central_diff`: along a group parameter at the
@@ -87,27 +91,25 @@ class ParamFamily:
     """s-parameter family b -> (point map H(b), component matrix I(b)).
 
     ``point_map(b, points)`` maps points (..., 4) -> (..., 4) and must be
-    the identity at ``b0``; ``rep_map(b)`` returns the (n, n) matrix and
-    must be the identity at ``b0``.  The parameter count ``s`` is derived
-    as the number of ``labels`` (which must match ``b0``), and the
-    component count ``n`` is read off ``rep_map(b0)``.  Labels ``T_*`` name
-    the pure translations.  Optional extras:
+    the identity at ``b0``; ``None`` means the points stay put for every b.
+    ``rep_map(b)`` returns the (n, n) matrix and must be the identity at
+    ``b0``.  The parameter count ``s`` is derived as the number of
+    ``labels`` (which must match ``b0``), and the component count ``n`` is
+    read off ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
+    Optional extras:
 
     * ``linear_part(b)``: 4x4 matrix when H(b) is affine, enabling the
       analytic inner Jacobian in ``volume_rates``;
     * ``rep_derivative``: closed-form (s, n, n) derivative stack at b0, which
-      ``rep_generators`` returns; the frame-only and internal families set it;
-    * ``identity_point_map``: True when H(b) is the identity for every b
-      (internal / frame-only families).
+      ``rep_generators`` returns; the frame-only and internal families set it.
     """
 
     b0: np.ndarray
-    point_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    point_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
     linear_part: Callable[[np.ndarray], np.ndarray] | None = None
     rep_derivative: np.ndarray | None = None
-    identity_point_map: bool = False
     n: int = field(init=False)
 
     @property
@@ -125,6 +127,8 @@ class ParamFamily:
         if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > _IDENTITY_TOL:
             raise ValueError("rep_map(b0) is not the identity matrix")
         object.__setattr__(self, "n", n)
+        if self.point_map is None:
+            return
         moved = np.asarray(self.point_map(b0, _PROBE_POINTS), dtype=float)
         if np.abs(moved - _PROBE_POINTS).max() > _IDENTITY_TOL:
             raise ValueError("point_map(b0, .) is not the identity map")
@@ -164,6 +168,8 @@ def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np
     pts = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample points must be finite")
+    if family.point_map is None:
+        return np.zeros((family.s, *pts.shape))
     f = lambda b: np.asarray(family.point_map(b, pts), dtype=float)
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
@@ -180,6 +186,8 @@ def _inner_jacobian_det(family: ParamFamily, b: np.ndarray, pts: np.ndarray) -> 
 def volume_rates(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
     """d/db of the point-map Jacobian determinant at b0: (s, ...)."""
     pts = np.asarray(points, dtype=float)
+    if family.point_map is None:
+        return np.zeros((family.s, *pts.shape[:-1]))
     f = lambda b: _inner_jacobian_det(family, b, pts)
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
@@ -278,32 +286,20 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     )
 
 
-def _fixed_points(b, pts):
-    return np.array(pts, dtype=float)
-
-
-def _unit_linear(b):
-    return np.eye(4)
-
-
 def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     """Frame-only twin of :func:`poincare_family`: the matrices change,
     the points never move, and the derivative is the closed form."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
     # rep_map stays the Poincare family's, with its own memoised Lorentz
-    # and representation matrices; only the point map becomes the identity.
+    # and representation matrices; the points no longer move.
     return replace(
-        poincare_family(rep),
-        point_map=_fixed_points,
-        linear_part=_unit_linear,
-        rep_derivative=analytic_rep_derivatives(rep),
-        identity_point_map=True,
+        poincare_family(rep), point_map=None, linear_part=None, rep_derivative=analytic_rep_derivatives(rep)
     )
 
 
 def internal_family(rep: FieldRep) -> ParamFamily:
-    """Family for internal transformations: spacetime points stay put.
+    """Family for internal transformations: spacetime points stay put (``point_map=None``).
 
     Phase representations give the one-parameter charge family ``Q``;
     custom representations supply their own parameter count and no closed form.
@@ -313,10 +309,8 @@ def internal_family(rep: FieldRep) -> ParamFamily:
     labels = ("Q",) if rep.kind == "phase" else tuple(f"Q_{i + 1}" for i in range(rep.nparams))
     return ParamFamily(
         b0=np.zeros(rep.nparams),
-        point_map=_fixed_points,
+        point_map=None,
         rep_map=lambda b: rep_matrix(rep, b),
         labels=labels,
-        linear_part=_unit_linear,
         rep_derivative=None if rep.generators is None else analytic_rep_derivatives(rep),
-        identity_point_map=True,
     )

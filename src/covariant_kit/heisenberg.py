@@ -9,9 +9,11 @@ The checks compare two routes to the same infinitesimal data:
   + h(r) . grad phi(r)`` from extracted (or analytic) coefficients.
 
 Their agreement, parameter by parameter, is the content of the relation;
-residuals shrink at the order of the difference scheme.  Frame-only
-("bundle") families have no transport term: the local side is purely
-``I' phi(r)`` and translation directions are exactly zero.
+residuals shrink at the order of the difference scheme.  The fibre-bundle
+relation is the same relation for a family that moves no points
+(``point_map=None``): there is no transport term, the global route
+differences ``I(b) phi(r)`` alone, the local side is purely
+``I' phi(r)``, and translation directions are exactly zero.
 
 Finite-dimensional matrix models stand in for internal-symmetry operator
 algebras: a number operator and truncated lowering operator realise the
@@ -152,6 +154,8 @@ def _sampled(field: FieldFunction, family: ParamFamily, points) -> tuple[np.ndar
     pts = np.asarray(points, dtype=float)
     if family.n != field.n:
         raise ValueError(f"family dimension {family.n} != field dimension {field.n}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sample points must be finite")
     return pts, _field_values(field, pts)
 
 
@@ -161,23 +165,27 @@ def _residual_summary(residuals) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
 
-def _local_residuals(
+def _relation_residuals(
     field: FieldFunction,
     family: ParamFamily,
     scheme: FDScheme,
     pts: np.ndarray,
     phi: np.ndarray,
-    grads: np.ndarray,
+    grads: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sup, rms) residuals of global-vs-local derivative per parameter.
 
     ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
     One stencil differences the moved points (flow), the inner Jacobian
     (volume rate) and the global value: one point map per stencil point.
+    A family that moves no points differences ``I(b)`` alone and
+    contracts ``(dI - I') phi``; it needs no gradient.
     """
     gen = rep_generators(family, scheme)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample points must be finite")
+    if family.point_map is None:
+        rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
+        diffs = zip(_param_diffs(rep_f, family.b0, scheme), gen)
+        return _residual_summary(np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
 
     def global_map(b):
         jac = _inner_jacobian_det(family, b, pts)
@@ -197,6 +205,30 @@ def _local_residuals(
     return _residual_summary(residuals())
 
 
+def _relation_report(field, family, scheme, points, tolerance, convergence_steps=(), **metadata) -> RelationReport:
+    """The relation's report at the scheme's step, with a sup table at each convergence step.
+
+    The field is evaluated once on the sample, and its gradient once only
+    for a family that moves points.
+    """
+    pts, phi = _sampled(field, family, points)
+    grads = None if family.point_map is None else np.asarray(field.gradient(pts), dtype=complex)
+    rows = [
+        _relation_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)
+        for h in (scheme.step, *convergence_steps)
+    ]
+    (sup, rms), conv = rows[0], [row[0] for row in rows[1:]]
+    return RelationReport(
+        labels=family.labels,
+        sup_residuals=sup,
+        rms_residuals=rms,
+        tolerances=np.asarray(tolerance, dtype=float),
+        convergence_steps=tuple(convergence_steps),
+        convergence_sup=np.stack(conv) if conv else None,
+        metadata={**_correspondence(family.labels), **metadata},
+    )
+
+
 def verify_local_relation(
     field: FieldFunction,
     family: ParamFamily,
@@ -212,26 +244,7 @@ def verify_local_relation(
     ``Delta phi + I' phi + h . grad phi``.  ``convergence_steps`` adds a
     sup-residual table at extra step sizes (largest first is customary).
     """
-    pts, phi = _sampled(field, family, points)
-    grads = np.asarray(field.gradient(pts), dtype=complex)
-    sup, rms = _local_residuals(field, family, scheme, pts, phi, grads)
-    conv = None
-    if convergence_steps:
-        conv = np.stack(
-            [
-                _local_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)[0]
-                for h in convergence_steps
-            ]
-        )
-    return RelationReport(
-        labels=family.labels,
-        sup_residuals=sup,
-        rms_residuals=rms,
-        tolerances=np.asarray(tolerance, dtype=float),
-        convergence_steps=tuple(convergence_steps),
-        convergence_sup=conv,
-        metadata=_correspondence(family.labels),
-    )
+    return _relation_report(field, family, scheme, points, tolerance, convergence_steps)
 
 
 def verify_bundle_relation(
@@ -243,34 +256,23 @@ def verify_bundle_relation(
 ) -> RelationReport:
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
-    ``I'`` is the family's closed-form ``rep_derivative``; differencing both
-    sides would read 0 = 0, so a family without one raises.  There is no
-    transport term; for translation-like parameters the whole
+    This is the local relation of a family that moves no points
+    (``point_map=None``), with ``I'`` the family's closed-form
+    ``rep_derivative``; differencing both sides would read 0 = 0, so a
+    family without one raises.  For translation-like parameters the whole
     derivative is the residual and it vanishes identically, so those
     entries come out exactly zero.
     """
-    if not family.identity_point_map:
+    if family.point_map is not None:
         raise ValueError("bundle relations need an identity point map; use verify_local_relation instead")
     if family.rep_derivative is None:
         raise ValueError("bundle relations need the family's closed-form rep_derivative")
-    phi = _sampled(field, family, points)[1]
-    gen = rep_generators(family, scheme)
-    rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-    diffs = _param_diffs(rep_f, family.b0, scheme)
-    sup, rms = _residual_summary(np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in zip(diffs, gen))
-    meta = _correspondence(family.labels)
-    meta["note"] = (
+    note = (
         "frame-only family: translation parameters act trivially, so their "
         "relation is 0 = 0 and the conserved-quantity relabeling is a label, "
         "not a dynamical statement"
     )
-    return RelationReport(
-        labels=family.labels,
-        sup_residuals=sup,
-        rms_residuals=rms,
-        tolerances=np.asarray(tolerance, dtype=float),
-        metadata=meta,
-    )
+    return _relation_report(field, family, scheme, points, tolerance, note=note)
 
 
 def frame_independence_check(

@@ -10,12 +10,16 @@ CHECK_KINDS = [
     "pairing",
 ]
 
-#: The tolerance names the checks read; ``tolerances`` accepts no other key.
-TOLERANCE_NAMES = [
-    "metric", "det", "group_law", "algebraic", "identity", "homomorphism", "anticommutator", "unitarity",
-    "roundtrip", "gradient", "local", "bundle", "commutator", "conjugation", "groupoid",
-    "pairing_convergence", "pairing",
-]
+#: The tolerance names the checks read, each with its default; ``tolerances`` accepts no other key.
+TOLERANCES = {
+    "metric": 1e-12, "det": 1e-12, "group_law": 1e-10, "algebraic": 1e-12,  # group-check
+    "identity": 1e-12, "homomorphism": 1e-9, "anticommutator": 1e-12, "unitarity": 1e-10,  # rep-check
+    "roundtrip": 1e-10, "gradient": 1e-6,  # transform
+    "local": 1e-6, "bundle": 1e-8,  # verify-local, verify-bundle
+    "commutator": 1e-14, "conjugation": 1e-10, "groupoid": 1e-10,  # toy
+    "pairing_convergence": 1e-7, "pairing": 1e-6,  # pairing
+}
+TOLERANCE_NAMES = list(TOLERANCES)
 
 _VEC4 = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 _VEC6 = {"type": "array", "items": {"type": "number"}, "minItems": 6, "maxItems": 6}

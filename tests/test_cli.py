@@ -664,6 +664,32 @@ class TestToleranceNames:
         assert len(set(TOLERANCE_NAMES)) == len(TOLERANCE_NAMES) == 17
         assert set(read) == set(TOLERANCE_NAMES)
 
+    # A corpus scenario of a check that reads each name, made small and
+    # unscaled: the identity boost leaves the round-trip bound as given.
+    READERS = {
+        "group_check.json": (("metric", "det", "group_law", "algebraic"), {}),
+        "rep_check_spinor.json": (("identity", "homomorphism", "anticommutator", "unitarity"), {}),
+        "transform_vector_boost.json": (("roundtrip", "gradient"), {"group": {}}),
+        "verify_local_vector_rotation.json": (("local",), {}),
+        "verify_bundle_vector.json": (("bundle",), {}),
+        "toy_charge.json": (("commutator", "conjugation", "groupoid"), {}),
+        "pairing_invariance.json": (
+            ("pairing_convergence", "pairing"),
+            {"grid": {"bounds": [[-7, 7]] * 4, "counts": [5, 5, 5, 5], "doublings": 1}},
+        ),
+    }
+
+    def test_every_name_reaches_the_report_of_a_check_that_reads_it(self):
+        names = [name for read, _ in self.READERS.values() for name in read]
+        assert sorted(names) == sorted(TOLERANCE_NAMES)
+        for k, name in enumerate(names):
+            file = next(f for f, (read, _) in self.READERS.items() if name in read)
+            value = 0.0123456789 * (k + 1)
+            scenario = {**load(SCENARIOS / file), **self.READERS[file][1], "tolerances": {name: value}}
+            scenario.pop("output", None)
+            cli.validate(scenario)
+            assert cli._fmt(value) in json.dumps(cli.run_scenario(scenario)["results"]), name
+
     def test_corpus_and_benchmark_use_known_names(self):
         texts = [f.read_text() for f in SCENARIOS.glob("*.json")]
         module = _benchmark_workloads()

@@ -148,6 +148,25 @@ class TestLocalRelation:
         plain = verify_local_relation(packet, family, SCHEME, POINTS, convergence_steps=steps)
         assert report.to_dict() == plain.to_dict()
 
+    def test_family_that_moves_no_points_evaluates_once_without_gradient(self):
+        packet = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 1)
+        calls = {"evaluate": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def call(pts):
+                calls[name] += 1
+                return fn(pts)
+
+            return call
+
+        field = FieldFunction(packet.n, counted("evaluate", packet.evaluate), counted("gradient", packet.gradient))
+        family = internal_family(FieldRep.phase(1.5, 0.5))
+        steps = (4e-3, 2e-3, 1e-3)
+        report = verify_local_relation(field, family, FDScheme(1e-4, order=4), POINTS, convergence_steps=steps)
+        assert calls == {"evaluate": 1, "gradient": 0}
+        plain = verify_local_relation(packet, family, FDScheme(1e-4, order=4), POINTS, convergence_steps=steps)
+        assert report.to_dict() == plain.to_dict()
+
     @pytest.mark.parametrize("order, steps", [(2, ()), (4, (2e-3, 1e-3))])
     def test_one_point_map_per_stencil_point(self, order, steps):
         family = poincare_family(FieldRep.vector())
@@ -199,12 +218,17 @@ class TestBundleRelation:
         report = verify_bundle_relation(field, family, SCHEME, POINTS, tolerance=1e-8)
         assert report.all_passed
 
-    def test_phase_matches_local_relation(self):
-        family = internal_family(FieldRep.phase(1.5, 0.5))
-        field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
+    @pytest.mark.parametrize("kind", ["phase", "vector"])
+    def test_phase_matches_local_relation(self, kind):
+        # the bundle relation is the local relation of a family that moves no points
+        if kind == "phase":
+            family, field = internal_family(FieldRep.phase(1.5, 0.5)), wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
+        else:
+            family, field = poincare_frame_family(FieldRep.vector()), wave_packet([0.1, 0.0, -0.2, 0.0], 1.0, 4)
         bundle = verify_bundle_relation(field, family, SCHEME, POINTS)
         local = verify_local_relation(field, family, SCHEME, POINTS)
-        assert np.abs(bundle.sup_residuals - local.sup_residuals).max() <= 1e-14
+        assert np.array_equal(bundle.sup_residuals, local.sup_residuals)
+        assert np.array_equal(bundle.rms_residuals, local.rms_residuals)
 
     def test_family_without_closed_form_rejected(self):
         # differencing both sides would compare a difference with itself: 0 = 0
