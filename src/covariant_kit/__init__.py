@@ -44,6 +44,7 @@ from .fields import (
     frame_change_components,
     gradient_fd_residual,
     pairing,
+    pairings,
     passive_transform,
     transform_test_function,
     wave_packet,

@@ -50,6 +50,7 @@ __all__ = [
     "frame_change_components",
     "cocycle_check",
     "pairing",
+    "pairings",
     "dump_field_csv",
     "gradient_fd_residual",
 ]
@@ -367,7 +368,7 @@ class GridSpec:
         return int(np.prod(self.counts))
 
 
-#: Most points one field evaluation gets from ``pairing`` and
+#: Most points one field evaluation gets from ``pairings`` and
 #: ``dump_field_csv``: a block's transformed points, values and
 #: temporaries stay in cache instead of spanning a whole axis-0 slice.
 #: Chosen by timing 8k-64k point blocks on the 65^4 pairing.
@@ -400,25 +401,102 @@ def _slice_blocks(grid: GridSpec):
         yield blocks(x0)
 
 
+def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
+    """Per-axis trapezoid weights, shape (count, levels), of the nested sub-lattices.
+
+    Column ``j`` holds the weights of the grid made of every
+    ``2**(levels-1-j)``-th point, and zeros at the points it skips; the
+    last column is ``grid.weights()``.
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    top = 2 ** (levels - 1)
+    if any((k - 1) % top for k in grid.counts):
+        raise ValueError(f"{levels} nested levels need every grid count minus 1 to divide by {top}, got {grid.counts}")
+    out = [np.zeros((k, levels)) for k in grid.counts]
+    for j in range(levels):
+        step = 2 ** (levels - 1 - j)
+        coarse = GridSpec(grid.bounds, tuple((k - 1) // step + 1 for k in grid.counts))
+        for w, coarse_w in zip(out, coarse.weights()):
+            w[::step, j] = coarse_w
+    return out
+
+
+def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
+    """Pairings of several field pairs on nested levels of one grid, in one pass.
+
+    Returns a complex (len(pairs), levels) array: entry ``[p, j]`` is
+    ``pairing(*pairs[p], coarse)`` on the grid of every
+    ``2**(levels-1-j)``-th point of ``grid`` (up to the rounding of its
+    coordinates); the last column is on ``grid`` itself.  Raises
+    ValueError when a count minus 1 does not divide by ``2**(levels-1)``.
+
+    Each distinct field (by identity) is evaluated once per block of
+    ``_slice_blocks``, so shared fields and coarser levels cost no further
+    evaluation.  Each axis-0 slice is summed over axes 2 and 3 by a real
+    matrix product with the (n2 * n3, levels) weights, then over axis 1,
+    a complex integrand as its real and imaginary parts (no complex BLAS
+    product); the slice sums are added in order.
+    """
+    pairs = list(pairs)
+    for phi, f in pairs:
+        if phi.n != f.n:
+            raise ValueError(f"component counts differ: {phi.n} != {f.n}")
+    if not isinstance(grid, GridSpec):
+        raise ValueError("pairing requires a GridSpec")
+    w0, w1, w2, w3 = _level_weights(grid, levels)
+    w23 = (w2[:, None, :] * w3[None, :, :]).reshape(-1, levels)
+    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    slot = {id(f): i for i, f in enumerate(fields)}
+    index = [(slot[id(phi)], slot[id(f)]) for phi, f in pairs]
+    n1 = grid.counts[1]
+    contract = lambda part: np.einsum("aj,aj->j", w1, part.reshape(n1, -1) @ w23)
+
+    def slice_sums(blocks):
+        # Real parts of every pair's integrand on the slice, imaginary parts
+        # of the pairs that meet a complex value.  Freed on return, before
+        # the next slice's: kept across it they doubled the peak memory, and
+        # one buffer per pass left malloc mapping and unmapping the blocks'
+        # temporaries (ten times the page faults).
+        real = np.empty((len(pairs), n1) + grid.counts[2:])
+        imag = {}
+        i1 = 0
+        for pts in blocks:
+            vals = [f.evaluate(pts) for f in fields]
+            rows = slice(i1, i1 + len(pts))
+            for p, (a, b) in enumerate(index):
+                if np.iscomplexobj(vals[a]) or np.iscomplexobj(vals[b]):
+                    integrand = np.einsum("...i,...i->...", vals[a], vals[b])
+                    real[p, rows] = integrand.real
+                    imag.setdefault(p, np.zeros_like(real[p]))[rows] = integrand.imag
+                else:
+                    np.einsum("...i,...i->...", vals[a], vals[b], out=real[p, rows])
+            i1 += len(pts)
+        sums = np.zeros((len(pairs), 2, levels))
+        for p, part in enumerate(real):
+            sums[p, 0] = contract(part)
+        for p, part in imag.items():
+            sums[p, 1] = contract(part)
+        return sums
+
+    total = np.zeros((len(pairs), 2, levels))
+    for w, blocks in zip(w0, _slice_blocks(grid)):
+        total += w * slice_sums(blocks)
+    values = np.empty((len(pairs), levels), dtype=complex)
+    values.real, values.imag = total[:, 0], total[:, 1]
+    return values
+
+
 def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
     """Trapezoid quadrature of sum_i phi_i(r) f_i(r) over the grid.
 
     Bilinear (no conjugation).  Accuracy is the caller's business: compare
-    against ``grid.refine()`` to validate convergence.  Fields are
-    evaluated in blocks of at most BLOCK_POINTS points (``_slice_blocks``),
-    so the working set does not grow with the grid; each axis-0 slice is
-    summed whole, and the slice sums are added in order.
+    against ``grid.refine()`` to validate convergence.  This is the
+    one-pair, one-level ``pairings``: each field is evaluated once per
+    point, in blocks of at most BLOCK_POINTS points, so the working set
+    does not grow with the grid.
     """
-    if phi.n != f.n:
-        raise ValueError(f"component counts differ: {phi.n} != {f.n}")
-    if not isinstance(grid, GridSpec):
-        raise ValueError("pairing requires a GridSpec")
-    w0, w1, w2, w3 = grid.weights()
-    total = 0.0 + 0.0j
-    for w, blocks in zip(w0, _slice_blocks(grid)):
-        integrand = np.concatenate([np.einsum("...i,...i->...", phi.evaluate(pts), f.evaluate(pts)) for pts in blocks])
-        total += w * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
-    return complex(total)
+    return complex(pairings([(phi, f)], grid)[0, 0])
 
 
 def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:

@@ -172,8 +172,8 @@ def _relation_residuals(
     pts: np.ndarray,
     phi: np.ndarray,
     grads: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sup, rms) residuals of global-vs-local derivative per parameter.
+):
+    """The global-vs-local derivative residual of each parameter, one array at a time.
 
     ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
     One stencil differences the moved points (flow), the inner Jacobian
@@ -185,7 +185,7 @@ def _relation_residuals(
     if family.point_map is None:
         rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
         diffs = zip(_param_diffs(rep_f, family.b0, scheme), gen)
-        return _residual_summary(np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
+        return (np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
 
     def global_map(b):
         jac = _inner_jacobian_det(family, b, pts)
@@ -202,7 +202,7 @@ def _relation_residuals(
                 + np.einsum("pk,pik->pi", flow, grads)
             )
 
-    return _residual_summary(residuals())
+    return residuals()
 
 
 def _relation_report(field, family, scheme, points, tolerance, convergence_steps=(), **metadata) -> RelationReport:
@@ -213,11 +213,9 @@ def _relation_report(field, family, scheme, points, tolerance, convergence_steps
     """
     pts, phi = _sampled(field, family, points)
     grads = None if family.point_map is None else np.asarray(field.gradient(pts), dtype=complex)
-    rows = [
-        _relation_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)
-        for h in (scheme.step, *convergence_steps)
-    ]
-    (sup, rms), conv = rows[0], [row[0] for row in rows[1:]]
+    residuals = lambda h: _relation_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)
+    sup, rms = _residual_summary(residuals(scheme.step))
+    conv = [[float(np.abs(r).max()) for r in residuals(h)] for h in convergence_steps]
     return RelationReport(
         labels=family.labels,
         sup_residuals=sup,

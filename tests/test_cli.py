@@ -575,6 +575,21 @@ class TestLargeBoostScenario:
             assert float(rows[name]["tolerance"]) == pytest.approx(bound, rel=1e-12)
             assert float(rows[name]["sup_residual"]) <= bound
 
+    @pytest.mark.parametrize("rapidity", [8.0, 0.5])
+    def test_passive_composition_shows_what_it_compared(self, tmp_path, monkeypatch, rapidity):
+        # At rapidity 8 both composed fields underflow to 0 on the whole sample,
+        # so the row's 0 residual compares nothing, and its detail says so.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), "--out", "r.json"]
+        omega = f"group.omega=[{rapidity},0,0,0,0,0]"
+        assert run_cli([*argv, "--override", omega, "--override", "output.dump_fields=false"]) == 0
+        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
+        compared = float(rows["passive_composition"]["detail"]["compared_max_abs"])
+        if rapidity == 8.0:
+            assert compared == 0.0 and float(rows["passive_composition"]["sup_residual"]) == 0.0
+        else:
+            assert compared > 0.1
+
     def test_rotation_keeps_the_plain_roundtrip_tolerance(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), "--out", "r.json"]

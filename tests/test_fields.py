@@ -17,6 +17,7 @@ from covariant_kit.fields import (
     frame_change_components,
     gradient_fd_residual,
     pairing,
+    pairings,
     passive_transform,
     transform_test_function,
     wave_packet,
@@ -460,16 +461,28 @@ def _complex_gradient(center, width, comps, points):
     return out * envelope[..., None, None]
 
 
+def _trapezoid_in_order(integrands, grid):
+    """Trapezoid sum of whole axis-0 slices in the order ``pairings`` adds.
+
+    Each slice's real and imaginary parts are summed apart: over axes 2
+    and 3 by one real matrix product with the outer product of their
+    weights, then over axis 1.  The slice sums are added in order.
+    """
+    w0, w1, w2, w3 = grid.weights()
+    w23 = np.outer(w2, w3).reshape(-1, 1)
+    total = np.zeros(2)
+    for w, integrand in zip(w0, integrands):
+        for k, part in enumerate((integrand.real, np.imag(integrand))):
+            rows = np.ascontiguousarray(part).reshape(len(w1), -1)
+            total[k] += w * np.einsum("aj,aj->j", w1[:, None], rows @ w23)[0]
+    return complex(total[0], total[1])
+
+
 def _complex_pairing(phi, f, grid):
     """Trapezoid sum of complex integrands, one axis-0 slice at a time."""
     axes = grid.axes()
-    w0, w1, w2, w3 = grid.weights()
-    total = 0.0 + 0.0j
-    for i0, x0 in enumerate(axes[0]):
-        pts = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0]
-        integrand = np.sum(phi(pts) * f(pts), axis=-1)
-        total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
-    return complex(total)
+    slices = (np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0] for x0 in axes[0])
+    return _trapezoid_in_order((np.sum(phi(pts) * f(pts), axis=-1) for pts in slices), grid)
 
 
 class TestClosedFormPairing:
@@ -548,33 +561,31 @@ class TestHermitePairing:
         comps = self.REAL if coeffs == "real" else self.COMPLEX
         mine, other = comps[:n], comps[::-1][:n]
 
-        moved = active_transform(wave_packet(self.C1, self.S1, mine), rep, self.G)
-        exact = hermite_pairing(
-            (D.T, lam, a, self.C1, self.S1, mine), (np.eye(n), np.eye(4), np.zeros(4), self.C2, self.S2, other)
-        )
-        self._check(pairing(moved, wave_packet(self.C2, self.S2, other), self.GRID), exact)
-
-        test = transform_test_function(wave_packet(self.C2, self.S2, mine), rep, self.G)
-        exact = hermite_pairing(
-            (np.eye(n), np.eye(4), np.zeros(4), self.C1, self.S1, other), (D, inv, -inv @ a, self.C2, self.S2, mine)
-        )
-        self._check(pairing(wave_packet(self.C1, self.S1, other), test, self.GRID), exact)
+        # The pairs of the CLI's invariance check, in one pass: phi and f are
+        # each shared by two pairs.
+        phi, f = wave_packet(self.C1, self.S1, mine), wave_packet(self.C2, self.S2, other)
+        pairs = [(phi, f), (active_transform(phi, rep, self.G), f), (phi, transform_test_function(f, rep, self.G))]
+        values = pairings(pairs, self.GRID)[:, 0]
+        same = (np.eye(n), np.eye(4), np.zeros(4))
+        self._check(values[0], hermite_pairing((*same, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)))
+        self._check(values[1], hermite_pairing((D.T, lam, a, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)))
+        self._check(values[2], hermite_pairing((*same, self.C1, self.S1, mine), (D, inv, -inv @ a, self.C2, self.S2, other)))
 
 
 def _slice_at_once_pairing(phi, f, grid):
     """The pairing that evaluates each whole axis-0 slice in one call."""
     axes = grid.axes()
-    w0, w1, w2, w3 = grid.weights()
     pts = np.empty(grid.counts[1:] + (4,))
     pts[..., 1] = axes[1][:, None, None]
     pts[..., 2] = axes[2][None, :, None]
     pts[..., 3] = axes[3][None, None, :]
-    total = 0.0 + 0.0j
-    for i0, x0 in enumerate(axes[0]):
-        pts[..., 0] = x0
-        integrand = np.einsum("...i,...i->...", phi.evaluate(pts), f.evaluate(pts))
-        total += w0[i0] * np.einsum("a,b,c,abc->", w1, w2, w3, integrand)
-    return complex(total)
+
+    def integrands():
+        for x0 in axes[0]:
+            pts[..., 0] = x0
+            yield np.einsum("...i,...i->...", phi.evaluate(pts), f.evaluate(pts))
+
+    return _trapezoid_in_order(integrands(), grid)
 
 
 def _counting(field, sizes):
@@ -652,6 +663,66 @@ class TestBlockedPairing:
             value = pairing(_counting(phi, sizes), f, grid)
             assert np.array_equal(_bits(value), _bits(_slice_at_once_pairing(phi, f, grid)))
             assert max(sizes) == max(35, block // 35 * 35) and sum(sizes) == grid.npoints
+
+
+class TestPairings:
+    """Several pairs and nested levels of one grid in one pass."""
+
+    # Non-dyadic bounds: the coarse grids' coordinates round differently
+    # from the fine grid's points they stand for.
+    BOUNDS = ((-5.3, 4.9), (-6.1, 5.7), (-4.7, 5.5), (-5.9, 4.3))
+    COUNTS = (9, 17, 13, 9)
+
+    @pytest.mark.parametrize("kind", ["scalar", "spinor"])
+    def test_levels_match_the_coarse_grids(self, kind):
+        pairs = list(TestBlockedPairing()._pairs(getattr(FieldRep, kind)()).values())
+        grid = GridSpec(self.BOUNDS, self.COUNTS)
+        values = pairings(pairs, grid, levels=3)
+        assert values.shape == (len(pairs), 3)
+        for j, step in enumerate((4, 2, 1)):
+            coarse = GridSpec(self.BOUNDS, tuple((k - 1) // step + 1 for k in self.COUNTS))
+            for p, (phi, f) in enumerate(pairs):
+                separate = pairing(phi, f, coarse)
+                assert abs(values[p, j] - separate) <= 1e-14 * abs(separate), (p, j)
+
+    @pytest.mark.parametrize("counts, levels", [((9, 9, 10, 9), 2), ((9, 11, 9, 9), 3), ((9,) * 4, 0)])
+    def test_counts_that_do_not_nest_are_rejected(self, counts, levels):
+        phi = wave_packet([0, 0, 0, 0], 1.0, 1)
+        with pytest.raises(ValueError):
+            pairings([(phi, phi)], GridSpec(((-6.0, 6.0),) * 4, counts), levels=levels)
+
+    def test_a_shared_field_is_evaluated_once_per_block(self):
+        # The invariance check's pairs: phi and f each appear in two of them.
+        rep, g, grid = FieldRep.vector(), TestBlockedPairing.G, TestBlockedPairing.GRID
+        phi, f = wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, 4), wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, [0.9, 1.1, -0.6, 1.0])
+        sizes = []
+        shared = _counting(phi, sizes)
+        moved = active_transform(phi, rep, g)
+        values = pairings([(shared, f), (moved, f), (shared, transform_test_function(f, rep, g))], grid)
+        assert len(sizes) == 3 * 4 and sum(sizes) == grid.npoints
+        # A pair's value does not depend on the other pairs of the pass.
+        assert np.array_equal(_bits(values[1, 0]), _bits(pairing(moved, f, grid)))
+
+    def test_a_field_complex_on_some_blocks_only(self, monkeypatch):
+        # A factor 1 + 0.5i where x0 < 0 or x1 > 0, and real values from a
+        # block without such points: after a slice complex throughout, the
+        # blocks of one slice differ in dtype.
+        packet = wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, 1)
+
+        def evaluate(points):
+            vals = packet.evaluate(points)
+            pts = np.asarray(points)
+            up = (pts[..., 0:1] < 0) | (pts[..., 1:2] > 0)
+            return np.where(up, vals * (1 + 0.5j), vals) if np.any(up) else vals
+
+        phi = FieldFunction(1, evaluate, packet.gradient)
+        f = wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, 1)
+        grid = GridSpec(((-5.0, 5.0),) * 4, (3, 129, 5, 7))
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", 100)
+        as_complex = lambda field: lambda pts: np.asarray(field(pts), dtype=complex)
+        reference = _complex_pairing(as_complex(phi), as_complex(f), grid)
+        assert reference.imag != 0.0
+        assert np.array_equal(_bits(pairing(phi, f, grid)), _bits(reference))
 
 
 class TestEvaluateDtype:
