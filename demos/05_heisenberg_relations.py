@@ -9,16 +9,12 @@ transport term is absent.
 Run:  python demos/05_heisenberg_relations.py
 """
 
-import numpy as np
-
 from covariant_kit import (
     FDScheme,
     FieldRep,
-    frame_independence_check,
     internal_family,
     poincare_family,
     poincare_frame_family,
-    rep_matrix,
     sample_points,
     verify_bundle_relation,
     verify_local_relation,
@@ -66,11 +62,3 @@ for label, sup in zip(report.labels, report.sup_residuals):
     marker = "exactly zero" if sup == 0.0 else f"{sup:.2e}"
     print(f"  {label:5s}: {marker}")
 print("translations act trivially here, so those rows are identically zero")
-
-print()
-print("=" * 70)
-print("The pointwise relation does not care which frame you use")
-print("=" * 70)
-A = rep_matrix(FieldRep.spinor(), np.array([0, 0, 0, 0.6, 0, 0]))
-res = frame_independence_check(field, A, poincare_frame_family(rep), scheme, points)
-print(f"two-frame evaluation residual under a constant change: {res:.2e}")

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PLANES, lorentz_exp
+from .geometry import ALGEBRAIC_TOL, PLANES, lorentz_exp
 from .representations import FieldRep, rep_matrix
 
 __all__ = [
@@ -57,7 +57,6 @@ _MIN_STEP = 1e-12
 #: Lorentz and representation matrices a Poincare family keeps.  An order-4
 #: stencil over all ten parameters visits 25 distinct plane-parameter points.
 _MEMO_SIZE = 64
-_IDENTITY_TOL = 1e-12
 #: Sample used to validate the identity-at-b0 family invariant.
 _PROBE_POINTS = np.array(
     [
@@ -124,13 +123,13 @@ class ParamFamily:
         object.__setattr__(self, "b0", b0)
         ident = np.asarray(self.rep_map(b0), dtype=complex)
         n = ident.shape[0] if ident.ndim == 2 else -1
-        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > _IDENTITY_TOL:
+        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > ALGEBRAIC_TOL:
             raise ValueError("rep_map(b0) is not the identity matrix")
         object.__setattr__(self, "n", n)
         if self.point_map is None:
             return
         moved = np.asarray(self.point_map(b0, _PROBE_POINTS), dtype=float)
-        if np.abs(moved - _PROBE_POINTS).max() > _IDENTITY_TOL:
+        if np.abs(moved - _PROBE_POINTS).max() > ALGEBRAIC_TOL:
             raise ValueError("point_map(b0, .) is not the identity map")
 
 
@@ -222,7 +221,7 @@ def det_trace_residual(
     """
     b0 = np.asarray(b0, dtype=float)
     base = np.asarray(matrix_map(b0), dtype=float)
-    if base.shape[0] != base.shape[1] or np.abs(base - np.eye(base.shape[0])).max() > _IDENTITY_TOL:
+    if base.shape[0] != base.shape[1] or np.abs(base - np.eye(base.shape[0])).max() > ALGEBRAIC_TOL:
         raise ValueError("matrix family is not the identity at the base parameters")
 
     def det_trace(b):

@@ -150,26 +150,31 @@ class LorentzTransform:
 
     matrix: np.ndarray
     params: np.ndarray | None = None
-    tol: float = ALGEBRAIC_TOL
 
     def __post_init__(self):
         m = _check_finite(self.matrix, "Lorentz matrix")
         if m.shape != (4, 4):
             raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.params is not None:
-            p = _check_finite(self.params, "Lorentz parameters").copy()
-            p.setflags(write=False)
-            object.__setattr__(self, "params", p)
-        _check_lorentz(m, self.tol)
+        params = None if self.params is None else _check_finite(self.params, "Lorentz parameters").copy()
+        _check_lorentz(m, ALGEBRAIC_TOL)
+        self._freeze(m.copy(), params)
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, params: np.ndarray | None = None) -> "LorentzTransform":
+        """A product or inverse of checked transforms, Lorentz by the group law, so only checked finite: its
+        roundoff grows with its factors' entries, and a bound on its own rejects g g^-1 at rapidity 5."""
+        return object.__new__(cls)._freeze(_check_finite(matrix, "Lorentz matrix"), params)
+
+    def _freeze(self, matrix: np.ndarray, params: np.ndarray | None) -> "LorentzTransform":
+        for name, value in (("matrix", matrix), ("params", params)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
 
     def inverse(self) -> "LorentzTransform":
         """Exact inverse eta Lambda^T eta; negated parameters when known."""
-        inv = ETA @ self.matrix.T @ ETA
-        params = None if self.params is None else -self.params
-        return LorentzTransform(inv, params, self.tol)
+        return self._derived(ETA @ self.matrix.T @ ETA, None if self.params is None else -self.params)
 
     def metric_residual(self) -> float:
         return lorentz_residuals(self.matrix)[0]
@@ -367,7 +372,7 @@ class PoincareElement:
 
     def compose(self, other: "PoincareElement") -> "PoincareElement":
         """Group product self o other: (L2 L1, L2 a1 + a2) with self = g2."""
-        mat = LorentzTransform(self.matrix @ other.matrix, tol=max(self.transform.tol, 10 * ALGEBRAIC_TOL))
+        mat = LorentzTransform._derived(self.matrix @ other.matrix)
         return PoincareElement(mat, self.matrix @ other.translation + self.translation)
 
     def inverse(self) -> "PoincareElement":

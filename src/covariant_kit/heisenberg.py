@@ -34,12 +34,12 @@ from .generators import (
     _param_diffs,
     rep_generators,
 )
+from .schemas import TOLERANCES
 
 __all__ = [
     "RelationReport",
     "verify_local_relation",
     "verify_bundle_relation",
-    "frame_independence_check",
     "ToyOperatorModel",
     "lowering_operator",
     "number_operator_model",
@@ -232,7 +232,7 @@ def verify_local_relation(
     family: ParamFamily,
     scheme: FDScheme,
     points: np.ndarray,
-    tolerance: float = 1e-6,
+    tolerance: float = TOLERANCES["local"],
     convergence_steps: tuple[float, ...] = (),
 ) -> RelationReport:
     """Check the differentiated transformation law on sampled points.
@@ -250,7 +250,7 @@ def verify_bundle_relation(
     family: ParamFamily,
     scheme: FDScheme,
     points: np.ndarray,
-    tolerance: float = 1e-8,
+    tolerance: float = TOLERANCES["bundle"],
 ) -> RelationReport:
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
@@ -273,35 +273,6 @@ def verify_bundle_relation(
     return _relation_report(field, family, scheme, points, tolerance, note=note)
 
 
-def frame_independence_check(
-    field: FieldFunction,
-    frame: np.ndarray,
-    family: ParamFamily,
-    scheme: FDScheme,
-    points: np.ndarray,
-) -> float:
-    """Covariance of the pointwise relation under a constant frame change.
-
-    Computes ``A^-1 (I' phi)`` in the original frame and
-    ``(A^-1 I' A)(A^-1 phi)`` in the changed frame; returns the sup
-    deviation, which is pure roundoff for any invertible constant A.
-    """
-    A = np.asarray(frame, dtype=complex)
-    if A.shape != (field.n, field.n):
-        raise ValueError(f"frame matrix must be {field.n}x{field.n}, got {A.shape}")
-    if abs(np.linalg.det(A)) <= 1e-12:
-        raise ValueError("frame matrix is singular")
-    inv = np.linalg.inv(A)
-    pts = np.asarray(points, dtype=float)
-    phi = _field_values(field, pts)
-    gen = rep_generators(family, scheme)
-    route1 = np.einsum("ij,wpj->wpi", inv, np.einsum("wij,pj->wpi", gen, phi))
-    gen2 = np.einsum("ij,wjk,kl->wil", inv, gen, A)
-    phi2 = np.einsum("ij,pj->pi", inv, phi)
-    route2 = np.einsum("wij,pj->wpi", gen2, phi2)
-    return float(np.abs(route1 - route2).max())
-
-
 def lowering_operator(dim: int) -> np.ndarray:
     """Truncated lowering operator: a[k, k+1] = sqrt(k+1)."""
     a = np.zeros((dim, dim), dtype=complex)
@@ -312,25 +283,26 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyOperatorModel:
-    """Finite-dimensional charge model: generator Q and field matrices."""
+    """Finite-dimensional charge model: a square generator Q, of size ``dim``, and field matrices."""
 
-    dim: int
     charge: float
     unit_charge: float
     generator: np.ndarray
     field_ops: tuple
+    dim: int = dc_field(init=False)
     #: The diagonal of the generator when it is diagonal, else None.
     diagonal: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.generator, dtype=complex)
-        if Q.shape != (self.dim, self.dim):
-            raise ValueError("generator dimension mismatch")
+        dim = Q.shape[0] if Q.ndim == 2 else -1
+        if Q.shape != (dim, dim):
+            raise ValueError("generator must be a square matrix")
         ops = tuple(np.asarray(op, dtype=complex) for op in self.field_ops)
-        for op in ops:
-            if op.shape != (self.dim, self.dim):
-                raise ValueError("field operator dimension mismatch")
+        if any(op.shape != Q.shape for op in ops):
+            raise ValueError("field operator dimension mismatch")
         diag = np.diagonal(Q)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generator", Q)
         object.__setattr__(self, "field_ops", ops)
         object.__setattr__(self, "diagonal", diag if np.count_nonzero(Q - np.diag(diag)) == 0 else None)
@@ -347,7 +319,7 @@ def number_operator_model(dim: int = 16, q: float = 1.0, e: float = 1.0) -> ToyO
     if e == 0:
         raise ValueError("unit charge must be nonzero")
     Q = q * np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return ToyOperatorModel(dim, float(q), float(e), Q, (lowering_operator(dim),))
+    return ToyOperatorModel(float(q), float(e), Q, (lowering_operator(dim),))
 
 
 def charge_unitary(model: ToyOperatorModel, t: float) -> np.ndarray:
@@ -367,8 +339,8 @@ def charge_unitary(model: ToyOperatorModel, t: float) -> np.ndarray:
 def toy_commutator_check(
     model: ToyOperatorModel,
     b: float = 0.3,
-    commutator_tolerance: float = 1e-14,
-    conjugation_tolerance: float = 1e-10,
+    commutator_tolerance: float = TOLERANCES["commutator"],
+    conjugation_tolerance: float = TOLERANCES["conjugation"],
 ) -> RelationReport:
     """Charge relation [Q, op] = -q op plus its exponentiated form.
 

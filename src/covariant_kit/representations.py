@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_generators, lorentz_log_params
+from .geometry import ALGEBRAIC_TOL, ETA, PLANES, AffineMap, PoincareElement, lorentz_exp, lorentz_generators, lorentz_log_params
 
 __all__ = [
     "GammaBasis",
@@ -64,7 +64,7 @@ class GammaBasis:
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "matrices", g)
-        if self.anticommutator_residual() > 1e-12:
+        if self.anticommutator_residual() > ALGEBRAIC_TOL:
             raise ValueError("gamma matrices do not satisfy the (-+++) Clifford relations")
         sig = np.zeros((4, 4, 4, 4), dtype=complex)
         for mu in range(4):
@@ -171,7 +171,7 @@ class FieldRep:
     def custom(cls, rule: Callable[[np.ndarray], np.ndarray], n: int, nparams: int) -> "FieldRep":
         """Wrap a user rule params -> n x n matrix; must be identity at zero."""
         ident = np.asarray(rule(np.zeros(nparams)), dtype=complex)
-        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > 1e-12:
+        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > ALGEBRAIC_TOL:
             raise ValueError("custom rule does not evaluate to the identity at zero parameters")
         return cls("custom", n, nparams, rule)
 

@@ -273,6 +273,28 @@ class TestLargeBoosts:
             LorentzTransform(off)
 
 
+    def test_tolerance_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            LorentzTransform(np.eye(4), None, 1e-3)
+
+    @pytest.mark.parametrize("rapidity", [5.0, 8.0])
+    def test_a_cancelling_product_is_not_rejected(self, rapidity):
+        # g g^-1 is 1, with roundoff about eps cosh(rapidity)^2: past what a bound
+        # scaled by the product's own entries allows, within what its factors allow
+        g = PoincareElement.from_params([rapidity, 0, 0, 0.3, 0, 0], [0.5, 0, 0, 0])
+        scale = np.abs(g.matrix).max() ** 2
+        for unit in (g.compose(g.inverse()), g.inverse().compose(g)):
+            assert np.abs(unit.matrix - np.eye(4)).max() <= geometry.ALGEBRAIC_TOL * scale
+            assert unit.params is None and not unit.matrix.flags.writeable
+        inv = g.transform.inverse()
+        assert np.array_equal(inv.params, -g.params) and not inv.params.flags.writeable
+
+    def test_an_overflowing_product_still_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+            g = PoincareElement.from_params([360.0, 0, 0, 0, 0, 0])
+            g.compose(g)
+
+
 class TestPoincare:
     def _random_element(self, rng):
         return PoincareElement.from_params(rng.uniform(-0.6, 0.6, 6), rng.uniform(-1, 1, 4))

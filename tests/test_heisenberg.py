@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from covariant_kit.heisenberg import (
     RelationReport,
     ToyOperatorModel,
     charge_unitary,
-    frame_independence_check,
     lowering_operator,
     number_operator_model,
     observer_groupoid_check,
@@ -26,7 +26,8 @@ from covariant_kit.heisenberg import (
     verify_bundle_relation,
     verify_local_relation,
 )
-from covariant_kit.representations import FieldRep, rep_matrix
+from covariant_kit.representations import FieldRep
+from covariant_kit.schemas import TOLERANCES
 
 from families import dilation_family
 
@@ -60,6 +61,19 @@ class TestRelationReport:
         assert float(d["sup_residuals"][0]) == 1.5e-9  # parse-stable
         assert d["passed"] == [True]
         assert d["convergence"]["ratios"] == [["4"]]
+
+
+@pytest.mark.parametrize(
+    "check, parameter, name",
+    [
+        (verify_local_relation, "tolerance", "local"),
+        (verify_bundle_relation, "tolerance", "bundle"),
+        (toy_commutator_check, "commutator_tolerance", "commutator"),
+        (toy_commutator_check, "conjugation_tolerance", "conjugation"),
+    ],
+)
+def test_tolerance_defaults_are_the_schema_defaults(check, parameter, name):
+    assert inspect.signature(check).parameters[parameter].default == TOLERANCES[name]
 
 
 class TestLocalRelation:
@@ -252,32 +266,6 @@ class TestBundleRelation:
         assert "frame-only" in report.metadata["note"]
 
 
-class TestFrameIndependence:
-    def test_identity_frame_exact(self):
-        field = wave_packet([0, 0, 0, 0], 1.0, 4)
-        res = frame_independence_check(field, np.eye(4), poincare_frame_family(FieldRep.vector()), SCHEME, POINTS)
-        assert res == 0.0
-
-    def test_diagonal_rescaling(self):
-        field = wave_packet([0.1, 0, 0, 0], 1.0, 4)
-        A = np.diag([2.0, 1.0, 1.0, 1.0])
-        res = frame_independence_check(field, A, poincare_frame_family(FieldRep.vector()), SCHEME, POINTS)
-        assert res <= 1e-12
-
-    def test_spinor_rotation_frame(self):
-        field = wave_packet([0.0, 0.2, 0, 0], 1.0, 4)
-        A = rep_matrix(FieldRep.spinor(), np.array([0, 0, 0, 0.6, 0, 0]))
-        res = frame_independence_check(field, A, poincare_frame_family(FieldRep.spinor()), SCHEME, POINTS)
-        assert res <= 1e-10
-
-    def test_singular_frame_rejected(self):
-        field = wave_packet([0, 0, 0, 0], 1.0, 4)
-        with pytest.raises(ValueError):
-            frame_independence_check(
-                field, np.zeros((4, 4)), poincare_frame_family(FieldRep.vector()), SCHEME, POINTS
-            )
-
-
 class TestToyModel:
     def test_number_model_structure(self):
         model = number_operator_model(dim=5, q=2.0)
@@ -320,6 +308,22 @@ class TestToyModel:
         with pytest.raises(ValueError):
             number_operator_model(dim=1)
 
+    def test_dimension_is_read_off_the_generator(self):
+        model = number_operator_model(dim=5)
+        assert model.dim == 5
+        with pytest.raises(TypeError):
+            ToyOperatorModel(1.0, 1.0, model.generator, model.field_ops, dim=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.dim = 6
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(ValueError):
+            ToyOperatorModel(1.0, 1.0, np.zeros((3, 4)), ())
+        with pytest.raises(ValueError):
+            ToyOperatorModel(1.0, 1.0, np.zeros(3), ())
+        with pytest.raises(ValueError):
+            ToyOperatorModel(1.0, 1.0, np.eye(3), (lowering_operator(4),))
+
     def test_non_diagonal_generator(self):
         # the number model seen in a rotated basis: Q is no longer diagonal, so
         # the check takes the general commutator Q op - op Q
@@ -327,7 +331,7 @@ class TestToyModel:
         rng = np.random.default_rng(3)
         V, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         rotate = lambda m: V @ m @ V.conj().T
-        model = ToyOperatorModel(6, 1.5, 0.5, rotate(base.generator), tuple(map(rotate, base.field_ops)))
+        model = ToyOperatorModel(1.5, 0.5, rotate(base.generator), tuple(map(rotate, base.field_ops)))
         assert np.abs(model.generator - np.diag(np.diagonal(model.generator))).max() > 0.1
         report = toy_commutator_check(model, commutator_tolerance=1e-12, conjugation_tolerance=1e-9)
         assert report.labels == ("commutator_0", "conjugation_0")
@@ -346,7 +350,7 @@ class TestToyModel:
         assert np.array_equal(U, np.diag(np.diagonal(U)))
         assert np.abs(U - expm(base.generator * (0.3 / 0.5j))).max() <= 1e-14
         V, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
-        rotated = ToyOperatorModel(6, 1.5, 0.5, V @ base.generator @ V.T, ())
+        rotated = ToyOperatorModel(1.5, 0.5, V @ base.generator @ V.T, ())
         assert rotated.diagonal is None
         assert np.abs(charge_unitary(rotated, 0.3) - V @ U @ V.T).max() <= 1e-13
 

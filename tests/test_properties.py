@@ -6,11 +6,11 @@ the same examples, so the suite stays deterministic.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covariant_kit.fields import active_transform, wave_packet
-from covariant_kit.geometry import PoincareElement, lorentz_exp, lorentz_log_params
+from covariant_kit.geometry import ALGEBRAIC_TOL, PoincareElement, lorentz_exp, lorentz_log_params, lorentz_residuals
 from covariant_kit.representations import FieldRep, homomorphism_check, rep_matrix
 
 REPS = {
@@ -109,6 +109,43 @@ def test_compose_with_inverse_is_identity(g):
         tol = _group_tol(g.matrix)
         assert np.abs(unit.matrix - np.eye(4)).max() <= tol
         assert np.abs(unit.translation).max() <= tol * max(1.0, np.abs(g.translation).max())
+
+
+def _boosted_elements(max_rapidity=8.0):
+    """Elements whose boost has rapidity up to ``max_rapidity`` along any axis, with small rotations."""
+
+    def build(axis, rapidity, rotation, a):
+        boost = rapidity * axis / np.linalg.norm(axis)
+        return PoincareElement.from_params(np.concatenate([boost, rotation]), a)
+
+    axes = _vectors(3, 1.0).filter(lambda v: np.linalg.norm(v) > 0.1)
+    return st.builds(build, axes, st.floats(0.0, max_rapidity), _vectors(3, 0.6), _vectors(4, 2.0))
+
+
+@PROPERTY
+@given(g1=_boosted_elements(), g2=_boosted_elements(), g3=_boosted_elements())
+@example(
+    g1=PoincareElement.from_params([8.0, 0, 0, 0, 0, 0]),
+    g2=PoincareElement.from_params([-8.0, 0, 0, 0.3, 0, 0]),
+    g3=PoincareElement.from_params([0, 8.0, 0, 0, 0, 0]),
+)
+def test_large_boost_products_and_inverses_construct(g1, g2, g3):
+    # A product's roundoff grows with its factors' entries, not its own: g g^-1 is near 1
+    # while its error is about eps cosh(8)^2.  So each product, square and inverse
+    # constructs, and is Lorentz within ALGEBRAIC_TOL times the factors' scales squared.
+    def bound(*factors):
+        return ALGEBRAIC_TOL * np.prod([max(1.0, np.abs(g.matrix).max()) for g in factors]) ** 2
+
+    for g, factors in (
+        (g1.compose(g2).compose(g3), (g1, g2, g3)),
+        (g1.compose(g2.compose(g3)), (g1, g2, g3)),
+        (g1.compose(g1), (g1, g1)),
+        (g1.compose(g1.inverse()), (g1, g1)),
+        (g1.inverse().compose(g1), (g1, g1)),
+        (g3.inverse().compose(g2.inverse()).compose(g1.inverse()), (g1, g2, g3)),
+    ):
+        assert max(lorentz_residuals(g.matrix)) <= bound(*factors)
+        assert not g.matrix.flags.writeable
 
 
 @PROPERTY
