@@ -70,7 +70,11 @@ class FieldFunction:
 
     ``evaluate`` maps points of shape (..., 4) to values (..., n);
     ``gradient`` maps them to (..., n, 4) where the last axis is the
-    coordinate derivative direction.  Both must be pure functions.
+    coordinate derivative direction.  Both must be pure functions and
+    must not write to ``points``, which may be a strided view: on the grid
+    path (``pairings``, ``dump_field_csv``) and after an ``AffineMap`` it
+    is laid out coordinate-major, each ``points[..., k]`` a contiguous
+    column, and the grid path reuses its buffer for the next block.
     ``evaluate`` may return a real (float64) array, computed in real
     arithmetic, for a field whose values are real (a wave packet with real
     coefficients); it stands for the complex array with zero imaginary parts.
@@ -381,21 +385,22 @@ def _slice_blocks(grid: GridSpec):
     ``blocks`` yields the slice's points, shape (rows, n2, n3, 4), in
     blocks of whole axis-1 rows: as many rows as fit in BLOCK_POINTS, and
     one row when a row alone is larger.  Every block is a view of one
-    buffer that the next block overwrites.
+    coordinate-major (4, rows, n2, n3) buffer that the next block
+    overwrites, so each ``pts[..., k]`` is a contiguous column.
     """
     axes = grid.axes()
     n1, n2, n3 = grid.counts[1:]
     rows = min(n1, max(1, BLOCK_POINTS // (n2 * n3)))
-    buf = np.empty((rows, n2, n3, 4))
-    buf[..., 2] = axes[2][:, None]
-    buf[..., 3] = axes[3]
+    buf = np.empty((4, rows, n2, n3))
+    buf[2] = axes[2][:, None]
+    buf[3] = axes[3]
 
     def blocks(x0):
-        buf[..., 0] = x0
+        buf[0] = x0
         for i1 in range(0, n1, rows):
-            pts = buf[: min(rows, n1 - i1)]
-            pts[..., 1] = axes[1][i1 : i1 + rows, None, None]
-            yield pts
+            cols = buf[:, : min(rows, n1 - i1)]
+            cols[1] = axes[1][i1 : i1 + rows, None, None]
+            yield np.moveaxis(cols, 0, -1)
 
     for x0 in axes[0]:
         yield blocks(x0)

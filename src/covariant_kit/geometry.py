@@ -130,12 +130,17 @@ def lorentz_residuals(matrices: np.ndarray) -> tuple[float, float]:
 
 def _check_lorentz(matrices: np.ndarray, tol: float) -> None:
     """Raise unless every matrix is proper orthochronous and preserves the metric within
-    ``tol * max(1, max|L|)^2``: roundoff in L^T eta L and det L grows with the entries squared."""
-    metric, det = _residuals(matrices)
-    bound = tol * np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1))) ** 2
-    if (metric > bound).any():
+    ``tol * max(1, max|L|)^2``: roundoff in L^T eta L and det L grows with the entries squared.
+
+    A test passes only on a finite bound and a residual at or below it, so a matrix whose
+    residual or bound overflows (entries past about 1e154) fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric, det = _residuals(matrices)
+        bound = tol * np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1))) ** 2
+    finite = np.isfinite(bound)
+    if not (finite & (metric <= bound)).all():
         raise ValueError(f"matrix does not preserve the metric (residual {metric.max():.3e})")
-    if (det > bound).any() or matrices[..., 0, 0].min() < 1.0 - tol:
+    if not (finite & (det <= bound) & (matrices[..., 0, 0] >= 1.0 - tol)).all():
         raise ValueError("matrix is not proper orthochronous (det != +1 or time reversal)")
 
 
@@ -381,7 +386,7 @@ class PoincareElement:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """x -> Lambda x + a for a point (4,) or batch (..., 4)."""
-        return np.asarray(points) @ self.matrix.T + self.translation
+        return self.point_map()(points)
 
     def point_map(self) -> "AffineMap":
         return AffineMap(self.matrix, self.translation)
@@ -407,10 +412,17 @@ class AffineMap:
         object.__setattr__(self, "offset", c)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        # One (N, 4) x (4, 4) product: the sums of points @ linear.T, sooner.
-        out = np.tensordot(points, self.linear.T, axes=1)
-        out += self.offset
-        return out
+        """``points @ linear.T + offset`` for a point (4,) or batch (..., 4), never aliasing ``points``.
+
+        The result is the (..., 4) view of a fresh coordinate-major (4, ...)
+        array, so each ``out[..., k]`` is contiguous: one (4, 4) x (4, N)
+        product, then the offset added per coordinate row.  A coordinate-major
+        input (such as the grid's point blocks) is read without a copy.
+        """
+        cols = np.moveaxis(np.asarray(points), -1, 0)
+        out = self.linear @ cols.reshape(4, -1)
+        out += self.offset[:, None]
+        return np.moveaxis(out.reshape(cols.shape), 0, -1)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""

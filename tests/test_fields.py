@@ -725,6 +725,43 @@ class TestPairings:
         assert np.array_equal(_bits(pairing(phi, f, grid)), _bits(reference))
 
 
+class TestPointLayout:
+    """Grid points reach fields as coordinate-major views; the values do not depend on it."""
+
+    @pytest.mark.parametrize("block", [100, fields_module.BLOCK_POINTS])
+    def test_slice_blocks_are_the_grid_axes(self, monkeypatch, block):
+        # 129 rows of 35 points: a partial last block at 100 points, one block at the default
+        grid = GridSpec(((-5.3, 4.9), (-6.1, 5.7), (-4.7, 5.5), (-5.9, 4.3)), (3, 129, 5, 7))
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
+        axes = grid.axes()
+        slices = list(fields_module._slice_blocks(grid))
+        assert len(slices) == len(axes[0])
+        for x0, blocks in zip(axes[0], slices):
+            parts = []
+            for pts in blocks:
+                assert pts.shape[1:] == (5, 7, 4)
+                assert all(pts[..., k].flags.c_contiguous for k in range(4))
+                parts.append(pts.copy())
+            expected = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0]
+            assert np.array_equal(np.concatenate(parts), expected)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
+    def test_pairings_do_not_depend_on_the_layout(self, kind):
+        # Each distinct field wrapped once, so that sharing between pairs is kept.
+        pairs = list(TestBlockedPairing()._pairs(getattr(FieldRep, kind)()).values()) + [TestBlockedPairing._frame_pair()]
+        copies = {}
+
+        def row_major(field):
+            if id(field) not in copies:
+                evaluate = lambda points: field.evaluate(np.ascontiguousarray(points))
+                copies[id(field)] = FieldFunction(field.n, evaluate, field.gradient)
+            return copies[id(field)]
+
+        grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
+        wrapped = [(row_major(phi), row_major(f)) for phi, f in pairs]
+        assert np.array_equal(_bits(pairings(pairs, grid, levels=3)), _bits(pairings(wrapped, grid, levels=3)))
+
+
 class TestEvaluateDtype:
     CENTER = np.array([0.2, -0.1, 0.3, 0.0])
     WIDTH = 1.1

@@ -290,9 +290,25 @@ class TestLargeBoosts:
         assert np.array_equal(inv.params, -g.params) and not inv.params.flags.writeable
 
     def test_an_overflowing_product_still_raises(self):
+        # rapidity 300 and its square construct; the cube's entries, near e^900, overflow
+        g = PoincareElement.from_params([300.0, 0, 0, 0, 0, 0])
+        square = g.compose(g)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
-            g = PoincareElement.from_params([360.0, 0, 0, 0, 0, 0])
-            g.compose(g)
+            square.compose(g)
+
+    def test_a_matrix_whose_check_overflows_raises(self):
+        # max|L| past about 1e154: L^T eta L and the bound tol max|L|^2 overflow to
+        # nan and inf, and a comparison with either must fail, not pass
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            LorentzTransform(np.full((4, 4), 1e200))
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            geometry._check_lorentz(np.stack([np.eye(4), np.full((4, 4), 1e200)]), geometry.ALGEBRAIC_TOL)
+
+    @pytest.mark.parametrize("build", [lorentz_exp, lambda omega: lorentz_exp_stack(np.array([omega]))])
+    def test_a_boost_past_the_double_range_raises(self, build):
+        # rapidity 360: entries near 1e156, finite, but their squares in L^T eta L are not
+        with pytest.raises(ValueError, match="does not preserve the metric"):
+            build(np.array([360.0, 0, 0, 0, 0, 0]))
 
 
 class TestPoincare:
@@ -335,7 +351,8 @@ class TestPoincare:
         rng = np.random.default_rng(9)
         g = self._random_element(rng)
         pts = rng.uniform(-2, 2, (10, 4))
-        assert_allclose(g.apply(pts), g.point_map()(pts), atol=1e-14)
+        assert np.array_equal(g.apply(pts), g.point_map()(pts))
+        assert_allclose(g.apply(pts), pts @ g.matrix.T + g.translation, rtol=1e-15, atol=1e-15)
 
     def test_inverse_params_negated(self):
         g = PoincareElement.from_params([0.2, 0, 0, 0.3, 0, 0], [1, 2, 3, 4])
@@ -397,6 +414,46 @@ class TestCharts:
         L[2, 2] = 0.0
         with pytest.raises(ValueError):
             AffineChart(L, np.zeros(4))
+
+
+class TestAffineMapLayout:
+    """``AffineMap.__call__`` is ``points @ L.T + offset`` whatever the input's layout and shape."""
+
+    MAP = AffineMap(np.diag([1.5, 0.5, 2.0, 1.0]) + np.triu(np.full((4, 4), 0.3), 1), [0.3, -1.0, 0.0, 2.0])
+
+    def _check(self, points):
+        expected = np.asarray(points) @ self.MAP.linear.T + self.MAP.offset
+        out = self.MAP(points)
+        assert out.shape == np.shape(points)
+        assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert not np.shares_memory(out, points)
+        return out
+
+    def test_row_major_batch(self):
+        pts = np.random.default_rng(1).uniform(-3, 3, (50, 4))
+        before = pts.copy()
+        out = self._check(pts)
+        assert np.array_equal(pts, before)
+        assert all(out[:, k].flags.c_contiguous for k in range(4))
+
+    def test_coordinate_major_view(self):
+        cols = np.random.default_rng(2).uniform(-3, 3, (4, 3, 5, 7))
+        self._check(np.moveaxis(cols, 0, -1))
+        # a coordinate-major view of part of a buffer, as a short last block is
+        self._check(np.moveaxis(cols[:, :2], 0, -1))
+
+    def test_single_point(self):
+        out = self._check(np.array([0.5, -1.0, 2.0, 0.25]))
+        assert out.shape == (4,)
+
+    def test_nested_batch(self):
+        out = self._check(np.random.default_rng(3).uniform(-3, 3, (2, 3, 5, 4)))
+        assert all(out[..., k].flags.c_contiguous for k in range(4))
+
+    def test_identity_output_is_a_copy(self):
+        pts = np.random.default_rng(4).uniform(-3, 3, (6, 4))
+        out = AffineMap.identity()(pts)
+        assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
 
 
 class TestTransitionJacobian:
