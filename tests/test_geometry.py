@@ -450,11 +450,6 @@ class TestAffineMapLayout:
         out = self._check(np.random.default_rng(3).uniform(-3, 3, (2, 3, 5, 4)))
         assert all(out[..., k].flags.c_contiguous for k in range(4))
 
-    def test_identity_output_is_a_copy(self):
-        pts = np.random.default_rng(4).uniform(-3, 3, (6, 4))
-        out = AffineMap.identity()(pts)
-        assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
-
 
 class TestTransitionJacobian:
     def test_poincare_is_unit(self):
