@@ -297,8 +297,8 @@ class TestLargeBoosts:
             square.compose(g)
 
     def test_a_matrix_whose_check_overflows_raises(self):
-        # max|L| past about 1e154: L^T eta L and the bound tol max|L|^2 overflow to
-        # nan and inf, and a comparison with either must fail, not pass
+        # max|L| past about 1e154: the residual of L^T eta L and the bound tol max|L|^2
+        # overflow to inf or nan, and a comparison with either must fail, not pass
         with pytest.raises(ValueError, match="does not preserve the metric"):
             LorentzTransform(np.full((4, 4), 1e200))
         with pytest.raises(ValueError, match="does not preserve the metric"):
