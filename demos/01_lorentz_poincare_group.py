@@ -7,13 +7,12 @@ Run:  python demos/01_lorentz_poincare_group.py
 import numpy as np
 
 from covariant_kit import (
-    AffineChart,
+    AffineMap,
     PoincareElement,
     chart_transition,
     lorentz_exp,
     lorentz_generators,
     minkowski_metric,
-    transition_jacobian,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -57,12 +56,12 @@ print()
 print("=" * 70)
 print("Chart transitions: the four induced maps")
 print("=" * 70)
-u = AffineChart()  # the identity chart
-u_prime = AffineChart(g.matrix, g.translation)  # the moved chart
+u = AffineMap.identity()  # the identity chart
+u_prime = g.point_map()  # the moved chart
 trans = chart_transition(u, u_prime)
 r = np.array([0.7, -1.2, 0.4, 2.0])
 print("coordinates of the same point in the new chart:", trans.coord_map(r))
-print("pulled back again:", trans.coord_map_inv(trans.coord_map(r)))
-print(f"transition Jacobian (always 1 for these transitions): {transition_jacobian(trans.coord_map):.12f}")
-both = trans.point_map.compose(trans.point_map_inv)
+print("pulled back again:", trans.coord_map.inverse()(trans.coord_map(r)))
+print(f"transition Jacobian (always 1 for these transitions): {trans.coord_map.jacobian:.12f}")
+both = trans.point_map.compose(trans.point_map.inverse())
 print(f"point-map pair composes to identity within {np.abs(both.linear - np.eye(4)).max():.2e}")

@@ -51,7 +51,7 @@ from .generators import (
     rep_generators,
 )
 from .geometry import (
-    AffineChart,
+    AffineMap,
     PoincareElement,
     chart_transition,
     lorentz_exp,
@@ -68,23 +68,23 @@ from .heisenberg import (
     verify_local_relation,
 )
 from .representations import FieldRep, homomorphism_check, rep_matrix, rep_matrix_for_element
-from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCES
+from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCES, number_text
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _complex_text(v) -> list:
+    return [number_text(v.real), number_text(v.imag)]
 
 
-def _fmt_matrix(mat) -> list:
-    return [[[_fmt(v.real), _fmt(v.imag)] for v in row] for row in mat]
+def _matrix_text(mat) -> list:
+    return [[_complex_text(v) for v in row] for row in mat]
 
 
 def _result(name: str, sup: float, tol: float, detail: dict | None = None) -> dict:
     out = {
         "name": name,
         "passed": bool(sup <= tol),
-        "sup_residual": _fmt(sup),
-        "tolerance": _fmt(tol),
+        "sup_residual": number_text(sup),
+        "tolerance": number_text(tol),
     }
     if detail is not None:
         out["detail"] = detail
@@ -200,14 +200,9 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
         )
 
     g = PoincareElement.from_params(rng.uniform(-0.5, 0.5, 6), rng.uniform(-1, 1, 4))
-    u = AffineChart()
-    u_prime = AffineChart(g.matrix, g.translation)
-    trans = chart_transition(u, u_prime)
-    round_trip = trans.coord_map.compose(trans.coord_map_inv)
-    chart_res = max(
-        float(np.abs(round_trip.linear - np.eye(4)).max()),
-        float(np.abs(round_trip.offset).max()),
-    )
+    trans = chart_transition(AffineMap.identity(), g.point_map())
+    round_trip = trans.coord_map.compose(trans.coord_map.inverse())
+    chart_res = float(np.abs(np.column_stack([round_trip.linear - np.eye(4), round_trip.offset])).max())
 
     results = [
         _result("metric_preservation", metric_res, _tol(scenario, "metric"), {"draws": draws}),
@@ -279,7 +274,7 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     results = [
         _result("active_roundtrip", round_res, round_tol),
         _result("gradient_chain_rule", grad_res, _tol(scenario, "gradient")),
-        _result("passive_composition", comp_res, round_tol, {"compared_max_abs": _fmt(compared_max_abs)}),
+        _result("passive_composition", comp_res, round_tol, {"compared_max_abs": number_text(compared_max_abs)}),
     ]
     tables = {}
     out_spec = scenario.get("output", {})
@@ -288,7 +283,7 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
         dump_field_csv(moved, _build_grid(scenario), csv_path)
         tables["field_csv"] = str(csv_path)
     # Echo the representation matrix in play.
-    tables["rep_matrix"] = _fmt_matrix(rep_matrix_for_element(rep, g))
+    tables["rep_matrix"] = _matrix_text(rep_matrix_for_element(rep, g))
     return results, tables
 
 
@@ -301,7 +296,7 @@ def _run_relation(scenario: dict, default_family: str, verify, name: str, tol: f
     pts = _build_points(scenario)
     report = verify(field, family, scheme, pts, tolerance=tol, **options)
     gens = rep_generators(family, scheme)
-    tables = {"generator_matrices": {label: _fmt_matrix(mat) for label, mat in zip(family.labels, gens)}}
+    tables = {"generator_matrices": {label: _matrix_text(mat) for label, mat in zip(family.labels, gens)}}
     return [_report_result(name, report)], tables
 
 
@@ -335,8 +330,8 @@ def run_toy(scenario: dict) -> tuple[list, dict]:
             groupoid.max_residual,
             _tol(scenario, "groupoid"),
             {
-                "composition_residual": _fmt(groupoid.composition_residual),
-                "identity_residual": _fmt(groupoid.identity_residual),
+                "composition_residual": number_text(groupoid.composition_residual),
+                "identity_residual": number_text(groupoid.identity_residual),
             },
         )
     )
@@ -378,25 +373,16 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
     conv_res = rel_diffs[-1]
     table = {
         "counts": [list(g.counts) for g in grids],
-        "values": [[_fmt(v.real), _fmt(v.imag)] for v in values],
-        "relative_diffs": [_fmt(d) for d in rel_diffs],
+        "values": [_complex_text(v) for v in values],
+        "relative_diffs": [number_text(d) for d in rel_diffs],
     }
     results = [_result("pairing_convergence", conv_res, conv_tol, {"levels": len(grids)})]
 
     if invariance:
         moved, pulled = sums[1:, -1]
         rel = abs(moved - pulled) / max(abs(pulled), 1e-300)
-        results.append(
-            _result(
-                "pairing_invariance",
-                rel,
-                _tol(scenario, "pairing"),
-                {
-                    "active_side": [_fmt(moved.real), _fmt(moved.imag)],
-                    "test_side": [_fmt(pulled.real), _fmt(pulled.imag)],
-                },
-            )
-        )
+        sides = {"active_side": _complex_text(moved), "test_side": _complex_text(pulled)}
+        results.append(_result("pairing_invariance", rel, _tol(scenario, "pairing"), sides))
     return results, {"pairing_convergence": table}
 
 
@@ -425,7 +411,7 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
         "results": results,
         "tables": tables,
         "pass": all(r["passed"] for r in results),
-        "timings": {"total_seconds": _fmt(time.perf_counter() - start)},
+        "timings": {"total_seconds": number_text(time.perf_counter() - start)},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     return report

@@ -36,6 +36,7 @@ import numpy as np
 from .generators import _central_diff
 from .geometry import AffineMap, PoincareElement
 from .representations import FieldRep, rep_matrix_for_element
+from .schemas import NUMBER_FORMAT
 
 __all__ = [
     "SingularFrameError",
@@ -137,13 +138,15 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     amplitude or a list of monomial terms ``(coeff, (p0, p1, p2, p3))``.
     When every coefficient is real, ``evaluate`` computes in real
     arithmetic and returns float64 values; otherwise complex128.
+    ``width`` must be positive with width^2 and 2 / width^2 finite and
+    nonzero, about 1.055e-154 to 1.341e154; any other raises ValueError.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (4,) or not np.all(np.isfinite(c)):
         raise ValueError("wave packet center must be a finite 4-vector")
     s = float(width)
-    if not (s > 0 and np.isfinite(s)):
-        raise ValueError("wave packet width must be positive and finite")
+    if not (s > 0 and 0 < s * s < np.inf and 2.0 / (s * s) < np.inf):
+        raise ValueError(f"wave packet width must be positive with width^2 and 2 / width^2 finite and nonzero, got {s!r}")
     terms = _normalise_components(components)
     n = len(terms)
     dtype = complex if any(coeff.imag for comp_terms in terms for coeff, _ in comp_terms) else float
@@ -248,7 +251,7 @@ def _spacetime_matrix(rep: FieldRep, g, field: FieldFunction) -> tuple[np.ndarra
     if isinstance(g, PoincareElement):
         mapping, jac = g.point_map(), 1.0
     elif isinstance(g, AffineMap):
-        mapping, jac = g, float(np.linalg.det(g.linear))
+        mapping, jac = g, g.jacobian
     else:
         raise TypeError(f"expected PoincareElement or AffineMap, got {type(g).__name__}")
     return rep_matrix_for_element(rep, g), mapping, jac
@@ -354,14 +357,8 @@ class GridSpec:
         return [np.linspace(lo, hi, k) for (lo, hi), k in zip(self.bounds, self.counts)]
 
     def weights(self) -> list[np.ndarray]:
-        """Per-axis trapezoid weights."""
-        out = []
-        for (lo, hi), k in zip(self.bounds, self.counts):
-            w = np.full(k, (hi - lo) / (k - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            out.append(w)
-        return out
+        """Per-axis trapezoid weights: the one-level case of ``_level_weights``."""
+        return [w[:, 0] for w in _level_weights(self, 1)]
 
     def refine(self) -> "GridSpec":
         """Halve every step (counts k -> 2k - 1); bounds unchanged."""
@@ -410,8 +407,9 @@ def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
     """Per-axis trapezoid weights, shape (count, levels), of the nested sub-lattices.
 
     Column ``j`` holds the weights of the grid made of every
-    ``2**(levels-1-j)``-th point, and zeros at the points it skips; the
-    last column is ``grid.weights()``.
+    ``step = 2**(levels-1-j)``-th point: ``(hi - lo) / ((count - 1) // step)``
+    at each of them, halved at the two ends, and zeros at the points it
+    skips.  The last column is ``grid.weights()``.
     """
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
@@ -419,11 +417,11 @@ def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
     if any((k - 1) % top for k in grid.counts):
         raise ValueError(f"{levels} nested levels need every grid count minus 1 to divide by {top}, got {grid.counts}")
     out = [np.zeros((k, levels)) for k in grid.counts]
-    for j in range(levels):
-        step = 2 ** (levels - 1 - j)
-        coarse = GridSpec(grid.bounds, tuple((k - 1) // step + 1 for k in grid.counts))
-        for w, coarse_w in zip(out, coarse.weights()):
-            w[::step, j] = coarse_w
+    for w, (lo, hi), k in zip(out, grid.bounds, grid.counts):
+        for j in range(levels):
+            step = 2 ** (levels - 1 - j)
+            w[::step, j] = (hi - lo) / ((k - 1) // step)
+            w[[0, -1], j] *= 0.5
     return out
 
 
@@ -513,7 +511,7 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
     header = ["x0", "x1", "x2", "x3"] + [f"{part}{i}" for i in range(field.n) for part in ("re", "im")]
     # One % formats one axis-1 row of n2 * n3 points: not one per point,
     # and not a whole block's worth of Python floats at once.
-    row_fmt = (",".join(["%.17g"] * len(header)) + "\n") * (grid.counts[2] * grid.counts[3])
+    row_fmt = (",".join([NUMBER_FORMAT] * len(header)) + "\n") * (grid.counts[2] * grid.counts[3])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for blocks in _slice_blocks(grid):

@@ -36,10 +36,8 @@ __all__ = [
     "LorentzTransform",
     "PoincareElement",
     "AffineMap",
-    "AffineChart",
     "ChartTransition",
     "chart_transition",
-    "transition_jacobian",
 ]
 
 # Default tolerance: ~100x the double-precision rounding floor for plain
@@ -394,22 +392,30 @@ class PoincareElement:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Invertible affine map r -> linear r + offset on R^4."""
+    """Invertible affine map r -> linear r + offset on R^4.
+
+    A coordinate chart is one of these, read as sending points to their
+    coordinates: ``u(x)`` is the coordinate tuple of x and ``u.inverse()(c)``
+    the point with coordinates c.  ``jacobian`` is det(linear), computed
+    once for the singularity check.
+    """
 
     linear: np.ndarray
     offset: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    jacobian: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         L = _check_finite(self.linear, "linear part").copy()
         c = _check_finite(self.offset, "offset").copy()
         if L.shape != (4, 4) or c.shape != (4,):
             raise ValueError("affine map needs a 4x4 linear part and a 4-vector offset")
-        if abs(np.linalg.det(L)) <= 1e-12:
+        det = float(np.linalg.det(L))
+        if abs(det) <= 1e-12:
             raise ValueError("affine map has a singular linear part")
         L.setflags(write=False)
         c.setflags(write=False)
-        object.__setattr__(self, "linear", L)
-        object.__setattr__(self, "offset", c)
+        for name, value in (("linear", L), ("offset", c), ("jacobian", det)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """``points @ linear.T + offset`` for a point (4,) or batch (..., 4), never aliasing ``points``.
@@ -438,60 +444,19 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class AffineChart:
-    """Global affine coordinate system u(x) = L x + c on R^4."""
-
-    linear: np.ndarray = field(default_factory=lambda: np.eye(4))
-    offset: np.ndarray = field(default_factory=lambda: np.zeros(4))
-
-    def __post_init__(self):
-        # Delegate validation/freezing to AffineMap semantics.
-        m = AffineMap(self.linear, self.offset)
-        object.__setattr__(self, "linear", m.linear)
-        object.__setattr__(self, "offset", m.offset)
-
-    def as_map(self) -> AffineMap:
-        return AffineMap(self.linear, self.offset)
-
-    def coords(self, points: np.ndarray) -> np.ndarray:
-        """Point -> coordinate tuple."""
-        return self.as_map()(points)
-
-    def point(self, coords: np.ndarray) -> np.ndarray:
-        """Coordinate tuple -> point (inverse chart)."""
-        return self.as_map().inverse()(coords)
-
-
-@dataclass(frozen=True)
 class ChartTransition:
-    """The four composite maps induced by a chart change u -> u'.
+    """The two composite maps induced by a chart change u -> u'.
 
-    ``coord_map`` sends old coordinates to new ones (u' o u^-1) and
-    ``coord_map_inv`` is its inverse (u o u'^-1).  ``point_map`` is the
-    diffeomorphism u^-1 o u' read as moving points, with ``point_map_inv``
-    its inverse (u'^-1 o u).
+    ``coord_map`` sends old coordinates to new ones (u' o u^-1);
+    ``point_map`` is the diffeomorphism u^-1 o u' read as moving points.
+    Their inverses are ``.inverse()`` of each.
     """
 
     coord_map: AffineMap
-    coord_map_inv: AffineMap
     point_map: AffineMap
-    point_map_inv: AffineMap
 
 
-def chart_transition(u: AffineChart, u_prime: AffineChart) -> ChartTransition:
-    """All four transition maps between two affine charts."""
-    m = u.as_map()
-    mp = u_prime.as_map()
-    coord = mp.compose(m.inverse())
-    point = m.inverse().compose(mp)
-    return ChartTransition(
-        coord_map=coord,
-        coord_map_inv=coord.inverse(),
-        point_map=point,
-        point_map_inv=point.inverse(),
-    )
-
-
-def transition_jacobian(mapping: AffineMap) -> float:
-    """Determinant of the linear part; +1 for Poincare transitions."""
-    return float(np.linalg.det(mapping.linear))
+def chart_transition(u: AffineMap, u_prime: AffineMap) -> ChartTransition:
+    """The coordinate and point maps between two affine charts."""
+    u_inv = u.inverse()
+    return ChartTransition(coord_map=u_prime.compose(u_inv), point_map=u_inv.compose(u_prime))

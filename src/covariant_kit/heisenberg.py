@@ -34,7 +34,7 @@ from .generators import (
     _param_diffs,
     rep_generators,
 )
-from .schemas import TOLERANCES
+from .schemas import TOLERANCES, number_text
 
 __all__ = [
     "RelationReport",
@@ -52,7 +52,9 @@ __all__ = [
 
 
 def sample_points(count: int = 200, seed: int = 0, box: float = 2.0) -> np.ndarray:
-    """Deterministic uniform sample of spacetime points in [-box, box]^4."""
+    """Deterministic uniform sample of spacetime points in [-box, box]^4; the box's width 2 box must be finite."""
+    if not np.isfinite(2.0 * box):
+        raise ValueError(f"sample box {box!r} is too large: 2 * box overflows")
     rng = np.random.default_rng(seed)
     return rng.uniform(-box, box, size=(count, 4))
 
@@ -108,24 +110,23 @@ class RelationReport:
 
     def to_dict(self) -> dict:
         """JSON-ready dict; all numbers as 17-significant-digit text."""
-        fmt = lambda v: f"{float(v):.17g}"
         out = {
             "labels": list(self.labels),
-            "sup_residuals": [fmt(v) for v in self.sup_residuals],
-            "rms_residuals": [fmt(v) for v in self.rms_residuals],
-            "tolerances": [fmt(v) for v in self.tolerances],
+            "sup_residuals": [number_text(v) for v in self.sup_residuals],
+            "rms_residuals": [number_text(v) for v in self.rms_residuals],
+            "tolerances": [number_text(v) for v in self.tolerances],
             "passed": [bool(p) for p in self.passed],
             "all_passed": self.all_passed,
             "metadata": dict(self.metadata),
         }
         if self.convergence_sup is not None:
             out["convergence"] = {
-                "steps": [fmt(h) for h in self.convergence_steps],
-                "sup_residuals": [[fmt(v) for v in row] for row in self.convergence_sup],
+                "steps": [number_text(h) for h in self.convergence_steps],
+                "sup_residuals": [[number_text(v) for v in row] for row in self.convergence_sup],
             }
             ratios = self.convergence_ratios
             if ratios is not None:
-                out["convergence"]["ratios"] = [[fmt(v) for v in row] for row in ratios]
+                out["convergence"]["ratios"] = [[number_text(v) for v in row] for row in ratios]
         return out
 
 

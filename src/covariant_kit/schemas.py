@@ -1,5 +1,15 @@
 """Published JSON schemas for scenario files and run reports."""
 
+
+#: printf format of every number in a report or CSV dump: 17 significant digits read back the same double.
+NUMBER_FORMAT = "%.17g"
+
+
+def number_text(v) -> str:
+    """A report number: the 17-significant-digit decimal text of ``float(v)``."""
+    return NUMBER_FORMAT % float(v)
+
+
 CHECK_KINDS = [
     "group-check",
     "rep-check",

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from jsonschema import ValidationError, validate
 
-from covariant_kit import cli, generators
+from covariant_kit import cli, fields, generators
 from covariant_kit.cli import main
 from covariant_kit.heisenberg import RelationReport
-from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES
+from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES, number_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -60,7 +60,7 @@ class TestCorpus:
         assert len(list(SCENARIOS.glob("*.json"))) >= 8
 
     def test_passing_scenarios_validate_against_scenario_schema(self):
-        for name in FAST_PASSING + ["pairing_invariance.json", "failing_tolerance.json"]:
+        for name in FAST_PASSING + ["pairing_invariance.json", "pairing_vector_rotation.json", "failing_tolerance.json"]:
             validate(load(SCENARIOS / name), SCENARIO_SCHEMA)
 
     @pytest.mark.parametrize("name", FAST_PASSING)
@@ -83,6 +83,23 @@ class TestCorpus:
         validate(report, REPORT_SCHEMA)
         assert report["pass"] is False
         assert any(not r["passed"] for r in report["results"])
+
+    def test_vector_pairing_sees_the_transposed_matrix(self, tmp_path, monkeypatch):
+        # The active law applies D^T; with D in its place the invariance row fails.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "pairing_vector_rotation.json"), "--out", "r.json"]
+        assert run_cli(argv) == 0
+
+        def active_with_d(field, rep, g):
+            mat, mapping, jac = fields._spacetime_matrix(rep, g, field)
+            return fields._composed_field(field, mat, mapping, jac)
+
+        monkeypatch.setattr(cli, "active_transform", active_with_d)
+        assert run_cli(argv) == 1
+        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
+        assert rows["pairing_convergence"]["passed"] is True
+        assert rows["pairing_invariance"]["passed"] is False
+        assert float(rows["pairing_invariance"]["sup_residual"]) > 0.1
 
     def test_malformed_json_exits_two_with_line_diagnostic(self, capsys):
         code = run_cli(["run", str(SCENARIOS / "malformed.json")])
@@ -263,6 +280,31 @@ class TestExitContractHoles:
         code = run_cli(["run", str(path)])
         assert code == 2
         assert "parse error" in self._one_line(capsys)
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("transform_vector_boost.json", "field.width=1e-300"),  # was ZeroDivisionError
+            ("transform_vector_boost.json", "field.width=1e300"),  # was OverflowError
+            ("verify_local_vector_rotation.json", "field.width=1e-200"),
+            ("verify_bundle_vector.json", "field.width=1e300"),
+            ("pairing_invariance.json", "field.phi.width=1e200"),
+        ],
+    )
+    def test_width_whose_square_leaves_the_double_range_exits_two(self, capsys, tmp_path, monkeypatch, name, override):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["run", str(SCENARIOS / name), "--override", override, "--override", "output={}"])
+        assert code == 2
+        assert "could not be executed: wave packet width" in self._one_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("box", ["9e307", "1.7e308"])
+    def test_sample_box_whose_width_overflows_exits_two(self, capsys, tmp_path, monkeypatch, box):
+        # numpy's uniform raised OverflowError once high - low left the double range
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["run", str(SCENARIOS / "transform_vector_boost.json"), "--override", f"grid.sample_box={box}", "--override", "output={}"])
+        assert code == 2
+        assert "could not be executed: sample box" in self._one_line(capsys)
 
     def test_out_naming_a_directory_is_rejected_before_the_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -616,7 +658,7 @@ class TestReportResultRow:
     def test_one_tolerance_shows_the_largest_residual(self):
         sup = np.array([3e-9, 7e-9, 0.0, 5e-9])
         row = cli._report_result("check", RelationReport(tuple("abcd"), sup, np.zeros(4), 1e-8))
-        assert (row["sup_residual"], row["tolerance"]) == (cli._fmt(sup.max()), "1e-08")
+        assert (row["sup_residual"], row["tolerance"]) == (number_text(sup.max()), "1e-08")
 
     def test_nan_row_is_shown(self):
         report = RelationReport(("a", "b"), np.array([np.nan, 1.0]), np.zeros(2), np.array([1e-14, 1e-10]))
@@ -703,7 +745,7 @@ class TestToleranceNames:
             scenario = {**load(SCENARIOS / file), **self.READERS[file][1], "tolerances": {name: value}}
             scenario.pop("output", None)
             cli.validate(scenario)
-            assert cli._fmt(value) in json.dumps(cli.run_scenario(scenario)["results"]), name
+            assert number_text(value) in json.dumps(cli.run_scenario(scenario)["results"]), name
 
     def test_corpus_and_benchmark_use_known_names(self):
         texts = [f.read_text() for f in SCENARIOS.glob("*.json")]
@@ -740,7 +782,7 @@ class TestValidate:
         assert list(ours.value.absolute_path) == list(reference.value.absolute_path)
 
     def test_valid_scenarios_pass(self):
-        for name in FAST_PASSING + ["pairing_invariance.json", "failing_tolerance.json"]:
+        for name in FAST_PASSING + ["pairing_invariance.json", "pairing_vector_rotation.json", "failing_tolerance.json"]:
             assert cli.validate(load(SCENARIOS / name)) is None
 
     def test_layer_names_the_benchmark_tracer_wraps_still_exist(self):

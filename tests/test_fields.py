@@ -71,6 +71,20 @@ class TestWavePacket:
         with pytest.raises(ValueError):
             wave_packet([0, 0, 0, 0], 1.0, [[(1.0, (0, 0, 0))]])
 
+    @pytest.mark.parametrize("width", [1e-300, 1e-162, 1e-155, 1.35e154, 1e200, 1e300])
+    def test_width_whose_square_leaves_the_double_range_is_rejected(self, width):
+        # s**2 overflowed (OverflowError) above about 1.34e154; below about
+        # 1.05e-154, 2 / s**2 was inf, and a ZeroDivisionError below 1e-162.
+        with pytest.raises(ValueError, match="width"):
+            wave_packet([0, 0, 0, 0], width, 1)
+
+    @pytest.mark.parametrize("width", [1.1e-154, 1e-150, 1e150, 1.3e154])
+    def test_widths_just_inside_the_range_evaluate(self, width):
+        f = wave_packet([0, 0, 0, 0], width, [[(1.0, (1, 0, 0, 0))]])
+        x = np.array([[0.5 * width, 0.0, 0.0, 0.0]])
+        assert np.isfinite(f(x)).all() and np.isfinite(f.gradient(x)).all()
+        assert f(x)[0, 0] == pytest.approx(0.5 * width * math.exp(-0.25))
+
 
 class TestPassiveTransform:
     def test_identity_element(self):
@@ -357,6 +371,21 @@ class TestGridSpec:
         g = GridSpec(((-3.0, 5.0),) * 4, (9,) * 4)
         for w in g.weights():
             assert abs(w.sum() - 8.0) <= 1e-12
+
+    def test_level_weights_are_the_coarse_grids_trapezoid_weights(self):
+        # Non-dyadic bounds, so each level's step (hi - lo) / m rounds on its own.
+        bounds, counts = ((-5.3, 4.9), (-6.1, 5.7), (-4.7, 5.5), (-5.9, 4.3)), (9, 17, 13, 9)
+        levels = fields_module._level_weights(GridSpec(bounds, counts), 3)
+        for (lo, hi), k, w in zip(bounds, counts, levels):
+            assert w.shape == (k, 3)
+            for j, step in enumerate((4, 2, 1)):
+                m = (k - 1) // step
+                expected = np.zeros(k)
+                expected[::step] = (hi - lo) / m
+                expected[[0, -1]] /= 2
+                assert np.array_equal(w[:, j], expected), (k, j)
+        for w, one in zip(GridSpec(bounds, counts).weights(), levels):
+            assert np.array_equal(w, one[:, -1])
 
 
 class TestPairing:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from covariant_kit import geometry
 from covariant_kit.geometry import (
     ETA,
     PLANES,
-    AffineChart,
     AffineMap,
+    ChartTransition,
     LorentzTransform,
     PoincareElement,
     chart_transition,
@@ -20,7 +21,6 @@ from covariant_kit.geometry import (
     lorentz_residuals,
     minkowski_metric,
     plane_generator,
-    transition_jacobian,
 )
 
 from oracles import boost_block, exp_coefficients_series, expm_series, rotation_block
@@ -360,52 +360,53 @@ class TestPoincare:
 
 
 class TestCharts:
+    """A chart is an ``AffineMap`` from points to coordinates; its inverse maps coordinates back."""
+
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(12)
         L = np.eye(4) + 0.2 * rng.uniform(-1, 1, (4, 4))
-        chart = AffineChart(L, rng.uniform(-1, 1, 4))
+        chart = AffineMap(L, rng.uniform(-1, 1, 4))
         pts = rng.uniform(-3, 3, (20, 4))
-        assert np.abs(chart.point(chart.coords(pts)) - pts).max() <= 1e-12
+        assert np.abs(chart.inverse()(chart(pts)) - pts).max() <= 1e-12
 
     def test_transition_identity_charts(self):
-        u = AffineChart()
+        u = AffineMap.identity()
         trans = chart_transition(u, u)
         pts = np.random.default_rng(1).uniform(-2, 2, (5, 4))
-        for m in (trans.coord_map, trans.coord_map_inv, trans.point_map, trans.point_map_inv):
+        for m in (trans.coord_map, trans.coord_map.inverse(), trans.point_map, trans.point_map.inverse()):
             assert np.abs(m(pts) - pts).max() <= 1e-12
 
     def test_transition_from_poincare_change(self):
         # u' = (Lambda, a) o u with u the identity chart
         g = PoincareElement.from_params([0.5, 0, 0, 0, 0, 0], np.zeros(4))
-        u = AffineChart()
-        u_prime = AffineChart(g.matrix, g.translation)
-        trans = chart_transition(u, u_prime)
+        trans = chart_transition(AffineMap.identity(), g.point_map())
         r = np.array([0.7, -1.2, 0.4, 2.0])
         assert_allclose(trans.coord_map(r), g.matrix @ r, atol=1e-13)
         lam_inv = np.linalg.inv(g.matrix)
-        assert_allclose(trans.coord_map_inv(r), lam_inv @ r, atol=1e-13)
+        assert_allclose(trans.coord_map.inverse()(r), lam_inv @ r, atol=1e-13)
 
     def test_transition_general_charts_definitions(self):
         rng = np.random.default_rng(13)
         L = np.eye(4) + 0.25 * rng.uniform(-1, 1, (4, 4))
-        u = AffineChart(L, rng.uniform(-1, 1, 4))
+        u = AffineMap(L, rng.uniform(-1, 1, 4))
         g = PoincareElement.from_params(rng.uniform(-0.4, 0.4, 6), rng.uniform(-1, 1, 4))
-        u_prime = AffineChart(g.matrix @ u.linear, g.matrix @ u.offset + g.translation)
+        u_prime = g.point_map().compose(u)
         trans = chart_transition(u, u_prime)
         pts = rng.uniform(-2, 2, (8, 4))
         # coordinate maps: u' o u^-1 and its inverse
-        assert_allclose(trans.coord_map(u.coords(pts)), u_prime.coords(pts), atol=1e-12)
-        assert_allclose(trans.coord_map_inv(u_prime.coords(pts)), u.coords(pts), atol=1e-12)
+        assert_allclose(trans.coord_map(u(pts)), u_prime(pts), atol=1e-12)
+        assert_allclose(trans.coord_map.inverse()(u_prime(pts)), u(pts), atol=1e-12)
         # point maps: u^-1 o u' and u'^-1 o u
-        assert_allclose(trans.point_map(pts), u.point(u_prime.coords(pts)), atol=1e-12)
-        assert_allclose(trans.point_map_inv(pts), u_prime.point(u.coords(pts)), atol=1e-12)
+        assert_allclose(trans.point_map(pts), u.inverse()(u_prime(pts)), atol=1e-12)
+        assert_allclose(trans.point_map.inverse()(pts), u_prime.inverse()(u(pts)), atol=1e-12)
+
+    def test_transition_has_two_maps(self):
+        assert [f.name for f in dataclasses.fields(ChartTransition)] == ["coord_map", "point_map"]
 
     def test_transition_pair_composition(self):
         g = PoincareElement.from_params([0.3, 0, 0.1, 0.2, 0, 0], [0.5, 0, -1, 0])
-        u = AffineChart()
-        u_prime = AffineChart(g.matrix, g.translation)
-        trans = chart_transition(u, u_prime)
-        both = trans.coord_map.compose(trans.coord_map_inv)
+        trans = chart_transition(AffineMap.identity(), g.point_map())
+        both = trans.coord_map.compose(trans.coord_map.inverse())
         assert np.abs(both.linear - np.eye(4)).max() <= 1e-12
         assert np.abs(both.offset).max() <= 1e-12
 
@@ -413,7 +414,7 @@ class TestCharts:
         L = np.eye(4)
         L[2, 2] = 0.0
         with pytest.raises(ValueError):
-            AffineChart(L, np.zeros(4))
+            AffineMap(L, np.zeros(4))
 
 
 class TestAffineMapLayout:
@@ -454,11 +455,19 @@ class TestAffineMapLayout:
 class TestTransitionJacobian:
     def test_poincare_is_unit(self):
         g = PoincareElement.from_params([0.3, -0.1, 0.2, 0.5, 0.1, -0.4], [1, 0, 0, 2])
-        assert abs(transition_jacobian(g.point_map()) - 1.0) <= 1e-12
+        assert abs(g.point_map().jacobian - 1.0) <= 1e-12
 
     def test_dilation(self):
         m = AffineMap(math.exp(0.1) * np.eye(4), np.zeros(4))
-        assert abs(transition_jacobian(m) - math.exp(0.4)) <= 1e-12
+        assert abs(m.jacobian - math.exp(0.4)) <= 1e-12
 
     def test_identity(self):
-        assert transition_jacobian(AffineMap.identity()) == 1.0
+        assert AffineMap.identity().jacobian == 1.0
+
+    def test_is_the_determinant_and_not_a_constructor_argument(self):
+        L = np.diag([1.5, 0.5, 2.0, 1.0]) + np.triu(np.full((4, 4), 0.3), 1)
+        m = AffineMap(L, np.zeros(4))
+        assert m.jacobian == float(np.linalg.det(L))
+        assert "jacobian" not in repr(m)
+        with pytest.raises(TypeError):
+            AffineMap(L, np.zeros(4), 1.0)
