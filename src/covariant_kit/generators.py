@@ -1,6 +1,6 @@
 """Parametrised group families and generator extraction.
 
-A :class:`ParamFamily` packages an s-parameter family of point maps
+A :class:`ParamFamily` packages an s-parameter family of affine point maps
 ``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
 field components, with the identity at the base parameters ``b0``.  A
 family declares only what it cannot derive: ``s`` is the number of its
@@ -11,7 +11,7 @@ infinitesimal data consumed by the relation checks in
 
 * ``rep_generators``   dI/db per parameter, an (s, n, n) stack;
 * ``flow_fields``      dH/db per parameter, sampled velocity fields;
-* ``volume_rates``     d/db of det[dH(b)/dr], the volume-change rate.
+* ``volume_rates``     d/db of det L(b) for H(b) r = L(b) r + a(b), the volume-change rate.
 
 A family whose points never move (the frame-only and internal families,
 the fibre-bundle case) says so with ``point_map=None``: its flows and
@@ -20,10 +20,9 @@ volume rates are exact zeros, and its relation has no transport term.
 Derivatives are central differences (order 2 or 4) unless a family
 carries analytic ones.  Every numerical derivative in the package goes
 through one stencil, :func:`_central_diff`: along a group parameter at the
-scheme's step, and along a point coordinate at fixed inner steps (1e-5
-for the point-map Jacobian in ``volume_rates``, 1e-6 for the derivative of
-a :class:`~covariant_kit.fields.FrameChange`).  :func:`_param_diffs` is the
-one loop over group parameters.
+scheme's step, and along a point coordinate at the fixed inner step 1e-6
+for the derivative of a :class:`~covariant_kit.fields.FrameChange`.
+:func:`_param_diffs` is the one loop over group parameters.
 Steps and tolerances are artifact choices, not anything canonical.
 """
 
@@ -35,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ALGEBRAIC_TOL, PLANES, lorentz_exp
+from .geometry import ALGEBRAIC_TOL, PLANES, AffineMap, lorentz_exp
 from .representations import FieldRep, rep_matrix
 
 __all__ = [
@@ -57,14 +56,6 @@ _MIN_STEP = 1e-12
 #: Lorentz and representation matrices a Poincare family keeps.  An order-4
 #: stencil over all ten parameters visits 25 distinct plane-parameter points.
 _MEMO_SIZE = 64
-#: Sample used to validate the identity-at-b0 family invariant.
-_PROBE_POINTS = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0],
-        [0.3, -0.7, 0.5, 0.2],
-        [1.0, 2.0, -1.0, 0.5],
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -89,25 +80,22 @@ class FDScheme:
 class ParamFamily:
     """s-parameter family b -> (point map H(b), component matrix I(b)).
 
-    ``point_map(b, points)`` maps points (..., 4) -> (..., 4) and must be
-    the identity at ``b0``; ``None`` means the points stay put for every b.
+    ``point_map(b)`` returns H(b) as an :class:`~covariant_kit.geometry.AffineMap`,
+    whose ``jacobian`` is the volume factor det[dH(b)/dr]; it must be the
+    identity at ``b0``, and ``None`` means the points stay put for every b.
     ``rep_map(b)`` returns the (n, n) matrix and must be the identity at
     ``b0``.  The parameter count ``s`` is derived as the number of
     ``labels`` (which must match ``b0``), and the component count ``n`` is
     read off ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
-    Optional extras:
-
-    * ``linear_part(b)``: 4x4 matrix when H(b) is affine, enabling the
-      analytic inner Jacobian in ``volume_rates``;
-    * ``rep_derivative``: closed-form (s, n, n) derivative stack at b0, which
-      ``rep_generators`` returns; the frame-only and internal families set it.
+    ``rep_derivative`` is an optional closed-form (s, n, n) derivative stack
+    at b0, which ``rep_generators`` returns; the frame-only and internal
+    families set it.
     """
 
     b0: np.ndarray
-    point_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    point_map: Callable[[np.ndarray], AffineMap] | None
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
-    linear_part: Callable[[np.ndarray], np.ndarray] | None = None
     rep_derivative: np.ndarray | None = None
     n: int = field(init=False)
 
@@ -128,9 +116,9 @@ class ParamFamily:
         object.__setattr__(self, "n", n)
         if self.point_map is None:
             return
-        moved = np.asarray(self.point_map(b0, _PROBE_POINTS), dtype=float)
-        if np.abs(moved - _PROBE_POINTS).max() > ALGEBRAIC_TOL:
-            raise ValueError("point_map(b0, .) is not the identity map")
+        h = self.point_map(b0)
+        if max(np.abs(h.linear - np.eye(4)).max(), np.abs(h.offset).max()) > ALGEBRAIC_TOL:
+            raise ValueError("point_map(b0) is not the identity map")
 
 
 def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: float, order: int):
@@ -169,26 +157,18 @@ def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np
         raise ValueError("sample points must be finite")
     if family.point_map is None:
         return np.zeros((family.s, *pts.shape))
-    f = lambda b: np.asarray(family.point_map(b, pts), dtype=float)
+    f = lambda b: family.point_map(b)(pts)
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
-
-
-def _inner_jacobian_det(family: ParamFamily, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """det[dH(b)/dr] at each sample point."""
-    if family.linear_part is not None:
-        det = np.linalg.det(np.asarray(family.linear_part(b), dtype=float))
-        return np.full(pts.shape[:-1], det)
-    f = lambda r: np.asarray(family.point_map(b, r), dtype=float)
-    return np.linalg.det(np.stack([_central_diff(f, pts, l, 1e-5, 2) for l in range(4)], axis=-1))
 
 
 def volume_rates(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
-    """d/db of the point-map Jacobian determinant at b0: (s, ...)."""
+    """d/db of the point-map Jacobian determinant at b0, the same at every point: (s, ...)."""
     pts = np.asarray(points, dtype=float)
+    shape = (family.s, *pts.shape[:-1])
     if family.point_map is None:
-        return np.zeros((family.s, *pts.shape[:-1]))
-    f = lambda b: _inner_jacobian_det(family, b, pts)
-    return np.stack(list(_param_diffs(f, family.b0, scheme)))
+        return np.zeros(shape)
+    rates = np.array(list(_param_diffs(lambda b: family.point_map(b).jacobian, family.b0, scheme)))
+    return np.broadcast_to(rates.reshape(-1, *[1] * (pts.ndim - 1)), shape).copy()
 
 
 @dataclass(frozen=True)
@@ -255,33 +235,26 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     only (the matrix is independent of translations)."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_family needs a scalar, vector, or spinor representation")
-    # The linear part, the point map and the rep matrix at one b share one
-    # exponential, and so do the difference stencils that revisit the same
-    # b (rep_generators, flow_fields, volume_rates and the global map of a
-    # relation check).  Keys are the plane parameters' bytes; lru_cache is
-    # safe to call concurrently.
+    # The point map and the rep matrix at one b share one exponential, and
+    # so do the difference stencils that revisit the same b (rep_generators,
+    # flow_fields, volume_rates and the global map of a relation check).
+    # Keys are the plane parameters' bytes; lru_cache is safe to call
+    # concurrently.
     memo = functools.lru_cache(maxsize=_MEMO_SIZE)
     lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)).matrix)
     matrix = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
     key_of = lambda b: np.asarray(b[:6], dtype=float).tobytes()
 
-    def linear_part(b):
-        return lorentz(key_of(b))
-
-    def point_map(b, pts):
-        return np.asarray(pts, dtype=float) @ linear_part(b).T + b[6:]
-
     def rep_map(b):
         if rep.kind == "vector":
-            return linear_part(b).astype(complex)
+            return lorentz(key_of(b)).astype(complex)
         return matrix(key_of(b)).copy()
 
     return ParamFamily(
         b0=np.zeros(10),
-        point_map=point_map,
+        point_map=lambda b: AffineMap(lorentz(key_of(b)), b[6:]),
         rep_map=rep_map,
         labels=_POINCARE_LABELS,
-        linear_part=linear_part,
     )
 
 
@@ -292,9 +265,7 @@ def poincare_frame_family(rep: FieldRep) -> ParamFamily:
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
     # rep_map stays the Poincare family's, with its own memoised Lorentz
     # and representation matrices; the points no longer move.
-    return replace(
-        poincare_family(rep), point_map=None, linear_part=None, rep_derivative=analytic_rep_derivatives(rep)
-    )
+    return replace(poincare_family(rep), point_map=None, rep_derivative=analytic_rep_derivatives(rep))
 
 
 def internal_family(rep: FieldRep) -> ParamFamily:

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import FieldFunction
-from .generators import (
-    FDScheme,
-    ParamFamily,
-    _inner_jacobian_det,
-    _param_diffs,
-    rep_generators,
-)
+from .generators import FDScheme, ParamFamily, _param_diffs, rep_generators
 from .schemas import TOLERANCES, number_text
 
 __all__ = [
@@ -177,8 +171,9 @@ def _relation_residuals(
     """The global-vs-local derivative residual of each parameter, one array at a time.
 
     ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
-    One stencil differences the moved points (flow), the inner Jacobian
-    (volume rate) and the global value: one point map per stencil point.
+    One stencil differences the moved points (flow), the point map's
+    ``jacobian`` (volume rate) and the global value: one point map per
+    stencil point.
     A family that moves no points differences ``I(b)`` alone and
     contracts ``(dI - I') phi``; it needs no gradient.
     """
@@ -189,16 +184,16 @@ def _relation_residuals(
         return (np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
 
     def global_map(b):
-        jac = _inner_jacobian_det(family, b, pts)
-        moved = np.asarray(family.point_map(b, pts), dtype=float)
+        h = family.point_map(b)
+        moved = h(pts)
         vals = _field_values(field, moved)
         rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
-        return moved, jac, jac[..., None] * rotated
+        return moved, h.jacobian, h.jacobian * rotated
 
     def residuals():
         for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
             yield lhs - (
-                rate[..., None] * phi
+                rate * phi
                 + np.einsum("ij,pj->pi", gen[w], phi)
                 + np.einsum("pk,pik->pi", flow, grads)
             )

@@ -46,6 +46,7 @@ def load(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+@pytest.mark.filterwarnings("error")
 class TestCorpus:
     def test_corpus_covers_every_check_kind(self):
         kinds = set()
@@ -434,6 +435,18 @@ class TestExitContractHoles:
         assert run_cli(["run", scenario, "--out", "zero.json", *args, "--override", "grid.doublings=0"]) == 2
         assert "grid.doublings >= 1" in self._one_line(capsys)
         assert not (tmp_path / "zero.json").exists()
+
+    def test_pairing_of_two_zeros_fails(self, tmp_path, monkeypatch):
+        # at width 1e-150 every pairing value is 0, and 0/0 once read as a converged 0
+        monkeypatch.chdir(tmp_path)
+        args = ["--override", "field.phi.width=1e-150", "--override", "grid.counts=[5,5,5,5]"]
+        scenario = str(SCENARIOS / "pairing_invariance.json")
+        assert run_cli(["run", scenario, "--out", "r.json", *args, "--override", "grid.doublings=1"]) == 1
+        rows = load(tmp_path / "r.json")["results"]
+        assert [(r["name"], r["passed"], r["sup_residual"]) for r in rows] == [
+            ("pairing_convergence", False, "nan"),
+            ("pairing_invariance", False, "nan"),
+        ]
 
     def test_misspelled_tolerance_name_exits_two(self, capsys, tmp_path, monkeypatch):
         # an unknown name was ignored, so the failing check passed at its default tolerance

@@ -21,7 +21,7 @@ from covariant_kit.generators import (
     rep_generators,
     volume_rates,
 )
-from covariant_kit.geometry import ETA, PLANES, lorentz_exp, plane_generator
+from covariant_kit.geometry import ETA, PLANES, AffineMap, lorentz_exp, plane_generator
 from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
 from families import dilation_family
@@ -60,25 +60,27 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             ParamFamily(
                 b0=np.zeros(1),
-                point_map=lambda b, pts: np.asarray(pts, dtype=float),
+                point_map=lambda b: AffineMap.identity(),
                 rep_map=lambda b: 2.0 * np.eye(1, dtype=complex),
                 labels=("X",),
             )
 
     def test_point_identity_enforced(self):
-        with pytest.raises(ValueError):
-            ParamFamily(
-                b0=np.zeros(1),
-                point_map=lambda b, pts: np.asarray(pts, dtype=float) + 1.0,
-                rep_map=lambda b: np.eye(1, dtype=complex),
-                labels=("X",),
-            )
+        # an offset of 1, and a linear part off by 1e-11
+        for h in (AffineMap(np.eye(4), np.ones(4)), AffineMap(np.eye(4) + np.diag([1e-11, 0, 0, 0]))):
+            with pytest.raises(ValueError, match="not the identity map"):
+                ParamFamily(
+                    b0=np.zeros(1),
+                    point_map=lambda b: h,
+                    rep_map=lambda b: np.eye(1, dtype=complex),
+                    labels=("X",),
+                )
 
     def test_label_count_enforced(self):
         with pytest.raises(ValueError, match="one entry per label"):
             ParamFamily(
                 b0=np.zeros(2),
-                point_map=lambda b, pts: np.asarray(pts, dtype=float),
+                point_map=lambda b: AffineMap.identity(),
                 rep_map=lambda b: np.eye(1, dtype=complex),
                 labels=("X",),
             )
@@ -86,7 +88,7 @@ class TestFamilyValidation:
     def test_s_and_n_are_derived(self):
         fam = ParamFamily(
             b0=np.zeros(2),
-            point_map=lambda b, pts: np.asarray(pts, dtype=float),
+            point_map=lambda b: AffineMap.identity(),
             rep_map=lambda b: np.eye(3, dtype=complex),
             labels=("X", "Y"),
         )
@@ -99,7 +101,7 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="not the identity"):
             ParamFamily(
                 b0=np.zeros(1),
-                point_map=lambda b, pts: np.asarray(pts, dtype=float),
+                point_map=lambda b: AffineMap.identity(),
                 rep_map=lambda b: np.ones(3, dtype=complex),
                 labels=("X",),
             )
@@ -161,18 +163,26 @@ class TestVolumeRates:
     def test_anisotropic_scaling_rate(self):
         fam = ParamFamily(
             b0=np.zeros(1),
-            point_map=lambda b, pts: np.asarray(pts, dtype=float) * np.array([math.exp(b[0]), 1, 1, 1]),
+            point_map=lambda b: AffineMap(np.diag([math.exp(b[0]), 1.0, 1.0, 1.0])),
             rep_map=lambda b: np.eye(1, dtype=complex),
             labels=("A",),
-            linear_part=lambda b: np.diag([math.exp(b[0]), 1.0, 1.0, 1.0]),
         )
         rates = volume_rates(fam, FDScheme(1e-5), POINTS)
         assert np.abs(rates - 1.0).max() <= 1e-8
 
-    def test_nested_fd_without_linear_part(self):
-        # inner Jacobian by nested differencing carries more noise
-        rates = volume_rates(dilation_family(with_linear_part=False), SCHEME, POINTS[:8])
-        assert np.abs(rates - 4.0).max() <= 1e-6
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", ["dilation", "poincare"])
+    def test_flows_and_rates_keep_the_point_batch_shape(self, kind, order):
+        fam = dilation_family() if kind == "dilation" else poincare_family(FieldRep.vector())
+        scheme = FDScheme(1e-5, order=order)
+        for pts in (POINTS[:6].reshape(2, 3, 4), POINTS[0]):
+            flows, rates = flow_fields(fam, scheme, pts), volume_rates(fam, scheme, pts)
+            assert flows.shape == (fam.s, *pts.shape) and rates.shape == (fam.s, *pts.shape[:-1])
+            if kind == "dilation":
+                assert np.abs(flows[0] - pts).max() <= 1e-8
+                assert np.abs(rates - 4.0).max() <= 1e-8
+            else:
+                assert np.abs(rates).max() <= 1e-8
 
 
 class TestRepGenerators:
@@ -333,7 +343,7 @@ class TestPoincareFamilyGeometry:
         b = np.zeros(10)
         b[0] = 0.5  # boost in plane (0, 1)
         b[6] = 1.0  # time translation
-        out = fam.point_map(b, np.zeros((1, 4)))
+        out = fam.point_map(b)(np.zeros((1, 4)))
         assert_allclose(out[0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_rep_map_at_base_is_identity(self):
@@ -342,7 +352,7 @@ class TestPoincareFamilyGeometry:
 
     def test_frame_family_never_moves_points(self):
         fam = poincare_frame_family(FieldRep.vector())
-        assert fam.point_map is None and fam.linear_part is None
+        assert fam.point_map is None
 
     @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
     def test_frame_family_rep_map_equals_rep_matrix_bit_for_bit(self, variant):
@@ -352,7 +362,7 @@ class TestPoincareFamilyGeometry:
             got = fam.rep_map(b)
             assert got.dtype == np.complex128
             assert np.array_equal(got, rep_matrix(rep, b[:6]))
-        assert fam.point_map is None and fam.linear_part is None
+        assert fam.point_map is None
         assert fam.labels == poincare_family(rep).labels
         assert (fam.s, fam.n) == (10, rep.n)
 
@@ -378,8 +388,8 @@ class TestPoincareFamilyMemo:
         for i, b in enumerate(_param_sequence()):
             lam = lorentz_exp(b[:6]).matrix
             calls = [
-                ("linear", lambda: fam.linear_part(b), lam),
-                ("point", lambda: fam.point_map(b, POINTS), POINTS @ lam.T + b[6:]),
+                ("linear", lambda: fam.point_map(b).linear, lam),
+                ("point", lambda: fam.point_map(b)(POINTS), POINTS @ lam.T + b[6:]),
                 ("rep", lambda: fam.rep_map(b), rep_matrix(rep, b[:6])),
             ]
             # vary the call order so every map sees both a cold and a warm memo
@@ -393,7 +403,7 @@ class TestPoincareFamilyMemo:
         fam = poincare_family(rep)
         seq = np.random.default_rng(8).uniform(-0.5, 0.5, (100, 10))  # more than the memo holds
         for b in [*seq, *seq[:5]]:
-            assert np.array_equal(fam.linear_part(b), lorentz_exp(b[:6]).matrix)
+            assert np.array_equal(fam.point_map(b).linear, lorentz_exp(b[:6]).matrix)
             assert np.array_equal(fam.rep_map(b), rep_matrix(rep, b[:6]))
 
     def test_returned_rep_matrix_is_the_callers_own(self):
@@ -422,7 +432,7 @@ class TestPoincareFamilyMemo:
             for k in range(200):
                 j = (offset + k) % len(seq)
                 lam, mat = expected[j]
-                if not (np.array_equal(fam.linear_part(seq[j]), lam) and np.array_equal(fam.rep_map(seq[j]), mat)):
+                if not (np.array_equal(fam.point_map(seq[j]).linear, lam) and np.array_equal(fam.rep_map(seq[j]), mat)):
                     return False
             return True
 

@@ -186,9 +186,9 @@ class TestLocalRelation:
         family = poincare_family(FieldRep.vector())
         calls = []
 
-        def point_map(b, pts):
+        def point_map(b):
             calls.append(b)
-            return family.point_map(b, pts)
+            return family.point_map(b)
 
         counted = dataclasses.replace(family, point_map=point_map)
         calls.clear()
