@@ -55,7 +55,6 @@ from .geometry import (
     PoincareElement,
     chart_transition,
     lorentz_exp,
-    lorentz_exp_stack,
     lorentz_residuals,
 )
 from .heisenberg import (
@@ -175,15 +174,15 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
     spec = scenario.get("group", {})
     draws = spec.get("draws", 200)
     rng = np.random.default_rng(spec.get("seed", 0))
-    metric_res, det_res = lorentz_residuals(lorentz_exp_stack(rng.uniform(-1.0, 1.0, (draws, 6))))
+    metric_res, det_res = lorentz_residuals(lorentz_exp(rng.uniform(-1.0, 1.0, (draws, 6))))
 
     subgroup_res = 0.0
     for i in range(6):
         s, t = rng.uniform(-0.8, 0.8, 2)
         e = np.zeros(6)
         e[i] = 1.0
-        prod = lorentz_exp(s * e).matrix @ lorentz_exp(t * e).matrix
-        subgroup_res = max(subgroup_res, float(np.abs(prod - lorentz_exp((s + t) * e).matrix).max()))
+        prod = lorentz_exp(s * e) @ lorentz_exp(t * e)
+        subgroup_res = max(subgroup_res, float(np.abs(prod - lorentz_exp((s + t) * e)).max()))
 
     assoc_res = 0.0
     for _ in range(20):
@@ -195,12 +194,12 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
         right = gs[2].compose(gs[1].compose(gs[0]))
         assoc_res = max(
             assoc_res,
-            float(np.abs(left.matrix - right.matrix).max()),
-            float(np.abs(left.translation - right.translation).max()),
+            float(np.abs(left.linear - right.linear).max()),
+            float(np.abs(left.offset - right.offset).max()),
         )
 
     g = PoincareElement.from_params(rng.uniform(-0.5, 0.5, 6), rng.uniform(-1, 1, 4))
-    trans = chart_transition(AffineMap.identity(), g.point_map())
+    trans = chart_transition(AffineMap.identity(), g)
     round_trip = trans.coord_map.compose(trans.coord_map.inverse())
     chart_res = float(np.abs(np.column_stack([round_trip.linear - np.eye(4), round_trip.offset])).max())
 
@@ -260,7 +259,7 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     round_res = float(np.abs(back.evaluate(pts) - field.evaluate(pts)).max())
 
     # A step scaled by 1/max|L| spans the same fraction of the moved packet at any boost.
-    grad_res = gradient_fd_residual(moved, pts[:32], 1e-4 / np.abs(g.matrix).max())
+    grad_res = gradient_fd_residual(moved, pts[:32], 1e-4 / np.abs(g.linear).max())
 
     twice = passive_transform(passive_transform(field, rep, g), rep, g).evaluate(pts)
     composed = passive_transform(field, rep, g.compose(g)).evaluate(pts)
@@ -270,7 +269,7 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     compared_max_abs = max(float(np.abs(twice).max()), float(np.abs(composed).max()))
 
     # Their roundoff grows with the entries of L squared, as in geometry._check_lorentz.
-    round_tol = _tol(scenario, "roundtrip") * max(1.0, np.abs(g.matrix).max()) ** 2
+    round_tol = _tol(scenario, "roundtrip") * max(1.0, np.abs(g.linear).max()) ** 2
     results = [
         _result("active_roundtrip", round_res, round_tol),
         _result("gradient_chain_rule", grad_res, _tol(scenario, "gradient")),

@@ -4,14 +4,15 @@ A field is a smooth map R^4 -> C^n carried together with its analytic
 gradient, so every transformation below chain-rules the gradient instead
 of re-differencing it.
 
-Transformation conventions (fixed once, used everywhere):
+Transformation conventions (fixed once, used everywhere), for ``g`` any
+``AffineMap`` x -> L x + a, a ``PoincareElement`` among them:
 
 * ``passive_transform``   phi'(x) = D  phi(L^-1 (x - a))     (component
   relabeling; matrix ``D`` is the plain representation matrix);
 * ``active_transform``    phi'(x) = J  D^T phi(L x + a)      (point-moving
   law; the *transposed* matrix acts, the argument uses the forward map,
-  and ``J`` is the Jacobian determinant of that map -- identically 1 for
-  Poincare elements);
+  and ``J`` is the Jacobian determinant of that map -- exactly 1 for a
+  Poincare element);
 * ``transform_test_function``  f'(x) = D f(L^-1 (x - a)).
 
 Writing the active argument as the forward map L x + a is a choice; the
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .generators import _central_diff
-from .geometry import AffineMap, PoincareElement
+from .geometry import AffineMap
 from .representations import FieldRep, rep_matrix_for_element
 from .schemas import NUMBER_FORMAT
 
@@ -240,21 +241,13 @@ def _inverse_frames(change: FrameChange, points: np.ndarray) -> np.ndarray:
     return np.linalg.inv(mats)
 
 
-def _spacetime_matrix(rep: FieldRep, g, field: FieldFunction) -> tuple[np.ndarray, AffineMap, float]:
-    """Representation matrix, forward point map, and Jacobian for ``g`` acting on ``field``.
-
-    ``g`` may be a PoincareElement (Jacobian 1) or a plain AffineMap; the
-    latter only supports scalar and vector representations.
-    """
+def _spacetime_matrix(rep: FieldRep, g: AffineMap, field: FieldFunction) -> np.ndarray:
+    """Representation matrix of ``g`` for ``field``: an AffineMap, a PoincareElement among them."""
     if rep.n != field.n:
         raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
-    if isinstance(g, PoincareElement):
-        mapping, jac = g.point_map(), 1.0
-    elif isinstance(g, AffineMap):
-        mapping, jac = g, g.jacobian
-    else:
-        raise TypeError(f"expected PoincareElement or AffineMap, got {type(g).__name__}")
-    return rep_matrix_for_element(rep, g), mapping, jac
+    if not isinstance(g, AffineMap):
+        raise TypeError(f"expected an AffineMap, got {type(g).__name__}")
+    return rep_matrix_for_element(rep, g)
 
 
 def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap, scale: float) -> FieldFunction:
@@ -276,26 +269,23 @@ def _composed_field(field: FieldFunction, matrix: np.ndarray, mapping: AffineMap
     return FieldFunction(field.n, evaluate, gradient)
 
 
-def passive_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
+def passive_transform(field: FieldFunction, rep: FieldRep, g: AffineMap) -> FieldFunction:
     """Component relabeling phi'(x) = D phi(L^-1 (x - a)), for ``g`` as in ``active_transform``."""
     return transform_test_function(field, rep, g)
 
 
-def active_transform(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
-    """Point-moving law phi'(x) = J D^T phi(L x + a).
+def active_transform(field: FieldFunction, rep: FieldRep, g: AffineMap) -> FieldFunction:
+    """Point-moving law phi'(x) = J D^T phi(L x + a), J = ``g.jacobian``.
 
-    ``g`` may be a PoincareElement (J = 1) or a general AffineMap, in
-    which case the Jacobian determinant of the map multiplies the result.
+    ``g`` is any AffineMap; only a PoincareElement (J = 1) takes every
+    spacetime representation, a general map only scalar and vector.
     """
-    mat, mapping, jac = _spacetime_matrix(rep, g, field)
-    return _composed_field(field, mat.T, mapping, jac)
+    return _composed_field(field, _spacetime_matrix(rep, g, field).T, g, g.jacobian)
 
 
-def transform_test_function(field: FieldFunction, rep: FieldRep, g) -> FieldFunction:
+def transform_test_function(field: FieldFunction, rep: FieldRep, g: AffineMap) -> FieldFunction:
     """Test-function law f'(x) = D f(L^-1 (x - a)), for ``g`` as in ``active_transform``."""
-    mat, mapping, _ = _spacetime_matrix(rep, g, field)
-    pullback = g.inverse().point_map() if isinstance(g, PoincareElement) else mapping.inverse()
-    return _composed_field(field, mat, pullback, 1.0)
+    return _composed_field(field, _spacetime_matrix(rep, g, field), g.inverse(), 1.0)
 
 
 def frame_change_components(field: FieldFunction, change: FrameChange) -> FieldFunction:

@@ -241,7 +241,7 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     # Keys are the plane parameters' bytes; lru_cache is safe to call
     # concurrently.
     memo = functools.lru_cache(maxsize=_MEMO_SIZE)
-    lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)).matrix)
+    lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)))
     matrix = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
     key_of = lambda b: np.asarray(b[:6], dtype=float).tobytes()
 

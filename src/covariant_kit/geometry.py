@@ -1,4 +1,8 @@
-"""Minkowski metric, Lorentz/Poincare group elements, and affine charts.
+"""Minkowski metric, Lorentz matrices, and affine maps: charts and Poincare elements.
+
+A Poincare element (Lambda, a) is the affine map x -> Lambda x + a, so
+``PoincareElement`` is an ``AffineMap`` whose linear part is checked to be
+Lorentz and whose Jacobian is exactly 1.
 
 Conventions used throughout the package:
 
@@ -30,12 +34,10 @@ __all__ = [
     "plane_generator",
     "lorentz_generators",
     "lorentz_exp",
-    "lorentz_exp_stack",
     "lorentz_log_params",
     "lorentz_residuals",
-    "LorentzTransform",
-    "PoincareElement",
     "AffineMap",
+    "PoincareElement",
     "ChartTransition",
     "chart_transition",
 ]
@@ -142,47 +144,6 @@ def _check_lorentz(matrices: np.ndarray, tol: float) -> None:
         raise ValueError("matrix is not proper orthochronous (det != +1 or time reversal)")
 
 
-@dataclass(frozen=True)
-class LorentzTransform:
-    """A 4x4 matrix preserving the Minkowski metric.
-
-    ``params`` holds the 6-vector of exponential coordinates when the
-    transform was built from one; it is ``None`` for transforms assembled
-    by other means (products, raw matrices).
-    """
-
-    matrix: np.ndarray
-    params: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = _check_finite(self.matrix, "Lorentz matrix")
-        if m.shape != (4, 4):
-            raise ValueError(f"Lorentz matrix must be 4x4, got {m.shape}")
-        params = None if self.params is None else _check_finite(self.params, "Lorentz parameters").copy()
-        _check_lorentz(m, ALGEBRAIC_TOL)
-        self._freeze(m.copy(), params)
-
-    @classmethod
-    def _derived(cls, matrix: np.ndarray, params: np.ndarray | None = None) -> "LorentzTransform":
-        """A product or inverse of checked transforms, Lorentz by the group law, so only checked finite: its
-        roundoff grows with its factors' entries, and a bound on its own rejects g g^-1 at rapidity 5."""
-        return object.__new__(cls)._freeze(_check_finite(matrix, "Lorentz matrix"), params)
-
-    def _freeze(self, matrix: np.ndarray, params: np.ndarray | None) -> "LorentzTransform":
-        for name, value in (("matrix", matrix), ("params", params)):
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        return self
-
-    def inverse(self) -> "LorentzTransform":
-        """Exact inverse eta Lambda^T eta; negated parameters when known."""
-        return self._derived(ETA @ self.matrix.T @ ETA, None if self.params is None else -self.params)
-
-    def metric_residual(self) -> float:
-        return lorentz_residuals(self.matrix)[0]
-
-
 def _algebra_elements(w: np.ndarray) -> np.ndarray:
     """The so(1,3) matrices sum_i w[..., i] J_i for coordinates w (..., 6).
 
@@ -267,10 +228,11 @@ def _exp(w: np.ndarray) -> np.ndarray:
     return (c @ powers.reshape(lead + (4, 16))).reshape(lead + (4, 4))
 
 
-def lorentz_exp_stack(params: np.ndarray) -> np.ndarray:
-    """Exponentiate a stack of plane-parameter rows, shape (..., 6) -> (..., 4, 4).
+def lorentz_exp(params: np.ndarray) -> np.ndarray:
+    """Exponentiate plane-parameter rows, shape (..., 6) -> (..., 4, 4).
 
-    X = sum_i params[i] J_i has eigenvalues +-a and +-ib, so by
+    Returns exp(sum_i params[..., i] J_i) with the generators in ``PLANES``
+    order.  X = sum_i params[i] J_i has eigenvalues +-a and +-ib, so by
     Cayley-Hamilton exp X = c0 + c1 X + c2 X^2 + c3 X^3 with
 
     * c0 = (b^2 cosh a + a^2 cos b) / (a^2 + b^2), c1 the same with
@@ -280,8 +242,8 @@ def lorentz_exp_stack(params: np.ndarray) -> np.ndarray:
 
     and all four from their Taylor series for a^2 + b^2 < 0.25.  A null
     generator (a = b = 0) has X^3 = 0, where the series is exact.
-    Every matrix is checked as ``LorentzTransform`` checks one, and each
-    equals, bit for bit, the matrix ``lorentz_exp`` returns for its row.
+    Every matrix is checked as ``PoincareElement`` checks its linear part,
+    and a row's matrix does not depend on the stack it came in.
     """
     p = _check_finite(params, "rotation parameters")
     if p.shape[-1:] != (6,):
@@ -289,18 +251,6 @@ def lorentz_exp_stack(params: np.ndarray) -> np.ndarray:
     m = _check_finite(_exp(p), "Lorentz matrix")
     _check_lorentz(m, ALGEBRAIC_TOL)
     return m
-
-
-def lorentz_exp(params: np.ndarray) -> LorentzTransform:
-    """Exponentiate a 6-vector of plane parameters to a LorentzTransform.
-
-    Returns exp(sum_i params[i] * J_i) with the generators in ``PLANES``
-    order: the one-row case of ``lorentz_exp_stack``.
-    """
-    p = _check_finite(params, "rotation parameters")
-    if p.shape != (6,):
-        raise ValueError(f"expected 6 plane parameters, got shape {p.shape}")
-    return LorentzTransform(_exp(p[None])[0], p)
 
 
 def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:
@@ -342,55 +292,6 @@ def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PoincareElement:
-    """Pair (Lambda, a): a Lorentz transform followed by a translation."""
-
-    transform: LorentzTransform
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(4))
-
-    def __post_init__(self):
-        a = _check_finite(self.translation, "translation").copy()
-        if a.shape != (4,):
-            raise ValueError(f"translation must be a 4-vector, got shape {a.shape}")
-        a.setflags(write=False)
-        object.__setattr__(self, "translation", a)
-
-    @classmethod
-    def identity(cls) -> "PoincareElement":
-        return cls(LorentzTransform(np.eye(4), np.zeros(6)))
-
-    @classmethod
-    def from_params(cls, omega: np.ndarray, a: np.ndarray | None = None) -> "PoincareElement":
-        """Build from 6 rotation/boost parameters and a translation 4-vector."""
-        trans = np.zeros(4) if a is None else a
-        return cls(lorentz_exp(omega), trans)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.transform.matrix
-
-    @property
-    def params(self) -> np.ndarray | None:
-        return self.transform.params
-
-    def compose(self, other: "PoincareElement") -> "PoincareElement":
-        """Group product self o other: (L2 L1, L2 a1 + a2) with self = g2."""
-        mat = LorentzTransform._derived(self.matrix @ other.matrix)
-        return PoincareElement(mat, self.matrix @ other.translation + self.translation)
-
-    def inverse(self) -> "PoincareElement":
-        inv = self.transform.inverse()
-        return PoincareElement(inv, -(inv.matrix @ self.translation))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """x -> Lambda x + a for a point (4,) or batch (..., 4)."""
-        return self.point_map()(points)
-
-    def point_map(self) -> "AffineMap":
-        return AffineMap(self.matrix, self.translation)
-
-
-@dataclass(frozen=True)
 class AffineMap:
     """Invertible affine map r -> linear r + offset on R^4.
 
@@ -425,10 +326,12 @@ class AffineMap:
         product, then the offset added per coordinate row.  A coordinate-major
         input (such as the grid's point blocks) is read without a copy.
         """
-        cols = np.moveaxis(np.asarray(points), -1, 0)
+        pts = np.asarray(points)
+        last = pts.ndim - 1
+        cols = pts.transpose((last, *range(last)))
         out = self.linear @ cols.reshape(4, -1)
         out += self.offset[:, None]
-        return np.moveaxis(out.reshape(cols.shape), 0, -1)
+        return out.reshape(cols.shape).transpose((*range(1, last + 1), 0))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other."""
@@ -441,6 +344,76 @@ class AffineMap:
     @classmethod
     def identity(cls) -> "AffineMap":
         return cls(np.eye(4), np.zeros(4))
+
+
+@dataclass(frozen=True)
+class PoincareElement(AffineMap):
+    """A Poincare group element (Lambda, a): the affine map x -> Lambda x + a.
+
+    ``linear`` is a proper orthochronous Lorentz matrix, so ``jacobian`` is
+    exactly 1.  ``params`` holds its exponential coordinates when the element
+    was built from them, and is None for elements assembled by other means
+    (products, inverses of such, raw matrices).
+    """
+
+    params: np.ndarray | None = None
+
+    def __post_init__(self):
+        L = _check_finite(self.linear, "Lorentz matrix")
+        if L.shape != (4, 4):
+            raise ValueError(f"Lorentz matrix must be 4x4, got {L.shape}")
+        _check_lorentz(L, ALGEBRAIC_TOL)
+        self._freeze(L.copy(), self.offset, self.params)
+
+    @classmethod
+    def _derived(cls, linear: np.ndarray, offset: np.ndarray, params: np.ndarray | None = None) -> "PoincareElement":
+        """An element whose matrix is Lorentz by construction, so only checked finite: an exponential, or a product
+        or inverse of checked elements, whose roundoff grows with its factors' entries (a bound on its own rejects
+        g g^-1 at rapidity 5)."""
+        return object.__new__(cls)._freeze(_check_finite(linear, "Lorentz matrix"), offset, params)
+
+    def _freeze(self, linear: np.ndarray, offset: np.ndarray, params: np.ndarray | None) -> "PoincareElement":
+        a = _check_finite(offset, "translation").copy()
+        if a.shape != (4,):
+            raise ValueError(f"translation must be a 4-vector, got shape {a.shape}")
+        if params is not None:
+            params = _check_finite(params, "Lorentz parameters").copy()
+        for name, value in (("linear", linear), ("offset", a), ("params", params)):
+            if value is not None:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "jacobian", 1.0)
+        return self
+
+    @classmethod
+    def identity(cls) -> "PoincareElement":
+        return cls(np.eye(4), np.zeros(4), np.zeros(6))
+
+    @classmethod
+    def from_params(cls, omega: np.ndarray, a: np.ndarray | None = None) -> "PoincareElement":
+        """Build from 6 rotation/boost parameters and a translation 4-vector."""
+        p = _check_finite(omega, "rotation parameters")
+        if p.shape != (6,):
+            raise ValueError(f"expected 6 plane parameters, got shape {p.shape}")
+        return cls._derived(lorentz_exp(p), np.zeros(4) if a is None else a, p)
+
+    def compose(self, other: AffineMap) -> AffineMap:
+        """Group product self o other: (L2 L1, L2 a1 + a2) with self = g2; a plain AffineMap unless other is an element.
+
+        g o g = exp(2X) exactly, so the square of an element with parameters has them doubled, which keeps a
+        spinor matrix of the product on the sheet of the double cover that the factors' matrices multiply to.
+        Every other product has None.
+        """
+        if not isinstance(other, PoincareElement):
+            return super().compose(other)
+        same = self.params is not None and other.params is not None and np.array_equal(self.params, other.params)
+        params = 2 * self.params if same else None
+        return self._derived(self.linear @ other.linear, self.linear @ other.offset + self.offset, params)
+
+    def inverse(self) -> "PoincareElement":
+        """Exact inverse (eta Lambda^T eta, -eta Lambda^T eta a); negated parameters when known."""
+        inv = ETA @ self.linear.T @ ETA
+        return self._derived(inv, -(inv @ self.offset), None if self.params is None else -self.params)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ class FieldRep:
 
     @classmethod
     def vector(cls) -> "FieldRep":
-        return cls("vector", 4, 6, lambda p: lorentz_exp(p).matrix.astype(complex), lorentz_generators())
+        return cls("vector", 4, 6, lambda p: lorentz_exp(p).astype(complex), lorentz_generators())
 
     @classmethod
     def spinor(cls, gamma: GammaBasis | None = None) -> "FieldRep":
@@ -233,10 +233,7 @@ def homomorphism_check(
             np.asarray(params2, dtype=float)
         )
     else:
-        product = lorentz_exp(np.asarray(params1, dtype=float)).matrix @ lorentz_exp(
-            np.asarray(params2, dtype=float)
-        ).matrix
-        combined = lorentz_log_params(product)
+        combined = lorentz_log_params(lorentz_exp(params1) @ lorentz_exp(params2))
     rhs = rep_matrix(rep, combined)
     res_plus = float(np.abs(lhs - rhs).max())
     if rep.kind != "spinor":
@@ -245,21 +242,20 @@ def homomorphism_check(
     return (res_plus, 1) if res_plus <= res_minus else (res_minus, -1)
 
 
-def rep_matrix_for_element(rep: FieldRep, g: PoincareElement | AffineMap) -> np.ndarray:
-    """Representation matrix attached to a Poincare element or affine map.
+def rep_matrix_for_element(rep: FieldRep, g: AffineMap) -> np.ndarray:
+    """Representation matrix attached to an affine map, a Poincare element among them.
 
-    Scalar and vector read the matrix off directly (for an AffineMap, the
-    vector takes its linear part).  Spinor needs exponential coordinates,
-    from the matrix log when the element was not built from parameters;
-    a general AffineMap has none.  Translations never enter.
+    Scalar and vector read it off directly (the vector takes the linear
+    part).  Spinor needs a PoincareElement and its exponential coordinates,
+    from the matrix log when the element was not built from parameters.
+    Translations never enter.
     """
-    affine = isinstance(g, AffineMap)
     if rep.kind == "scalar":
         return np.eye(1, dtype=complex)
     if rep.kind == "vector":
-        return (g.linear if affine else g.matrix).astype(complex)
-    if affine:
+        return g.linear.astype(complex)
+    if not isinstance(g, PoincareElement):
         raise ValueError(f"{rep.kind!r} representation is undefined for general affine point maps")
     if rep.kind == "spinor":
-        return rep_matrix(rep, g.params if g.params is not None else lorentz_log_params(g.matrix))
+        return rep_matrix(rep, g.params if g.params is not None else lorentz_log_params(g.linear))
     raise ValueError(f"representation kind {rep.kind!r} is not a spacetime representation")

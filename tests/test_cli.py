@@ -27,6 +27,7 @@ FAST_PASSING = [
     "rep_check_spinor.json",
     "rep_check_scalar.json",
     "transform_vector_boost.json",
+    "transform_spinor_rotation.json",
     "verify_local_vector_rotation.json",
     "verify_local_phase.json",
     "verify_bundle_vector.json",
@@ -92,8 +93,7 @@ class TestCorpus:
         assert run_cli(argv) == 0
 
         def active_with_d(field, rep, g):
-            mat, mapping, jac = fields._spacetime_matrix(rep, g, field)
-            return fields._composed_field(field, mat, mapping, jac)
+            return fields._composed_field(field, fields._spacetime_matrix(rep, g, field), g, g.jacobian)
 
         monkeypatch.setattr(cli, "active_transform", active_with_d)
         assert run_cli(argv) == 1
@@ -101,6 +101,19 @@ class TestCorpus:
         assert rows["pairing_convergence"]["passed"] is True
         assert rows["pairing_invariance"]["passed"] is False
         assert float(rows["pairing_invariance"]["sup_residual"]) > 0.1
+
+    @pytest.mark.parametrize("omega", ["[0.2,0,0,2.0,0,0]", "[0,0,0,1.5707963267948966,0,0]"], ids=["past", "at"])
+    def test_spinor_transform_past_and_at_a_quarter_turn(self, omega, tmp_path, monkeypatch):
+        # passive o passive by g is compared with passive by g o g; the product's spinor
+        # matrix must come from 2 omega, not from the principal log of its Lorentz matrix,
+        # which picks the other sheet of the double cover past a quarter turn (a rotation
+        # by pi at a quarter turn, where the log is undefined)
+        monkeypatch.chdir(tmp_path)
+        overrides = ["--override", "rep.variant=spinor", "--override", f"group.omega={omega}"]
+        argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), *overrides, "--out", "r.json"]
+        assert run_cli(argv) == 0
+        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
+        assert float(rows["passive_composition"]["sup_residual"]) <= 1e-14
 
     def test_malformed_json_exits_two_with_line_diagnostic(self, capsys):
         code = run_cli(["run", str(SCENARIOS / "malformed.json")])

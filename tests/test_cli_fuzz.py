@@ -4,7 +4,9 @@ Hand-written strategies (no ``hypothesis-jsonschema``) draw schema-valid
 scenarios of every check kind at small sizes, with extreme widths,
 rapidities, finite-difference steps and tolerances among them.  Whatever
 the scenario, ``cli.main`` must return 0, 1 or 2 and never raise, and a
-0 or 1 must come with a report that validates.
+0 or 1 must come with a report that validates.  ``fuzz_cases.json`` keeps
+a recorded draw of such scenarios with the exit code of each, replayed on
+every run.
 """
 
 import json
@@ -17,6 +19,9 @@ from jsonschema import validate
 
 from covariant_kit import cli
 from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, TOLERANCE_NAMES
+
+#: Recorded scenarios and their exit codes, replayed below.
+FUZZ_CASES = Path(__file__).with_name("fuzz_cases.json")
 
 # Any finite double: extreme magnitudes are the point.
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
@@ -110,17 +115,33 @@ def scenarios(draw):
     return scenario
 
 
+def run_scenario(scenario: dict) -> int:
+    """``cli.main``'s exit code for ``scenario``, run in a temporary directory.
+
+    A 0 or 1 must come with a report that validates.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        output = {**scenario.get("output", {}), "field_csv": str(tmp / "field.csv")}
+        path = tmp / "scenario.json"
+        path.write_text(json.dumps({**scenario, "output": output}))
+        code = cli.main(["run", str(path), "--out", str(tmp / "report.json")])
+        if code in (0, 1):
+            validate(json.loads((tmp / "report.json").read_text()), REPORT_SCHEMA)
+        return code
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(scenarios())
 def test_every_schema_valid_scenario_exits_0_1_or_2(scenario):
     cli.validate(scenario)
     assert cli._over_budget(scenario) is None
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        scenario["output"]["field_csv"] = str(tmp / "field.csv")
-        path = tmp / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code = cli.main(["run", str(path), "--out", str(tmp / "report.json")])
-        assert code in (0, 1, 2)
-        if code != 2:
-            validate(json.loads((tmp / "report.json").read_text()), REPORT_SCHEMA)
+    assert run_scenario(scenario) in (0, 1, 2)
+
+
+def test_recorded_fuzz_cases_keep_their_exit_codes():
+    """Replay ``fuzz_cases.json`` (written by ``tools/fuzz_cases.py``): every exit code as recorded."""
+    cases = json.loads(FUZZ_CASES.read_text())
+    assert cases
+    moved = [(i, case["exit"], run_scenario(case["scenario"])) for i, case in enumerate(cases)]
+    assert [m for m in moved if m[1] != m[2]] == []

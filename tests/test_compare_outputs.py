@@ -1,11 +1,13 @@
 """Unit tests of tools/compare_outputs.py's comparison, on hand-built outputs.
 
 No tree is run: ``compare`` takes the flattened outputs that ``collect``
-would record for each side.
+would record for each side, and ``_invoke`` is given a stand-in CLI.
 """
 
 import argparse
 import importlib.util
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,3 +120,24 @@ class TestParseBound:
     def test_rejects_malformed_bounds(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             compare_outputs.parse_bound(text)
+
+
+class TestInvoke:
+    def test_warnings_are_recorded_apart_from_stderr(self, tmp_path):
+        # Python prints a warning with its source path and line, which differ between trees
+        class StandInCli:
+            @staticmethod
+            def main(argv):
+                for _ in range(2):
+                    warnings.warn("overflow encountered in multiply", RuntimeWarning)
+                print("scenario could not be executed", file=sys.stderr)
+                return 2
+
+        outputs = {}
+        compare_outputs._invoke(StandInCli, "k", ["run"], str(tmp_path / "no_report.json"), outputs)
+        assert outputs == {
+            "k:rc": 2,
+            "k:stdout": "",
+            "k:stderr": "scenario could not be executed\n",
+            "k:warnings": ["RuntimeWarning: overflow encountered in multiply"],
+        }

@@ -110,7 +110,7 @@ class TestPassiveTransform:
         vec = wave_packet([0, 0, 0, 0], 1.0, [1.0, 0.5, -0.25, 2.0])
         out = passive_transform(vec, FieldRep.vector(), g)
         # argument fixed at the origin, components mixed by the matrix
-        expected = g.matrix.astype(complex) @ vec(np.zeros(4))
+        expected = g.linear.astype(complex) @ vec(np.zeros(4))
         assert_allclose(out(np.zeros(4)), expected, atol=1e-13)
 
     def test_composition_covariance(self):
@@ -160,7 +160,7 @@ class TestActiveTransform:
         g = PoincareElement.from_params(omega, np.zeros(4))
         vec = wave_packet([0, 0, 0, 0], 1.0, [1.0, -0.5, 0.25, 0.75])
         out = active_transform(vec, FieldRep.vector(), g)
-        expected = rep_matrix(FieldRep.vector(), omega).T @ vec(g.apply(np.zeros(4)))
+        expected = rep_matrix(FieldRep.vector(), omega).T @ vec(g(np.zeros(4)))
         assert_allclose(out(np.zeros(4)), expected, atol=1e-13)
 
     def test_roundtrip_with_inverse(self):
@@ -173,6 +173,11 @@ class TestActiveTransform:
     def test_spinor_for_affine_map_rejected(self):
         with pytest.raises(ValueError):
             active_transform(wave_packet([0, 0, 0, 0], 1, 4), FieldRep.spinor(), AffineMap.identity())
+
+    def test_non_affine_map_rejected(self):
+        g = PoincareElement.from_params([0.2, 0, 0, 0, 0, 0])
+        with pytest.raises(TypeError, match="expected an AffineMap"):
+            active_transform(wave_packet([0, 0, 0, 0], 1, 4), FieldRep.vector(), (g.linear, g.offset))
 
     def test_gradient_chain_rule(self):
         g = PoincareElement.from_params([0.2, 0, 0, 0.4, 0, 0], [1, 0, 0, -0.5])
@@ -193,9 +198,9 @@ class TestTestFunctionTransform:
         omega = np.array([0, 0, 0, math.pi / 2, 0, 0])
         g = PoincareElement.from_params(omega, np.zeros(4))
         out = transform_test_function(f, FieldRep.scalar(), g)
-        new_center = g.matrix @ np.array([0.0, 1.0, 0.0, 0.0])
+        new_center = g.linear @ np.array([0.0, 1.0, 0.0, 0.0])
         assert abs(out(new_center)[0] - 1.0) <= 1e-12
-        assert np.abs(out(POINTS) - f(g.inverse().apply(POINTS))).max() <= 1e-13
+        assert np.abs(out(POINTS) - f(g.inverse()(POINTS))).max() <= 1e-13
 
     def test_vector_components_multiplied_by_matrix(self):
         omega = np.array([0.5, 0, 0, 0, 0, 0])
@@ -203,7 +208,7 @@ class TestTestFunctionTransform:
         vec = wave_packet([0, 0, 0, 0], 1.0, [1.0, 2.0, -1.0, 0.5])
         out = transform_test_function(vec, FieldRep.vector(), g)
         x = np.array([0.3, -0.2, 0.1, 0.4])
-        expected = rep_matrix(FieldRep.vector(), omega) @ vec(g.inverse().apply(x))
+        expected = rep_matrix(FieldRep.vector(), omega) @ vec(g.inverse()(x))
         assert_allclose(out(x), expected, atol=1e-13)
 
 
@@ -212,7 +217,7 @@ class TestAffineMapLaws:
 
     # Orientation-preserving, det L = 1.2 * 0.9 * 1.1 = 1.188, and not a Lorentz matrix.
     MAP = AffineMap(
-        PoincareElement.from_params([0.3, 0, 0, 0.2, 0, 0]).matrix @ np.diag([1.2, 0.9, 1.1, 1.0]),
+        PoincareElement.from_params([0.3, 0, 0, 0.2, 0, 0]).linear @ np.diag([1.2, 0.9, 1.1, 1.0]),
         np.array([0.2, -0.1, 0.0, 0.3]),
     )
     GRID = GridSpec(((-7.0, 7.0),) * 4, (33,) * 4)
@@ -544,8 +549,8 @@ class TestClosedFormPairing:
         g = PoincareElement.from_params([0.3, 0.0, 0.0, 0.2, 0.0, 0.0], [0.3, 0.0, -0.2, 0.1])
         moved = active_transform(wave_packet(self.C1, self.S1, 1), FieldRep.scalar(), g)
         f = wave_packet(self.C2, self.S2, 1)
-        lin = g.matrix
-        m = np.linalg.solve(lin, self.C1 - g.translation)
+        lin = g.linear
+        m = np.linalg.solve(lin, self.C1 - g.offset)
         exact = gaussian_overlap(lin.T @ lin / self.S1**2, m, np.eye(4) / self.S2**2, self.C2)
         self._check(pairing(moved, f, self.GRID), exact)
 
@@ -568,7 +573,7 @@ class TestHermitePairing:
 
     def test_oracle_reduces_to_the_gaussian_overlap(self):
         # constant amplitudes, a boosted pull-back on one side
-        lam, a = self.G.matrix, self.G.translation
+        lam, a = self.G.linear, self.G.offset
         value = hermite_pairing(
             (np.eye(1), lam, a, self.C1, self.S1, [[(0.8, (0, 0, 0, 0))]]),
             (np.eye(1), np.eye(4), np.zeros(4), self.C2, self.S2, [[(1.3, (0, 0, 0, 0))]]),
@@ -584,7 +589,7 @@ class TestHermitePairing:
         # the laws' pull-backs and the integral do not.
         rep = getattr(FieldRep, kind)()
         n, D = rep.n, rep_matrix_for_element(rep, self.G)
-        lam, a = self.G.matrix, self.G.translation
+        lam, a = self.G.linear, self.G.offset
         inv = np.linalg.inv(lam)
         # Both packets real (float64 until a complex law acts) or both complex.
         comps = self.REAL if coeffs == "real" else self.COMPLEX
@@ -839,8 +844,8 @@ class TestEvaluateDtype:
         pts = np.concatenate([POINTS, [[60.0, 0.0, 0.0, 0.0]]])
         expected = 1.0 * np.einsum(
             "ij,...j->...i",
-            g.matrix.T.astype(complex),
-            _complex_packet(self.CENTER, self.WIDTH, comps, pts @ g.matrix.T + g.translation),
+            g.linear.T.astype(complex),
+            _complex_packet(self.CENTER, self.WIDTH, comps, pts @ g.linear.T + g.offset),
         )
         assert np.array_equal(_bits(moved.evaluate(pts)), _bits(expected))
 

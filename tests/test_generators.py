@@ -298,7 +298,7 @@ class TestFDConvergence:
 class TestCentralDiff:
     @pytest.mark.parametrize("order", [2, 4])
     def test_tuple_entries_equal_separate_calls_bit_for_bit(self, order):
-        mat = lambda b: lorentz_exp(np.tanh(b[:6]) * b[6:]).matrix
+        mat = lambda b: lorentz_exp(np.tanh(b[:6]) * b[6:])
         pair = lambda b: (np.linalg.det(mat(b)), mat(b) @ POINTS.T)
         b0 = np.random.default_rng(3).uniform(-0.5, 0.5, 12)
         for w in (0, 5, 11):
@@ -323,7 +323,7 @@ class TestDetTraceIdentity:
         assert res.max() <= 1e-8
 
     def test_lorentz_family(self):
-        res = det_trace_residual(lambda b: lorentz_exp(b).matrix, np.zeros(6), self.SCHEME)
+        res = det_trace_residual(lorentz_exp, np.zeros(6), self.SCHEME)
         assert res.max() <= 1e-8
 
     def test_nilpotent_family(self):
@@ -386,7 +386,7 @@ class TestPoincareFamilyMemo:
         rep = getattr(FieldRep, variant)()
         fam = poincare_family(rep)
         for i, b in enumerate(_param_sequence()):
-            lam = lorentz_exp(b[:6]).matrix
+            lam = lorentz_exp(b[:6])
             calls = [
                 ("linear", lambda: fam.point_map(b).linear, lam),
                 ("point", lambda: fam.point_map(b)(POINTS), POINTS @ lam.T + b[6:]),
@@ -403,7 +403,7 @@ class TestPoincareFamilyMemo:
         fam = poincare_family(rep)
         seq = np.random.default_rng(8).uniform(-0.5, 0.5, (100, 10))  # more than the memo holds
         for b in [*seq, *seq[:5]]:
-            assert np.array_equal(fam.point_map(b).linear, lorentz_exp(b[:6]).matrix)
+            assert np.array_equal(fam.point_map(b).linear, lorentz_exp(b[:6]))
             assert np.array_equal(fam.rep_map(b), rep_matrix(rep, b[:6]))
 
     def test_returned_rep_matrix_is_the_callers_own(self):
@@ -426,7 +426,7 @@ class TestPoincareFamilyMemo:
         rep = getattr(FieldRep, variant)()
         fam = poincare_family(rep)
         seq = _param_sequence()
-        expected = [(lorentz_exp(b[:6]).matrix, rep_matrix(rep, b[:6])) for b in seq]
+        expected = [(lorentz_exp(b[:6]), rep_matrix(rep, b[:6])) for b in seq]
 
         def worker(offset):
             for k in range(200):

@@ -11,11 +11,9 @@ from covariant_kit.geometry import (
     PLANES,
     AffineMap,
     ChartTransition,
-    LorentzTransform,
     PoincareElement,
     chart_transition,
     lorentz_exp,
-    lorentz_exp_stack,
     lorentz_generators,
     lorentz_log_params,
     lorentz_residuals,
@@ -61,19 +59,19 @@ class TestGenerators:
 
     def test_returned_stack_is_a_fresh_copy(self):
         omega = np.array([0.3, -0.2, 0.1, 0.5, -0.4, 0.25])
-        before = lorentz_exp(omega).matrix.copy()
+        before = lorentz_exp(omega).copy()
         stack = lorentz_generators()
         stack[:] = 7.0
         assert not np.array_equal(lorentz_generators(), stack)
-        assert np.array_equal(lorentz_exp(omega).matrix, before)
+        assert np.array_equal(lorentz_exp(omega), before)
 
 
 class TestLorentzExp:
     def test_zero_gives_identity(self):
-        assert np.abs(lorentz_exp(np.zeros(6)).matrix - np.eye(4)).max() <= 1e-15
+        assert np.abs(lorentz_exp(np.zeros(6)) - np.eye(4)).max() <= 1e-15
 
     def test_boost_block_oracle(self):
-        lam = lorentz_exp([0.5, 0, 0, 0, 0, 0]).matrix
+        lam = lorentz_exp([0.5, 0, 0, 0, 0, 0])
         assert_allclose(lam[:2, :2], boost_block(0.5), atol=1e-13)
         assert math.isclose(lam[0, 0], math.cosh(0.5), abs_tol=1e-13)
         assert math.isclose(lam[0, 1], math.sinh(0.5), abs_tol=1e-13)
@@ -81,7 +79,7 @@ class TestLorentzExp:
         assert np.abs(lam[:2, 2:]).max() <= 1e-13
 
     def test_quarter_turn_rotation_oracle(self):
-        lam = lorentz_exp([0, 0, 0, math.pi / 2, 0, 0]).matrix
+        lam = lorentz_exp([0, 0, 0, math.pi / 2, 0, 0])
         assert_allclose(lam[1:3, 1:3], rotation_block(math.pi / 2), atol=1e-12)
         # every entry is 0 or +-1 at this angle
         rounded = np.round(lam)
@@ -93,15 +91,15 @@ class TestLorentzExp:
         for _ in range(25):
             omega = rng.uniform(-1.0, 1.0, 6)
             X = np.einsum("i,ijk->jk", omega, lorentz_generators())
-            assert np.abs(lorentz_exp(omega).matrix - expm_series(X)).max() <= 1e-12
+            assert np.abs(lorentz_exp(omega) - expm_series(X)).max() <= 1e-12
 
     def test_metric_preservation_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             lam = lorentz_exp(rng.uniform(-1.0, 1.0, 6))
-            assert lam.metric_residual() <= 1e-12
-            assert abs(np.linalg.det(lam.matrix) - 1.0) <= 1e-12
-            assert lam.matrix[0, 0] >= 1.0 - 1e-12
+            assert lorentz_residuals(lam)[0] <= 1e-12
+            assert abs(np.linalg.det(lam) - 1.0) <= 1e-12
+            assert lam[0, 0] >= 1.0 - 1e-12
 
     def test_one_parameter_subgroup_law(self):
         rng = np.random.default_rng(3)
@@ -109,8 +107,8 @@ class TestLorentzExp:
             s, t = rng.uniform(-0.9, 0.9, 2)
             e = np.zeros(6)
             e[i] = 1.0
-            prod = lorentz_exp(s * e).matrix @ lorentz_exp(t * e).matrix
-            assert np.abs(prod - lorentz_exp((s + t) * e).matrix).max() <= 1e-10
+            prod = lorentz_exp(s * e) @ lorentz_exp(t * e)
+            assert np.abs(prod - lorentz_exp((s + t) * e)).max() <= 1e-10
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -119,19 +117,19 @@ class TestLorentzExp:
             lorentz_exp([0.1, 0.2])
 
     def test_inverse_is_metric_conjugate(self):
-        lam = lorentz_exp([0.3, -0.2, 0.1, 0.4, -0.5, 0.2])
-        assert np.abs(lam.inverse().matrix @ lam.matrix - np.eye(4)).max() <= 1e-12
+        g = PoincareElement.from_params([0.3, -0.2, 0.1, 0.4, -0.5, 0.2])
+        assert np.abs(g.inverse().linear @ g.linear - np.eye(4)).max() <= 1e-12
 
     def test_log_roundtrip(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             omega = rng.uniform(-0.8, 0.8, 6)
-            recovered = lorentz_log_params(lorentz_exp(omega).matrix)
+            recovered = lorentz_log_params(lorentz_exp(omega))
             assert np.abs(recovered - omega).max() <= 1e-9
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
-            LorentzTransform(np.eye(4) * 1.5)
+            PoincareElement(np.eye(4) * 1.5)
 
 
 #: The null generator: a unit boost along x plus a unit rotation about z.
@@ -151,7 +149,7 @@ class TestLorentzClosedForms:
         for _ in range(50):
             omega = rng.uniform(-scale, scale, 6)
             oracle = expm_series(_generator(omega))
-            assert np.abs(lorentz_exp(omega).matrix - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            assert np.abs(lorentz_exp(omega) - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3, 0.24, 0.26, 4.0])
     def test_exp_coefficients_on_both_sides_of_the_series_switch(self, size):
@@ -168,15 +166,15 @@ class TestLorentzClosedForms:
         assert np.array_equal(X @ X @ X, np.zeros((4, 4)))
         for omega in (NULL_OMEGA, 2.5 * NULL_OMEGA):
             X = _generator(omega)
-            assert np.array_equal(lorentz_exp(omega).matrix, np.eye(4) + X + X @ X / 2)
-            assert np.array_equal(lorentz_exp(omega).matrix, expm_series(X))
+            assert np.array_equal(lorentz_exp(omega), np.eye(4) + X + X @ X / 2)
+            assert np.array_equal(lorentz_exp(omega), expm_series(X))
 
     def test_near_null_generator(self):
         rng = np.random.default_rng(23)
         for eps in (1e-12, 1e-6, 1e-3, 3e-2):
             omega = 2.0 * NULL_OMEGA + eps * rng.uniform(-1.0, 1.0, 6)
             oracle = expm_series(_generator(omega))
-            assert np.abs(lorentz_exp(omega).matrix - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            assert np.abs(lorentz_exp(omega) - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_stack_equals_rows_bit_for_bit(self):
         rng = np.random.default_rng(29)
@@ -184,35 +182,35 @@ class TestLorentzClosedForms:
         rows[:10] *= 1e-4  # deep in the Taylor branch; most others in the closed form
         rows[10] = NULL_OMEGA
         rows[11] = 0.0
-        stack = lorentz_exp_stack(rows)
+        stack = lorentz_exp(rows)
         assert stack.shape == (40, 4, 4)
         for row, matrix in zip(rows, stack):
-            assert np.array_equal(matrix, lorentz_exp(row).matrix)
-        assert np.array_equal(lorentz_exp_stack(rows.reshape(4, 10, 6)), stack.reshape(4, 10, 4, 4))
+            assert np.array_equal(matrix, lorentz_exp(row))
+        assert np.array_equal(lorentz_exp(rows.reshape(4, 10, 6)), stack.reshape(4, 10, 4, 4))
 
     def test_stack_is_checked_like_one_matrix(self):
         rows = np.zeros((3, 6))
         rows[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            lorentz_exp_stack(rows)
+            lorentz_exp(rows)
         with pytest.raises(ValueError, match="rows of 6"):
-            lorentz_exp_stack(np.zeros((3, 5)))
+            lorentz_exp(np.zeros((3, 5)))
         with pytest.raises(ValueError, match="finite"):
-            lorentz_exp_stack([[800.0, 0, 0, 0, 0, 0]])  # cosh overflows
+            lorentz_exp([[800.0, 0, 0, 0, 0, 0]])  # cosh overflows
 
     def test_residuals_are_the_worst_over_the_stack(self):
-        stack = lorentz_exp_stack(np.random.default_rng(31).uniform(-1.0, 1.0, (20, 6)))
+        stack = lorentz_exp(np.random.default_rng(31).uniform(-1.0, 1.0, (20, 6)))
         metric, det = lorentz_residuals(stack)
-        assert metric == max(LorentzTransform(m).metric_residual() for m in stack)
+        assert metric == max(lorentz_residuals(PoincareElement(m).linear)[0] for m in stack)
         assert det == max(abs(np.linalg.det(m) - 1.0) for m in stack)
         with pytest.raises(ValueError, match="proper orthochronous"):
-            LorentzTransform(np.diag([1.0, -1.0, 1.0, 1.0]))
+            PoincareElement(np.diag([1.0, -1.0, 1.0, 1.0]))
 
     def test_log_roundtrip_pure_boosts(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
             omega = np.concatenate([rng.uniform(-3.0, 3.0, 3), np.zeros(3)])
-            assert np.abs(lorentz_log_params(lorentz_exp(omega).matrix) - omega).max() <= 1e-12
+            assert np.abs(lorentz_log_params(lorentz_exp(omega)) - omega).max() <= 1e-12
 
     def test_log_roundtrip_rotations_past_a_right_angle(self):
         rng = np.random.default_rng(41)
@@ -221,13 +219,13 @@ class TestLorentzClosedForms:
             angle = rng.uniform(math.pi / 2, math.pi - 1e-2)
             x, y, z = angle * axis / np.linalg.norm(axis)
             omega = np.array([*rng.uniform(-0.5, 0.5, 3), z, -y, x])  # planes (1,2), (1,3), (2,3)
-            assert np.abs(lorentz_log_params(lorentz_exp(omega).matrix) - omega).max() <= 1e-12
+            assert np.abs(lorentz_log_params(lorentz_exp(omega)) - omega).max() <= 1e-12
 
     def test_log_roundtrip_near_identity(self):
         rng = np.random.default_rng(43)
         for scale in (1e-9, 1e-6, 1e-3):
             omega = rng.uniform(-scale, scale, 6)
-            assert_allclose(lorentz_log_params(lorentz_exp(omega).matrix), omega, rtol=1e-12, atol=1e-24)
+            assert_allclose(lorentz_log_params(lorentz_exp(omega)), omega, rtol=1e-12, atol=1e-24)
         assert np.array_equal(lorentz_log_params(np.eye(4)), np.zeros(6))
 
     @pytest.mark.parametrize(
@@ -237,7 +235,7 @@ class TestLorentzClosedForms:
     )
     def test_log_rejects_a_rotation_by_pi(self, omega):
         with pytest.raises(ValueError):
-            lorentz_log_params(lorentz_exp(omega).matrix)
+            lorentz_log_params(lorentz_exp(omega))
 
     def test_log_rejects_exact_half_turn_and_non_lorentz(self):
         for matrix in (np.diag([1.0, -1.0, -1.0, 1.0]), 1.5 * np.eye(4), -np.eye(4)):
@@ -251,42 +249,42 @@ class TestLargeBoosts:
     @pytest.mark.parametrize("rapidity", [5.0, 8.0])
     def test_exact_boosts_construct_and_round_trip(self, rapidity):
         rows = np.array([rapidity * np.eye(6)[k] for k in range(3)] + [[rapidity, 0.3, -0.2, 0.4, 0.1, -0.7]])
-        stack = lorentz_exp_stack(rows)
+        stack = lorentz_exp(rows)
         assert_allclose(stack[0][:2, :2], boost_block(rapidity), rtol=1e-14)
         for omega, matrix in zip(rows, stack):
-            assert np.array_equal(lorentz_exp(omega).matrix, matrix)
+            assert np.array_equal(lorentz_exp(omega), matrix)
             assert np.abs(lorentz_log_params(matrix) - omega).max() <= 1e-11
 
     def test_a_unit_scale_matrix_off_the_metric_still_raises(self):
         off = np.eye(4)
         off[1, 2] = 1e-9
         with pytest.raises(ValueError, match="does not preserve the metric"):
-            LorentzTransform(off)
+            PoincareElement(off)
         with pytest.raises(ValueError, match="does not preserve the metric"):
             geometry._check_lorentz(np.stack([np.eye(4), off]), geometry.ALGEBRAIC_TOL)
 
     def test_a_large_boost_off_the_metric_still_raises(self):
         # rapidity 8: the bound is 1e-12 * 1490^2 = 2.2e-6, the error below about 1.5e-2
-        off = lorentz_exp([8.0, 0, 0, 0, 0, 0]).matrix.copy()
+        off = lorentz_exp([8.0, 0, 0, 0, 0, 0]).copy()
         off[0, 1] += 1e-5
         with pytest.raises(ValueError, match="does not preserve the metric"):
-            LorentzTransform(off)
+            PoincareElement(off)
 
 
     def test_tolerance_is_not_an_option(self):
         with pytest.raises(TypeError):
-            LorentzTransform(np.eye(4), None, 1e-3)
+            PoincareElement(np.eye(4), np.zeros(4), None, 1e-3)
 
     @pytest.mark.parametrize("rapidity", [5.0, 8.0])
     def test_a_cancelling_product_is_not_rejected(self, rapidity):
         # g g^-1 is 1, with roundoff about eps cosh(rapidity)^2: past what a bound
         # scaled by the product's own entries allows, within what its factors allow
         g = PoincareElement.from_params([rapidity, 0, 0, 0.3, 0, 0], [0.5, 0, 0, 0])
-        scale = np.abs(g.matrix).max() ** 2
+        scale = np.abs(g.linear).max() ** 2
         for unit in (g.compose(g.inverse()), g.inverse().compose(g)):
-            assert np.abs(unit.matrix - np.eye(4)).max() <= geometry.ALGEBRAIC_TOL * scale
-            assert unit.params is None and not unit.matrix.flags.writeable
-        inv = g.transform.inverse()
+            assert np.abs(unit.linear - np.eye(4)).max() <= geometry.ALGEBRAIC_TOL * scale
+            assert unit.params is None and not unit.linear.flags.writeable
+        inv = g.inverse()
         assert np.array_equal(inv.params, -g.params) and not inv.params.flags.writeable
 
     def test_an_overflowing_product_still_raises(self):
@@ -300,11 +298,11 @@ class TestLargeBoosts:
         # max|L| past about 1e154: the residual of L^T eta L and the bound tol max|L|^2
         # overflow to inf or nan, and a comparison with either must fail, not pass
         with pytest.raises(ValueError, match="does not preserve the metric"):
-            LorentzTransform(np.full((4, 4), 1e200))
+            PoincareElement(np.full((4, 4), 1e200))
         with pytest.raises(ValueError, match="does not preserve the metric"):
             geometry._check_lorentz(np.stack([np.eye(4), np.full((4, 4), 1e200)]), geometry.ALGEBRAIC_TOL)
 
-    @pytest.mark.parametrize("build", [lorentz_exp, lambda omega: lorentz_exp_stack(np.array([omega]))])
+    @pytest.mark.parametrize("build", [lorentz_exp, lambda omega: lorentz_exp(np.array([omega]))])
     def test_a_boost_past_the_double_range_raises(self, build):
         # rapidity 360: entries near 1e156, finite, but their squares in L^T eta L are not
         with pytest.raises(ValueError, match="does not preserve the metric"):
@@ -319,24 +317,24 @@ class TestPoincare:
         rng = np.random.default_rng(5)
         g = self._random_element(rng)
         gi = PoincareElement.identity().compose(g)
-        assert np.abs(gi.matrix - g.matrix).max() == 0.0
-        assert np.abs(gi.translation - g.translation).max() == 0.0
+        assert np.abs(gi.linear - g.linear).max() == 0.0
+        assert np.abs(gi.offset - g.offset).max() == 0.0
 
     def test_inverse_law(self):
         rng = np.random.default_rng(6)
         g = self._random_element(rng)
         ident = g.compose(g.inverse())
-        assert np.abs(ident.matrix - np.eye(4)).max() <= 1e-12
-        assert np.abs(ident.translation).max() <= 1e-12
+        assert np.abs(ident.linear - np.eye(4)).max() <= 1e-12
+        assert np.abs(ident.offset).max() <= 1e-12
 
     def test_composition_formula_against_matrix_product(self):
         # two boosts along different axes
         g1 = PoincareElement.from_params([0.4, 0, 0, 0, 0, 0], [1.0, 0.5, -0.2, 0.0])
         g2 = PoincareElement.from_params([0, 0.7, 0, 0, 0, 0], [-0.3, 0.1, 0.0, 2.0])
         g = g2.compose(g1)
-        assert np.abs(g.matrix - g2.matrix @ g1.matrix).max() <= 1e-14
-        assert np.abs(g.translation - (g2.matrix @ g1.translation + g2.translation)).max() <= 1e-14
-        assert np.abs(g.matrix.T @ ETA @ g.matrix - ETA).max() <= 1e-12
+        assert np.abs(g.linear - g2.linear @ g1.linear).max() <= 1e-14
+        assert np.abs(g.offset - (g2.linear @ g1.offset + g2.offset)).max() <= 1e-14
+        assert np.abs(g.linear.T @ ETA @ g.linear - ETA).max() <= 1e-12
 
     def test_associativity_random_triples(self):
         rng = np.random.default_rng(8)
@@ -344,19 +342,57 @@ class TestPoincare:
             a, b, c = (self._random_element(rng) for _ in range(3))
             left = c.compose(b).compose(a)
             right = c.compose(b.compose(a))
-            assert np.abs(left.matrix - right.matrix).max() <= 1e-12
-            assert np.abs(left.translation - right.translation).max() <= 1e-12
+            assert np.abs(left.linear - right.linear).max() <= 1e-12
+            assert np.abs(left.offset - right.offset).max() <= 1e-12
 
-    def test_apply_matches_point_map(self):
+    def test_call_matches_the_plain_affine_map(self):
         rng = np.random.default_rng(9)
         g = self._random_element(rng)
         pts = rng.uniform(-2, 2, (10, 4))
-        assert np.array_equal(g.apply(pts), g.point_map()(pts))
-        assert_allclose(g.apply(pts), pts @ g.matrix.T + g.translation, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(g(pts), AffineMap(g.linear, g.offset)(pts))
+        assert_allclose(g(pts), pts @ g.linear.T + g.offset, rtol=1e-15, atol=1e-15)
 
     def test_inverse_params_negated(self):
         g = PoincareElement.from_params([0.2, 0, 0, 0.3, 0, 0], [1, 2, 3, 4])
         assert_allclose(g.inverse().params, [-0.2, 0, 0, -0.3, 0, 0], atol=0)
+
+
+class TestPoincareElementIsAnAffineMap:
+    """One group-element type: an affine map with a checked Lorentz part and a Jacobian of exactly 1."""
+
+    G = PoincareElement.from_params([0.3, -0.1, 0.2, 0.5, 0.1, -0.4], [1.0, 0.0, -0.5, 2.0])
+    H = PoincareElement.from_params([-0.2, 0.4, 0.0, 0.1, -0.3, 0.2], [0.0, 1.5, 0.5, -1.0])
+    M = AffineMap(np.diag([1.5, 0.5, 2.0, 1.0]) + np.triu(np.full((4, 4), 0.3), 1), [0.3, -1.0, 0.0, 2.0])
+
+    def test_three_settable_fields(self):
+        assert isinstance(self.G, AffineMap)
+        assert [f.name for f in dataclasses.fields(PoincareElement) if f.init] == ["linear", "offset", "params"]
+
+    def test_jacobian_is_exactly_one(self):
+        g, h = self.G, self.H
+        for e in (g, h, PoincareElement.identity(), g.compose(h), g.compose(g), g.inverse(), g.compose(h).inverse()):
+            assert isinstance(e, PoincareElement)
+            assert e.jacobian == 1.0
+
+    def test_products_with_a_plain_map_are_plain_maps(self):
+        plain = AffineMap(self.G.linear, self.G.offset)
+        pairs = ((self.G.compose(self.M), plain.compose(self.M)), (self.M.compose(self.G), self.M.compose(plain)))
+        for ours, theirs in pairs:
+            assert type(ours) is AffineMap
+            assert np.array_equal(ours.linear, theirs.linear) and np.array_equal(ours.offset, theirs.offset)
+            assert ours.jacobian == theirs.jacobian
+
+    def test_a_square_doubles_the_parameters(self):
+        assert np.array_equal(self.G.compose(self.G).params, 2 * self.G.params)
+        assert self.G.compose(self.H).params is None
+        bare = PoincareElement(self.G.linear, self.G.offset)
+        assert bare.compose(bare).params is None and self.G.compose(bare).params is None
+
+    def test_offset_is_checked_as_a_translation(self):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            PoincareElement.from_params(np.zeros(6), [np.inf, 0, 0, 0])
+        with pytest.raises(ValueError, match="translation must be a 4-vector"):
+            PoincareElement(np.eye(4), np.zeros(3))
 
 
 class TestCharts:
@@ -379,10 +415,10 @@ class TestCharts:
     def test_transition_from_poincare_change(self):
         # u' = (Lambda, a) o u with u the identity chart
         g = PoincareElement.from_params([0.5, 0, 0, 0, 0, 0], np.zeros(4))
-        trans = chart_transition(AffineMap.identity(), g.point_map())
+        trans = chart_transition(AffineMap.identity(), g)
         r = np.array([0.7, -1.2, 0.4, 2.0])
-        assert_allclose(trans.coord_map(r), g.matrix @ r, atol=1e-13)
-        lam_inv = np.linalg.inv(g.matrix)
+        assert_allclose(trans.coord_map(r), g.linear @ r, atol=1e-13)
+        lam_inv = np.linalg.inv(g.linear)
         assert_allclose(trans.coord_map.inverse()(r), lam_inv @ r, atol=1e-13)
 
     def test_transition_general_charts_definitions(self):
@@ -390,7 +426,7 @@ class TestCharts:
         L = np.eye(4) + 0.25 * rng.uniform(-1, 1, (4, 4))
         u = AffineMap(L, rng.uniform(-1, 1, 4))
         g = PoincareElement.from_params(rng.uniform(-0.4, 0.4, 6), rng.uniform(-1, 1, 4))
-        u_prime = g.point_map().compose(u)
+        u_prime = g.compose(u)
         trans = chart_transition(u, u_prime)
         pts = rng.uniform(-2, 2, (8, 4))
         # coordinate maps: u' o u^-1 and its inverse
@@ -405,7 +441,7 @@ class TestCharts:
 
     def test_transition_pair_composition(self):
         g = PoincareElement.from_params([0.3, 0, 0.1, 0.2, 0, 0], [0.5, 0, -1, 0])
-        trans = chart_transition(AffineMap.identity(), g.point_map())
+        trans = chart_transition(AffineMap.identity(), g)
         both = trans.coord_map.compose(trans.coord_map.inverse())
         assert np.abs(both.linear - np.eye(4)).max() <= 1e-12
         assert np.abs(both.offset).max() <= 1e-12
@@ -455,7 +491,7 @@ class TestAffineMapLayout:
 class TestTransitionJacobian:
     def test_poincare_is_unit(self):
         g = PoincareElement.from_params([0.3, -0.1, 0.2, 0.5, 0.1, -0.4], [1, 0, 0, 2])
-        assert abs(g.point_map().jacobian - 1.0) <= 1e-12
+        assert abs(g.jacobian - 1.0) <= 1e-12
 
     def test_dilation(self):
         m = AffineMap(math.exp(0.1) * np.eye(4), np.zeros(4))

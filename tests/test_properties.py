@@ -86,8 +86,8 @@ def _group_tol(*matrices):
 @PROPERTY
 @given(w=_vectors(6, 0.8), s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0))
 def test_one_parameter_subgroup(w, s, t):
-    prod = lorentz_exp(s * w).matrix @ lorentz_exp(t * w).matrix
-    whole = lorentz_exp((s + t) * w).matrix
+    prod = lorentz_exp(s * w) @ lorentz_exp(t * w)
+    whole = lorentz_exp((s + t) * w)
     assert np.abs(prod - whole).max() <= _group_tol(prod, whole)
 
 
@@ -96,19 +96,19 @@ def test_one_parameter_subgroup(w, s, t):
 def test_compose_is_associative(g1, g2, g3):
     left = g1.compose(g2).compose(g3)
     right = g1.compose(g2.compose(g3))
-    tol = _group_tol(left.matrix, right.matrix)
-    assert np.abs(left.matrix - right.matrix).max() <= tol
-    scale = max(1.0, *(np.abs(g.translation).max() for g in (g1, g2, g3)))
-    assert np.abs(left.translation - right.translation).max() <= tol * scale
+    tol = _group_tol(left.linear, right.linear)
+    assert np.abs(left.linear - right.linear).max() <= tol
+    scale = max(1.0, *(np.abs(g.offset).max() for g in (g1, g2, g3)))
+    assert np.abs(left.offset - right.offset).max() <= tol * scale
 
 
 @PROPERTY
 @given(g=_elements(0.8))
 def test_compose_with_inverse_is_identity(g):
     for unit in (g.compose(g.inverse()), g.inverse().compose(g)):
-        tol = _group_tol(g.matrix)
-        assert np.abs(unit.matrix - np.eye(4)).max() <= tol
-        assert np.abs(unit.translation).max() <= tol * max(1.0, np.abs(g.translation).max())
+        tol = _group_tol(g.linear)
+        assert np.abs(unit.linear - np.eye(4)).max() <= tol
+        assert np.abs(unit.offset).max() <= tol * max(1.0, np.abs(g.offset).max())
 
 
 def _boosted_elements(max_rapidity=8.0):
@@ -134,7 +134,7 @@ def test_large_boost_products_and_inverses_construct(g1, g2, g3):
     # while its error is about eps cosh(8)^2.  So each product, square and inverse
     # constructs, and is Lorentz within ALGEBRAIC_TOL times the factors' scales squared.
     def bound(*factors):
-        return ALGEBRAIC_TOL * np.prod([max(1.0, np.abs(g.matrix).max()) for g in factors]) ** 2
+        return ALGEBRAIC_TOL * np.prod([max(1.0, np.abs(g.linear).max()) for g in factors]) ** 2
 
     for g, factors in (
         (g1.compose(g2).compose(g3), (g1, g2, g3)),
@@ -144,12 +144,12 @@ def test_large_boost_products_and_inverses_construct(g1, g2, g3):
         (g1.inverse().compose(g1), (g1, g1)),
         (g3.inverse().compose(g2.inverse()).compose(g1.inverse()), (g1, g2, g3)),
     ):
-        assert max(lorentz_residuals(g.matrix)) <= bound(*factors)
-        assert not g.matrix.flags.writeable
+        assert max(lorentz_residuals(g.linear)) <= bound(*factors)
+        assert not g.linear.flags.writeable
 
 
 @PROPERTY
 @given(w=_vectors(6, 0.8))
 def test_log_inverts_exp_away_from_the_branch_point(w):
     # The rotation angle of exp(w) is at most |(w_12, w_13, w_23)| <= 0.8 sqrt(3) < pi.
-    assert np.abs(lorentz_log_params(lorentz_exp(w).matrix) - w).max() <= 1e-10
+    assert np.abs(lorentz_log_params(lorentz_exp(w)) - w).max() <= 1e-10

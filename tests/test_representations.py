@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covariant_kit.geometry import ETA, PLANES, AffineMap, LorentzTransform, PoincareElement, lorentz_exp
+from covariant_kit.geometry import ETA, PLANES, AffineMap, PoincareElement, lorentz_exp
 from covariant_kit.representations import (
     FieldRep,
     GammaBasis,
@@ -84,7 +84,7 @@ class TestRepMatrix:
 
     def test_vector_is_lorentz_matrix(self):
         omega = np.array([0.5, 0, 0, 0, 0, 0])
-        assert_allclose(rep_matrix(FieldRep.vector(), omega), lorentz_exp(omega).matrix, atol=1e-14)
+        assert_allclose(rep_matrix(FieldRep.vector(), omega), lorentz_exp(omega), atol=1e-14)
 
     def test_vector_preserves_metric(self):
         rng = np.random.default_rng(2)
@@ -203,7 +203,7 @@ class TestHomomorphism:
 class TestRepForElement:
     def test_vector_reads_matrix(self):
         g = PoincareElement.from_params([0.2, 0.1, 0, 0.3, 0, 0], [1, 2, 3, 4])
-        assert np.array_equal(rep_matrix_for_element(FieldRep.vector(), g), g.matrix.astype(complex))
+        assert np.array_equal(rep_matrix_for_element(FieldRep.vector(), g), g.linear.astype(complex))
 
     def test_spinor_from_params(self):
         omega = np.array([0.2, 0, 0, 0.4, 0, 0])
@@ -212,7 +212,7 @@ class TestRepForElement:
 
     def test_spinor_recovers_params_from_matrix(self):
         omega = np.array([0.2, -0.1, 0.05, 0.4, 0.1, -0.3])
-        bare = PoincareElement(LorentzTransform(lorentz_exp(omega).matrix), np.zeros(4))
+        bare = PoincareElement(lorentz_exp(omega), np.zeros(4))
         assert bare.params is None
         recovered = rep_matrix_for_element(FieldRep.spinor(), bare)
         assert np.abs(recovered - rep_matrix(FieldRep.spinor(), omega)).max() <= 1e-9

@@ -13,11 +13,14 @@ with that tree's ``src`` first on the path, this runs:
   ``corpus`` workloads of the tree's
   ``perfbench/workloads.generate(name, seed)`` (imported read-only; only
   the scenario texts and arguments are used);
-* every ``demos/*.py``, each in its own process.
+* every ``demos/*.py``, each in its own process;
+* every case of the change tree's ``tests/fuzz_cases.json`` (written by
+  ``tools/fuzz_cases.py``), when it has one, in both trees alike, under
+  the key prefix ``fuzz-cases/``.
 
 It then compares, key by key: each report without ``timestamp`` and
-``timings``, each exit code, stdout and stderr, and the SHA-256 digest of
-every CSV file the runs leave behind.  Every differing key is printed;
+``timings``, each exit code, stdout, stderr and the warnings raised, and
+the SHA-256 digest of every CSV file the runs leave behind.  Every differing key is printed;
 the exit code is 1 on any difference, 0 when the outputs are identical.
 Both trees run the same relative paths, so paths in stdout and stderr
 compare equal.  The 65^4 pairings of ``scenarios/`` and the quadrature
@@ -47,6 +50,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 WORKLOADS = ("quadrature", "relations", "corpus")
@@ -67,9 +71,17 @@ def _flatten(value, prefix: str, out: dict) -> None:
 
 
 def _invoke(cli, key: str, argv: list, out: str, outputs: dict) -> None:
-    """Run cli.main(argv) in this process and record what it printed and wrote."""
+    """Run cli.main(argv) in this process and record what it printed and wrote.
+
+    Warnings are recorded apart from stderr, as their distinct category and
+    message texts without the source path and line that Python prints.
+    """
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
         try:
             rc = cli.main(argv)
         except SystemExit as err:
@@ -79,6 +91,7 @@ def _invoke(cli, key: str, argv: list, out: str, outputs: dict) -> None:
     outputs[f"{key}:rc"] = rc
     outputs[f"{key}:stdout"] = stdout.getvalue()
     outputs[f"{key}:stderr"] = stderr.getvalue()
+    outputs[f"{key}:warnings"] = list(dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught))
     report = Path(out)
     if report.is_file():
         data = json.loads(report.read_text())
@@ -87,8 +100,8 @@ def _invoke(cli, key: str, argv: list, out: str, outputs: dict) -> None:
         _flatten(data, f"{key}:report", outputs)
 
 
-def collect(tree: Path, seed: int, csv_text: bool = False) -> dict:
-    """Every output of one tree; the working directory must be empty.
+def collect(tree: Path, seed: int, csv_text: bool = False, cases: Path | None = None) -> dict:
+    """Every output of one tree, with the fuzz ``cases`` file replayed; the working directory must be empty.
 
     CSV files are recorded by SHA-256 digest, or by content with ``csv_text``.
     """
@@ -125,6 +138,15 @@ def collect(tree: Path, seed: int, csv_text: bool = False) -> dict:
             argv = ["run", entry.file, "--out", out, *entry.args]
             _invoke(cli, f"{name}/{entry.name}", argv, out, outputs)
 
+    if cases is not None:
+        Path("fuzz-cases").mkdir()
+        for i, case in enumerate(json.loads(cases.read_text())):
+            key = f"fuzz-cases/{i:03d}"
+            scenario = case["scenario"]
+            scenario["output"] = {**scenario.get("output", {}), "field_csv": f"{key}.csv"}
+            Path(f"{key}.json").write_text(json.dumps(scenario))
+            _invoke(cli, key, ["run", f"{key}.json", "--out", f"{key}.report.json"], f"{key}.report.json", outputs)
+
     for demo in sorted((tree / "demos").glob("*.py")):
         run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
         outputs[f"demo/{demo.name}:rc"] = run.returncode
@@ -139,14 +161,15 @@ def collect(tree: Path, seed: int, csv_text: bool = False) -> dict:
     return outputs
 
 
-def _run_tree(tree: Path, seed: int, workdir: Path, csv_text: bool) -> dict:
+def _run_tree(tree: Path, seed: int, workdir: Path, csv_text: bool, cases: Path | None) -> dict:
     """Collect one tree's outputs in a child process with the tree's ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     result = workdir.parent / f"{workdir.name}.outputs.json"
     cmd = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree), str(result), "--seed", str(seed)]
-    subprocess.run(cmd + ["--csv-text"] * csv_text, cwd=workdir, env=env, check=True)
+    cmd += ["--csv-text"] * csv_text + ["--cases", str(cases)] * (cases is not None)
+    subprocess.run(cmd, cwd=workdir, env=env, check=True)
     return json.loads(result.read_text())
 
 
@@ -218,20 +241,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--collect", nargs=2, metavar=("TREE", "RESULT"), help=argparse.SUPPRESS)
     parser.add_argument("--csv-text", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--cases", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
         tree, result = args.collect
-        Path(result).write_text(json.dumps(collect(Path(tree).resolve(), args.seed, args.csv_text)))
+        Path(result).write_text(json.dumps(collect(Path(tree).resolve(), args.seed, args.csv_text, args.cases)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT_TREE and CHANGE_TREE are required")
 
+    cases = (args.change / "tests" / "fuzz_cases.json").resolve()
+    cases = cases if cases.is_file() else None
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         sides = []
         for label, tree in (("parent", args.parent), ("change", args.change)):
             workdir = Path(tmp) / label / "run"
             workdir.mkdir(parents=True)
-            sides.append(_run_tree(tree.resolve(), args.seed, workdir, args.bound is not None))
+            sides.append(_run_tree(tree.resolve(), args.seed, workdir, args.bound is not None, cases))
     diffs, moved = compare(*sides, args.bound)
     for line in diffs + moved:
         print(line)
