@@ -2,8 +2,8 @@
 
 A :class:`ParamFamily` packages an s-parameter family of affine point maps
 ``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
-field components, with the identity at the base parameters ``b0``.  A
-family declares only what it cannot derive: ``s`` is the number of its
+field components, with the identity at the base parameters ``b0 = 0``.
+A family declares only what it cannot derive: ``s`` is the number of its
 parameter labels, ``n`` the size of ``I(b0)``, and the ``T_*`` labels mark
 the pure translations.  Differentiating at ``b0`` yields the
 infinitesimal data consumed by the relation checks in
@@ -84,19 +84,19 @@ class ParamFamily:
     whose ``jacobian`` is the volume factor det[dH(b)/dr]; it must be the
     identity at ``b0``, and ``None`` means the points stay put for every b.
     ``rep_map(b)`` returns the (n, n) matrix and must be the identity at
-    ``b0``.  The parameter count ``s`` is derived as the number of
-    ``labels`` (which must match ``b0``), and the component count ``n`` is
-    read off ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
+    ``b0``.  The parameter count ``s`` is the number of ``labels``, ``b0``
+    is ``s`` read-only zeros, and the component count ``n`` is read off
+    ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
     ``rep_derivative`` is an optional closed-form (s, n, n) derivative stack
     at b0, which ``rep_generators`` returns; the frame-only and internal
     families set it.
     """
 
-    b0: np.ndarray
     point_map: Callable[[np.ndarray], AffineMap] | None
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
     rep_derivative: np.ndarray | None = None
+    b0: np.ndarray = field(init=False)
     n: int = field(init=False)
 
     @property
@@ -104,9 +104,7 @@ class ParamFamily:
         return len(self.labels)
 
     def __post_init__(self):
-        b0 = np.asarray(self.b0, dtype=float).copy()
-        if b0.shape != (self.s,):
-            raise ValueError(f"b0 must have one entry per label, shape ({self.s},), got {b0.shape}")
+        b0 = np.zeros(self.s)
         b0.setflags(write=False)
         object.__setattr__(self, "b0", b0)
         ident = np.asarray(self.rep_map(b0), dtype=complex)
@@ -251,7 +249,6 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
         return matrix(key_of(b)).copy()
 
     return ParamFamily(
-        b0=np.zeros(10),
         point_map=lambda b: AffineMap(lorentz(key_of(b)), b[6:]),
         rep_map=rep_map,
         labels=_POINCARE_LABELS,
@@ -278,7 +275,6 @@ def internal_family(rep: FieldRep) -> ParamFamily:
         raise ValueError("internal_family needs a phase or custom representation")
     labels = ("Q",) if rep.kind == "phase" else tuple(f"Q_{i + 1}" for i in range(rep.nparams))
     return ParamFamily(
-        b0=np.zeros(rep.nparams),
         point_map=None,
         rep_map=lambda b: rep_matrix(rep, b),
         labels=labels,

@@ -16,8 +16,8 @@ differences ``I(b) phi(r)`` alone, the local side is purely
 ``I' phi(r)``, and translation directions are exactly zero.
 
 Finite-dimensional matrix models stand in for internal-symmetry operator
-algebras: a number operator and truncated lowering operator realise the
-charge commutation relation exactly.
+algebras: a number operator, stored as its diagonal, and a truncated
+lowering operator realise the charge commutation relation exactly.
 """
 
 from __future__ import annotations
@@ -279,29 +279,26 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyOperatorModel:
-    """Finite-dimensional charge model: a square generator Q, of size ``dim``, and field matrices."""
+    """Finite-dimensional charge model: the ``diagonal`` of a diagonal generator Q,
+    of length ``dim``, and ``dim x dim`` field matrices."""
 
     charge: float
     unit_charge: float
-    generator: np.ndarray
+    diagonal: np.ndarray
     field_ops: tuple
     dim: int = dc_field(init=False)
-    #: The diagonal of the generator when it is diagonal, else None.
-    diagonal: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Q = np.asarray(self.generator, dtype=complex)
-        dim = Q.shape[0] if Q.ndim == 2 else -1
-        if Q.shape != (dim, dim):
-            raise ValueError("generator must be a square matrix")
+        diag = np.asarray(self.diagonal, dtype=complex)
+        if diag.ndim != 1:
+            raise ValueError("the generator's diagonal must be a 1-D vector")
+        dim = diag.shape[0]
         ops = tuple(np.asarray(op, dtype=complex) for op in self.field_ops)
-        if any(op.shape != Q.shape for op in ops):
+        if any(op.shape != (dim, dim) for op in ops):
             raise ValueError("field operator dimension mismatch")
-        diag = np.diagonal(Q)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generator", Q)
+        object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "field_ops", ops)
-        object.__setattr__(self, "diagonal", diag if np.count_nonzero(Q - np.diag(diag)) == 0 else None)
 
 
 def number_operator_model(dim: int = 16, q: float = 1.0, e: float = 1.0) -> ToyOperatorModel:
@@ -314,22 +311,12 @@ def number_operator_model(dim: int = 16, q: float = 1.0, e: float = 1.0) -> ToyO
         raise ValueError("model dimension must be at least 2")
     if e == 0:
         raise ValueError("unit charge must be nonzero")
-    Q = q * np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return ToyOperatorModel(float(q), float(e), Q, (lowering_operator(dim),))
+    return ToyOperatorModel(float(q), float(e), q * np.arange(dim, dtype=float), (lowering_operator(dim),))
 
 
 def charge_unitary(model: ToyOperatorModel, t: float) -> np.ndarray:
-    """U(t) = exp(t Q / (i e)) for the model's generator Q and unit charge e.
-
-    A diagonal Q exponentiates entry by entry.  Any other Q goes through
-    scipy's ``expm``, imported here so that diagonal models never load scipy.
-    """
-    scale = t / (1j * model.unit_charge)
-    if model.diagonal is not None:
-        return np.diag(np.exp(model.diagonal * scale))
-    from scipy.linalg import expm
-
-    return expm(model.generator * scale)
+    """U(t) = exp(t Q / (i e)) for the model's diagonal generator Q and unit charge e, entry by entry."""
+    return np.diag(np.exp(model.diagonal * (t / (1j * model.unit_charge))))
 
 
 def toy_commutator_check(
@@ -343,21 +330,16 @@ def toy_commutator_check(
     The global form conjugates by U(b) = exp(b Q / (i e)) and compares
     against the phase factor exp(-q b / (i e)).
     """
-    q, e = model.charge, model.unit_charge
-    Q, diag = model.generator, model.diagonal
+    q, e, diag = model.charge, model.unit_charge, model.diagonal
     U = charge_unitary(model, b)
     Uinv = np.linalg.inv(U)
     phase = np.exp(-(q / (1j * e)) * b)
 
     def residuals():
         for op in model.field_ops:
-            if diag is not None:
-                # [Q, op]_jk = (Q_jj - Q_kk) op_jk; exact for the number model,
-                # where matmul roundoff would otherwise leak in at ~1e-14
-                comm = (diag[:, None] - diag[None, :]) * op
-            else:
-                comm = Q @ op - op @ Q
-            yield comm + q * op
+            # [Q, op]_jk = (Q_jj - Q_kk) op_jk; exact for the number model,
+            # where matmul roundoff would otherwise leak in at ~1e-14
+            yield (diag[:, None] - diag[None, :]) * op + q * op
             yield U @ op @ Uinv - phase * op
 
     sup, rms = _residual_summary(residuals())

@@ -11,7 +11,6 @@ from covariant_kit.geometry import AffineMap
 def dilation_family():
     """H(b) = exp(b) r; trivial one-component matrix."""
     return ParamFamily(
-        b0=np.zeros(1),
         point_map=lambda b: AffineMap(math.exp(b[0]) * np.eye(4)),
         rep_map=lambda b: np.eye(1, dtype=complex),
         labels=("D",),

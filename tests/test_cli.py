@@ -461,6 +461,17 @@ class TestExitContractHoles:
             ("pairing_invariance", False, "nan"),
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_charge_fails_without_a_warning(self, capsys, tmp_path, monkeypatch):
+        # q * 2 overflows the generator's diagonal: every row reads nan and fails, and nothing reaches stderr
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps({"check": "toy", "group": {"dim": 3, "q": 1e308}}))
+        assert run_cli(["run", str(path), "--out", "r.json"]) == 1
+        assert capsys.readouterr().err == ""
+        rows = load(tmp_path / "r.json")["results"]
+        assert [(r["passed"], r["sup_residual"]) for r in rows] == [(False, "nan")] * 2
+
     def test_misspelled_tolerance_name_exits_two(self, capsys, tmp_path, monkeypatch):
         # an unknown name was ignored, so the failing check passed at its default tolerance
         monkeypatch.chdir(tmp_path)
@@ -841,20 +852,22 @@ class TestSchemaCommand:
         json.loads(proc.stdout)
 
     def test_scipy_stays_off_the_run_path(self, tmp_path):
-        # Every run is a fresh process, so scipy's import would be part of each.
+        # scipy is a test dependency only: with its import made to fail, every
+        # kind of run keeps its exit code, and no scipy module gets loaded.
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from covariant_kit import cli\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "assert loaded() == [], loaded()\n"
-            "for path in sys.argv[1:]:\n"
-            "    assert cli.main(['run', path, '--out', 'report.json']) == 0, path\n"
-            "assert loaded() == [], loaded()\n"
+            "for arg in sys.argv[1:]:\n"
+            "    path, code = arg.rsplit('=', 1)\n"
+            "    assert cli.main(['run', path, '--out', 'report.json']) == int(code), path\n"
+            "loaded = sorted(m for m, module in sys.modules.items() if m.startswith('scipy') and module is not None)\n"
+            "assert loaded == [], loaded\n"
         )
-        names = ("group_check.json", "rep_check_spinor.json", "toy_charge.json")
+        exits = {**dict.fromkeys(FAST_PASSING, 0), "failing_tolerance.json": 1, "bad_schema.json": 2, "malformed.json": 2}
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
-            [sys.executable, "-c", script, *(str(SCENARIOS / name) for name in names)],
+            [sys.executable, "-c", script, *(f"{SCENARIOS / name}={code}" for name, code in exits.items())],
             capture_output=True,
             text=True,
             cwd=tmp_path,

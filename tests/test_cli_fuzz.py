@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
@@ -22,6 +23,9 @@ from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, TOLERANCE_NAMES
 
 #: Recorded scenarios and their exit codes, replayed below.
 FUZZ_CASES = Path(__file__).with_name("fuzz_cases.json")
+
+# A run reports an overflow as a non-finite residual; it must not also warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Any finite double: extreme magnitudes are the point.
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
@@ -64,6 +68,7 @@ REPS = st.fixed_dictionaries(
     {"variant": st.sampled_from(list(SIZES))},
     optional={"q": NUMBERS, "e": NUMBERS},
 )
+SPACETIME_REPS = st.fixed_dictionaries({"variant": st.sampled_from(["vector", "spinor"])})
 GROUPS = st.fixed_dictionaries(
     {},
     optional={
@@ -108,6 +113,10 @@ def scenarios(draw):
     for key, strategy in (("rep", REPS), ("group", GROUPS), ("fd", FD), ("tolerances", TOLERANCES)):
         if draw(st.booleans()):
             scenario[key] = draw(strategy)
+    # Two transforms in three act by a vector or spinor representation and a rotation or boost.
+    if check == "transform" and draw(st.integers(0, 2)) > 0:
+        scenario["rep"] = draw(SPACETIME_REPS)
+        scenario["group"] = {**scenario.get("group", {}), "omega": draw(_vector(6, PARAMS))}
     packets = _packets(SIZES[scenario.get("rep", {"variant": "scalar"})["variant"]])
     scenario["field"] = draw(st.fixed_dictionaries({"phi": packets, "test": packets}) if check == "pairing" else packets)
     scenario["grid"] = draw(GRIDS)

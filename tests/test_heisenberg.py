@@ -269,12 +269,13 @@ class TestBundleRelation:
 class TestToyModel:
     def test_number_model_structure(self):
         model = number_operator_model(dim=5, q=2.0)
-        assert np.array_equal(model.generator, 2.0 * np.diag(np.arange(5.0)).astype(complex))
+        assert np.array_equal(np.diag(model.diagonal), 2.0 * np.diag(np.arange(5.0)).astype(complex))
 
     def test_exact_commutator_entries(self):
         model = number_operator_model(dim=3, q=1.0)
         a = model.field_ops[0]
-        comm = model.generator @ a - a @ model.generator
+        Q = np.diag(model.diagonal)
+        comm = Q @ a - a @ Q
         assert np.array_equal(comm, -a)
         assert comm[0, 1] == -1.0
         assert comm[1, 2] == -math.sqrt(2.0)
@@ -311,48 +312,29 @@ class TestToyModel:
     def test_dimension_is_read_off_the_generator(self):
         model = number_operator_model(dim=5)
         assert model.dim == 5
+        listed = ToyOperatorModel(1.0, 1.0, [0, 1, 2], (lowering_operator(3),))
+        assert listed.dim == 3 and listed.diagonal.dtype == complex
+        assert np.array_equal(listed.diagonal, np.arange(3.0))
         with pytest.raises(TypeError):
-            ToyOperatorModel(1.0, 1.0, model.generator, model.field_ops, dim=5)
+            ToyOperatorModel(1.0, 1.0, model.diagonal, model.field_ops, dim=5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.dim = 6
 
     def test_shape_mismatches_rejected(self):
-        with pytest.raises(ValueError):
-            ToyOperatorModel(1.0, 1.0, np.zeros((3, 4)), ())
-        with pytest.raises(ValueError):
-            ToyOperatorModel(1.0, 1.0, np.zeros(3), ())
-        with pytest.raises(ValueError):
-            ToyOperatorModel(1.0, 1.0, np.eye(3), (lowering_operator(4),))
-
-    def test_non_diagonal_generator(self):
-        # the number model seen in a rotated basis: Q is no longer diagonal, so
-        # the check takes the general commutator Q op - op Q
-        base = number_operator_model(dim=6, q=1.5, e=0.5)
-        rng = np.random.default_rng(3)
-        V, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        rotate = lambda m: V @ m @ V.conj().T
-        model = ToyOperatorModel(1.5, 0.5, rotate(base.generator), tuple(map(rotate, base.field_ops)))
-        assert np.abs(model.generator - np.diag(np.diagonal(model.generator))).max() > 0.1
-        report = toy_commutator_check(model, commutator_tolerance=1e-12, conjugation_tolerance=1e-9)
-        assert report.labels == ("commutator_0", "conjugation_0")
-        Q, a = model.generator, model.field_ops[0]
-        diff = np.abs(Q @ a - a @ Q + 1.5 * a)
-        assert report.sup_residuals[0] == diff.max() <= 1e-13
-        assert report.rms_residuals[0] == np.sqrt(np.mean(diff**2))
-        assert report.all_passed
+        for diagonal in (np.zeros((3, 3)), np.zeros((3, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="1-D"):
+                ToyOperatorModel(1.0, 1.0, diagonal, ())
+        for op in (lowering_operator(4), np.zeros((3, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                ToyOperatorModel(1.0, 1.0, np.arange(3.0), (op,))
 
     def test_charge_unitary_against_expm(self):
         from scipy.linalg import expm
 
         base = number_operator_model(dim=6, q=1.5, e=0.5)
         U = charge_unitary(base, 0.3)
-        assert base.diagonal is not None
         assert np.array_equal(U, np.diag(np.diagonal(U)))
-        assert np.abs(U - expm(base.generator * (0.3 / 0.5j))).max() <= 1e-14
-        V, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
-        rotated = ToyOperatorModel(1.5, 0.5, V @ base.generator @ V.T, ())
-        assert rotated.diagonal is None
-        assert np.abs(charge_unitary(rotated, 0.3) - V @ U @ V.T).max() <= 1e-13
+        assert np.abs(U - expm(np.diag(base.diagonal) * (0.3 / 0.5j))).max() <= 1e-14
 
 
 class TestGroupoid:
@@ -365,7 +347,7 @@ class TestGroupoid:
         model = number_operator_model(dim=6, q=1.0, e=1.0)
         from scipy.linalg import expm
 
-        U = lambda t: expm(model.generator * (t / 1j))
+        U = lambda t: expm(np.diag(model.diagonal) * (t / 1j))
         rep = observer_groupoid_check(U(0.4), U(0.25), U(0.65), self_maps=(U(0.0),))
         assert rep.max_residual <= 1e-10
 
@@ -373,6 +355,6 @@ class TestGroupoid:
         model = number_operator_model(dim=6, q=1.0, e=1.0)
         from scipy.linalg import expm
 
-        U = lambda t: expm(model.generator * (t / 1j))
+        U = lambda t: expm(np.diag(model.diagonal) * (t / 1j))
         rep = observer_groupoid_check(U(0.4), U(0.25), (1.0 + 1e-3) * U(0.65))
         assert 5e-4 <= rep.composition_residual <= 2e-3
