@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -875,7 +876,21 @@ class TestSchemaCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_console_script_help(self):
-        proc = subprocess.run(["covariant-kit", "--help"], capture_output=True, text=True)
-        assert proc.returncode == 0
+    def test_console_script_help(self, tmp_path):
+        # An installed package provides the script. From a source checkout run
+        # through PYTHONPATH, write the launcher an installer would write for
+        # the entry point that pyproject.toml declares, and run that instead.
+        env = dict(os.environ)
+        if shutil.which("covariant-kit") is None:
+            import tomllib
+
+            target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["covariant-kit"]
+            module, func = target.split(":")
+            launcher = tmp_path / "covariant-kit"
+            launcher.write_text(f"#!{sys.executable}\nimport sys\nfrom {module} import {func}\nsys.exit({func}())\n")
+            launcher.chmod(0o755)
+            env["PATH"] = os.pathsep.join([str(tmp_path), env.get("PATH", "")])
+            env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(["covariant-kit", "--help"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         assert "run" in proc.stdout and "schema" in proc.stdout
