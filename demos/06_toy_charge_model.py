@@ -6,9 +6,8 @@ Run:  python demos/06_toy_charge_model.py
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-from covariant_kit import number_operator_model, observer_groupoid_check, toy_commutator_check
+from covariant_kit import charge_unitary, number_operator_model, observer_groupoid_check, toy_commutator_check
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -36,7 +35,8 @@ print()
 print("=" * 70)
 print("Observer maps compose like a partial monoid")
 print("=" * 70)
-U = lambda t: expm(Q * (t / 1j))
+# U(t) = exp(t Q / (i e)) is diagonal, so each observer map is held as its diagonal
+U = lambda t: charge_unitary(model, t)
 clean = observer_groupoid_check(U(0.4), U(0.25), U(0.65), self_maps=(U(0.0),))
 print(f"U(b1) U(b2) = U(b1+b2): composition residual {clean.composition_residual:.2e}")
 print(f"U(0) = identity:        identity residual    {clean.identity_residual:.2e}")

@@ -441,10 +441,10 @@ POINT_BUDGET = 10**9
 # Past this many doublings every grid is far above the budget, so the
 # count stops there instead of building a huge integer.
 _MAX_COUNTED_DOUBLINGS = 64
-#: Largest ``group.dim`` of a toy scenario.  ``run_toy`` holds about eight
-#: dim x dim complex matrices (16 MB each at this size) and runs ``inv``
-#: and matrix products at O(dim^3): dim 1024 took about 1 s and 155 MB peak
-#: on a 2-core Xeon, and each doubling costs eight times the time.
+#: Largest ``group.dim`` of a toy scenario.  ``run_toy`` works entry by
+#: entry on a few dim x dim complex matrices (16 MB each at this size), at
+#: O(dim^2): dim 1024 took 0.06-0.1 s and 90 MB peak (56 MB over import)
+#: on a 2-core Xeon, and each doubling costs four times the time and memory.
 TOY_DIM_BUDGET = 1024
 #: Defaults of the sizes ``_over_budget`` judges and the run allocates: toy
 #: ``group.dim``, ``grid.sample_count``, pairing ``grid.doublings``, ``grid.counts``.
@@ -495,13 +495,13 @@ def _apply_override(scenario: dict, assignment: str) -> None:
         value = _loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *parents, name = key.split(".")
     node = scenario
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ValueError(f"override path {key!r} crosses a non-object value")
-    node[parts[-1]] = value
+    for part in parents:
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ValueError(f"override path {key!r} crosses a non-object value")
+    node[name] = value
 
 
 def _config_error(message: str) -> int:
@@ -516,7 +516,7 @@ def cmd_run(args) -> int:
         return _config_error(f"--threads must be 0 or more, got {args.threads}")
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path or bytes that are not UTF-8
         return _config_error(f"cannot read scenario file {path}: {exc}")
     try:
         scenario = _loads(text)
@@ -541,6 +541,8 @@ def cmd_run(args) -> int:
         return _config_error(too_large)
     out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
     out_path = Path(out)
+    if "\0" in out:
+        return _config_error(f"cannot write report {out_path}: embedded null byte")
     blocker = next((d for d in out_path.parents if d.exists() and not d.is_dir()), None)
     if out_path.is_dir() or blocker is not None:
         code, name = (errno.EISDIR, out_path) if blocker is None else (errno.ENOTDIR, blocker)

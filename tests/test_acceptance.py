@@ -196,7 +196,7 @@ def test_criterion_09_groupoid_law():
     from scipy.linalg import expm
 
     model = number_operator_model(dim=8, q=1.0, e=1.0)
-    U = lambda t: expm(np.diag(model.diagonal) * (t / 1j))
+    U = lambda t: np.diagonal(expm(np.diag(model.diagonal) * (t / 1j)))
     clean = observer_groupoid_check(U(0.4), U(0.25), U(0.65), self_maps=(U(0.0),))
     defect = observer_groupoid_check(U(0.4), U(0.25), (1.0 + 1e-3) * U(0.65))
     ok = clean.max_residual <= 1e-10 and defect.composition_residual >= 5e-4

@@ -463,11 +463,13 @@ class TestExitContractHoles:
         ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_charge_fails_without_a_warning(self, capsys, tmp_path, monkeypatch):
-        # q * 2 overflows the generator's diagonal: every row reads nan and fails, and nothing reaches stderr
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_overflowing_charge_fails_without_a_warning(self, capsys, tmp_path, monkeypatch, dim):
+        # q * 2 overflows the generator's diagonal: every row reads nan and fails, and nothing reaches stderr.
+        # A dense inverse of U(b) once made dims from 6 up exit 2 with "Singular matrix".
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "toy.json"
-        path.write_text(json.dumps({"check": "toy", "group": {"dim": 3, "q": 1e308}}))
+        path.write_text(json.dumps({"check": "toy", "group": {"dim": dim, "q": 1e308}}))
         assert run_cli(["run", str(path), "--out", "r.json"]) == 1
         assert capsys.readouterr().err == ""
         rows = load(tmp_path / "r.json")["results"]
@@ -573,6 +575,39 @@ class TestExitContractHoles:
         err = self._one_line(capsys)
         assert err.startswith("bad override: override path 'check.x' crosses a non-object value")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("content", [[1, 2], "x"])
+    @pytest.mark.parametrize("override", ["check=toy", "a.b=1"])
+    def test_override_on_a_scenario_that_is_not_an_object_exits_two(self, capsys, tmp_path, monkeypatch, content, override):
+        # a TypeError or AttributeError once escaped _apply_override with a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.json").write_text(json.dumps(content))
+        assert run_cli(["run", "scenario.json", "--override", override]) == 2
+        key = override.split("=")[0]
+        assert self._one_line(capsys) == f"bad override: override path {key!r} crosses a non-object value\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("how", ["scenario", "--out"])
+    def test_report_path_with_a_nul_byte_exits_two_before_the_run(self, capsys, tmp_path, monkeypatch, how):
+        # the write once raised "ValueError: embedded null byte" after the whole run: a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scenario", _must_not_run)
+        scenario = {"check": "rep-check", "output": {"report": "a\u0000b.json"}}
+        Path("scenario.json").write_text(json.dumps(scenario))
+        argv = ["run", "scenario.json"] + (["--out", "c\0d.json"] if how == "--out" else [])
+        assert run_cli(argv) == 2
+        named = "c\0d.json" if how == "--out" else "a\0b.json"
+        assert self._one_line(capsys) == f"cannot write report {named}: embedded null byte\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("name, content", [("a\0b.json", None), ("latin1.json", b'{"check": "\xe9"}')])
+    def test_scenario_file_that_cannot_be_read_as_text_exits_two(self, capsys, tmp_path, monkeypatch, name, content):
+        # a NUL in the path or bytes that are not UTF-8 once escaped read_text with a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            Path(name).write_bytes(content)
+        assert run_cli(["run", name]) == 2
+        assert self._one_line(capsys).startswith(f"cannot read scenario file {name}: ")
 
 
 class TestBudgetDefaults:
@@ -875,6 +910,17 @@ class TestSchemaCommand:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_demo_06_runs_without_scipy(self, tmp_path):
+        # the toy model's observer maps come from charge_unitary, so the demo needs no scipy
+        script = "import runpy, sys\nsys.modules['scipy'] = None\nrunpy.run_path(sys.argv[1], run_name='__main__')\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        demo = ROOT / "demos" / "06_toy_charge_model.py"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "composition residual" in proc.stdout
 
     def test_console_script_help(self, tmp_path):
         # An installed package provides the script. From a source checkout run

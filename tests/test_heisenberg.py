@@ -328,33 +328,69 @@ class TestToyModel:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 ToyOperatorModel(1.0, 1.0, np.arange(3.0), (op,))
 
+    @pytest.mark.parametrize("dim", [0, 1, 2, 5])
+    def test_lowering_operator_entries(self, dim):
+        a = lowering_operator(dim)
+        assert a.shape == (dim, dim) and a.dtype == complex
+        expected = np.zeros((dim, dim))
+        for k in range(dim - 1):
+            expected[k, k + 1] = math.sqrt(k + 1)
+        assert np.array_equal(a, expected)
+
+    def test_conjugation_assumes_no_unitarity(self):
+        # an imaginary offset of Q leaves [Q, a] = -a but gives U(b) entries of modulus e^b
+        model = ToyOperatorModel(1.0, 1.0, 1j + np.arange(8.0), (lowering_operator(8),))
+        assert np.abs(charge_unitary(model, 0.3)).min() > 1.3
+        report = toy_commutator_check(model, b=0.3)
+        assert report.all_passed
+        assert report.sup_residuals[report.labels.index("conjugation_0")] <= 1e-14
+
     def test_charge_unitary_against_expm(self):
         from scipy.linalg import expm
 
         base = number_operator_model(dim=6, q=1.5, e=0.5)
-        U = charge_unitary(base, 0.3)
-        assert np.array_equal(U, np.diag(np.diagonal(U)))
-        assert np.abs(U - expm(np.diag(base.diagonal) * (0.3 / 0.5j))).max() <= 1e-14
+        u = charge_unitary(base, 0.3)
+        assert u.shape == (6,)
+        assert np.abs(u - np.diagonal(expm(np.diag(base.diagonal) * (0.3 / 0.5j)))).max() <= 1e-14
 
 
 class TestGroupoid:
+    @staticmethod
+    def _expm_diagonals(model):
+        # scipy's dense exponential as an oracle independent of charge_unitary
+        from scipy.linalg import expm
+
+        return lambda t: np.diagonal(expm(np.diag(model.diagonal) * (t / 1j)))
+
     def test_identity_maps(self):
-        eye = np.eye(3)
-        rep = observer_groupoid_check(eye, eye, eye, self_maps=(eye,))
+        ones = np.ones(3)
+        rep = observer_groupoid_check(ones, ones, ones, self_maps=(ones,))
         assert rep.max_residual == 0.0
 
     def test_abelian_phase_triple(self):
-        model = number_operator_model(dim=6, q=1.0, e=1.0)
-        from scipy.linalg import expm
-
-        U = lambda t: expm(np.diag(model.diagonal) * (t / 1j))
+        U = self._expm_diagonals(number_operator_model(dim=6, q=1.0, e=1.0))
         rep = observer_groupoid_check(U(0.4), U(0.25), U(0.65), self_maps=(U(0.0),))
         assert rep.max_residual <= 1e-10
 
     def test_injected_defect_detected(self):
-        model = number_operator_model(dim=6, q=1.0, e=1.0)
-        from scipy.linalg import expm
-
-        U = lambda t: expm(np.diag(model.diagonal) * (t / 1j))
+        U = self._expm_diagonals(number_operator_model(dim=6, q=1.0, e=1.0))
         rep = observer_groupoid_check(U(0.4), U(0.25), (1.0 + 1e-3) * U(0.65))
         assert 5e-4 <= rep.composition_residual <= 2e-3
+
+    def test_a_nan_in_either_law_is_the_max_residual(self):
+        ones, holed = np.ones(3), np.array([1.0, np.nan, 1.0])
+        assert np.isnan(observer_groupoid_check(ones, ones, ones, self_maps=(ones, holed)).max_residual)
+        assert np.isnan(observer_groupoid_check(ones, ones, holed, self_maps=(ones,)).max_residual)
+
+    def test_dense_map_rejected(self):
+        eye = np.eye(3)
+        with pytest.raises(ValueError, match="1-D diagonals of one length"):
+            observer_groupoid_check(eye, eye, eye)
+        with pytest.raises(ValueError, match="1-D diagonals of one length"):
+            observer_groupoid_check(np.ones(3), np.ones(3), np.ones(3), self_maps=(eye,))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="1-D diagonals of one length"):
+            observer_groupoid_check(np.ones(3), np.ones(4), np.ones(3))
+        with pytest.raises(ValueError, match="1-D diagonals of one length"):
+            observer_groupoid_check(np.ones(3), np.ones(3), np.ones(3), self_maps=(np.ones(2),))
