@@ -573,7 +573,9 @@ def cmd_schema(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="covariant-kit",
         description="Group actions on sampled fields and numerical commutator checks.",
@@ -595,8 +597,11 @@ def main(argv=None) -> int:
 
     schema_p = sub.add_parser("schema", help="print the scenario and report JSON schemas")
     schema_p.set_defaults(func=cmd_schema)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

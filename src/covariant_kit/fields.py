@@ -499,17 +499,22 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
     component.  All numbers are printed with 17 significant digits.
     """
     header = ["x0", "x1", "x2", "x3"] + [f"{part}{i}" for i in range(field.n) for part in ("re", "im")]
-    # One % formats one axis-1 row of n2 * n3 points: not one per point,
-    # and not a whole block's worth of Python floats at once.
-    row_fmt = (",".join([NUMBER_FORMAT] * len(header)) + "\n") * (grid.counts[2] * grid.counts[3])
+    # Each axis value is formatted once: these are the floats _slice_blocks
+    # writes into its points.  The axis-1 row template holds the x2,x3 text
+    # of its n2 * n3 points and a placeholder for x0,x1; a row puts its
+    # x0,x1 text in, and then one % formats the row's values only.
+    text = [[NUMBER_FORMAT % v for v in axis.tolist()] for axis in grid.axes()]
+    values = ",".join([NUMBER_FORMAT] * 2 * field.n)
+    template = "".join(f"\0,{x2},{x3},{values}\n" for x2 in text[2] for x3 in text[3])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for blocks in _slice_blocks(grid):
+        for x0, blocks in zip(text[0], _slice_blocks(grid)):
+            x1 = iter(text[1])
             for pts in blocks:
                 vals = field.evaluate(pts).reshape(-1, field.n)
-                parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(vals), -1)
-                for row in np.hstack([pts.reshape(-1, 4), parts]).reshape(len(pts), -1):
-                    fh.write(row_fmt % tuple(row.tolist()))
+                parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(pts), -1)
+                for row in parts:
+                    fh.write(template.replace("\0", f"{x0},{next(x1)}") % tuple(row.tolist()))
 
 
 def gradient_fd_residual(field: FieldFunction, points: np.ndarray, step: float = 1e-4) -> float:

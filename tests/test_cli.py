@@ -245,6 +245,16 @@ class TestOverrides:
         )
         assert code == 2
 
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
+        # The parser is built once per process; its append default must stay empty.
+        monkeypatch.chdir(tmp_path)
+        scenario = str(SCENARIOS / "rep_check_scalar.json")
+        assert run_cli(["run", scenario, "--out", "first.json", "--override", "tolerances.identity=1e-9"]) == 0
+        assert run_cli(["run", scenario, "--out", "second.json"]) == 0
+        assert load("first.json")["overrides"] == ["tolerances.identity=1e-9"]
+        assert load("second.json")["overrides"] == []
+        assert cli._parser() is cli._parser()
+
 
 class TestExitContractHoles:
     """Inputs that once escaped the 0/1/2 contract with a traceback or a false pass."""

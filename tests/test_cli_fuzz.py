@@ -124,19 +124,24 @@ def scenarios(draw):
     return scenario
 
 
-def run_scenario(scenario: dict) -> int:
+def run_scenario(scenario, args=()) -> int:
     """``cli.main``'s exit code for ``scenario``, run in a temporary directory.
 
-    A 0 or 1 must come with a report that validates.
+    ``scenario`` is any JSON value; an object has its field CSV put in the
+    directory.  ``args`` follow the run's own ``--out``, so a later
+    ``--out`` among them wins.  A 0 or 1 must come with a report that
+    validates.
     """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        output = {**scenario.get("output", {}), "field_csv": str(tmp / "field.csv")}
+        if isinstance(scenario, dict):
+            scenario = {**scenario, "output": {**scenario.get("output", {}), "field_csv": str(tmp / "field.csv")}}
         path = tmp / "scenario.json"
-        path.write_text(json.dumps({**scenario, "output": output}))
-        code = cli.main(["run", str(path), "--out", str(tmp / "report.json")])
+        path.write_text(json.dumps(scenario))
+        argv = ["run", str(path), "--out", str(tmp / "report.json"), *args]
+        code = cli.main(argv)
         if code in (0, 1):
-            validate(json.loads((tmp / "report.json").read_text()), REPORT_SCHEMA)
+            validate(json.loads(Path(cli._parser().parse_args(argv).out).read_text()), REPORT_SCHEMA)
         return code
 
 
@@ -152,5 +157,5 @@ def test_recorded_fuzz_cases_keep_their_exit_codes():
     """Replay ``fuzz_cases.json`` (written by ``tools/fuzz_cases.py``): every exit code as recorded."""
     cases = json.loads(FUZZ_CASES.read_text())
     assert cases
-    moved = [(i, case["exit"], run_scenario(case["scenario"])) for i, case in enumerate(cases)]
+    moved = [(i, case["exit"], run_scenario(case["scenario"], case.get("args", []))) for i, case in enumerate(cases)]
     assert [m for m in moved if m[1] != m[2]] == []

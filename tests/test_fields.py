@@ -940,22 +940,58 @@ class TestCsvDump:
 
         return FieldFunction(2, evaluate, lambda points: None)
 
-    @pytest.mark.parametrize("case", ["complex-signed-zeros", "real-four-components", "transformed"])
-    def test_bytes_equal_the_per_row_formatter(self, case, tmp_path):
-        grid = GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (3, 4, 2, 5))
+    @staticmethod
+    def _coordinate_field():
+        """Values that echo the point's coordinates, so a misplaced coordinate text shows."""
+
+        def evaluate(points):
+            pts = np.asarray(points, dtype=float)
+            return np.stack([pts[..., 0] + 1j * pts[..., 1], pts[..., 3] - 1j * pts[..., 2]], axis=-1)
+
+        return FieldFunction(2, evaluate, lambda points: None)
+
+    GRID = GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (3, 4, 2, 5))
+    #: Grids that pin the coordinate text, each with the BLOCK_POINTS it is dumped under.
+    COORDINATE_GRIDS = {
+        # linspace starts at 0 * step + lo, so a -0.0 lower bound prints 0;
+        # its last point is the upper bound itself, so a -0.0 one prints -0.
+        "negative-zero-bounds": (GridSpec(((-0.0, 1.0), (-1.0, -0.0), (-0.0, 0.5), (-2.0, -0.0)), (3, 4, 2, 5)), None),
+        "tiny-and-huge-bounds": (
+            GridSpec(((1e-300, 3e-300), (-1e300, 1e300), (-2e-300, 1e-300), (1e299, 1e300)), (3, 4, 2, 5)),
+            None,
+        ),
+        # 6-point rows, two to a block: blocks of 2, 2 and 1 rows
+        "partial-last-block": (GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (2, 5, 2, 3)), 12),
+        "two-point-axes": (GridSpec(((-1.0, 1.0), (-0.7, 0.9), (-2.0, 0.5), (0.0, 1.3)), (2, 2, 2, 2)), None),
+    }
+
+    @pytest.mark.parametrize(
+        "case", ["complex-signed-zeros", "real-four-components", "transformed", *COORDINATE_GRIDS]
+    )
+    def test_bytes_equal_the_per_row_formatter(self, case, monkeypatch, tmp_path):
+        grid = self.GRID
         if case == "complex-signed-zeros":
             field = self._signed_zero_field()
         elif case == "real-four-components":
             field = wave_packet([0.1, -0.2, 0.3, 0.0], 0.9, [1.0, -0.5, [(2.0, (1, 0, 2, 0))], 0.25])
             assert field.evaluate(np.zeros((1, 4))).dtype == np.float64
-        else:
+        elif case == "transformed":
             g = PoincareElement.from_params([0.3, -0.2, 0.1, 0.4, 0.0, -0.5], [0.2, 0.0, -0.1, 0.3])
             field = active_transform(wave_packet([0, 0, 0, 0], 1.1, 4), FieldRep.spinor(), g)
+        else:
+            field = self._coordinate_field()
+            grid, block = self.COORDINATE_GRIDS[case]
+            if block is not None:
+                monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
         path = tmp_path / "dump.csv"
         dump_field_csv(field, grid, path)
         expected = self._reference_csv(field, grid)
         if case == "complex-signed-zeros":
             assert ",-0," in expected and "-0\n" in expected
+        if case == "negative-zero-bounds":
+            assert "\n-0," not in expected and "\n0,-1,0,-2," in expected and "\n1,-0,0.5,-0," in expected
+        if case == "tiny-and-huge-bounds":
+            assert "\n1e-300,-1.0000000000000001e+300,-2.0000000000000001e-300,1.0000000000000001e+299," in expected
         assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("block", [1, 30])

@@ -16,7 +16,7 @@ with that tree's ``src`` first on the path, this runs:
 * every ``demos/*.py``, each in its own process;
 * every case of the change tree's ``tests/fuzz_cases.json`` (written by
   ``tools/fuzz_cases.py``), when it has one, in both trees alike, under
-  the key prefix ``fuzz-cases/``.
+  the key prefix ``fuzz-cases/``, with the case's ``args`` after its own.
 
 It then compares, key by key: each report without ``timestamp`` and
 ``timings``, each exit code, stdout, stderr and the warnings raised, and
@@ -143,9 +143,11 @@ def collect(tree: Path, seed: int, csv_text: bool = False, cases: Path | None = 
         for i, case in enumerate(json.loads(cases.read_text())):
             key = f"fuzz-cases/{i:03d}"
             scenario = case["scenario"]
-            scenario["output"] = {**scenario.get("output", {}), "field_csv": f"{key}.csv"}
+            if isinstance(scenario, dict):
+                scenario["output"] = {**scenario.get("output", {}), "field_csv": f"{key}.csv"}
             Path(f"{key}.json").write_text(json.dumps(scenario))
-            _invoke(cli, key, ["run", f"{key}.json", "--out", f"{key}.report.json"], f"{key}.report.json", outputs)
+            argv = ["run", f"{key}.json", "--out", f"{key}.report.json", *case.get("args", [])]
+            _invoke(cli, key, argv, f"{key}.report.json", outputs)
 
     for demo in sorted((tree / "demos").glob("*.py")):
         run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
