@@ -60,7 +60,7 @@ flows = flow_fields(fam, scheme, points)
 expected = points @ np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.0]]).T
 print(f"boost-plane flow matches J r: {np.abs(flows[0] - expected).max():.2e}")
 print(f"translation flow is the unit vector: {np.abs(flows[6] - [1, 0, 0, 0]).max():.2e}")
-rates = volume_rates(fam, scheme, points)
+rates = volume_rates(fam, scheme)
 print(f"volume rates vanish for these maps: {np.abs(rates).max():.2e}")
 
 print()

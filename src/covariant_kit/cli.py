@@ -233,13 +233,8 @@ def run_rep_check(scenario: dict) -> tuple[list, dict]:
     results.append(_result("homomorphism", hom_res, _tol(scenario, "homomorphism"), {"signs": signs}))
 
     if rep.kind == "spinor":
-        results.append(
-            _result(
-                "gamma_anticommutator",
-                rep.gamma.anticommutator_residual(),
-                _tol(scenario, "anticommutator"),
-            )
-        )
+        anti = rep.gamma.anticommutator_residual()
+        results.append(_result("gamma_anticommutator", anti, _tol(scenario, "anticommutator")))
         omega = np.zeros(6)
         omega[3], omega[4], omega[5] = 0.7, -0.3, 0.4  # spatial planes only
         S = rep_matrix(rep, omega)
@@ -401,7 +396,7 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
     # An overflow shows as a non-finite residual, which fails its tolerance; it does not also warn.
     with np.errstate(all="ignore"):
         results, tables = _RUNNERS[scenario["check"]](scenario)
-    report = {
+    return {
         "schema_version": "1",
         "artifact_version": __version__,
         "check": scenario["check"],
@@ -414,7 +409,6 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
         "timings": {"total_seconds": number_text(time.perf_counter() - start)},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    return report
 
 
 @functools.cache

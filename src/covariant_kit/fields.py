@@ -340,6 +340,9 @@ class GridSpec:
             raise ValueError("grid point counts must be at least 2")
         if any(lo >= hi for lo, hi in b):
             raise ValueError("grid bounds must be ordered lower < upper")
+        for axis, (lo, hi) in enumerate(b):
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"grid axis {axis} spans {lo:g} to {hi:g}, wider than the largest double")
         object.__setattr__(self, "bounds", b)
         object.__setattr__(self, "counts", n)
 

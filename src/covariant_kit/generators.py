@@ -11,7 +11,7 @@ infinitesimal data consumed by the relation checks in
 
 * ``rep_generators``   dI/db per parameter, an (s, n, n) stack;
 * ``flow_fields``      dH/db per parameter, sampled velocity fields;
-* ``volume_rates``     d/db of det L(b) for H(b) r = L(b) r + a(b), the volume-change rate.
+* ``volume_rates``     d/db of det L(b) for H(b) r = L(b) r + a(b), one volume-change rate per parameter.
 
 A family whose points never move (the frame-only and internal families,
 the fibre-bundle case) says so with ``point_map=None``: its flows and
@@ -159,14 +159,11 @@ def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
 
-def volume_rates(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
-    """d/db of the point-map Jacobian determinant at b0, the same at every point: (s, ...)."""
-    pts = np.asarray(points, dtype=float)
-    shape = (family.s, *pts.shape[:-1])
+def volume_rates(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
+    """d/db of the point-map Jacobian determinant at b0, one number per parameter: (s,)."""
     if family.point_map is None:
-        return np.zeros(shape)
-    rates = np.array(list(_param_diffs(lambda b: family.point_map(b).jacobian, family.b0, scheme)))
-    return np.broadcast_to(rates.reshape(-1, *[1] * (pts.ndim - 1)), shape).copy()
+        return np.zeros(family.s)
+    return np.array(list(_param_diffs(lambda b: family.point_map(b).jacobian, family.b0, scheme)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class GeneratorCoefficients:
     labels: tuple[str, ...]
     rep_derivs: np.ndarray  # (s, n, n)
     flow: np.ndarray  # (s, npts, 4)
-    volume: np.ndarray  # (s, npts)
+    volume: np.ndarray  # (s,): the same at every point
 
 
 def extract_all(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> GeneratorCoefficients:
@@ -185,7 +182,7 @@ def extract_all(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> Ge
         labels=family.labels,
         rep_derivs=rep_generators(family, scheme),
         flow=flow_fields(family, scheme, points),
-        volume=volume_rates(family, scheme, points),
+        volume=volume_rates(family, scheme),
     )
 
 

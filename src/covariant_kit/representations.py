@@ -58,10 +58,9 @@ class GammaBasis:
     chirality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.matrices, dtype=complex)
+        g = np.array(self.matrices, dtype=complex)
         if g.shape != (4, 4, 4):
             raise ValueError(f"gamma basis must have shape (4, 4, 4), got {g.shape}")
-        g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "matrices", g)
         if self.anticommutator_residual() > ALGEBRAIC_TOL:
@@ -110,6 +109,10 @@ class GammaBasis:
         return worst
 
 
+#: The default spinor basis, built and checked once per process.
+_STANDARD_GAMMA = GammaBasis.standard()
+
+
 def sigma_tensor(gamma: GammaBasis) -> np.ndarray:
     """Spinor generator tensor sigma[mu, nu] = (i/2) [gamma_mu, gamma_nu].
 
@@ -154,8 +157,7 @@ class FieldRep:
         return cls("vector", 4, 6, lambda p: lorentz_exp(p).astype(complex), lorentz_generators())
 
     @classmethod
-    def spinor(cls, gamma: GammaBasis | None = None) -> "FieldRep":
-        gamma = gamma if gamma is not None else GammaBasis.standard()
+    def spinor(cls, gamma: GammaBasis = _STANDARD_GAMMA) -> "FieldRep":
         gens = (-0.5j * gamma.plane_sigma).reshape(6, 4, 4)
         return cls("spinor", 4, 6, lambda p: _spinor_exp(gamma, p), gens, gamma)
 

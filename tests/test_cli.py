@@ -331,6 +331,25 @@ class TestExitContractHoles:
         assert code == 2
         assert "could not be executed: sample box" in self._one_line(capsys)
 
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("transform_vector_boost.json", {"counts": [3] * 4}),  # was PASS, exit 0, nan in the CSV's x0
+            ("pairing_invariance.json", {"counts": [3] * 4, "doublings": 1}),  # was exit 1 on nan values
+        ],
+    )
+    def test_grid_whose_span_overflows_exits_two(self, capsys, tmp_path, monkeypatch, name, grid):
+        monkeypatch.chdir(tmp_path)
+        scenario = load(SCENARIOS / name)
+        scenario["grid"] = {"bounds": [[-1e308, 1e308], [-1, 1], [-1, 1], [-1, 1]], **grid}
+        scenario["output"] = {"dump_fields": True, "field_csv": "field.csv"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = run_cli(["run", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "grid axis 0 spans" in self._one_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     def test_out_naming_a_directory_is_rejected_before_the_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "run_scenario", _must_not_run)

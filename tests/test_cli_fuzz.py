@@ -9,7 +9,9 @@ a recorded draw of such scenarios with the exit code of each, replayed on
 every run.
 """
 
+import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -130,7 +132,8 @@ def run_scenario(scenario, args=()) -> int:
     ``scenario`` is any JSON value; an object has its field CSV put in the
     directory.  ``args`` follow the run's own ``--out``, so a later
     ``--out`` among them wins.  A 0 or 1 must come with a report that
-    validates.
+    validates, and a field CSV it leaves must have finite coordinates
+    (its value columns may overflow at extreme coefficients).
     """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -142,6 +145,10 @@ def run_scenario(scenario, args=()) -> int:
         code = cli.main(argv)
         if code in (0, 1):
             validate(json.loads(Path(cli._parser().parse_args(argv).out).read_text()), REPORT_SCHEMA)
+            if (tmp / "field.csv").exists():
+                with open(tmp / "field.csv", newline="") as fh:
+                    coords = [float(v) for row in list(csv.reader(fh))[1:] for v in row[:4]]
+                assert all(map(math.isfinite, coords)), "a field CSV has non-finite coordinates"
         return code
 
 

@@ -139,15 +139,18 @@ class TestFlowFields:
 class TestVolumeRates:
     def test_poincare_rates_vanish(self):
         fam = poincare_family(FieldRep.vector())
-        rates = volume_rates(fam, SCHEME, POINTS)
+        rates = volume_rates(fam, SCHEME)
+        assert rates.shape == (10,)
         assert np.abs(rates).max() <= 1e-8
 
     def test_dilation_rate_is_dimension(self):
-        rates = volume_rates(dilation_family(), FDScheme(1e-5), POINTS)
+        rates = volume_rates(dilation_family(), FDScheme(1e-5))
+        assert rates.shape == (1,)
         assert np.abs(rates - 4.0).max() <= 1e-8
 
     def test_dilation_rate_order4(self):
-        rates = volume_rates(dilation_family(), FDScheme(1e-4, order=4), POINTS)
+        rates = volume_rates(dilation_family(), FDScheme(1e-4, order=4))
+        assert rates.shape == (1,)
         assert np.abs(rates - 4.0).max() <= 1e-8
 
     def test_anisotropic_scaling_rate(self):
@@ -156,7 +159,8 @@ class TestVolumeRates:
             rep_map=lambda b: np.eye(1, dtype=complex),
             labels=("A",),
         )
-        rates = volume_rates(fam, FDScheme(1e-5), POINTS)
+        rates = volume_rates(fam, FDScheme(1e-5))
+        assert rates.shape == (1,)
         assert np.abs(rates - 1.0).max() <= 1e-8
 
     @pytest.mark.parametrize("order", [2, 4])
@@ -165,8 +169,8 @@ class TestVolumeRates:
         fam = dilation_family() if kind == "dilation" else poincare_family(FieldRep.vector())
         scheme = FDScheme(1e-5, order=order)
         for pts in (POINTS[:6].reshape(2, 3, 4), POINTS[0]):
-            flows, rates = flow_fields(fam, scheme, pts), volume_rates(fam, scheme, pts)
-            assert flows.shape == (fam.s, *pts.shape) and rates.shape == (fam.s, *pts.shape[:-1])
+            flows, rates = flow_fields(fam, scheme, pts), volume_rates(fam, scheme)
+            assert flows.shape == (fam.s, *pts.shape) and rates.shape == (fam.s,)
             if kind == "dilation":
                 assert np.abs(flows[0] - pts).max() <= 1e-8
                 assert np.abs(rates - 4.0).max() <= 1e-8
@@ -244,8 +248,8 @@ class TestRepGenerators:
         rep = FieldRep.phase(1.0, 1.0) if kind == "internal" else FieldRep.vector()
         fam = (internal_family if kind == "internal" else poincare_frame_family)(rep)
         scheme = FDScheme(1e-4, order=order)
-        flows, rates = flow_fields(fam, scheme, POINTS), volume_rates(fam, scheme, POINTS)
-        assert flows.shape == (fam.s, *POINTS.shape) and rates.shape == (fam.s, len(POINTS))
+        flows, rates = flow_fields(fam, scheme, POINTS), volume_rates(fam, scheme)
+        assert flows.shape == (fam.s, *POINTS.shape) and rates.shape == (fam.s,)
         assert np.abs(flows).max() == 0.0
         assert np.abs(rates).max() == 0.0
 
@@ -256,7 +260,8 @@ class TestExtractAll:
         coeffs = extract_all(fam, SCHEME, POINTS)
         assert coeffs.rep_derivs.shape == (10, 4, 4)
         assert coeffs.flow.shape == (10,) + POINTS.shape
-        assert coeffs.volume.shape == (10,) + POINTS.shape[:-1]
+        assert coeffs.volume.shape == (10,)
+        assert np.array_equal(coeffs.volume, volume_rates(fam, SCHEME))
         translations = [w for w, label in enumerate(coeffs.labels) if label.startswith("T_")]
         assert translations == [6, 7, 8, 9]
         assert np.abs(coeffs.rep_derivs[translations]).max() == 0.0

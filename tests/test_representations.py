@@ -135,6 +135,17 @@ class TestRepMatrix:
         assert np.array_equal(S @ S, np.zeros((4, 4)))
         assert np.array_equal(rep_matrix(FieldRep.spinor(), [1.0, 0, 0, 1.0, 0, 0]), np.eye(4) + S)
 
+    def test_default_spinor_basis_is_built_once(self):
+        assert FieldRep.spinor().gamma is FieldRep.spinor().gamma
+
+    def test_default_spinor_matches_an_explicit_standard_basis(self):
+        default, explicit = FieldRep.spinor(), FieldRep.spinor(GammaBasis.standard())
+        assert explicit.gamma is not default.gamma
+        rows = [np.zeros(6), np.array([0.5, 0, 0, 0.9, -0.4, 0.3]), np.random.default_rng(6).uniform(-2, 2, 6)]
+        for omega in rows:
+            assert np.array_equal(rep_matrix(default, omega), rep_matrix(explicit, omega))
+        assert np.array_equal(default.generators, explicit.generators)
+
     def test_spinor_spatial_rotation_unitary(self):
         rep = FieldRep.spinor()
         omega = np.array([0.0, 0.0, 0.0, 0.9, -0.4, 0.3])
