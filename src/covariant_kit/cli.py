@@ -233,7 +233,7 @@ def run_rep_check(scenario: dict) -> tuple[list, dict]:
     results.append(_result("homomorphism", hom_res, _tol(scenario, "homomorphism"), {"signs": signs}))
 
     if rep.kind == "spinor":
-        anti = rep.gamma.anticommutator_residual()
+        anti = rep.gamma.anticommutator_residual
         results.append(_result("gamma_anticommutator", anti, _tol(scenario, "anticommutator")))
         omega = np.zeros(6)
         omega[3], omega[4], omega[5] = 0.7, -0.3, 0.4  # spatial planes only

@@ -362,10 +362,12 @@ class GridSpec:
         return int(np.prod(self.counts))
 
 
-#: Most points one field evaluation gets from ``pairings`` and
-#: ``dump_field_csv``: a block's transformed points, values and
-#: temporaries stay in cache instead of spanning a whole axis-0 slice.
-#: Chosen by timing 8k-64k point blocks on the 65^4 pairing.
+#: Most points one field evaluation gets from ``pairings``,
+#: ``dump_field_csv`` and a relation check's stencil
+#: (``heisenberg._relation_residuals``): a block's transformed points,
+#: values and temporaries stay in cache instead of spanning a whole
+#: axis-0 slice or sample.  Chosen by timing 8k-64k point blocks on the
+#: 65^4 pairing.
 BLOCK_POINTS = 16384
 
 

@@ -19,10 +19,14 @@ volume rates are exact zeros, and its relation has no transport term.
 
 Derivatives are central differences (order 2 or 4) unless a family
 carries analytic ones.  Every numerical derivative in the package goes
-through one stencil, :func:`_central_diff`: along a group parameter at the
-scheme's step, and along a point coordinate at the fixed inner step 1e-6
-for the derivative of a :class:`~covariant_kit.fields.FrameChange`.
-:func:`_param_diffs` is the one loop over group parameters.
+through one stencil, :func:`_stencil`, which gives the difference points
+and the rule that combines the values at them.  :func:`_central_diff`
+applies it to a function: along a group parameter at the scheme's step,
+and along a point coordinate at the fixed inner step 1e-6 for the
+derivative of a :class:`~covariant_kit.fields.FrameChange`;
+:func:`_param_diffs` is its one loop over group parameters.  A relation
+check in :mod:`covariant_kit.heisenberg` takes the stencil's points and
+rule directly, to evaluate the field at many stencil points at once.
 Steps and tolerances are artifact choices, not anything canonical.
 """
 
@@ -119,20 +123,26 @@ class ParamFamily:
             raise ValueError("point_map(b0) is not the identity map")
 
 
-def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: float, order: int):
-    """Central difference of f along coordinate w of x0, a parameter vector (s,)
-    or a point batch (..., 4); a tuple f(x) has each entry differenced."""
+def _stencil(x0: np.ndarray, w: int, h: float, order: int):
+    """The central-difference stencil along coordinate w of x0, a parameter
+    vector (s,) or a point batch (..., 4): its points, and the rule that
+    combines the values taken at them, in that order, into the derivative."""
     e = np.zeros(x0.shape[-1])
     e[w] = 1.0
     if order == 2:
-        vals = f(x0 + h * e), f(x0 - h * e)
-        diff = lambda p1, m1: (p1 - m1) / (2 * h)
-    else:
-        vals = f(x0 + 2 * h * e), f(x0 + h * e), f(x0 - h * e), f(x0 - 2 * h * e)
-        diff = lambda p2, p1, m1, m2: (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+        return (x0 + h * e, x0 - h * e), lambda p1, m1: (p1 - m1) / (2 * h)
+    points = x0 + 2 * h * e, x0 + h * e, x0 - h * e, x0 - 2 * h * e
+    return points, lambda p2, p1, m1, m2: (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+
+
+def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: float, order: int):
+    """Central difference of f along coordinate w of x0 (see :func:`_stencil`);
+    a tuple f(x) has each entry differenced."""
+    points, rule = _stencil(x0, w, h, order)
+    vals = [f(x) for x in points]
     if isinstance(vals[0], tuple):
-        return tuple(diff(*parts) for parts in zip(*vals))
-    return diff(*vals)
+        return tuple(rule(*parts) for parts in zip(*vals))
+    return rule(*vals)
 
 
 def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDScheme):

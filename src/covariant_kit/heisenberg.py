@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FieldFunction
-from .generators import FDScheme, ParamFamily, _param_diffs, rep_generators
+from .fields import BLOCK_POINTS, FieldFunction
+from .generators import FDScheme, ParamFamily, _param_diffs, _stencil, rep_generators
 from .schemas import TOLERANCES, number_text
 
 __all__ = [
@@ -168,14 +168,20 @@ def _relation_residuals(
     phi: np.ndarray,
     grads: np.ndarray | None,
 ):
-    """The global-vs-local derivative residual of each parameter, one array at a time.
+    """The global-vs-local derivative residual of each parameter, one (p, n) array at a time.
 
     ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
-    One stencil differences the moved points (flow), the point map's
-    ``jacobian`` (volume rate) and the global value: one point map per
-    stencil point.
     A family that moves no points differences ``I(b)`` alone and
     contracts ``(dI - I') phi``; it needs no gradient.
+
+    A moving family takes its parameters in groups whose stencil points
+    times the sample fit in ``BLOCK_POINTS``, or one parameter at a time
+    with the sample in chunks of ``BLOCK_POINTS // order`` points when one
+    parameter's do not.  Each stencil point's ``point_map(b)`` and
+    ``rep_map(b)`` are built once and the map moves the whole sample; the
+    field is evaluated once per chunk of all the group's moved points.
+    The stencil's rule then differences the moved points (flow), the maps'
+    ``jacobian`` (volume rate) and the global values.
     """
     gen = rep_generators(family, scheme)
     if family.point_map is None:
@@ -183,22 +189,44 @@ def _relation_residuals(
         diffs = zip(_param_diffs(rep_f, family.b0, scheme), gen)
         return (np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
 
-    def global_map(b):
-        h = family.point_map(b)
-        moved = h(pts)
-        vals = _field_values(field, moved)
-        rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
-        return moved, h.jacobian, h.jacobian * rotated
+    order, p = scheme.order, len(pts)
+    stencils = [_stencil(family.b0, w, scheme.step, order) for w in range(family.s)]
+    per_group = max(1, BLOCK_POINTS // max(1, order * p))
+    chunk = max(1, min(p, BLOCK_POINTS // order))
 
-    def residuals():
-        for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
-            yield lhs - (
-                rate * phi
-                + np.einsum("ij,pj->pi", gen[w], phi)
-                + np.einsum("pk,pik->pi", flow, grads)
-            )
+    def group_residuals(group):
+        params = [b for w in group for b in stencils[w][0]]
+        maps = [family.point_map(b) for b in params]
+        mats = [np.asarray(family.rep_map(b), dtype=complex) for b in params]
+        jac = np.array([h.jacobian for h in maps])
+        # Coordinate-major (4, stencil points, p), so the field reads contiguous
+        # columns.  Each map moves the whole sample in one product, as one call
+        # per stencil point would: a product over a chunk can round differently.
+        moved = np.empty((4, len(params), p))
+        for j, h in enumerate(maps):
+            moved[:, j] = h(pts).T
+        out = [np.empty_like(phi) for _ in group]
+        for start in range(0, p, chunk):
+            rows = slice(start, start + chunk)
+            cols = moved[:, :, rows]
+            vals = _field_values(field, np.moveaxis(cols, 0, -1))
+            lhs = np.empty_like(vals)
+            for j, mat in enumerate(mats):
+                np.einsum("ij,pj->pi", mat, vals[j], out=lhs[j])
+            lhs *= jac[:, None, None]
+            for i, w in enumerate(group):
+                at = slice(i * order, (i + 1) * order)
+                rule = stencils[w][1]
+                flow = rule(*cols[:, at].swapaxes(0, 1)).T
+                out[i][rows] = rule(*lhs[at]) - (
+                    rule(*jac[at]) * phi[rows]
+                    + np.einsum("ij,pj->pi", gen[w], phi[rows])
+                    + np.einsum("pk,pik->pi", flow, grads[rows])
+                )
+        return out
 
-    return residuals()
+    groups = (range(w, min(w + per_group, family.s)) for w in range(0, family.s, per_group))
+    return (r for group in groups for r in group_residuals(group))
 
 
 def _relation_report(field, family, scheme, points, tolerance, convergence_steps=(), **metadata) -> RelationReport:

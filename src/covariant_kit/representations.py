@@ -49,6 +49,9 @@ class GammaBasis:
     """Four 4x4 matrices with {gamma_mu, gamma_nu} = 2 eta_mu_nu."""
 
     matrices: np.ndarray  # shape (4, 4, 4), complex
+    #: Max deviation of {gamma_mu, gamma_nu} from 2 eta_mu_nu over all pairs,
+    #: computed once for the Clifford check.
+    anticommutator_residual: float = field(init=False, repr=False, compare=False)
     #: sigma[mu, nu] = (i/2) [gamma_mu, gamma_nu], built once, read-only.
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
     #: sigma of each plane in ``PLANES`` order, flattened: shape (6, 16).
@@ -63,8 +66,14 @@ class GammaBasis:
             raise ValueError(f"gamma basis must have shape (4, 4, 4), got {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "matrices", g)
-        if self.anticommutator_residual() > ALGEBRAIC_TOL:
+        worst = 0.0
+        for mu in range(4):
+            for nu in range(mu, 4):
+                anti = g[mu] @ g[nu] + g[nu] @ g[mu]
+                worst = max(worst, float(np.abs(anti - 2 * ETA[mu, nu] * np.eye(4)).max()))
+        if worst > ALGEBRAIC_TOL:
             raise ValueError("gamma matrices do not satisfy the (-+++) Clifford relations")
+        object.__setattr__(self, "anticommutator_residual", worst)
         sig = np.zeros((4, 4, 4, 4), dtype=complex)
         for mu in range(4):
             for nu in range(mu + 1, 4):
@@ -97,16 +106,6 @@ class GammaBasis:
             m[2:, :2] = -s
             spatial.append(1j * m)
         return cls(np.stack([g0, *spatial]))
-
-    def anticommutator_residual(self) -> float:
-        """Max deviation of {gamma_mu, gamma_nu} from 2 eta_mu_nu over all pairs."""
-        g = self.matrices
-        worst = 0.0
-        for mu in range(4):
-            for nu in range(mu, 4):
-                anti = g[mu] @ g[nu] + g[nu] @ g[mu]
-                worst = max(worst, float(np.abs(anti - 2 * ETA[mu, nu] * np.eye(4)).max()))
-        return worst
 
 
 #: The default spinor basis, built and checked once per process.

@@ -1,0 +1,66 @@
+"""Unit tests of tools/bench_pairs.py's summary, on fixed numbers; no benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+summarise = bench_pairs.summarise
+
+PARENT = [10.0, 12.0, 11.0, 13.0, 14.0, 10.5, 12.5, 11.5, 13.5, 14.5]
+
+
+class TestSummarise:
+    def test_quartiles_interpolate_between_order_statistics(self):
+        got = summarise(PARENT, PARENT)
+        # sorted: 10 10.5 11 11.5 12 12.5 13 13.5 14 14.5; q1 at rank 2.25, q3 at 6.75
+        assert got["parent_q1_median_q3"] == [11.125, 12.25, 13.375]
+        assert got["parent_iqr"] == 2.25
+        assert got["change_over_parent_median"] == 1.0
+
+    def test_ties_count_as_neither_win_nor_loss(self):
+        got = summarise(PARENT, PARENT)
+        assert (got["change_wins"], got["change_losses"], got["claim_met"]) == (0, 0, False)
+
+    def test_a_clear_gain_meets_the_claim(self):
+        change = [v - 3.0 for v in PARENT]
+        got = summarise(PARENT, change)
+        assert (got["change_wins"], got["change_losses"]) == (10, 0)
+        assert got["change_q1_median_q3"] == [8.125, 9.25, 10.375]
+        assert got["claim_met"]
+
+    def test_nine_wins_in_ten_suffice_but_eight_do_not(self):
+        change = [v - 3.0 for v in PARENT]
+        change[0] = PARENT[0] + 1.0
+        assert summarise(PARENT, change)["change_wins"] == 9
+        assert summarise(PARENT, change)["claim_met"]
+        change[1] = PARENT[1] + 1.0
+        got = summarise(PARENT, change)
+        assert (got["change_wins"], got["change_losses"], got["claim_met"]) == (8, 2, False)
+
+    def test_every_pair_won_by_less_than_the_iqr_is_no_claim(self):
+        change = [v - 1.0 for v in PARENT]
+        got = summarise(PARENT, change)
+        assert got["change_wins"] == 10
+        assert not got["claim_met"]
+
+    def test_higher_is_better_flips_the_direction(self):
+        change = [v + 3.0 for v in PARENT]
+        assert summarise(PARENT, change, "higher")["claim_met"]
+        got = summarise(PARENT, change, "lower")
+        assert (got["change_wins"], got["change_losses"], got["claim_met"]) == (0, 10, False)
+
+    def test_one_pair_and_mismatched_sides(self):
+        got = summarise([2.0], [1.0])
+        assert got["parent_q1_median_q3"] == [2.0, 2.0, 2.0]
+        assert got["parent_iqr"] == 0.0
+        assert got["claim_met"]
+        with pytest.raises(ValueError):
+            summarise([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            summarise([], [])

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covariant_kit.fields import FieldFunction, constant_field, wave_packet
+import covariant_kit.heisenberg as heisenberg_module
+from covariant_kit.fields import BLOCK_POINTS, FieldFunction, constant_field, wave_packet
 from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
+    _param_diffs,
     internal_family,
     poincare_family,
     poincare_frame_family,
+    rep_generators,
 )
 from covariant_kit.heisenberg import (
     RelationReport,
@@ -216,6 +219,102 @@ class TestLocalRelation:
         bad = constant_field([np.inf])
         with pytest.raises(ValueError):
             verify_local_relation(bad, poincare_family(FieldRep.scalar()), SCHEME, POINTS)
+
+
+def per_stencil_point_residuals(field, family, scheme, pts, phi, grads):
+    """The relation's residuals by one field evaluation per stencil point.
+
+    This is the reference route the blocked stencil must reproduce bit for
+    bit: each stencil point's map moves the sample, the field is evaluated
+    on the moved points, and ``_param_diffs`` differences the moved points,
+    the Jacobian and the rotated, scaled values together.
+    """
+    gen = rep_generators(family, scheme)
+
+    def global_map(b):
+        h = family.point_map(b)
+        moved = h(pts)
+        vals = np.asarray(field.evaluate(moved), dtype=complex)
+        rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
+        return moved, h.jacobian, h.jacobian * rotated
+
+    for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
+        yield lhs - (
+            rate * phi + np.einsum("ij,pj->pi", gen[w], phi) + np.einsum("pk,pik->pi", flow, grads)
+        )
+
+
+def counting_field(packet, sizes):
+    """``packet`` with an ``evaluate`` that appends the number of points of each call to ``sizes``."""
+
+    def evaluate(pts):
+        sizes.append(int(np.prod(np.shape(pts)[:-1])))
+        return packet.evaluate(pts)
+
+    return FieldFunction(packet.n, evaluate, packet.gradient)
+
+
+class TestBlockedStencil:
+    """The moving-family relation evaluates the field once per block of stencil points."""
+
+    CASES = {
+        "scalar": (lambda: poincare_family(FieldRep.scalar()), [[(1.0, (0, 0, 0, 0)), (0.5, (1, 0, 2, 0))]]),
+        "vector": (lambda: poincare_family(FieldRep.vector()), [1.0, -0.5, [(0.3, (0, 1, 0, 1))], 2.0]),
+        "spinor": (lambda: poincare_family(FieldRep.spinor()), [1.0, 0.5j, [((0.2, -0.4), (1, 0, 0, 0))], 0.75]),
+        "dilation": (dilation_family, [[(1.0, (0, 0, 0, 0)), (-0.7, (0, 0, 1, 1))]]),
+    }
+
+    def case(self, kind, count):
+        make_family, components = self.CASES[kind]
+        field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.1, components)
+        return make_family(), field, sample_points(count=count, seed=3, box=1.5)
+
+    # 8191 and 12289 points span several chunks of one parameter at order 4,
+    # 12289 = 3 * 4096 + 1 with a one-point ragged tail.
+    @pytest.mark.parametrize("count", [1, 50, 8191, 12289])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_residual_bytes_equal_the_per_stencil_point_route(self, kind, order, count):
+        family, field, pts = self.case(kind, count)
+        phi = np.asarray(field.evaluate(pts), dtype=complex)
+        grads = np.asarray(field.gradient(pts), dtype=complex)
+        scheme = FDScheme(1e-3, order=order)
+        blocked = list(heisenberg_module._relation_residuals(field, family, scheme, pts, phi, grads))
+        reference = list(per_stencil_point_residuals(field, family, scheme, pts, phi, grads))
+        assert len(blocked) == len(reference) == family.s
+        for got, want in zip(blocked, reference):
+            assert got.shape == want.shape == (count, family.n)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 50])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_report_equals_the_per_stencil_point_route(self, monkeypatch, kind, order, count):
+        family, field, pts = self.case(kind, count)
+        scheme, steps = FDScheme(1e-3, order=order), (4e-3, 2e-3)
+        report = verify_local_relation(field, family, scheme, pts, convergence_steps=steps)
+        monkeypatch.setattr(heisenberg_module, "_relation_residuals", per_stencil_point_residuals)
+        assert report.to_dict() == verify_local_relation(field, family, scheme, pts, convergence_steps=steps).to_dict()
+
+    def test_one_evaluation_per_pass_at_fifty_points(self):
+        sizes = []
+        field = counting_field(wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4), sizes)
+        family = poincare_family(FieldRep.vector())
+        pts = sample_points(count=50, seed=4)
+        verify_local_relation(field, family, SCHEME, pts, convergence_steps=(4e-3, 2e-3, 1e-3))
+        # the sample itself, then all 10 parameters' 20 stencil points in one call per pass
+        assert sizes == [50] + [2 * 10 * 50] * 4
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_no_call_exceeds_the_block_at_twenty_thousand_points(self, order):
+        sizes = []
+        field = counting_field(wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 1), sizes)
+        family = poincare_family(FieldRep.scalar())
+        verify_local_relation(field, family, FDScheme(1e-4, order=order), sample_points(count=20000, seed=4))
+        assert sizes[0] == 20000
+        assert max(sizes[1:]) <= BLOCK_POINTS
+        # every stencil point still sees every sample point exactly once
+        assert sum(sizes[1:]) == order * family.s * 20000
 
 
 class TestBundleRelation:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,18 @@ class TestGammaAlgebra:
                 assert np.abs(anti - 2 * ETA[mu, nu] * np.eye(4)).max() <= 1e-12
 
     def test_residual_helper(self, gamma):
-        assert gamma.anticommutator_residual() <= 1e-12
+        assert gamma.anticommutator_residual <= 1e-12
+
+    def test_residual_is_kept_from_the_clifford_check(self, gamma):
+        g = gamma.matrices
+        worst = max(
+            float(np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - 2 * ETA[mu, nu] * np.eye(4)).max())
+            for mu in range(4)
+            for nu in range(mu, 4)
+        )
+        assert gamma.anticommutator_residual == worst
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gamma.anticommutator_residual = 0.0
 
     def test_sigma_tensor_is_cached_and_read_only(self, gamma, sigma):
         assert sigma_tensor(gamma) is sigma

@@ -1,0 +1,126 @@
+"""Run the benchmark of two source trees in alternating pairs and summarise it.
+
+Usage:
+    python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W
+                                --pairs N --seconds S --seed0 K
+
+Pair ``i`` (0 to N-1) runs, in each tree with that tree's own
+``perfbench/run.py``,
+
+    python3 perfbench/run.py --workload W --seed K+i --seconds S --trace 0
+
+one tree after the other: the parent first in even pairs and the change
+first in odd ones, so neither side always meets a warmer machine.  Each run
+prints a progress line on stderr.
+
+The last line of stdout is one JSON object: the workload, seeds and
+per-run ``correct``/``failed`` of both sides, and for each end-to-end
+metric each side's values, quartiles (q1, median, q3, linear
+interpolation), the parent's IQR, the change's wins and losses over the
+pairs (ties count as neither), and ``claim_met``: the change won at least
+nine pairs in ten and its median is better than the parent's by more than
+the parent's IQR.  A metric is better lower unless the change tree's
+``BENCHMARK.json`` says ``"better": "higher"``.  The exit code is 0 when
+every run printed its JSON and said ``correct``, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list) -> list:
+    """q1, median and q3 of ``values``, interpolated linearly between order statistics."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarise(parent: list, change: list, better: str = "lower") -> dict:
+    """One metric's pairwise comparison; ``parent[i]`` and ``change[i]`` are pair i's values."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("both sides need one value per pair")
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    iqr = pq[2] - pq[0]
+    return {
+        "parent": parent,
+        "change": change,
+        "parent_q1_median_q3": pq,
+        "change_q1_median_q3": cq,
+        "parent_iqr": iqr,
+        "change_over_parent_median": cq[1] / pq[1] if pq[1] else None,
+        "change_wins": wins,
+        "change_losses": losses,
+        "claim_met": 10 * wins >= 9 * len(parent) and sign * (pq[1] - cq[1]) > iqr,
+    }
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run of ``tree``; its last stdout line, parsed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def directions(tree: Path) -> dict:
+    """Metric name -> "lower" or "higher", from the tree's BENCHMARK.json when it has one."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m.get("better", "lower") for m in json.loads(path.read_text()).get("end_to_end", [])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed0", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seeds = [args.seed0 + i for i in range(args.pairs)]
+    runs = {side: [] for side in sides}
+    try:
+        for i, seed in enumerate(seeds):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                result = run_once(sides[side], args.workload, seed, args.seconds)
+                runs[side].append(result)
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: correct={result['correct']}", file=sys.stderr)
+    except (RuntimeError, OSError, ValueError) as err:
+        print(f"bench_pairs: {err}", file=sys.stderr)
+        return 1
+    better = directions(sides["change"])
+    names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
+    metrics = {
+        name: summarise(*([r["metrics"][name]["value"] for r in runs[side]] for side in sides), better.get(name, "lower"))
+        for name in names
+    }
+    print(json.dumps({
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "correct": {side: [r["correct"] for r in runs[side]] for side in sides},
+        "failed": {side: [r["failed"] for r in runs[side]] for side in sides},
+        "metrics": metrics,
+    }))
+    return 0 if all(r["correct"] for side in sides for r in runs[side]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
