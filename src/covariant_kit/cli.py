@@ -27,9 +27,6 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__
 from .fields import (
@@ -67,7 +64,8 @@ from .heisenberg import (
     verify_local_relation,
 )
 from .representations import FieldRep, homomorphism_check, rep_matrix, rep_matrix_for_element
-from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCES, number_text
+# cmd_run calls validate as cli.validate, the name the benchmark's tracer wraps
+from .schemas import REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCES, ValidationError, number_text, validate
 
 
 def _complex_text(v) -> list:
@@ -411,24 +409,6 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
     }
 
 
-@functools.cache
-def _scenario_validator():
-    cls = validator_for(SCENARIO_SCHEMA)
-    cls.check_schema(SCENARIO_SCHEMA)
-    return cls(SCENARIO_SCHEMA)
-
-
-def validate(scenario: dict) -> None:
-    """Raise what ``jsonschema.validate(scenario, SCENARIO_SCHEMA)`` raises.
-
-    The schema is checked and its validator built once per process, on
-    first use, instead of on every call.
-    """
-    error = best_match(_scenario_validator().iter_errors(scenario))
-    if error is not None:
-        raise error
-
-
 #: Most points a scenario may ask for, in its finest grid or its sample:
 #: about 56 times the 65^4 production grid.
 POINT_BUDGET = 10**9
@@ -477,8 +457,14 @@ def _finite_number(text: str) -> float:
 
 
 def _loads(text: str):
-    """json.loads without NaN, Infinity or numbers that overflow to inf."""
-    return json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+    """json.loads without NaN, Infinity or numbers that overflow to inf.
+
+    JSON nested past the interpreter's recursion limit raises ValueError.
+    """
+    try:
+        return json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to parse") from None
 
 
 def _apply_override(scenario: dict, assignment: str) -> None:
@@ -528,7 +514,7 @@ def cmd_run(args) -> int:
     try:
         validate(scenario)
     except ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "(root)"
+        where = ".".join(str(p) for p in exc.path) or "(root)"
         return _config_error(f"scenario field {where}: {exc.message}")
     too_large = _over_budget(scenario)
     if too_large is not None:

@@ -66,12 +66,13 @@ class GammaBasis:
             raise ValueError(f"gamma basis must have shape (4, 4, 4), got {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "matrices", g)
-        worst = 0.0
-        for mu in range(4):
-            for nu in range(mu, 4):
-                anti = g[mu] @ g[nu] + g[nu] @ g[mu]
-                worst = max(worst, float(np.abs(anti - 2 * ETA[mu, nu] * np.eye(4)).max()))
-        if worst > ALGEBRAIC_TOL:
+        # np.max keeps a NaN residual, which then fails the check.
+        worst = float(np.max([
+            np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - 2 * ETA[mu, nu] * np.eye(4)).max()
+            for mu in range(4)
+            for nu in range(mu, 4)
+        ]))
+        if not worst <= ALGEBRAIC_TOL:
             raise ValueError("gamma matrices do not satisfy the (-+++) Clifford relations")
         object.__setattr__(self, "anticommutator_residual", worst)
         sig = np.zeros((4, 4, 4, 4), dtype=complex)

@@ -1,5 +1,7 @@
-"""Published JSON schemas for scenario files and run reports."""
+"""Published JSON schemas for scenario files and run reports, and the scenario validator."""
 
+from collections import namedtuple
+from itertools import islice
 
 #: printf format of every number in a report or CSV dump: 17 significant digits read back the same double.
 NUMBER_FORMAT = "%.17g"
@@ -222,3 +224,154 @@ REPORT_SCHEMA = {
     ],
     "additionalProperties": False,
 }
+
+
+class ValidationError(ValueError):
+    """An instance that breaks its schema: the JSON ``path`` of the offending value and a ``message``."""
+
+    def __init__(self, path: tuple, message: str):
+        super().__init__(message)
+        self.path, self.message = path, message
+
+
+# The twelve draft-7 keywords ``validate`` implements, then the annotations it ignores.
+_KEYWORDS = {
+    "type", "enum", "properties", "required", "additionalProperties", "oneOf",
+    "items", "minItems", "maxItems", "minimum", "exclusiveMinimum", "propertyNames",
+    "$schema", "title", "description",
+}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+# One failed keyword: ``path`` is relative to the instance of the enclosing
+# ``oneOf`` (or the root), ``context`` holds a failed ``oneOf``'s branch errors,
+# ``typed`` says the keyword's schema has a ``type`` the value matches.
+_Error = namedtuple("_Error", "path keyword message context typed")
+
+# A value in a message prints as ``repr``, cut to "..." past this many
+# nested levels, items a level or characters a scalar, so a value of any
+# depth prints without recursing past the limit.
+_SHOWN_LEVELS, _SHOWN_ITEMS, _SHOWN_CHARS = 8, 64, 256
+
+
+def _shown(value, levels: int = _SHOWN_LEVELS) -> str:
+    if not isinstance(value, (dict, list)):
+        text = repr(value)
+        return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+    count = _SHOWN_ITEMS if levels else 0
+    if isinstance(value, dict):
+        parts = [f"{_shown(k)}: {_shown(v, levels - 1)}" for k, v in islice(value.items(), count)]
+    else:
+        parts = [_shown(v, levels - 1) for v in value[:count]]
+    if len(value) > count:
+        parts.append("...")
+    return ("{%s}" if isinstance(value, dict) else "[%s]") % ", ".join(parts)
+
+
+def _is_type(value, name: str) -> bool:
+    """Draft-7 types: a bool is no number, and a float with no fraction is an integer."""
+    if name in ("number", "integer"):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and (name == "number" or isinstance(value, int) or value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _errors(value, schema: dict) -> list:
+    """Every keyword of ``schema`` that ``value`` fails, in jsonschema's order."""
+    errors = []
+    typed = "type" in schema and _is_type(value, schema["type"])
+
+    def fail(keyword, message, context=()):
+        errors.append(_Error((), keyword, message, list(context), typed))
+
+    def descend(key, subvalue, subschema):
+        errors.extend(e._replace(path=(key, *e.path)) for e in _errors(subvalue, subschema))
+
+    obj, array, number = isinstance(value, dict), isinstance(value, list), _is_type(value, "number")
+    for keyword, arg in schema.items():
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"schema keyword {keyword!r} is not implemented")
+        if keyword == "type" and not typed:
+            fail(keyword, f"{_shown(value)} is not of type {arg!r}")
+        elif keyword == "enum" and not any(value == v and isinstance(value, bool) == isinstance(v, bool) for v in arg):
+            fail(keyword, f"{_shown(value)} is not one of {arg!r}")
+        elif keyword == "oneOf":
+            branches = [_errors(value, sub) for sub in arg]
+            valid = [sub for sub, errs in zip(arg, branches) if not errs]
+            if not valid:
+                fail(keyword, f"{_shown(value)} is not valid under any of the given schemas", sum(branches, []))
+            elif len(valid) > 1:
+                fail(keyword, f"{_shown(value)} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}")
+        elif keyword == "properties" and obj:
+            for key, sub in arg.items():
+                if key in value:
+                    descend(key, value[key], sub)
+        elif keyword == "required" and obj:
+            for key in arg:
+                if key not in value:
+                    fail(keyword, f"{key!r} is a required property")
+        elif keyword == "additionalProperties" and obj:
+            extras = [key for key in value if key not in schema.get("properties", {})]
+            for key in extras if isinstance(arg, dict) else ():
+                descend(key, value[key], arg)
+            if arg is False and extras:
+                names, verb = ", ".join(map(repr, sorted(extras))), "was" if len(extras) == 1 else "were"
+                fail(keyword, f"Additional properties are not allowed ({names} {verb} unexpected)")
+        elif keyword == "propertyNames" and obj:
+            for key in value:
+                errors.extend(_errors(key, arg))
+        elif keyword == "items" and array:
+            for index, item in enumerate(value):
+                descend(index, item, arg)
+        elif keyword == "minItems" and array and len(value) < arg:
+            fail(keyword, f"{_shown(value)} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif keyword == "maxItems" and array and len(value) > arg:
+            fail(keyword, f"{_shown(value)} {'is expected to be empty' if arg == 0 else 'is too long'}")
+        elif keyword == "minimum" and number and value < arg:
+            fail(keyword, f"{_shown(value)} is less than the minimum of {arg!r}")
+        elif keyword == "exclusiveMinimum" and number and value <= arg:
+            fail(keyword, f"{_shown(value)} is less than or equal to the minimum of {arg!r}")
+    return errors
+
+
+def _relevance(error: _Error) -> tuple:
+    """jsonschema's ``relevance``: the best match is the largest error, or the smallest in a ``oneOf``.
+
+    It orders by depth (shallow is larger), then path, then ``oneOf`` below
+    other keywords, then a value of its schema's type below one that is not.
+    """
+    return -len(error.path), error.path, error.keyword != "oneOf", not error.typed
+
+
+def validate(instance, schema: dict = SCENARIO_SCHEMA) -> None:
+    """Raise ``ValidationError`` with the error ``jsonschema.validate(instance, schema)`` reports.
+
+    Of all errors it picks what jsonschema's ``best_match`` picks: the
+    most relevant one, and inside a failed ``oneOf`` its branches' deepest
+    error, or the ``oneOf`` itself when two branch errors tie.  A schema
+    keyword it does not implement raises ``ValueError``.
+    """
+    errors = _errors(instance, schema)
+    if not errors:
+        return
+    best = max(errors, key=_relevance)
+    path = best.path
+    while best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best, path = first, path + first.path
+    raise ValidationError(path, best.message)
+
+
+def _check_keywords(schema: dict) -> None:
+    """Raise ``ValueError`` if ``schema`` or a schema inside it uses a keyword ``validate`` does not implement."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keyword {sorted(unknown)[0]!r} is not implemented")
+    inner = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    inner += [schema[k] for k in ("items", "additionalProperties", "propertyNames") if isinstance(schema.get(k), dict)]
+    for sub in inner:
+        _check_keywords(sub)
+
+
+_check_keywords(SCENARIO_SCHEMA)

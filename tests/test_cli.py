@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from jsonschema import ValidationError, validate
+from jsonschema import Draft7Validator, ValidationError, validate
+from jsonschema.exceptions import best_match
 
-from covariant_kit import cli, fields, generators
+from covariant_kit import cli, fields, generators, schemas
 from covariant_kit.cli import main
 from covariant_kit.heisenberg import RelationReport
 from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES, number_text
@@ -38,6 +39,11 @@ FAST_PASSING = [
 
 def run_cli(args):
     return main(args)
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports the package from this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 def _must_not_run(*args, **kwargs):
@@ -597,6 +603,46 @@ class TestExitContractHoles:
         assert f"scenario could not be executed: {named}" in self._one_line(capsys)
         assert not Path("r.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"check": "toy", "group": ' + "[" * 5000 + "]" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["5000-deep-group", "100000-deep-array"],
+    )
+    def test_json_nested_too_deeply_to_parse_exits_two(self, capsys, tmp_path, monkeypatch, text):
+        # json.loads once raised RecursionError: a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        Path("scenario.json").write_text(text)
+        assert run_cli(["run", "scenario.json"]) == 2
+        assert self._one_line(capsys) == "scenario parse error in scenario.json: JSON is nested too deeply to parse\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_override_nested_too_deeply_to_parse_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        override = "group.omega=" + "[" * 5000 + "]" * 5000
+        assert run_cli(["run", str(SCENARIOS / "group_check.json"), "--override", override]) == 2
+        assert self._one_line(capsys) == "bad override: JSON is nested too deeply to parse\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_value_nested_just_inside_the_parse_limit_exits_two(self, tmp_path):
+        # 985 levels parse in a fresh CLI process on Python 3.11, and jsonschema
+        # once took the repr of the value for its message: a RecursionError and
+        # exit 1.  An interpreter whose stack allows fewer levels exits 2 at parsing.
+        (tmp_path / "scenario.json").write_text(
+            '{"check": "group-check", "group": {"omega": ' + "[" * 985 + "]" * 985 + "}}"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "covariant_kit.cli", "run", "scenario.json"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_src_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr in (
+            "scenario field group.omega: [[[[[[[[[...]]]]]]]]] is too short\n",
+            "scenario parse error in scenario.json: JSON is nested too deeply to parse\n",
+        )
+
     def test_override_through_a_string_exits_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run_cli(["run", str(SCENARIOS / "rep_check_scalar.json"), "--override", "check.x=1"])
@@ -869,19 +915,175 @@ def _benchmark_schema_invalid() -> list:
     return [_benchmark_workloads()._schema_invalid(random.Random(i), i) for i in range(4)]
 
 
+def _validation_corpus() -> list:
+    """Every recorded fuzz case, shipped scenario and workload input of seeds 1-3 that parses."""
+    texts = [json.dumps(case["scenario"]) for case in json.loads((ROOT / "tests" / "fuzz_cases.json").read_text())]
+    texts += [f.read_text() for f in sorted(SCENARIOS.glob("*.json"))]
+    module = _benchmark_workloads()
+    for name in module.WORKLOADS:
+        for seed in (1, 2, 3):
+            work = module.generate(name, seed)
+            texts += [e.text for e in work.entries + work.probes + work.holes]
+    corpus = []
+    for text in texts:
+        try:
+            corpus.append(json.loads(text))
+        except json.JSONDecodeError:
+            continue  # the deliberately malformed inputs
+    return corpus
+
+
+def _nested(depth: int) -> list:
+    """An empty list inside ``depth`` more lists."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# What a mutation writes: wrong types, bounds and lengths, and some right ones.
+_MUTANT_VALUES = [
+    None, True, False, 0, -1, 1, 2, 4, 1.5, 9.0, -0.0, 1e300, "", "x", "scalar", "tensor",
+    [], [1], [0.5, 0.5], [1, 2, 3], [9.0, 9, 9, 9], [[1, 2]] * 4, [[[]]], {}, {"a": 1},
+    {"coeff": 1, "powers": [0, 0, 0, 0]},
+]
+_MUTANT_KEYS = ["zz", "yy", "check", "phi", "test", "local", "width", "components", "omega", "coeff", "powers"]
+
+
+def _mutant(instance, rng: random.Random):
+    """A copy of ``instance`` with one change at a random node: replaced, deleted, or given one more key or item."""
+    instance = json.loads(json.dumps(instance))
+    nodes, stack = [], [((), instance)]
+    while stack:
+        path, node = stack.pop()
+        nodes.append((path, node))
+        if isinstance(node, dict):
+            stack += [((*path, k), v) for k, v in node.items()]
+        elif isinstance(node, list):
+            stack += [((*path, i), v) for i, v in enumerate(node)]
+    path, node = rng.choice(nodes)
+    value = json.loads(json.dumps(rng.choice(_MUTANT_VALUES)))
+    change = rng.choice(["replace", "delete", "grow"])
+    if change == "grow" and isinstance(node, dict):
+        node[rng.choice(_MUTANT_KEYS)] = value
+    elif change == "grow" and isinstance(node, list):
+        node.append(value)
+    elif not path:
+        return value
+    else:
+        parent = instance
+        for key in path[:-1]:
+            parent = parent[key]
+        if change == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return instance
+
+
 class TestValidate:
-    """cli.validate builds its validator once and must raise what jsonschema.validate raises."""
+    """cli.validate must report the path and message jsonschema.validate reports."""
 
     @pytest.mark.parametrize("index", range(5))
     def test_same_error_as_jsonschema_validate(self, index):
         invalid = [load(SCENARIOS / "bad_schema.json"), *_benchmark_schema_invalid()]
         scenario = invalid[index]
-        with pytest.raises(ValidationError) as ours:
+        with pytest.raises(schemas.ValidationError) as ours:
             cli.validate(scenario)
         with pytest.raises(ValidationError) as reference:
             validate(scenario, SCENARIO_SCHEMA)
         assert ours.value.message == reference.value.message
-        assert list(ours.value.absolute_path) == list(reference.value.absolute_path)
+        assert list(ours.value.path) == list(reference.value.absolute_path)
+
+    def test_same_verdict_path_and_message_as_jsonschema(self):
+        # The corpus, 20,000 seeded single mutations of it cut to `check` and one
+        # more property (each still a scenario, and small enough for jsonschema),
+        # and 1,000 mutations of whole scenarios.  About half of the mutants are
+        # repeats; jsonschema judges each distinct text once.
+        corpus = _validation_corpus()
+        parts = [
+            {k: v for k, v in scenario.items() if k in ("check", key)}
+            for scenario in corpus
+            if isinstance(scenario, dict)
+            for key in scenario
+        ]
+        rng = random.Random(27)
+        instances = corpus + [_mutant(rng.choice(parts), rng) for _ in range(20_000)]
+        instances += [_mutant(rng.choice(corpus), rng) for _ in range(1_000)]
+        oracle = Draft7Validator(SCENARIO_SCHEMA)
+        expected = {}
+        for instance in instances:
+            text = json.dumps(instance)
+            if text not in expected:
+                error = best_match(oracle.iter_errors(instance))
+                expected[text] = error and (list(error.absolute_path), error.message)
+            try:
+                cli.validate(instance)
+            except schemas.ValidationError as exc:
+                assert (list(exc.path), exc.message) == expected[text], instance
+            else:
+                assert expected[text] is None, instance
+        rejected = sum(error is not None for error in expected.values())
+        assert len(instances) > 21_000 and 5_000 < rejected < len(expected) - 2_000
+
+    def test_draft7_numbers_a_float_integer_is_an_integer_and_a_bool_no_number(self):
+        cli.validate({"check": "pairing", "grid": {"counts": [9.0, 9, 9, 9], "doublings": 1.0}, "fd": {"order": 2.0}})
+        schemas.validate(1.0, {"enum": [1]})
+        for instance, schema, message in [
+            (True, {"type": "number"}, "True is not of type 'number'"),
+            (True, {"type": "integer"}, "True is not of type 'integer'"),
+            (1.5, {"type": "integer"}, "1.5 is not of type 'integer'"),
+            (True, {"enum": [1]}, "True is not one of [1]"),
+            (2, {"enum": ["2"]}, "2 is not one of ['2']"),
+        ]:
+            with pytest.raises(schemas.ValidationError) as exc:
+                schemas.validate(instance, schema)
+            assert (exc.value.path, exc.value.message) == ((), message)
+
+    @pytest.mark.parametrize(
+        "scenario, path, message",
+        [
+            ({}, (), "'check' is a required property"),
+            ({"check": "toy", "zz": 1, "yy": 2}, (), "Additional properties are not allowed ('yy', 'zz' were unexpected)"),
+            ({"check": "toy", "tolerances": {"local": 1e-6, "bogus": 1}}, ("tolerances",), f"'bogus' is not one of {TOLERANCE_NAMES!r}"),
+            ({"check": "toy", "tolerances": {"local": 0}}, ("tolerances", "local"), "0 is less than or equal to the minimum of 0"),
+            ({"check": "toy", "grid": {"counts": [9, 9, 9]}}, ("grid", "counts"), "[9, 9, 9] is too short"),
+            ({"check": "toy", "grid": {"counts": [9, 9, 9, 1]}}, ("grid", "counts", 3), "1 is less than the minimum of 2"),
+            ({"check": "toy", "field": {"components": []}}, ("field", "components"), "[] should be non-empty"),
+            (
+                {"check": "toy", "field": {"components": [[{"coeff": "x", "powers": [0, 0, 0, 0]}]]}},
+                ("field", "components", 0, 0, "coeff"),
+                "'x' is not valid under any of the given schemas",
+            ),
+            (
+                {"check": "pairing", "field": {"phi": {}, "test": {}, "extra": 1}},
+                ("field",),
+                "{'phi': {}, 'test': {}, 'extra': 1} is not valid under any of the given schemas",
+            ),
+            # the value prints cut to 8 levels; repr of the whole would recurse past the limit
+            ({"check": "group-check", "group": {"omega": _nested(5000)}}, ("group", "omega"), "[[[[[[[[[...]]]]]]]]] is too short"),
+            ({"check": "toy", "group": {"q": list(range(100))}}, ("group", "q"), f"{list(range(64))!r}"[:-1] + ", ...] is not of type 'number'"),
+            ({"check": "toy", "group": {"q": "r" * 300}}, ("group", "q"), f"{'r' * 300!r}"[:256] + "... is not of type 'number'"),
+        ],
+        ids=[
+            "required", "additional", "property-name", "exclusive-minimum", "too-short", "minimum", "non-empty",
+            "deepest-branch", "one-of-itself", "deep-value", "long-list", "long-string",
+        ],
+    )
+    def test_error_path_and_message(self, scenario, path, message):
+        with pytest.raises(schemas.ValidationError) as exc:
+            cli.validate(scenario)
+        assert (exc.value.path, exc.value.message) == (path, message)
+        assert isinstance(exc.value, ValueError)
+
+    def test_a_keyword_validate_does_not_implement_raises(self):
+        with pytest.raises(ValueError, match="'patternProperties' is not implemented"):
+            schemas.validate({}, {"type": "object", "patternProperties": {}})
+        # the import-time check of SCENARIO_SCHEMA reaches keywords no instance visits
+        with pytest.raises(ValueError, match="'const' is not implemented"):
+            schemas._check_keywords({"properties": {"a": {"oneOf": [{"items": {"const": 1}}]}}})
+        with pytest.raises(ValueError, match="'const' is not implemented"):
+            schemas._check_keywords(REPORT_SCHEMA)
 
     def test_valid_scenarios_pass(self):
         for name in FAST_PASSING + ["pairing_invariance.json", "pairing_vector_rotation.json", "failing_tolerance.json"]:
@@ -916,37 +1118,47 @@ class TestSchemaCommand:
         assert proc.returncode == 0
         json.loads(proc.stdout)
 
-    def test_scipy_stays_off_the_run_path(self, tmp_path):
-        # scipy is a test dependency only: with its import made to fail, every
-        # kind of run keeps its exit code, and no scipy module gets loaded.
+    def _run_every_kind_without(self, module: str, tmp_path):
+        """With ``module``'s import made to fail, every kind of run keeps its exit code and loads none of it."""
         script = (
             "import sys\n"
-            "sys.modules['scipy'] = None\n"
+            f"sys.modules[{module!r}] = None\n"
             "from covariant_kit import cli\n"
             "for arg in sys.argv[1:]:\n"
             "    path, code = arg.rsplit('=', 1)\n"
             "    assert cli.main(['run', path, '--out', 'report.json']) == int(code), path\n"
-            "loaded = sorted(m for m, module in sys.modules.items() if m.startswith('scipy') and module is not None)\n"
+            f"loaded = sorted(m for m, mod in sys.modules.items() if m.startswith({module!r}) and mod is not None)\n"
             "assert loaded == [], loaded\n"
         )
         exits = {**dict.fromkeys(FAST_PASSING, 0), "failing_tolerance.json": 1, "bad_schema.json": 2, "malformed.json": 2}
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", script, *(f"{SCENARIOS / name}={code}" for name, code in exits.items())],
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=env,
+            env=_src_env(),
         )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_stays_off_the_run_path(self, tmp_path):
+        # scipy is a test dependency only
+        self._run_every_kind_without("scipy", tmp_path)
+
+    def test_jsonschema_stays_off_the_run_path(self, tmp_path):
+        # jsonschema is a test oracle only; a schema-invalid scenario still exits 2
+        self._run_every_kind_without("jsonschema", tmp_path)
+
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        script = "import sys\nimport covariant_kit.cli\nassert 'jsonschema' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_demo_06_runs_without_scipy(self, tmp_path):
         # the toy model's observer maps come from charge_unitary, so the demo needs no scipy
         script = "import runpy, sys\nsys.modules['scipy'] = None\nrunpy.run_path(sys.argv[1], run_name='__main__')\n"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
         demo = ROOT / "demos" / "06_toy_charge_model.py"
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env
+            [sys.executable, "-W", "error", "-c", script, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=_src_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert "composition residual" in proc.stdout

@@ -71,6 +71,14 @@ class TestGammaAlgebra:
         with pytest.raises(ValueError):
             GammaBasis(broken)
 
+    @pytest.mark.parametrize("index", [(0, 0, 0), (3, 2, 1)])
+    def test_nan_basis_rejected(self, gamma, index):
+        # a NaN residual must fail the Clifford check, not be folded away
+        g = np.array(gamma.matrices)
+        g[index] = np.nan
+        with pytest.raises(ValueError, match="Clifford"):
+            GammaBasis(g)
+
     def test_sigma_from_commutators(self, gamma, sigma):
         g = gamma.matrices
         for mu in range(4):
