@@ -97,60 +97,46 @@ def _report_result(name: str, report) -> dict:
 
 def _tol(scenario: dict, name: str) -> float:
     """The scenario's tolerance ``name``, else its default in ``schemas.TOLERANCES``."""
-    return float(scenario.get("tolerances", {}).get(name, TOLERANCES[name]))
+    return float(scenario["tolerances"].get(name, TOLERANCES[name]))
 
 
 def _build_rep(scenario: dict) -> FieldRep:
-    spec = scenario.get("rep", {"variant": "scalar"})
-    variant = spec.get("variant", "scalar")
-    if variant in ("scalar", "vector", "spinor"):
-        return getattr(FieldRep, variant)()
-    if variant == "phase":
-        return FieldRep.phase(spec.get("q", 1.0), spec.get("e", 1.0))
-    raise ValueError(f"unknown representation variant {variant!r}")
+    spec = scenario["rep"]
+    return FieldRep.phase(spec["q"], spec["e"]) if spec["variant"] == "phase" else getattr(FieldRep, spec["variant"])()
 
 
 def _build_packet(spec: dict, n: int):
-    return wave_packet(
-        spec.get("center", [0.0, 0.0, 0.0, 0.0]),
-        spec.get("width", 1.0),
-        spec.get("components", n),
-    )
+    return wave_packet(spec["center"], spec["width"], spec.get("components", n))
+
+
+def _count(spec: dict, n: int) -> int:
+    """The number of components a packet spec asks for, counted without building the packet."""
+    components = spec.get("components", n)
+    return components if isinstance(components, int) else len(components)
 
 
 def _build_field(scenario: dict, rep: FieldRep):
-    spec = scenario.get("field", {})
+    spec = scenario["field"]
     if "phi" in spec or "test" in spec:
         raise ValueError("this check expects a single field spec, not a phi/test pair")
-    field = _build_packet(spec, rep.n)
-    if field.n != rep.n:
-        raise ValueError(f"field has {field.n} components but the representation needs {rep.n}")
-    return field
+    count = _count(spec, rep.n)
+    if count != rep.n:
+        raise ValueError(f"field has {count} components but the representation needs {rep.n}")
+    return _build_packet(spec, rep.n)
 
 
 def _build_grid(scenario: dict) -> GridSpec:
-    spec = scenario.get("grid", {})
-    bounds = spec.get("bounds", [[-8.0, 8.0]] * 4)
-    counts = spec.get("counts", _DEFAULT_COUNTS)
-    return GridSpec(tuple(tuple(b) for b in bounds), tuple(counts))
+    spec = scenario["grid"]
+    return GridSpec(tuple(tuple(b) for b in spec["bounds"]), tuple(spec["counts"]))
 
 
 def _build_points(scenario: dict) -> np.ndarray:
-    spec = scenario.get("grid", {})
-    return sample_points(
-        count=spec.get("sample_count", _DEFAULT_SAMPLE_COUNT),
-        seed=spec.get("sample_seed", 0),
-        box=spec.get("sample_box", 2.0),
-    )
-
-
-def _build_scheme(scenario: dict) -> FDScheme:
-    spec = scenario.get("fd", {})
-    return FDScheme(spec.get("step", 1e-4), spec.get("order", 2))
+    spec = scenario["grid"]
+    return sample_points(spec["sample_count"], spec["sample_seed"], spec["sample_box"])
 
 
 def _group_element(scenario: dict) -> PoincareElement:
-    spec = scenario.get("group", {})
+    spec = scenario["group"]
     omega = np.asarray(spec.get("omega", [0.0] * 6), dtype=float)
     a = np.asarray(spec.get("a", [0.0] * 4), dtype=float)
     return PoincareElement.from_params(omega, a)
@@ -159,19 +145,9 @@ def _group_element(scenario: dict) -> PoincareElement:
 _FAMILIES = {"poincare": poincare_family, "frame": poincare_frame_family, "internal": internal_family}
 
 
-def _build_family(scenario: dict, rep: FieldRep, default: str):
-    """The family ``group.family`` names, ``internal`` for a phase representation by default.
-
-    A family the representation cannot take raises its constructor's ValueError.
-    """
-    kind = scenario.get("group", {}).get("family", "internal" if rep.kind == "phase" else default)
-    return _FAMILIES[kind](rep)
-
-
 def run_group_check(scenario: dict) -> tuple[list, dict]:
-    spec = scenario.get("group", {})
-    draws = spec.get("draws", 200)
-    rng = np.random.default_rng(spec.get("seed", 0))
+    draws = scenario["group"]["draws"]
+    rng = np.random.default_rng(scenario["group"]["seed"])
     metric_res, det_res = lorentz_residuals(lorentz_exp(rng.uniform(-1.0, 1.0, (draws, 6))))
 
     subgroup_res = 0.0
@@ -213,7 +189,7 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
 
 def run_rep_check(scenario: dict) -> tuple[list, dict]:
     rep = _build_rep(scenario)
-    rng = np.random.default_rng(scenario.get("group", {}).get("seed", 0))
+    rng = np.random.default_rng(scenario["group"]["seed"])
     ident = float(np.abs(rep_matrix(rep, np.zeros(rep.nparams)) - np.eye(rep.n)).max())
     results = [_result("identity_at_zero", ident, _tol(scenario, "identity"))]
 
@@ -269,9 +245,8 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
         _result("passive_composition", comp_res, round_tol, {"compared_max_abs": number_text(compared_max_abs)}),
     ]
     tables = {}
-    out_spec = scenario.get("output", {})
-    if out_spec.get("dump_fields"):
-        csv_path = Path(out_spec.get("field_csv", "field_dump.csv"))
+    if scenario["output"]["dump_fields"]:
+        csv_path = Path(scenario["output"]["field_csv"])
         dump_field_csv(moved, _build_grid(scenario), csv_path)
         tables["field_csv"] = str(csv_path)
     # Echo the representation matrix in play.
@@ -280,11 +255,14 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
 
 
 def _run_relation(scenario: dict, default_family: str, verify, name: str, tol: float, **options):
-    """Representation, family, field, scheme and sample of the scenario, then ``verify``: result and table."""
+    """Representation, family, field, scheme and sample of the scenario, then ``verify``: result and table.
+
+    Without ``group.family`` the family is ``internal`` for a phase representation, else ``default_family``.
+    """
     rep = _build_rep(scenario)
-    family = _build_family(scenario, rep, default_family)
+    family = _FAMILIES[scenario["group"].get("family", "internal" if rep.kind == "phase" else default_family)](rep)
     field = _build_field(scenario, rep)
-    scheme = _build_scheme(scenario)
+    scheme = FDScheme(scenario["fd"]["step"], scenario["fd"]["order"])
     pts = _build_points(scenario)
     report = verify(field, family, scheme, pts, tolerance=tol, **options)
     gens = rep_generators(family, scheme)
@@ -294,7 +272,7 @@ def _run_relation(scenario: dict, default_family: str, verify, name: str, tol: f
 
 def run_verify_local(scenario: dict) -> tuple[list, dict]:
     tol = _tol(scenario, "local")
-    steps = tuple(scenario.get("fd", {}).get("convergence_steps", ()))
+    steps = tuple(scenario["fd"]["convergence_steps"])
     return _run_relation(scenario, "poincare", verify_local_relation, "local_relation", tol, convergence_steps=steps)
 
 
@@ -303,9 +281,9 @@ def run_verify_bundle(scenario: dict) -> tuple[list, dict]:
 
 
 def run_toy(scenario: dict) -> tuple[list, dict]:
-    spec = scenario.get("group", {})
-    model = number_operator_model(spec.get("dim", _DEFAULT_DIM), spec.get("q", 1.0), spec.get("e", 1.0))
-    b = spec.get("b", 0.3)
+    spec = scenario["group"]
+    model = number_operator_model(spec["dim"], spec["q"], spec["e"])
+    b = spec["b"]
     report = toy_commutator_check(
         model,
         b=b,
@@ -331,17 +309,17 @@ def run_toy(scenario: dict) -> tuple[list, dict]:
 
 
 def run_pairing(scenario: dict) -> tuple[list, dict]:
-    spec = scenario.get("field", {})
+    spec = scenario["field"]
     if "phi" not in spec or "test" not in spec:
         raise ValueError("the pairing check needs field.phi and field.test packet specs")
     rep = _build_rep(scenario)
+    if _count(spec["phi"], rep.n) != rep.n or _count(spec["test"], rep.n) != rep.n:
+        raise ValueError("pairing fields and representation must share one component count")
     phi = _build_packet(spec["phi"], rep.n)
     test = _build_packet(spec["test"], rep.n)
-    if phi.n != test.n or phi.n != rep.n:
-        raise ValueError("pairing fields and representation must share one component count")
 
     grid = _build_grid(scenario)
-    doublings = scenario.get("grid", {}).get("doublings", _DEFAULT_DOUBLINGS)
+    doublings = scenario["grid"]["doublings"]
     if doublings < 1:
         raise ValueError("the pairing check needs grid.doublings >= 1 to measure convergence")
     grids = [grid]
@@ -350,8 +328,7 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
     # One pass over the finest grid: the ladder's coarser levels are its
     # sub-lattices, and the invariance sides share phi and test with it.
     pairs = [(phi, test)]
-    group_spec = scenario.get("group", {})
-    invariance = "omega" in group_spec or "a" in group_spec
+    invariance = "omega" in scenario["group"] or "a" in scenario["group"]
     if invariance:
         g = _group_element(scenario)
         pairs += [(active_transform(phi, rep, g), test), (phi, transform_test_function(test, rep, g))]
@@ -389,7 +366,7 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None = None) -> dict:
-    """Execute one validated scenario and return the report dict."""
+    """Execute one scenario that ``validate`` passed and resolved, and return the report dict."""
     start = time.perf_counter()
     # An overflow shows as a non-finite residual, which fails its tolerance; it does not also warn.
     with np.errstate(all="ignore"):
@@ -420,29 +397,27 @@ _MAX_COUNTED_DOUBLINGS = 64
 #: O(dim^2): dim 1024 took 0.06-0.1 s and 90 MB peak (56 MB over import)
 #: on a 2-core Xeon, and each doubling costs four times the time and memory.
 TOY_DIM_BUDGET = 1024
-#: Defaults of the sizes ``_over_budget`` judges and the run allocates: toy
-#: ``group.dim``, ``grid.sample_count``, pairing ``grid.doublings``, ``grid.counts``.
-_DEFAULT_DIM = 16
-_DEFAULT_SAMPLE_COUNT = 200
-_DEFAULT_DOUBLINGS = 3
-_DEFAULT_COUNTS = (9, 9, 9, 9)
+#: Largest ``group.draws`` of a group check, which makes (draws, 6) parameters and (draws, 4, 4)
+#: Lorentz matrices at once: 1e5 draws took 0.65 s and 130 MB peak (30 MB of it the import) and
+#: 1e6 took 7.4 s and 942 MB on a 2-core Xeon; both grow linearly in draws.
+DRAWS_BUDGET = 10**5
 
 
 def _over_budget(scenario: dict) -> str | None:
-    """The diagnostic of a scenario too large to run, or None.
+    """The diagnostic of a resolved scenario too large to run, or None.
 
     Computed from the scenario's numbers alone; nothing is allocated.
     """
-    dim = scenario.get("group", {}).get("dim", _DEFAULT_DIM)
-    if scenario["check"] == "toy" and dim > TOY_DIM_BUDGET:
-        return f"scenario exceeds the toy model budget of dimension {TOY_DIM_BUDGET}: group.dim is {dim}"
-    spec = scenario.get("grid", {})
-    samples = spec.get("sample_count", _DEFAULT_SAMPLE_COUNT)
-    if samples > POINT_BUDGET:
-        return f"scenario exceeds the budget of {POINT_BUDGET} points: grid.sample_count asks for {samples} points"
-    levels = spec.get("doublings", _DEFAULT_DOUBLINGS) if scenario["check"] == "pairing" else 0
+    group, spec = scenario["group"], scenario["grid"]
+    if scenario["check"] == "toy" and group["dim"] > TOY_DIM_BUDGET:
+        return f"scenario exceeds the toy model budget of dimension {TOY_DIM_BUDGET}: group.dim is {group['dim']}"
+    if scenario["check"] == "group-check" and group["draws"] > DRAWS_BUDGET:
+        return f"scenario exceeds the group check budget of {DRAWS_BUDGET} draws: group.draws is {group['draws']}"
+    if spec["sample_count"] > POINT_BUDGET:
+        return f"scenario exceeds the budget of {POINT_BUDGET} points: grid.sample_count asks for {spec['sample_count']} points"
+    levels = spec["doublings"] if scenario["check"] == "pairing" else 0
     counted = min(levels, _MAX_COUNTED_DOUBLINGS)
-    finest = math.prod((k - 1) * 2**counted + 1 for k in spec.get("counts", _DEFAULT_COUNTS))
+    finest = math.prod((k - 1) * 2**counted + 1 for k in spec["counts"])
     if finest > POINT_BUDGET:
         more = "more than " if levels > counted else ""
         return f"scenario exceeds the budget of {POINT_BUDGET} points: the finest grid has {more}{Decimal(finest):.4g} points"
@@ -519,7 +494,7 @@ def cmd_run(args) -> int:
     too_large = _over_budget(scenario)
     if too_large is not None:
         return _config_error(too_large)
-    out = args.out or scenario.get("output", {}).get("report") or f"{path.stem}.report.json"
+    out = args.out or scenario["output"].get("report") or f"{path.stem}.report.json"
     out_path = Path(out)
     if "\0" in out:
         return _config_error(f"cannot write report {out_path}: embedded null byte")

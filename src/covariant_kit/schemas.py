@@ -1,6 +1,7 @@
 """Published JSON schemas for scenario files and run reports, and the scenario validator."""
 
 from collections import namedtuple
+from copy import deepcopy
 from itertools import islice
 
 #: printf format of every number in a report or CSV dump: 17 significant digits read back the same double.
@@ -35,6 +36,8 @@ TOLERANCE_NAMES = list(TOLERANCES)
 
 _VEC4 = {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4}
 _VEC6 = {"type": "array", "items": {"type": "number"}, "minItems": 6, "maxItems": 6}
+_SWITCHES_INVARIANCE = "No schema default: with group.omega or group.a present, the pairing check adds its invariance rows."
+_FAMILY_DEFAULT = "No schema default: internal for a phase rep, else poincare in verify-local and frame in verify-bundle."
 
 _TERM = {
     "type": "object",
@@ -59,9 +62,10 @@ _TERM = {
 _PACKET = {
     "type": "object",
     "properties": {
-        "center": _VEC4,
-        "width": {"type": "number", "exclusiveMinimum": 0},
+        "center": {**_VEC4, "default": [0.0, 0.0, 0.0, 0.0]},
+        "width": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
         "components": {
+            "description": "No schema default: absent, it is the representation's component count.",
             "oneOf": [
                 {"type": "integer", "minimum": 1},
                 {
@@ -90,11 +94,12 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "properties": {
                 "variant": {"enum": ["scalar", "vector", "spinor", "phase"]},
-                "q": {"type": "number"},
-                "e": {"type": "number"},
+                "q": {"type": "number", "default": 1.0},
+                "e": {"type": "number", "default": 1.0},
             },
             "required": ["variant"],
             "additionalProperties": False,
+            "default": {"variant": "scalar"},
         },
         "field": {
             "oneOf": [
@@ -105,22 +110,24 @@ SCENARIO_SCHEMA = {
                     "required": ["phi", "test"],
                     "additionalProperties": False,
                 },
-            ]
+            ],
+            "default": {},
         },
         "group": {
             "type": "object",
             "properties": {
-                "family": {"enum": ["poincare", "frame", "internal"]},
-                "omega": _VEC6,
-                "a": _VEC4,
-                "b": {"type": "number"},
-                "q": {"type": "number"},
-                "e": {"type": "number"},
-                "dim": {"type": "integer", "minimum": 2},
-                "draws": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "family": {"enum": ["poincare", "frame", "internal"], "description": _FAMILY_DEFAULT},
+                "omega": {**_VEC6, "description": _SWITCHES_INVARIANCE},
+                "a": {**_VEC4, "description": _SWITCHES_INVARIANCE},
+                "b": {"type": "number", "default": 0.3},
+                "q": {"type": "number", "default": 1.0},
+                "e": {"type": "number", "default": 1.0},
+                "dim": {"type": "integer", "minimum": 2, "default": 16},
+                "draws": {"type": "integer", "minimum": 1, "default": 200},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
             },
             "additionalProperties": False,
+            "default": {},
         },
         "grid": {
             "type": "object",
@@ -135,45 +142,53 @@ SCENARIO_SCHEMA = {
                     },
                     "minItems": 4,
                     "maxItems": 4,
+                    "default": [[-8.0, 8.0]] * 4,
                 },
                 "counts": {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 2},
                     "minItems": 4,
                     "maxItems": 4,
+                    "default": [9, 9, 9, 9],
                 },
-                "doublings": {"type": "integer", "minimum": 0},
-                "sample_count": {"type": "integer", "minimum": 1},
-                "sample_seed": {"type": "integer", "minimum": 0},
-                "sample_box": {"type": "number", "exclusiveMinimum": 0},
+                "doublings": {"type": "integer", "minimum": 0, "default": 3},
+                "sample_count": {"type": "integer", "minimum": 1, "default": 200},
+                "sample_seed": {"type": "integer", "minimum": 0, "default": 0},
+                "sample_box": {"type": "number", "exclusiveMinimum": 0, "default": 2.0},
             },
             "additionalProperties": False,
+            "default": {},
         },
         "fd": {
             "type": "object",
             "properties": {
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "order": {"enum": [2, 4]},
+                "step": {"type": "number", "exclusiveMinimum": 0, "default": 1e-4},
+                "order": {"enum": [2, 4], "default": 2},
                 "convergence_steps": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
+                    "default": [],
                 },
             },
             "additionalProperties": False,
+            "default": {},
         },
         "tolerances": {
             "type": "object",
             "propertyNames": {"enum": TOLERANCE_NAMES},
             "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
+            "description": "No default per name here: the names and their defaults are one table, TOLERANCES.",
+            "default": {},
         },
         "output": {
             "type": "object",
             "properties": {
-                "report": {"type": "string"},
-                "dump_fields": {"type": "boolean"},
-                "field_csv": {"type": "string"},
+                "report": {"type": "string", "description": "No schema default: the scenario file's stem + .report.json."},
+                "dump_fields": {"type": "boolean", "default": False},
+                "field_csv": {"type": "string", "default": "field_dump.csv"},
             },
             "additionalProperties": False,
+            "default": {},
         },
     },
     "required": ["check"],
@@ -238,7 +253,7 @@ class ValidationError(ValueError):
 _KEYWORDS = {
     "type", "enum", "properties", "required", "additionalProperties", "oneOf",
     "items", "minItems", "maxItems", "minimum", "exclusiveMinimum", "propertyNames",
-    "$schema", "title", "description",
+    "$schema", "title", "description", "default",
 }
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
@@ -342,6 +357,24 @@ def _relevance(error: _Error) -> tuple:
     return -len(error.path), error.path, error.keyword != "oneOf", not error.typed
 
 
+def _resolve(value, schema: dict):
+    """``value``, which satisfies ``schema``, with its absent defaults filled in place and its integers as ``int``."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if "oneOf" in schema:
+        # The one branch the value satisfies: of those its type and required keys fit, the first
+        # without errors, or the last, so only an object that fits two branches is validated again.
+        fits = [s for s in schema["oneOf"] if _is_type(value, s["type"]) and all(k in value for k in s.get("required", ()))]
+        return _resolve(value, next((sub for sub in fits[:-1] if not _errors(value, sub)), fits[-1]))
+    if isinstance(value, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value or "default" in sub:
+                value[key] = _resolve(value[key] if key in value else deepcopy(sub["default"]), sub)
+    elif isinstance(value, list) and "items" in schema:
+        value[:] = [_resolve(item, schema["items"]) for item in value]
+    return value
+
+
 def validate(instance, schema: dict = SCENARIO_SCHEMA) -> None:
     """Raise ``ValidationError`` with the error ``jsonschema.validate(instance, schema)`` reports.
 
@@ -349,9 +382,14 @@ def validate(instance, schema: dict = SCENARIO_SCHEMA) -> None:
     most relevant one, and inside a failed ``oneOf`` its branches' deepest
     error, or the ``oneOf`` itself when two branch errors tie.  A schema
     keyword it does not implement raises ``ValueError``.
+
+    A valid instance is resolved in place: each absent property with a
+    ``default`` gets a copy of it, and a value whose schema ``type`` is
+    ``integer`` is stored as an ``int``, so ``16.0`` reads as ``16``.
     """
     errors = _errors(instance, schema)
     if not errors:
+        _resolve(instance, schema)
         return
     best = max(errors, key=_relevance)
     path = best.path

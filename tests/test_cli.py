@@ -412,12 +412,13 @@ class TestExitContractHoles:
                 scenario = load(f)
             except json.JSONDecodeError:
                 continue  # the deliberately malformed file
-            if "check" in scenario:
+            if scenario.get("check") in CHECK_KINDS:
+                cli.validate(scenario)
                 assert cli._over_budget(scenario) is None, f.name
 
-    @pytest.mark.parametrize("over", [0, 1])
-    def test_toy_dimension_cap(self, capsys, tmp_path, monkeypatch, over):
-        # the cap itself reaches the run; one more exits 2 before anything is built
+    def _cap(self, capsys, tmp_path, monkeypatch, name, key, value, named):
+        """``key=value`` on scenario ``name`` reaches the run, or exits 2 with ``named`` before anything is built."""
+
         class Reached(Exception):
             pass
 
@@ -426,15 +427,86 @@ class TestExitContractHoles:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "run_scenario", reached)
-        dim = cli.TOY_DIM_BUDGET + over
-        argv = ["run", str(SCENARIOS / "toy_charge.json"), "--override", f"group.dim={dim}"]
-        if not over:
+        argv = ["run", str(SCENARIOS / name), "--override", f"{key}={value}"]
+        if named is None:
             with pytest.raises(Reached):
                 run_cli(argv)
             return
         assert run_cli(argv) == 2
-        err = self._one_line(capsys)
-        assert f"budget of dimension {cli.TOY_DIM_BUDGET}: group.dim is {dim}" in err
+        assert named in self._one_line(capsys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_toy_dimension_cap(self, capsys, tmp_path, monkeypatch, over):
+        # the cap itself reaches the run; one more exits 2 before anything is built
+        dim = cli.TOY_DIM_BUDGET + over
+        named = f"budget of dimension {cli.TOY_DIM_BUDGET}: group.dim is {dim}" if over else None
+        self._cap(capsys, tmp_path, monkeypatch, "toy_charge.json", "group.dim", dim, named)
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_group_check_draws_cap(self, capsys, tmp_path, monkeypatch, over):
+        # all draws are made at once: 1e6 of them took 7 s and 0.9 GB, and nothing stopped 1e7
+        draws = cli.DRAWS_BUDGET + over
+        named = f"budget of {cli.DRAWS_BUDGET} draws: group.draws is {draws}" if over else None
+        self._cap(capsys, tmp_path, monkeypatch, "group_check.json", "group.draws", draws, named)
+
+    def test_benchmark_draws_are_within_the_cap(self):
+        module = _benchmark_workloads()
+        draws = []
+        for name in module.WORKLOADS:
+            work = module.generate(name, 0)
+            for entry in work.entries + work.probes:
+                try:
+                    scenario = json.loads(entry.text)
+                except json.JSONDecodeError:
+                    continue  # the deliberately malformed inputs
+                if scenario.get("check") == "group-check":
+                    cli.validate(scenario)
+                    draws.append(scenario["group"]["draws"])
+                    assert cli._over_budget(scenario) is None, entry.name
+        assert draws and max(draws) <= 400
+
+    @pytest.mark.parametrize(
+        "scenario, key, value",
+        [
+            ({"check": "toy"}, "group.dim", 16),
+            ({"check": "group-check"}, "group.draws", 200),
+            ({"check": "group-check"}, "group.seed", 1),
+            ({"check": "verify-local"}, "grid.sample_count", 50),
+            ({"check": "verify-local"}, "grid.sample_seed", 1),
+            ({"check": "pairing", "field": {"phi": {}, "test": {}}, "grid": {"counts": [5, 5, 5, 5]}}, "grid.doublings", 1),
+            ({"check": "verify-local", "rep": {"variant": "vector"}}, "field.components", 4),
+        ],
+    )
+    def test_integral_float_runs_as_its_integer(self, tmp_path, monkeypatch, scenario, key, value):
+        # draft 7 counts 16.0 as an integer, which once exited 2 with
+        # "'float' object cannot be interpreted as an integer" or like messages
+        monkeypatch.chdir(tmp_path)
+        section, name = key.split(".")
+        runs = []
+        for spelled in (value, float(value)):
+            Path(f"{spelled}.json").write_text(json.dumps({**scenario, section: {**scenario.get(section, {}), name: spelled}}))
+            code = run_cli(["run", f"{spelled}.json", "--out", f"{spelled}.report.json"])
+            report = load(f"{spelled}.report.json")
+            del report["timestamp"], report["timings"]
+            runs.append((code, json.dumps(report, indent=2)))
+        assert runs[0][0] in (0, 1)
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize(
+        "name, override, named",
+        [
+            ("verify_local_vector_rotation.json", "grid.sample_count=1e300", f"grid.sample_count asks for {int(1e300)} points"),
+            ("verify_local_vector_rotation.json", "field.components=1e12", "field has 1000000000000 components but the"),
+            ("pairing_invariance.json", "field.test.components=1e12", "pairing fields and representation must share"),
+        ],
+        ids=["sample-count-1e300", "components-1e12", "pairing-components-1e12"],
+    )
+    def test_huge_integral_float_exits_two(self, capsys, tmp_path, monkeypatch, name, override, named):
+        # a component count is checked before the packet is built; a count of 10**9 once filled the memory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / name), "--override", override]) == 2
+        assert named in self._one_line(capsys)
         assert not list(tmp_path.iterdir())
 
     def test_benchmark_toy_dimensions_are_within_the_cap(self):
@@ -449,6 +521,7 @@ class TestExitContractHoles:
                     continue  # the deliberately malformed inputs
                 if scenario.get("check") == "toy" and scenario["group"]["dim"] >= 2:
                     dims.append(scenario["group"]["dim"])
+                    cli.validate(scenario)
                     assert cli._over_budget(scenario) is None, entry.name
         assert dims and max(dims) <= 64
 
@@ -699,9 +772,15 @@ class TestBudgetDefaults:
                 spelled.setdefault(section, {})[key] = value
         return omitted, spelled
 
+    def _resolved(self, *scenarios):
+        for scenario in scenarios:
+            cli.validate(scenario)
+        return scenarios
+
     def test_builders_allocate_the_spelled_defaults(self):
-        assert cli._build_points({}).shape == (self.SPELLED["grid"]["sample_count"], 4)
-        assert list(cli._build_grid({}).counts) == self.SPELLED["grid"]["counts"]
+        (scenario,) = self._resolved({"check": "verify-local"})
+        assert cli._build_points(scenario).shape == (self.SPELLED["grid"]["sample_count"], 4)
+        assert list(cli._build_grid(scenario).counts) == self.SPELLED["grid"]["counts"]
 
     def test_corpus_verdicts_agree(self):
         for f in SCENARIOS.glob("*.json"):
@@ -709,14 +788,15 @@ class TestBudgetDefaults:
                 scenario = load(f)
             except json.JSONDecodeError:
                 continue  # the deliberately malformed file
-            if "check" in scenario:
-                omitted, spelled = self._omitted_and_spelled(scenario)
+            if scenario.get("check") in CHECK_KINDS:
+                omitted, spelled = self._resolved(*self._omitted_and_spelled(scenario))
                 assert cli._over_budget(omitted) == cli._over_budget(spelled), f.name
 
     @pytest.mark.parametrize("doublings, verdict", [(4, None), (5, "the finest grid has 4.362e+9 points")])
     def test_pairing_doublings_at_the_budget(self, doublings, verdict):
         omitted, spelled = self._omitted_and_spelled(load(SCENARIOS / "pairing_invariance.json"))
         omitted["grid"]["doublings"] = spelled["grid"]["doublings"] = doublings
+        omitted, spelled = self._resolved(omitted, spelled)
         got = cli._over_budget(omitted)
         assert got == cli._over_budget(spelled)
         assert got is None if verdict is None else got.endswith(verdict)
@@ -728,6 +808,102 @@ class TestBudgetDefaults:
         Path("scenario.json").write_text(json.dumps(omitted))
         assert run_cli(["run", "scenario.json", "--override", "grid.doublings=5"]) == 2
         assert "4.362e+9 points" in capsys.readouterr().err
+
+
+def _defaults(schema: dict, path: tuple = ()) -> list:
+    """(path, subschema) of each subschema of ``schema`` with a ``default``; a ``oneOf`` branch is its index."""
+    found = [(path, schema)] if "default" in schema else []
+    for key, sub in schema.get("properties", {}).items():
+        found += _defaults(sub, (*path, key))
+    for index, sub in enumerate(schema.get("oneOf", ())):
+        found += _defaults(sub, (*path, index))
+    return found
+
+
+def _subschema(path: tuple) -> dict:
+    schema = SCENARIO_SCHEMA
+    for part in path:
+        schema = schema["oneOf"][part] if isinstance(part, int) else schema["properties"][part]
+    return schema
+
+
+def _resolvable() -> list:
+    """The shipped scenarios that validate."""
+    names = []
+    for f in sorted(SCENARIOS.glob("*.json")):
+        try:
+            cli.validate(load(f))
+        except (json.JSONDecodeError, schemas.ValidationError):
+            continue  # the deliberately malformed and schema-invalid files
+        names.append(f.name)
+    return names
+
+
+class TestResolution:
+    """``validate`` resolves a valid scenario: it fills each schema default, and the runners read that."""
+
+    DEFAULTED = {
+        ("rep",), ("rep", "q"), ("rep", "e"),
+        ("field",), ("field", 0, "center"), ("field", 0, "width"),
+        ("field", 1, "phi", "center"), ("field", 1, "phi", "width"), ("field", 1, "test", "center"), ("field", 1, "test", "width"),
+        ("group",), ("group", "b"), ("group", "q"), ("group", "e"), ("group", "dim"), ("group", "draws"), ("group", "seed"),
+        ("grid",), ("grid", "bounds"), ("grid", "counts"), ("grid", "doublings"),
+        ("grid", "sample_count"), ("grid", "sample_seed"), ("grid", "sample_box"),
+        ("fd",), ("fd", "step"), ("fd", "order"), ("fd", "convergence_steps"),
+        ("tolerances",),
+        ("output",), ("output", "dump_fields"), ("output", "field_csv"),
+    }
+    # computed from the rest of the scenario, so the schema says why instead
+    COMPUTED = [("group", "omega"), ("group", "a"), ("field", 0, "components"), ("group", "family"), ("output", "report")]
+
+    def test_every_default_validates_against_its_own_subschema(self):
+        found = _defaults(SCENARIO_SCHEMA)
+        assert {path for path, _ in found} == self.DEFAULTED
+        for path, sub in found:
+            schemas.validate(json.loads(json.dumps(sub["default"])), sub)
+            validate(sub["default"], sub)  # jsonschema agrees
+
+    def test_computed_keys_have_no_default_and_say_why(self):
+        for path in self.COMPUTED:
+            sub = _subschema(path)
+            assert "default" not in sub and sub["description"].startswith("No schema default"), path
+        # each tolerance's default stays in the one TOLERANCES table
+        tolerances = _subschema(("tolerances",))
+        assert "TOLERANCES" in tolerances["description"] and "default" not in tolerances["additionalProperties"]
+
+    def test_defaults_are_filled_as_copies(self):
+        before = json.dumps(SCENARIO_SCHEMA)
+        first, second = ({"check": "pairing", "field": {"phi": {}, "test": {"width": 2.0}}} for _ in range(2))
+        cli.validate(first)
+        cli.validate(second)
+        assert first["rep"] == {"variant": "scalar", "q": 1.0, "e": 1.0}
+        assert first["field"]["test"] == {"width": 2.0, "center": [0.0] * 4}
+        assert first["grid"]["bounds"] == [[-8.0, 8.0]] * 4
+        resolved = json.dumps(second)
+        first["grid"]["bounds"][0][0] = first["field"]["phi"]["center"][0] = 3.0
+        first["rep"]["variant"] = "vector"
+        assert json.dumps(second) == resolved and json.dumps(SCENARIO_SCHEMA) == before
+        cli.validate(second)
+        assert json.dumps(second) == resolved
+
+    def test_every_shipped_scenario_but_two_resolves(self):
+        assert len(_resolvable()) == len(list(SCENARIOS.glob("*.json"))) - 2  # malformed.json and bad_schema.json
+
+    @pytest.mark.parametrize("name", _resolvable())
+    def test_spelled_out_scenario_runs_as_the_bare_one(self, name, tmp_path, monkeypatch):
+        # the same exit code, results, tables and CSV bytes; both reports echo the resolved scenario
+        monkeypatch.chdir(tmp_path)
+        spelled = load(SCENARIOS / name)
+        cli.validate(spelled)
+        Path("spelled.json").write_text(json.dumps(spelled))
+        runs = []
+        for path in (SCENARIOS / name, Path("spelled.json")):
+            code = run_cli(["run", str(path), "--out", "report.json"])
+            report = load("report.json")
+            csv = Path(report["tables"]["field_csv"]).read_bytes() if "field_csv" in report["tables"] else None
+            runs.append((code, *(json.dumps(report[key]) for key in ("results", "tables", "scenario")), csv))
+        assert runs[1] == runs[0]
+        assert runs[0][3] == json.dumps(spelled)
 
 
 class TestLargeBoostScenario:
@@ -830,7 +1006,7 @@ class TestRepCheckInputs:
         argv = ["run", str(SCENARIOS / "rep_check_scalar.json"), "--out", "r.json"]
         assert run_cli([*argv, "--override", "rep.variant=vector"]) == 0
         report = load(tmp_path / "r.json")
-        assert report["scenario"]["rep"] == {"variant": "vector"}
+        assert report["scenario"]["rep"] == {"variant": "vector", "q": 1.0, "e": 1.0}
         assert report["overrides"] == ["rep.variant=vector"]
 
     def test_phase_representation(self, tmp_path, monkeypatch):

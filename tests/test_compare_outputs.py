@@ -51,6 +51,25 @@ class TestExactMode:
         ]
 
 
+class TestByLeaf:
+    def test_differing_keys_are_counted_per_leaf_path(self):
+        # the output name goes and list indices read *, so keys of many outputs and rows share one line
+        parent = {**PARENT, "scenario/b.json:report.results.0.sup_residual": "0"}
+        change = {key: f"{value}!" if isinstance(value, str) else value for key, value in parent.items()}
+        change["scenario/a.json:report.scenario.grid.bounds.0.1"] = 7.0
+        change["scenario/b.json:report.scenario.grid.bounds.3.0"] = -7.0
+        del change["demo/01.py:stdout"]
+        differ, _ = compare(parent, change)
+        assert compare_outputs.by_leaf(differ) == {
+            "(whole output)": 1,
+            "report.results.*.ratio": 1,
+            "report.results.*.sup_residual": 2,
+            "report.scenario.grid.bounds.*.*": 2,
+            "stdout": 2,
+        }
+        assert compare_outputs.by_leaf([]) == {}
+
+
 class TestBoundedMode:
     def test_numbers_within_the_bound_move(self):
         change = dict(PARENT)

@@ -30,7 +30,7 @@ from covariant_kit.heisenberg import (
     verify_local_relation,
 )
 from covariant_kit.representations import FieldRep
-from covariant_kit.schemas import TOLERANCES
+from covariant_kit.schemas import SCENARIO_SCHEMA, TOLERANCES
 
 from families import dilation_family
 
@@ -77,6 +77,24 @@ class TestRelationReport:
 )
 def test_tolerance_defaults_are_the_schema_defaults(check, parameter, name):
     assert inspect.signature(check).parameters[parameter].default == TOLERANCES[name]
+
+
+@pytest.mark.parametrize(
+    "function, parameter, section, key",
+    [
+        (sample_points, "count", "grid", "sample_count"),
+        (sample_points, "seed", "grid", "sample_seed"),
+        (sample_points, "box", "grid", "sample_box"),
+        (number_operator_model, "dim", "group", "dim"),
+        (number_operator_model, "q", "group", "q"),
+        (number_operator_model, "e", "group", "e"),
+        (FDScheme, "step", "fd", "step"),
+        (FDScheme, "order", "fd", "order"),
+    ],
+)
+def test_signature_defaults_are_the_schema_defaults(function, parameter, section, key):
+    default = SCENARIO_SCHEMA["properties"][section]["properties"][key]["default"]
+    assert inspect.signature(function).parameters[parameter].default == default
 
 
 class TestLocalRelation:

@@ -20,8 +20,11 @@ with that tree's ``src`` first on the path, this runs:
 
 It then compares, key by key: each report without ``timestamp`` and
 ``timings``, each exit code, stdout, stderr and the warnings raised, and
-the SHA-256 digest of every CSV file the runs leave behind.  Every differing key is printed;
-the exit code is 1 on any difference, 0 when the outputs are identical.
+the SHA-256 digest of every CSV file the runs leave behind.  Every differing key is printed,
+then the count of differing keys per leaf path (the key without its output
+name, list indices as ``*``, e.g. ``report.scenario.grid.bounds.*.*: 44``),
+so a stray change shows among many expected ones; the exit code is 1 on
+any difference, 0 when the outputs are identical.
 Both trees run the same relative paths, so paths in stdout and stderr
 compare equal.  The 65^4 pairings of ``scenarios/`` and the quadrature
 workload make one tree take a minute or two.
@@ -233,6 +236,21 @@ def compare(parent: dict, change: dict, bound: tuple[float, float] | None = None
     return differ, moved
 
 
+def by_leaf(lines: list[str]) -> dict[str, int]:
+    """The number of ``compare`` lines per leaf path, sorted by path.
+
+    A key's leaf path follows its output name and ``:``, with each list
+    index shown as ``*``; a key with no ``:`` (a CSV compared as text) is
+    a whole output, shown as ``(whole output)``.
+    """
+    counts: dict[str, int] = {}
+    for line in lines:
+        _, sep, leaf = line.split(": ", 1)[0].partition(":")
+        leaf = ".".join("*" if part.isdigit() else part for part in leaf.split(".")) if sep else "(whole output)"
+        counts[leaf] = counts.get(leaf, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, nargs="?", help="source tree of the parent commit")
@@ -263,6 +281,10 @@ def main(argv=None) -> int:
     diffs, moved = compare(*sides, args.bound)
     for line in diffs + moved:
         print(line)
+    if diffs:
+        print("differing keys by leaf path:")
+    for leaf, count in by_leaf(diffs).items():
+        print(f"  {leaf}: {count}")
     summary = f"{len(sides[0])} parent and {len(sides[1])} changed outputs compared; {len(diffs)} differ"
     if args.bound is not None:
         summary += f"; {len(moved)} moved within rel={args.bound[0]:g}, abs={args.bound[1]:g}"
