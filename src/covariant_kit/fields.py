@@ -80,11 +80,20 @@ class FieldFunction:
     ``evaluate`` may return a real (float64) array, computed in real
     arithmetic, for a field whose values are real (a wave packet with real
     coefficients); it stands for the complex array with zero imaginary parts.
+
+    ``on_axes``, optional, is the grid entry: called with four coordinate
+    arrays that broadcast to (rows, n2, n3), one block of a grid's axes
+    (see ``_slice_blocks``), it returns the values (rows, n2, n3, n).  The
+    grid path uses it instead of ``evaluate`` when it is set, so it must
+    return the bytes ``evaluate`` returns on the materialized block: a
+    wrapper that rebuilds the field from its first three fields takes the
+    generic path and has to get the same pairings.
     """
 
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
+    on_axes: Callable[..., np.ndarray] | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
@@ -157,26 +166,36 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     dterms = [[[(powers[k] * coeff, tuple(p - (j == k) for j, p in enumerate(powers)))
                 for coeff, powers in comp_terms if powers[k]] for k in range(4)] for comp_terms in terms]
 
-    def _columns(points: np.ndarray):
-        # The columns of y = x - center and exp(-|y|^2 / s^2); r2 / -s^2 is -r2 / s^2 exactly.
+    def _split(points: np.ndarray) -> list:
         # A single point is a 1-row batch: numpy scalars would take y ** p through pow().
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ys = [pts[..., k] - c[k] for k in range(4)]
+        return [pts[..., k] for k in range(4)]
+
+    def _columns(xs):
+        # The columns of y = x - center and exp(-|y|^2 / s^2); r2 / -s^2 is -r2 / s^2 exactly.
+        # Columns that broadcast sum ((y0^2 + y1^2) + y2^2) + y3^2 as they grow, equal ones in place.
+        ys = [x - ck for x, ck in zip(xs, c)]
         r2 = ys[0] * ys[0]
         for y in ys[1:]:
-            r2 += y * y
+            sq = y * y
+            r2 = np.add(r2, sq, out=r2 if r2.shape == sq.shape else None)
         return ys, np.exp(r2 / -s**2)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        ys, envelope = _columns(points)
+    def _values(ys, envelope):
         vals = np.empty(envelope.shape + (n,), dtype=dtype)
         for i, comp_terms in enumerate(terms):
             np.multiply(_polynomial(ys, comp_terms), envelope, out=vals[..., i])
-        return vals.reshape(np.shape(points)[:-1] + (n,))
+        return vals
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        return _values(*_columns(_split(points))).reshape(np.shape(points)[:-1] + (n,))
+
+    def on_axes(*xs: np.ndarray) -> np.ndarray:
+        return _values(*_columns(xs))
 
     def gradient(points: np.ndarray) -> np.ndarray:
         # d/dx_k (P e) = (dP/dy_k - (2 / s^2) P y_k) e.
-        ys, envelope = _columns(points)
+        ys, envelope = _columns(_split(points))
         out = np.empty(envelope.shape + (n, 4), dtype=complex)
         for i, comp_terms in enumerate(terms):
             scaled = (2.0 / s**2) * _polynomial(ys, comp_terms)
@@ -184,7 +203,7 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
                 np.multiply(_polynomial(ys, dterms[i][k]) - scaled * ys[k], envelope, out=out[..., i, k])
         return out.reshape(np.shape(points)[:-1] + (n, 4))
 
-    return FieldFunction(n, evaluate, gradient)
+    return FieldFunction(n, evaluate, gradient, on_axes)
 
 
 def _constant(v: np.ndarray):
@@ -374,28 +393,36 @@ BLOCK_POINTS = 16384
 def _slice_blocks(grid: GridSpec):
     """One ``blocks`` iterator per axis-0 slice of the grid, in order.
 
-    ``blocks`` yields the slice's points, shape (rows, n2, n3, 4), in
-    blocks of whole axis-1 rows: as many rows as fit in BLOCK_POINTS, and
-    one row when a row alone is larger.  Every block is a view of one
-    coordinate-major (4, rows, n2, n3) buffer that the next block
-    overwrites, so each ``pts[..., k]`` is a contiguous column.
+    ``blocks`` yields ``(pts, axes)`` for the slice's points, shape
+    (rows, n2, n3, 4), in blocks of whole axis-1 rows: as many rows as fit
+    in BLOCK_POINTS, and one row when a row alone is larger.  Every block
+    is a view of one coordinate-major (4, rows, n2, n3) buffer that the
+    next block overwrites, so each ``pts[..., k]`` is a contiguous column.
+    ``axes`` are the same coordinates as four views of the grid's 1-D axes
+    that broadcast to (rows, n2, n3): x0 of shape (1,), the block's x1 of
+    shape (rows, 1, 1), x2 of (n2, 1) and x3 of (n3,).
     """
     axes = grid.axes()
     n1, n2, n3 = grid.counts[1:]
     rows = min(n1, max(1, BLOCK_POINTS // (n2 * n3)))
     buf = np.empty((4, rows, n2, n3))
-    buf[2] = axes[2][:, None]
-    buf[3] = axes[3]
+    buf[2] = x2 = axes[2][:, None]
+    buf[3] = x3 = axes[3]
 
     def blocks(x0):
         buf[0] = x0
         for i1 in range(0, n1, rows):
             cols = buf[:, : min(rows, n1 - i1)]
-            cols[1] = axes[1][i1 : i1 + rows, None, None]
-            yield np.moveaxis(cols, 0, -1)
+            cols[1] = x1 = axes[1][i1 : i1 + rows, None, None]
+            yield np.moveaxis(cols, 0, -1), (x0, x1, x2, x3)
 
-    for x0 in axes[0]:
+    for x0 in axes[0][:, None]:
         yield blocks(x0)
+
+
+def _grid_values(field: FieldFunction, pts: np.ndarray, axes) -> np.ndarray:
+    """``field`` on one block of ``_slice_blocks``: from the axes when it has ``on_axes``."""
+    return field.evaluate(pts) if field.on_axes is None else field.on_axes(*axes)
 
 
 def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
@@ -430,8 +457,9 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
     ValueError when a count minus 1 does not divide by ``2**(levels-1)``.
 
     Each distinct field (by identity) is evaluated once per block of
-    ``_slice_blocks``, so shared fields and coarser levels cost no further
-    evaluation.  Each axis-0 slice is summed over axes 2 and 3 by a real
+    ``_slice_blocks``, from the block's axes when it has ``on_axes``, so
+    shared fields and coarser levels cost no further evaluation.  Each
+    axis-0 slice is summed over axes 2 and 3 by a real
     matrix product with the (n2 * n3, levels) weights, then over axis 1,
     a complex integrand as its real and imaginary parts (no complex BLAS
     product); the slice sums are added in order.
@@ -459,14 +487,16 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
         real = np.empty((len(pairs), n1) + grid.counts[2:])
         imag = {}
         i1 = 0
-        for pts in blocks:
-            vals = [f.evaluate(pts) for f in fields]
+        for pts, axes in blocks:
+            vals = [_grid_values(f, pts, axes) for f in fields]
             rows = slice(i1, i1 + len(pts))
             for p, (a, b) in enumerate(index):
                 if np.iscomplexobj(vals[a]) or np.iscomplexobj(vals[b]):
                     integrand = np.einsum("...i,...i->...", vals[a], vals[b])
                     real[p, rows] = integrand.real
-                    imag.setdefault(p, np.zeros_like(real[p]))[rows] = integrand.imag
+                    if p not in imag:
+                        imag[p] = np.zeros_like(real[p])
+                    imag[p][rows] = integrand.imag
                 else:
                     np.einsum("...i,...i->...", vals[a], vals[b], out=real[p, rows])
             i1 += len(pts)
@@ -515,8 +545,8 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
         fh.write(",".join(header) + "\n")
         for x0, blocks in zip(text[0], _slice_blocks(grid)):
             x1 = iter(text[1])
-            for pts in blocks:
-                vals = field.evaluate(pts).reshape(-1, field.n)
+            for pts, axes in blocks:
+                vals = _grid_values(field, pts, axes).reshape(-1, field.n)
                 parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(pts), -1)
                 for row in parts:
                     fh.write(template.replace("\0", f"{x0},{next(x1)}") % tuple(row.tolist()))

@@ -307,7 +307,7 @@ def _errors(value, schema: dict) -> list:
             raise ValueError(f"schema keyword {keyword!r} is not implemented")
         if keyword == "type" and not typed:
             fail(keyword, f"{_shown(value)} is not of type {arg!r}")
-        elif keyword == "enum" and not any(value == v and isinstance(value, bool) == isinstance(v, bool) for v in arg):
+        elif keyword == "enum" and not _members(value, arg):
             fail(keyword, f"{_shown(value)} is not one of {arg!r}")
         elif keyword == "oneOf":
             branches = [_errors(value, sub) for sub in arg]
@@ -357,10 +357,17 @@ def _relevance(error: _Error) -> tuple:
     return -len(error.path), error.path, error.keyword != "oneOf", not error.typed
 
 
+def _members(value, enum: list) -> list:
+    """The members of ``enum`` equal to ``value`` as JSON values: a bool equals no number."""
+    return [v for v in enum if value == v and isinstance(value, bool) == isinstance(v, bool)]
+
+
 def _resolve(value, schema: dict):
-    """``value``, which satisfies ``schema``, with its absent defaults filled in place and its integers as ``int``."""
+    """``value``, which satisfies ``schema``, with its defaults filled in place, integers as ``int``, enum values as members."""
     if schema.get("type") == "integer":
         return int(value)
+    if "enum" in schema:
+        return _members(value, schema["enum"])[0]
     if "oneOf" in schema:
         # The one branch the value satisfies: of those its type and required keys fit, the first
         # without errors, or the last, so only an object that fits two branches is validated again.
@@ -384,8 +391,10 @@ def validate(instance, schema: dict = SCENARIO_SCHEMA) -> None:
     keyword it does not implement raises ``ValueError``.
 
     A valid instance is resolved in place: each absent property with a
-    ``default`` gets a copy of it, and a value whose schema ``type`` is
-    ``integer`` is stored as an ``int``, so ``16.0`` reads as ``16``.
+    ``default`` gets a copy of it, a value whose schema ``type`` is
+    ``integer`` is stored as an ``int``, so ``16.0`` reads as ``16``, and a
+    value an ``enum`` admits is stored as the member it equals, so
+    ``fd.order`` ``4.0`` reads as ``4``.
     """
     errors = _errors(instance, schema)
     if not errors:

@@ -476,11 +476,12 @@ class TestExitContractHoles:
             ({"check": "verify-local"}, "grid.sample_seed", 1),
             ({"check": "pairing", "field": {"phi": {}, "test": {}}, "grid": {"counts": [5, 5, 5, 5]}}, "grid.doublings", 1),
             ({"check": "verify-local", "rep": {"variant": "vector"}}, "field.components", 4),
+            ({"check": "verify-local"}, "fd.order", 4),
         ],
     )
     def test_integral_float_runs_as_its_integer(self, tmp_path, monkeypatch, scenario, key, value):
-        # draft 7 counts 16.0 as an integer, which once exited 2 with
-        # "'float' object cannot be interpreted as an integer" or like messages
+        # draft 7 counts 16.0 as an integer and 4.0 as the enum member 4, which once exited 2
+        # with "'float' object cannot be interpreted as an integer" or like messages
         monkeypatch.chdir(tmp_path)
         section, name = key.split(".")
         runs = []
@@ -492,6 +493,12 @@ class TestExitContractHoles:
             runs.append((code, json.dumps(report, indent=2)))
         assert runs[0][0] in (0, 1)
         assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("order, shown", [("3.0", "3.0"), ("4.5", "4.5"), ("true", "True"), ('"4"', "'4'")])
+    def test_fd_order_outside_the_enum_keeps_its_message(self, capsys, tmp_path, monkeypatch, order, shown):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / "verify_local_vector_rotation.json"), "--override", f"fd.order={order}"]) == 2
+        assert f"fd.order: {shown} is not one of [2, 4]" in self._one_line(capsys)
 
     @pytest.mark.parametrize(
         "name, override, named",

@@ -772,9 +772,12 @@ class TestPointLayout:
         assert len(slices) == len(axes[0])
         for x0, blocks in zip(axes[0], slices):
             parts = []
-            for pts in blocks:
+            for pts, block_axes in blocks:
                 assert pts.shape[1:] == (5, 7, 4)
                 assert all(pts[..., k].flags.c_contiguous for k in range(4))
+                # the same coordinates as 1-D axes that broadcast to the block
+                assert [a.shape for a in block_axes] == [(1,), (len(pts), 1, 1), (5, 1), (7,)]
+                assert np.array_equal(np.stack(np.broadcast_arrays(*block_axes), axis=-1), pts)
                 parts.append(pts.copy())
             expected = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0]
             assert np.array_equal(np.concatenate(parts), expected)
@@ -794,6 +797,114 @@ class TestPointLayout:
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
         wrapped = [(row_major(phi), row_major(f)) for phi, f in pairs]
         assert np.array_equal(_bits(pairings(pairs, grid, levels=3)), _bits(pairings(wrapped, grid, levels=3)))
+
+
+def _rebuilt(field):
+    """``field`` rebuilt from its first three fields, as a wrapper that knows no grid entry does."""
+    return FieldFunction(field.n, field.evaluate, field.gradient)
+
+
+class TestGridEntry:
+    """A wave packet's ``on_axes`` gives the bits of ``evaluate`` on the materialized grid block."""
+
+    GRID = GridSpec(((-3.1, 2.9), (-2.7, 3.3), (-3.5, 2.5), (-2.9, 3.1)), (3, 11, 5, 7))
+    MONOMIALS = [
+        [(0.7, (3, 0, 0, 0)), (-0.4, (1, 2, 0, 3)), (1.0, (0, 0, 0, 0))],
+        [(0.3, (0, 3, 1, 2)), (0.9, (2, 0, 3, 1))],
+        [(-1.2, (0, 0, 0, 3))],
+        [(0.5, (1, 1, 1, 1)), (0.25, (0, 0, 2, 0))],
+    ]
+    PACKETS = {
+        "real-one-component": lambda: wave_packet([0.2, -0.1, 0.3, 0.0], 1.1, [0.8]),
+        "real-four-components": lambda: wave_packet([0.2, -0.1, 0.3, 0.0], 1.1, [0.9, 1.1, -0.6, 1.0]),
+        "real-monomials": lambda: wave_packet([0.2, -0.1, 0.3, 0.0], 1.3, TestGridEntry.MONOMIALS),
+        "complex-one-component": lambda: wave_packet([-0.3, 0.2, 0.0, 0.1], 0.9, [[(0.5 - 0.25j, (2, 0, 1, 3))]]),
+        "complex-monomials": lambda: wave_packet(
+            [-0.3, 0.2, 0.0, 0.1], 1.2, [[(c * (1 + 0.5j), p) for c, p in t] for t in TestGridEntry.MONOMIALS]
+        ),
+        "center-outside-the-grid": lambda: wave_packet([9.0, -7.5, 11.0, 6.0], 2.5, TestGridEntry.MONOMIALS[:2]),
+        # exp(-r2 / s^2) is 0 at most points, subnormal at some (asserted below)
+        "underflowing-envelope": lambda: wave_packet([0.05, 0.0, 0.0, 0.0], 0.11, [[(1.0, (3, 0, 0, 0))], 1.0]),
+    }
+
+    @pytest.mark.parametrize("block", [fields_module.BLOCK_POINTS, 35, 10])
+    @pytest.mark.parametrize("name", list(PACKETS))
+    def test_same_bits_as_evaluate_on_the_block(self, monkeypatch, name, block):
+        # 35-point rows: all 11 rows in one block, one row a block, and a row larger than the block
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
+        field = self.PACKETS[name]()
+        assert field.on_axes is not None
+        values = []
+        for blocks in fields_module._slice_blocks(self.GRID):
+            for pts, axes in blocks:
+                on_axes = field.on_axes(*axes)
+                assert on_axes.shape == pts.shape[:-1] + (field.n,)
+                assert on_axes.tobytes() == field.evaluate(pts).tobytes()
+                assert on_axes.tobytes() == field.evaluate(np.ascontiguousarray(pts)).tobytes()
+                values.append(on_axes)
+        values = np.concatenate(values)
+        assert values.dtype == (np.complex128 if name.startswith("complex") else np.float64)
+        if name == "underflowing-envelope":
+            magnitude = np.abs(values[..., 1])
+            assert np.any(magnitude == 0) and np.any((magnitude > 0) & (magnitude < np.finfo(float).tiny))
+
+    def test_only_packets_on_the_grid_have_the_entry(self):
+        packet = wave_packet([0, 0, 0, 0], 1.0, 4)
+        g = TestBlockedPairing.G
+        change = FrameChange.constant(np.eye(4))
+        others = [
+            active_transform(packet, FieldRep.vector(), g),
+            transform_test_function(packet, FieldRep.vector(), g),
+            frame_change_components(packet, change),
+            constant_field([1.0, 2.0, 3.0, 4.0]),
+            _rebuilt(packet),
+        ]
+        assert all(field.on_axes is None for field in others)
+
+    @pytest.mark.parametrize("kind", ["scalar", "spinor"])
+    def test_rebuilt_pairs_give_the_same_pairings(self, kind):
+        # The benchmark tracer rebuilds every packet from (n, evaluate, gradient):
+        # those take the generic path and must give the same bits.
+        rep = getattr(FieldRep, kind)()
+        blocked = TestBlockedPairing()
+        phi = wave_packet(blocked.C1, 1.1, blocked.MONOMIALS[: rep.n])
+        f = wave_packet(blocked.C2, 1.3, [0.9, 1.1, -0.6, 1.0][: rep.n])
+        pairs = [(phi, f), (active_transform(phi, rep, blocked.G), f), (phi, transform_test_function(f, rep, blocked.G))]
+        pairs += list(blocked._pairs(rep).values())
+        copies = {}
+        rebuild = lambda field: copies.setdefault(id(field), _rebuilt(field))
+        grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
+        values = pairings(pairs, grid, levels=3)
+        assert np.any(values.imag != 0)
+        assert np.array_equal(_bits(values), _bits(pairings([(rebuild(a), rebuild(b)) for a, b in pairs], grid, levels=3)))
+
+    @pytest.mark.parametrize("name", ["real-four-components", "complex-monomials", "underflowing-envelope"])
+    def test_rebuilt_packet_gives_the_same_csv(self, monkeypatch, tmp_path, name):
+        monkeypatch.setattr(fields_module, "BLOCK_POINTS", 100)
+        field = self.PACKETS[name]()
+        dump_field_csv(field, self.GRID, tmp_path / "entry.csv")
+        dump_field_csv(_rebuilt(field), self.GRID, tmp_path / "generic.csv")
+        assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+    def test_the_grid_path_never_calls_a_packets_evaluate(self, tmp_path):
+        calls = []
+        packets = [wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, 4), wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, TestGridEntry.MONOMIALS)]
+
+        def counted(field):
+            def evaluate(points):
+                calls.append(np.shape(points))
+                return field.evaluate(points)
+
+            return FieldFunction(field.n, evaluate, field.gradient, field.on_axes)
+
+        phi, f = (counted(p) for p in packets)
+        grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
+        values = pairings([(phi, f), (phi, phi), (f, f)], grid, levels=3)
+        dump_field_csv(phi, self.GRID, tmp_path / "dump.csv")
+        assert calls == []
+        # the counting wrapper does count: without the entry, the same calls evaluate
+        assert np.array_equal(_bits(values), _bits(pairings([(_rebuilt(phi), _rebuilt(f))] + [(p, p) for p in packets], grid, levels=3)))
+        assert calls
 
 
 class TestEvaluateDtype:
