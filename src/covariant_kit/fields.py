@@ -29,6 +29,7 @@ values computed in real arithmetic; a complex one anywhere gives complex128.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,19 +82,17 @@ class FieldFunction:
     arithmetic, for a field whose values are real (a wave packet with real
     coefficients); it stands for the complex array with zero imaginary parts.
 
-    ``on_axes``, optional, is the grid entry: called with four coordinate
-    arrays that broadcast to (rows, n2, n3), one block of a grid's axes
-    (see ``_slice_blocks``), it returns the values (rows, n2, n3, n).  The
-    grid path uses it instead of ``evaluate`` when it is set, so it must
-    return the bytes ``evaluate`` returns on the materialized block: a
-    wrapper that rebuilds the field from its first three fields takes the
-    generic path and has to get the same pairings.
+    On the grid path ``points`` is a ``_GridBlock`` whose ``axes`` are the
+    block's coordinates as four 1-D views of the grid's axes that
+    broadcast to (rows, n2, n3) (see ``_slice_blocks``).  A field may read
+    its values off those, as a wave packet does, only if they are the bytes
+    it returns on the materialized points: ``np.asarray(points)`` is a
+    plain array without ``axes`` and must get the same pairings.
     """
 
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    on_axes: Callable[..., np.ndarray] | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
@@ -188,10 +187,9 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
         return vals
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        return _values(*_columns(_split(points))).reshape(np.shape(points)[:-1] + (n,))
-
-    def on_axes(*xs: np.ndarray) -> np.ndarray:
-        return _values(*_columns(xs))
+        # A grid block's axes give each element the operations of its materialized points.
+        xs = getattr(points, "axes", None) or _split(points)
+        return _values(*_columns(xs)).reshape(np.shape(points)[:-1] + (n,))
 
     def gradient(points: np.ndarray) -> np.ndarray:
         # d/dx_k (P e) = (dP/dy_k - (2 / s^2) P y_k) e.
@@ -203,7 +201,7 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
                 np.multiply(_polynomial(ys, dterms[i][k]) - scaled * ys[k], envelope, out=out[..., i, k])
         return out.reshape(np.shape(points)[:-1] + (n, 4))
 
-    return FieldFunction(n, evaluate, gradient, on_axes)
+    return FieldFunction(n, evaluate, gradient)
 
 
 def _constant(v: np.ndarray):
@@ -352,11 +350,15 @@ class GridSpec:
 
     def __post_init__(self):
         b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if not all(isinstance(k, numbers.Integral) or isinstance(k, numbers.Real) and float(k).is_integer() for k in self.counts):
+            raise ValueError(f"grid point counts must be integers, got {self.counts!r}")
         n = tuple(int(k) for k in self.counts)
         if len(b) != 4 or len(n) != 4:
             raise ValueError("grid needs bounds and counts for all 4 axes")
         if any(k < 2 for k in n):
             raise ValueError("grid point counts must be at least 2")
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"grid bounds must be finite, got {b}")
         if any(lo >= hi for lo, hi in b):
             raise ValueError("grid bounds must be ordered lower < upper")
         for axis, (lo, hi) in enumerate(b):
@@ -390,17 +392,23 @@ class GridSpec:
 BLOCK_POINTS = 16384
 
 
+class _GridBlock(np.ndarray):
+    """Grid points with their 1-D ``axes``, set on the blocks ``_slice_blocks`` yields, not on views."""
+
+    axes = None
+
+
 def _slice_blocks(grid: GridSpec):
     """One ``blocks`` iterator per axis-0 slice of the grid, in order.
 
-    ``blocks`` yields ``(pts, axes)`` for the slice's points, shape
+    ``blocks`` yields the slice's points as ``_GridBlock``s of shape
     (rows, n2, n3, 4), in blocks of whole axis-1 rows: as many rows as fit
     in BLOCK_POINTS, and one row when a row alone is larger.  Every block
     is a view of one coordinate-major (4, rows, n2, n3) buffer that the
-    next block overwrites, so each ``pts[..., k]`` is a contiguous column.
-    ``axes`` are the same coordinates as four views of the grid's 1-D axes
-    that broadcast to (rows, n2, n3): x0 of shape (1,), the block's x1 of
-    shape (rows, 1, 1), x2 of (n2, 1) and x3 of (n3,).
+    next block overwrites, so each ``block[..., k]`` is a contiguous column.
+    Its ``axes`` are the same coordinates as four views of the grid's 1-D
+    axes that broadcast to (rows, n2, n3): x0 of shape (1,), the block's
+    x1 of shape (rows, 1, 1), x2 of (n2, 1) and x3 of (n3,).
     """
     axes = grid.axes()
     n1, n2, n3 = grid.counts[1:]
@@ -414,15 +422,12 @@ def _slice_blocks(grid: GridSpec):
         for i1 in range(0, n1, rows):
             cols = buf[:, : min(rows, n1 - i1)]
             cols[1] = x1 = axes[1][i1 : i1 + rows, None, None]
-            yield np.moveaxis(cols, 0, -1), (x0, x1, x2, x3)
+            block = np.moveaxis(cols, 0, -1).view(_GridBlock)
+            block.axes = (x0, x1, x2, x3)
+            yield block
 
     for x0 in axes[0][:, None]:
         yield blocks(x0)
-
-
-def _grid_values(field: FieldFunction, pts: np.ndarray, axes) -> np.ndarray:
-    """``field`` on one block of ``_slice_blocks``: from the axes when it has ``on_axes``."""
-    return field.evaluate(pts) if field.on_axes is None else field.on_axes(*axes)
 
 
 def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
@@ -457,9 +462,8 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
     ValueError when a count minus 1 does not divide by ``2**(levels-1)``.
 
     Each distinct field (by identity) is evaluated once per block of
-    ``_slice_blocks``, from the block's axes when it has ``on_axes``, so
-    shared fields and coarser levels cost no further evaluation.  Each
-    axis-0 slice is summed over axes 2 and 3 by a real
+    ``_slice_blocks``, so shared fields and coarser levels cost no further
+    evaluation.  Each axis-0 slice is summed over axes 2 and 3 by a real
     matrix product with the (n2 * n3, levels) weights, then over axis 1,
     a complex integrand as its real and imaginary parts (no complex BLAS
     product); the slice sums are added in order.
@@ -487,8 +491,8 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
         real = np.empty((len(pairs), n1) + grid.counts[2:])
         imag = {}
         i1 = 0
-        for pts, axes in blocks:
-            vals = [_grid_values(f, pts, axes) for f in fields]
+        for pts in blocks:
+            vals = [f.evaluate(pts) for f in fields]
             rows = slice(i1, i1 + len(pts))
             for p, (a, b) in enumerate(index):
                 if np.iscomplexobj(vals[a]) or np.iscomplexobj(vals[b]):
@@ -545,8 +549,8 @@ def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:
         fh.write(",".join(header) + "\n")
         for x0, blocks in zip(text[0], _slice_blocks(grid)):
             x1 = iter(text[1])
-            for pts, axes in blocks:
-                vals = _grid_values(field, pts, axes).reshape(-1, field.n)
+            for pts in blocks:
+                vals = field.evaluate(pts).reshape(-1, field.n)
                 parts = np.stack([vals.real, np.imag(vals)], axis=-1).reshape(len(pts), -1)
                 for row in parts:
                     fh.write(template.replace("\0", f"{x0},{next(x1)}") % tuple(row.tolist()))

@@ -78,6 +78,7 @@ class FDScheme:
         if step < _MIN_STEP:
             raise ValueError(f"finite-difference step underflow (< {_MIN_STEP:g})")
         object.__setattr__(self, "step", step)
+        object.__setattr__(self, "order", int(self.order))
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(((0.0, 1.0),) * 3, (5,) * 3)
 
+    @pytest.mark.parametrize("counts", [(9.7, 9, 9, 9), ("9", 9, 9, 9), (9, 9, float("nan"), 9), (9, 9, 9, float("inf"))])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="grid point counts must be integers"):
+            GridSpec(((0.0, 1.0),) * 4, counts)
+
+    def test_integral_counts_are_stored_as_ints(self):
+        grid = GridSpec(((0.0, 1.0),) * 4, (9.0, np.int64(5), np.float64(3.0), 4))
+        assert grid.counts == (9, 5, 3, 4) and all(type(k) is int for k in grid.counts)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+    def test_bounds_must_be_finite(self, bound):
+        for bounds in [((0.0, bound),) + ((0.0, 1.0),) * 3, ((0.0, 1.0),) * 3 + ((bound, 1.0),)]:
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                GridSpec(bounds, (5,) * 4)
+
     def test_refine_halves_steps(self):
         g = GridSpec(((-1.0, 1.0),) * 4, (5, 9, 3, 5))
         r = g.refine()
@@ -772,13 +787,17 @@ class TestPointLayout:
         assert len(slices) == len(axes[0])
         for x0, blocks in zip(axes[0], slices):
             parts = []
-            for pts, block_axes in blocks:
+            for pts in blocks:
+                assert type(pts) is fields_module._GridBlock
                 assert pts.shape[1:] == (5, 7, 4)
                 assert all(pts[..., k].flags.c_contiguous for k in range(4))
                 # the same coordinates as 1-D axes that broadcast to the block
-                assert [a.shape for a in block_axes] == [(1,), (len(pts), 1, 1), (5, 1), (7,)]
-                assert np.array_equal(np.stack(np.broadcast_arrays(*block_axes), axis=-1), pts)
-                parts.append(pts.copy())
+                assert [a.shape for a in pts.axes] == [(1,), (len(pts), 1, 1), (5, 1), (7,)]
+                assert np.array_equal(np.stack(np.broadcast_arrays(*pts.axes), axis=-1), pts)
+                # only the yielded block carries them: its views and ufunc results do not
+                assert pts[:1].axes is None and (pts * 1).axes is None
+                assert type(np.asarray(pts)) is np.ndarray and type(np.ascontiguousarray(pts)) is np.ndarray
+                parts.append(np.array(pts))
             expected = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0]
             assert np.array_equal(np.concatenate(parts), expected)
 
@@ -799,13 +818,13 @@ class TestPointLayout:
         assert np.array_equal(_bits(pairings(pairs, grid, levels=3)), _bits(pairings(wrapped, grid, levels=3)))
 
 
-def _rebuilt(field):
-    """``field`` rebuilt from its first three fields, as a wrapper that knows no grid entry does."""
-    return FieldFunction(field.n, field.evaluate, field.gradient)
+def _stripped(field):
+    """``field`` evaluated on plain points: a grid block without its ``axes`` takes the generic path."""
+    return FieldFunction(field.n, lambda points: field.evaluate(np.asarray(points)), field.gradient)
 
 
 class TestGridEntry:
-    """A wave packet's ``on_axes`` gives the bits of ``evaluate`` on the materialized grid block."""
+    """A wave packet on a grid block gives the bits of ``evaluate`` on the materialized points."""
 
     GRID = GridSpec(((-3.1, 2.9), (-2.7, 3.3), (-3.5, 2.5), (-2.9, 3.1)), (3, 11, 5, 7))
     MONOMIALS = [
@@ -833,38 +852,55 @@ class TestGridEntry:
         # 35-point rows: all 11 rows in one block, one row a block, and a row larger than the block
         monkeypatch.setattr(fields_module, "BLOCK_POINTS", block)
         field = self.PACKETS[name]()
-        assert field.on_axes is not None
         values = []
         for blocks in fields_module._slice_blocks(self.GRID):
-            for pts, axes in blocks:
-                on_axes = field.on_axes(*axes)
-                assert on_axes.shape == pts.shape[:-1] + (field.n,)
-                assert on_axes.tobytes() == field.evaluate(pts).tobytes()
-                assert on_axes.tobytes() == field.evaluate(np.ascontiguousarray(pts)).tobytes()
-                values.append(on_axes)
+            for pts in blocks:
+                assert pts.axes is not None
+                from_axes = field.evaluate(pts)
+                assert from_axes.shape == pts.shape[:-1] + (field.n,)
+                assert from_axes.tobytes() == field.evaluate(np.asarray(pts)).tobytes()
+                assert from_axes.tobytes() == field.evaluate(np.ascontiguousarray(pts)).tobytes()
+                values.append(from_axes)
         values = np.concatenate(values)
         assert values.dtype == (np.complex128 if name.startswith("complex") else np.float64)
         if name == "underflowing-envelope":
             magnitude = np.abs(values[..., 1])
             assert np.any(magnitude == 0) and np.any((magnitude > 0) & (magnitude < np.finfo(float).tiny))
 
-    def test_only_packets_on_the_grid_have_the_entry(self):
+    def test_a_packet_reads_the_blocks_axes(self):
+        # Points moved off their axes: the packet's values are those of the axes.
+        field = self.PACKETS["real-monomials"]()
+        pts = next(next(fields_module._slice_blocks(self.GRID)))
+        moved = pts + 0.25
+        assert moved.axes is None
+        moved.axes = pts.axes
+        assert field.evaluate(moved).tobytes() == field.evaluate(np.asarray(pts)).tobytes()
+        assert field.evaluate(moved).tobytes() != field.evaluate(np.asarray(moved)).tobytes()
+
+    def test_transformed_fields_give_their_packet_plain_points(self):
+        # An AffineMap's matrix product moves the points; only a same-point frame change passes the block on.
+        seen = []
         packet = wave_packet([0, 0, 0, 0], 1.0, 4)
-        g = TestBlockedPairing.G
-        change = FrameChange.constant(np.eye(4))
-        others = [
-            active_transform(packet, FieldRep.vector(), g),
-            transform_test_function(packet, FieldRep.vector(), g),
-            frame_change_components(packet, change),
-            constant_field([1.0, 2.0, 3.0, 4.0]),
-            _rebuilt(packet),
-        ]
-        assert all(field.on_axes is None for field in others)
+
+        def evaluate(points):
+            seen.append(getattr(points, "axes", None) is not None)
+            return packet.evaluate(points)
+
+        spied = FieldFunction(packet.n, evaluate, packet.gradient)
+        g, vector = TestBlockedPairing.G, FieldRep.vector()
+        for field, axes in [
+            (active_transform(spied, vector, g), False),
+            (transform_test_function(spied, vector, g), False),
+            (frame_change_components(spied, FrameChange.constant(np.eye(4))), True),
+            (spied, True),
+        ]:
+            seen.clear()
+            pairing(field, constant_field([1.0, 2.0, 3.0, 4.0]), self.GRID)
+            assert seen and all(s is axes for s in seen)
 
     @pytest.mark.parametrize("kind", ["scalar", "spinor"])
-    def test_rebuilt_pairs_give_the_same_pairings(self, kind):
-        # The benchmark tracer rebuilds every packet from (n, evaluate, gradient):
-        # those take the generic path and must give the same bits.
+    def test_stripped_pairs_give_the_same_pairings(self, kind):
+        # Pairs whose fields see plain points take the generic path and must give the same bits.
         rep = getattr(FieldRep, kind)()
         blocked = TestBlockedPairing()
         phi = wave_packet(blocked.C1, 1.1, blocked.MONOMIALS[: rep.n])
@@ -872,39 +908,41 @@ class TestGridEntry:
         pairs = [(phi, f), (active_transform(phi, rep, blocked.G), f), (phi, transform_test_function(f, rep, blocked.G))]
         pairs += list(blocked._pairs(rep).values())
         copies = {}
-        rebuild = lambda field: copies.setdefault(id(field), _rebuilt(field))
+        strip = lambda field: copies.setdefault(id(field), _stripped(field))
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
         values = pairings(pairs, grid, levels=3)
         assert np.any(values.imag != 0)
-        assert np.array_equal(_bits(values), _bits(pairings([(rebuild(a), rebuild(b)) for a, b in pairs], grid, levels=3)))
+        assert np.array_equal(_bits(values), _bits(pairings([(strip(a), strip(b)) for a, b in pairs], grid, levels=3)))
 
     @pytest.mark.parametrize("name", ["real-four-components", "complex-monomials", "underflowing-envelope"])
-    def test_rebuilt_packet_gives_the_same_csv(self, monkeypatch, tmp_path, name):
+    def test_stripped_packet_gives_the_same_csv(self, monkeypatch, tmp_path, name):
         monkeypatch.setattr(fields_module, "BLOCK_POINTS", 100)
         field = self.PACKETS[name]()
         dump_field_csv(field, self.GRID, tmp_path / "entry.csv")
-        dump_field_csv(_rebuilt(field), self.GRID, tmp_path / "generic.csv")
+        dump_field_csv(_stripped(field), self.GRID, tmp_path / "generic.csv")
         assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
-    def test_the_grid_path_never_calls_a_packets_evaluate(self, tmp_path):
-        calls = []
+    def test_a_rebuilt_packet_gets_the_blocks(self, tmp_path):
+        # A wrapper that rebuilds a packet from (n, evaluate, gradient), as the
+        # benchmark tracer does, passes each block on with its axes: same bits.
+        seen = []
+
+        def spy(evaluate):
+            def wrapped(points):
+                seen.append(getattr(points, "axes", None) is not None)
+                return evaluate(points)
+
+            return wrapped
+
         packets = [wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, 4), wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, TestGridEntry.MONOMIALS)]
-
-        def counted(field):
-            def evaluate(points):
-                calls.append(np.shape(points))
-                return field.evaluate(points)
-
-            return FieldFunction(field.n, evaluate, field.gradient, field.on_axes)
-
-        phi, f = (counted(p) for p in packets)
+        phi, f = (FieldFunction(ff.n, spy(ff.evaluate), ff.gradient) for ff in packets)
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
         values = pairings([(phi, f), (phi, phi), (f, f)], grid, levels=3)
-        dump_field_csv(phi, self.GRID, tmp_path / "dump.csv")
-        assert calls == []
-        # the counting wrapper does count: without the entry, the same calls evaluate
-        assert np.array_equal(_bits(values), _bits(pairings([(_rebuilt(phi), _rebuilt(f))] + [(p, p) for p in packets], grid, levels=3)))
-        assert calls
+        dump_field_csv(phi, self.GRID, tmp_path / "rebuilt.csv")
+        assert seen and all(seen)
+        assert np.array_equal(_bits(values), _bits(pairings([(packets[0], packets[1])] + [(p, p) for p in packets], grid, levels=3)))
+        dump_field_csv(packets[0], self.GRID, tmp_path / "packet.csv")
+        assert (tmp_path / "rebuilt.csv").read_bytes() == (tmp_path / "packet.csv").read_bytes()
 
 
 class TestEvaluateDtype:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from covariant_kit.fields import wave_packet
 from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
@@ -22,6 +23,7 @@ from covariant_kit.generators import (
     volume_rates,
 )
 from covariant_kit.geometry import ETA, PLANES, AffineMap, lorentz_exp, plane_generator
+from covariant_kit.heisenberg import verify_local_relation
 from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
 from families import dilation_family
@@ -47,6 +49,16 @@ class TestSchemeValidation:
             rep_generators(fam, FDScheme(1e-13))
         with pytest.raises(ValueError, match=r"underflow \(< 1e-12\)"):
             FDScheme(1e-13, order=4)
+
+    @pytest.mark.parametrize("order", [4.0, np.float64(2.0), np.int64(4)])
+    def test_integral_order_is_stored_as_int(self, order):
+        scheme = FDScheme(1e-3, order)
+        assert type(scheme.order) is int and scheme.order == order
+        fam = poincare_family(FieldRep.scalar())
+        field = wave_packet([0.1, 0.0, -0.2, 0.3], 1.2, 1)
+        report = verify_local_relation(field, fam, scheme, POINTS[:5])
+        reference = verify_local_relation(field, fam, FDScheme(1e-3, int(order)), POINTS[:5])
+        assert report.sup_residuals.tobytes() == reference.sup_residuals.tobytes()
 
     def test_step_is_one_float(self):
         scheme = FDScheme(np.float32(0.5), order=4)
