@@ -30,14 +30,18 @@ import numpy as np
 
 from . import __version__
 from .fields import (
+    GaussianBound,
     GridSpec,
     active_transform,
+    active_transform_bound,
     dump_field_csv,
     gradient_fd_residual,
     pairing,  # unused here; the benchmark's tracer self-test wraps cli.pairing
     pairings,
     passive_transform,
+    skipped_bounds,
     transform_test_function,
+    transform_test_function_bound,
     wave_packet,
 )
 from .generators import (
@@ -107,6 +111,11 @@ def _build_rep(scenario: dict) -> FieldRep:
 
 def _build_packet(spec: dict, n: int):
     return wave_packet(spec["center"], spec["width"], spec.get("components", n))
+
+
+def _packet_bound(spec: dict, n: int) -> GaussianBound:
+    """The bound of ``_build_packet(spec, n)``, from the same spec."""
+    return GaussianBound.of_packet(spec["center"], spec["width"], spec.get("components", n))
 
 
 def _count(spec: dict, n: int) -> int:
@@ -327,12 +336,21 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         grids.append(grids[-1].refine())
     # One pass over the finest grid: the ladder's coarser levels are its
     # sub-lattices, and the invariance sides share phi and test with it.
+    # Each pair's integrand bound, the product of its fields' bounds, lets
+    # the pass skip the grid points where every integrand is negligible.
     pairs = [(phi, test)]
+    phi_bound, test_bound = _packet_bound(spec["phi"], rep.n), _packet_bound(spec["test"], rep.n)
+    bounds = [phi_bound * test_bound]
     invariance = "omega" in scenario["group"] or "a" in scenario["group"]
     if invariance:
         g = _group_element(scenario)
         pairs += [(active_transform(phi, rep, g), test), (phi, transform_test_function(test, rep, g))]
-    sums = pairings(pairs, grids[-1], levels=len(grids))
+        bounds += [
+            active_transform_bound(phi_bound, rep, g) * test_bound,
+            phi_bound * transform_test_function_bound(test_bound, rep, g),
+        ]
+    sums = pairings(pairs, grids[-1], levels=len(grids), bounds=bounds)
+    skipped = skipped_bounds(bounds, grids[-1], levels=len(grids))
     values = sums[0]
     # No floor on the divisor: two zeros read nan and a nonzero over zero
     # reads inf, and either fails its tolerance.
@@ -343,13 +361,19 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         "counts": [list(g.counts) for g in grids],
         "values": [_complex_text(v) for v in values],
         "relative_diffs": [number_text(d) for d in rel_diffs],
+        "skipped_bounds": [number_text(b) for b in skipped[0]],
     }
     results = [_result("pairing_convergence", conv_res, conv_tol, {"levels": len(grids)})]
 
     if invariance:
         moved, pulled = sums[1:, -1]
         rel = abs(moved - pulled) / abs(pulled)
-        sides = {"active_side": _complex_text(moved), "test_side": _complex_text(pulled)}
+        sides = {
+            "active_side": _complex_text(moved),
+            "test_side": _complex_text(pulled),
+            "active_side_skipped_bound": number_text(skipped[1, -1]),
+            "test_side_skipped_bound": number_text(skipped[2, -1]),
+        }
         results.append(_result("pairing_invariance", rel, _tol(scenario, "pairing"), sides))
     return results, {"pairing_convergence": table}
 

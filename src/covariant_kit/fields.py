@@ -29,6 +29,7 @@ values computed in real arithmetic; a complex one anywhere gives complex128.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,6 +44,7 @@ from .schemas import NUMBER_FORMAT
 __all__ = [
     "SingularFrameError",
     "FieldFunction",
+    "GaussianBound",
     "wave_packet",
     "constant_field",
     "FrameChange",
@@ -50,10 +52,13 @@ __all__ = [
     "passive_transform",
     "active_transform",
     "transform_test_function",
+    "active_transform_bound",
+    "transform_test_function_bound",
     "frame_change_components",
     "cocycle_check",
     "pairing",
     "pairings",
+    "skipped_bounds",
     "dump_field_csv",
     "gradient_fd_residual",
 ]
@@ -204,6 +209,76 @@ def wave_packet(center: np.ndarray, width: float, components=1) -> FieldFunction
     return FieldFunction(n, evaluate, gradient)
 
 
+#: Share of a monomial packet's Gaussian exponent that ``GaussianBound.of_packet``
+#: spends on absorbing its monomials: the bound's exponent is -(1 - 1/16) |y|^2 / s^2.
+_MONOMIAL_SHARE = 1 / 16
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianBound:
+    """A Gaussian majorant of a field: ``|phi(x)|_2 <= amp exp(-(x - center)^T form (x - center))``.
+
+    ``form`` is a symmetric 4x4 matrix and ``center`` a 4-vector; the
+    inequality holds up to the rounding of ``form``'s entries.  A packet's
+    bound comes from its spec (``of_packet``), a law's from the law's
+    counterpart (``active_transform_bound``, ``transform_test_function_bound``),
+    and two bounds multiply into the bound of their pairing integrand.  A
+    bound with entries that are not finite (an overflowing form or
+    amplitude) bounds nothing, and ``pairings`` evaluates its pair on the
+    whole grid.
+    """
+
+    amp: float
+    form: np.ndarray
+    center: np.ndarray
+
+    @classmethod
+    def of_packet(cls, center, width, components=1) -> "GaussianBound":
+        """The bound of ``wave_packet(center, width, components)``, from the same arguments.
+
+        A term ``coeff * prod y_k^p_k`` of degree ``d = sum p_k`` is at most
+        ``|coeff| |y|^d``, and with ``e = _MONOMIAL_SHARE``
+        ``|y|^d exp(-|y|^2/s^2) <= (d s^2 / (2 e e))^(d/2) exp(-(1 - e) |y|^2/s^2)``
+        (the maximum of ``r^d exp(-e r^2/s^2)``).  So ``amp`` is the 2-norm of the
+        components' sums of such term bounds, and ``form`` is ``(1 - e) / s^2``
+        times the identity, or ``1 / s^2`` for a packet of constant components.
+        """
+        terms = _normalise_components(components)
+        degrees = [[sum(powers) for _, powers in comp_terms] for comp_terms in terms]
+        share = _MONOMIAL_SHARE if any(map(any, degrees)) else 0.0
+        with np.errstate(all="ignore"):
+            s2 = np.float64(width) ** 2
+            gain = lambda d: (d * s2 / (2 * share * np.e)) ** (d / 2) if d else 1.0
+            amps = [sum(abs(coeff) * gain(d) for (coeff, _), d in zip(t, ds)) for t, ds in zip(terms, degrees)]
+            return cls(float(np.linalg.norm(amps)), (1 - share) / s2 * np.eye(4), np.asarray(center, dtype=float))
+
+    def pull_back(self, mapping: AffineMap, gain: float) -> "GaussianBound":
+        """The bound of ``x -> M phi(mapping(x))`` for any matrix ``M`` with ``||M||_2 <= gain``."""
+        lin = mapping.linear
+        with np.errstate(all="ignore"):
+            form = lin.T @ self.form @ lin
+            center = np.linalg.solve(lin, self.center - mapping.offset)
+            return GaussianBound(float(gain * self.amp), (form + form.T) / 2, center)
+
+    def __mul__(self, other: "GaussianBound") -> "GaussianBound":
+        """The bound of the integrand ``sum_i phi_i f_i`` of two fields that ``self`` and ``other`` bound.
+
+        By Cauchy-Schwarz it is the product of the two bounds: the forms add
+        to ``A = A1 + A2``, the center is ``mu = A^-1 (A1 c1 + A2 c2)``, and the
+        peak is ``amp1 amp2 exp(-q_min)`` with
+        ``q_min = sum_j (mu - c_j)^T A_j (mu - c_j)``.  A singular or
+        non-finite ``A`` gives a ``nan`` center.
+        """
+        form = self.form + other.form
+        with np.errstate(all="ignore"):
+            try:
+                center = np.linalg.solve(form, self.form @ self.center + other.form @ other.center)
+            except np.linalg.LinAlgError:
+                center = np.full(4, np.nan)
+            rest = sum((center - b.center) @ b.form @ (center - b.center) for b in (self, other))
+            return GaussianBound(float(self.amp * other.amp * np.exp(-rest)), form, center)
+
+
 def _constant(v: np.ndarray):
     """``evaluate`` and ``gradient`` closures of a value equal to ``v`` everywhere."""
 
@@ -258,9 +333,9 @@ def _inverse_frames(change: FrameChange, points: np.ndarray) -> np.ndarray:
     return np.linalg.inv(mats)
 
 
-def _spacetime_matrix(rep: FieldRep, g: AffineMap, field: FieldFunction) -> np.ndarray:
-    """Representation matrix of ``g`` for ``field``: an AffineMap, a PoincareElement among them."""
-    if rep.n != field.n:
+def _spacetime_matrix(rep: FieldRep, g: AffineMap, field: FieldFunction | None = None) -> np.ndarray:
+    """Representation matrix of ``g`` for ``field`` (for a bound when None): an AffineMap, a PoincareElement among them."""
+    if field is not None and rep.n != field.n:
         raise ValueError(f"representation dimension {rep.n} != field dimension {field.n}")
     if not isinstance(g, AffineMap):
         raise TypeError(f"expected an AffineMap, got {type(g).__name__}")
@@ -303,6 +378,30 @@ def active_transform(field: FieldFunction, rep: FieldRep, g: AffineMap) -> Field
 def transform_test_function(field: FieldFunction, rep: FieldRep, g: AffineMap) -> FieldFunction:
     """Test-function law f'(x) = D f(L^-1 (x - a)), for ``g`` as in ``active_transform``."""
     return _composed_field(field, _spacetime_matrix(rep, g, field), g.inverse(), 1.0)
+
+
+def _norm_bound(matrix: np.ndarray) -> float:
+    """``sqrt(||matrix||_1 ||matrix||_inf)``, at least the 2-norm of ``matrix`` and of its transpose.
+
+    It takes no SVD, whose first call maps about 1 MB more of LAPACK into
+    the process; for a boost along an axis it is the 2-norm.
+    """
+    a = np.abs(matrix)
+    return math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+
+
+def active_transform_bound(bound: GaussianBound, rep: FieldRep, g: AffineMap) -> GaussianBound:
+    """The bound of ``active_transform(field, rep, g)`` for a field that ``bound`` bounds.
+
+    ``bound`` is pulled back through ``g`` with gain ``|J|`` times a bound of
+    ``||D^T||_2 = ||D||_2`` (``_norm_bound``).
+    """
+    return bound.pull_back(g, abs(g.jacobian) * _norm_bound(_spacetime_matrix(rep, g)))
+
+
+def transform_test_function_bound(bound: GaussianBound, rep: FieldRep, g: AffineMap) -> GaussianBound:
+    """The bound of ``transform_test_function(field, rep, g)``: ``bound`` pulled back through ``g^-1``, gain a bound of ``||D||_2``."""
+    return bound.pull_back(g.inverse(), _norm_bound(_spacetime_matrix(rep, g)))
 
 
 def frame_change_components(field: FieldFunction, change: FrameChange) -> FieldFunction:
@@ -398,36 +497,134 @@ class _GridBlock(np.ndarray):
     axes = None
 
 
-def _slice_blocks(grid: GridSpec):
+def _whole_slices(grid: GridSpec) -> list:
+    """Every axis-0 slice's box when nothing is skipped: the whole (x1, x2, x3) slice."""
+    return [tuple(slice(0, k) for k in grid.counts[1:])] * grid.counts[0]
+
+
+def _slice_blocks(grid: GridSpec, boxes=None):
     """One ``blocks`` iterator per axis-0 slice of the grid, in order.
 
-    ``blocks`` yields the slice's points as ``_GridBlock``s of shape
-    (rows, n2, n3, 4), in blocks of whole axis-1 rows: as many rows as fit
-    in BLOCK_POINTS, and one row when a row alone is larger.  Every block
-    is a view of one coordinate-major (4, rows, n2, n3) buffer that the
-    next block overwrites, so each ``block[..., k]`` is a contiguous column.
-    Its ``axes`` are the same coordinates as four views of the grid's 1-D
-    axes that broadcast to (rows, n2, n3): x0 of shape (1,), the block's
-    x1 of shape (rows, 1, 1), x2 of (n2, 1) and x3 of (n3,).
+    ``boxes`` holds each slice's (x1, x2, x3) index box as three ``slice``s,
+    or None for a slice without points; without ``boxes`` every box is the
+    whole slice.  ``blocks`` yields the box's points as ``_GridBlock``s of
+    shape (rows, m2, m3, 4), in blocks of whole axis-1 rows: as many rows as
+    fit in BLOCK_POINTS, and one row when a row alone is larger.  Every block
+    is a view of one coordinate-major (4, rows, m2, m3) buffer, a prefix of
+    one buffer per pass, that the next block overwrites, so each
+    ``block[..., k]`` is a contiguous column.  Its ``axes`` are the same
+    coordinates as four views of the grid's 1-D axes that broadcast to
+    (rows, m2, m3): x0 of shape (1,), the block's x1 of shape (rows, 1, 1),
+    x2 of (m2, 1) and x3 of (m3,).
     """
     axes = grid.axes()
-    n1, n2, n3 = grid.counts[1:]
-    rows = min(n1, max(1, BLOCK_POINTS // (n2 * n3)))
-    buf = np.empty((4, rows, n2, n3))
-    buf[2] = x2 = axes[2][:, None]
-    buf[3] = x3 = axes[3]
+    boxes = _whole_slices(grid) if boxes is None else boxes
 
-    def blocks(x0):
+    def layout(box):
+        m1, m2, m3 = (s.stop - s.start for s in box)
+        return min(m1, max(1, BLOCK_POINTS // (m2 * m3))), m2, m3
+
+    flat = np.empty(4 * max((math.prod(layout(box)) for box in boxes if box is not None), default=0))
+
+    def blocks(x0, box):
+        (s1, s2, s3), (rows, m2, m3) = box, layout(box)
+        buf = flat[: 4 * rows * m2 * m3].reshape(4, rows, m2, m3)
         buf[0] = x0
-        for i1 in range(0, n1, rows):
-            cols = buf[:, : min(rows, n1 - i1)]
-            cols[1] = x1 = axes[1][i1 : i1 + rows, None, None]
+        buf[2] = x2 = axes[2][s2, None]
+        buf[3] = x3 = axes[3][s3]
+        for i1 in range(s1.start, s1.stop, rows):
+            x1 = axes[1][i1 : min(i1 + rows, s1.stop), None, None]
+            cols = buf[:, : len(x1)]
+            cols[1] = x1
             block = np.moveaxis(cols, 0, -1).view(_GridBlock)
             block.axes = (x0, x1, x2, x3)
             yield block
 
-    for x0 in axes[0][:, None]:
-        yield blocks(x0)
+    for x0, box in zip(axes[0][:, None], boxes):
+        yield iter(()) if box is None else blocks(x0, box)
+
+
+#: The tail cutoff tau of bounded ``pairings``: a grid point is skipped only
+#: where every pair's Gaussian majorant is below tau times that pair's peak,
+#: so a pair's value loses at most tau * peak * (the skipped points' weights)
+#: (``skipped_bounds``).  At e^-50 = 1.9e-22 that is below 1e-15 of the
+#: value for the shipped and benchmark pairings.
+TAIL_CUTOFF = math.exp(-50.0)
+#: A pair's form with a larger condition number covers the whole grid: its
+#: box, computed from a solve with that matrix, could be off by more than the
+#: one grid point it is widened by.
+_MAX_CONDITION = 1e12
+
+
+def _pair_box_ranges(bound: GaussianBound, grid: GridSpec):
+    """Per axis-0 slice, the inclusive (x1, x2, x3) index ranges ``(lo, hi)`` of one pair's box, or None.
+
+    Outside ``(x - mu)^T A (x - mu) <= c``, ``c = -ln TAIL_CUTOFF``, the pair's
+    bound is below TAIL_CUTOFF times its peak.  At ``x0 = mu0 + u`` the
+    section is ``(v - u s)^T G (v - u s) <= c - u^2 (A00 + A[0, 1:] s)`` in
+    ``v = x[1:] - mu[1:]``, with ``G = A[1:, 1:]`` and ``s = -G^-1 A[1:, 0]``,
+    and its bounding box has half-widths ``sqrt(rhs (G^-1)_kk)``.  Each box
+    is widened by one grid point per side and clipped to the grid; a slice
+    more than one grid point from the ellipsoid's x0 range gets ``lo > hi``.
+    None when the bound's data are not finite, or its form is not positive
+    definite with ``||A||_F ||A^-1||_F`` (at least its condition number) of at
+    most _MAX_CONDITION.
+    """
+    A, mu = bound.form, bound.center
+    if not (np.isfinite(bound.amp) and np.all(np.isfinite(A)) and np.all(np.isfinite(mu))):
+        return None
+    cut = -math.log(TAIL_CUTOFF)
+    low = np.array([lo for lo, _ in grid.bounds])
+    step = np.array([(hi - lo) / (k - 1) for (lo, hi), k in zip(grid.bounds, grid.counts)])
+    last = np.array(grid.counts) - 1
+    with np.errstate(all="ignore"):
+        try:
+            np.linalg.cholesky(A)  # raises unless A is positive definite
+            # ||A||_F ||A^-1||_F is at least the condition number
+            if not np.linalg.norm(A) * np.linalg.norm(np.linalg.inv(A)) <= _MAX_CONDITION:
+                return None
+            inv = np.linalg.inv(A[1:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        slope = -(inv @ A[1:, 0])
+        schur = A[0, 0] + A[0, 1:] @ slope
+        reach = np.sqrt(cut / schur)
+        u = grid.axes()[0] - mu[0]
+        half = np.sqrt(np.maximum(cut - schur * u * u, 0.0)[:, None] * np.diag(inv))
+        mid = mu[1:] + u[:, None] * slope
+        lo = np.floor((mid - half - low[1:]) / step[1:]) - 1
+        hi = np.ceil((mid + half - low[1:]) / step[1:]) + 1
+        x0_lo = np.floor((mu[0] - reach - low[0]) / step[0]) - 1
+        x0_hi = np.ceil((mu[0] + reach - low[0]) / step[0]) + 1
+    if np.isnan(lo).any() or np.isnan(hi).any() or np.isnan(x0_lo) or np.isnan(x0_hi):
+        return None
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, last[1:])
+    far = (np.arange(grid.counts[0]) < x0_lo) | (np.arange(grid.counts[0]) > x0_hi)
+    lo[far], hi[far] = np.inf, -np.inf
+    return lo, hi
+
+
+def _slice_boxes(bounds, grid: GridSpec) -> list:
+    """Each axis-0 slice's box for ``pairings``: three index ``slice``s (x1, x2, x3), or None to skip the slice.
+
+    A slice's box covers every pair's box (``_pair_box_ranges``), so each
+    skipped point is outside every pair's ellipsoid.  Without ``bounds``, or
+    when any pair has no bound (None) or one without a box, every box is
+    the whole slice.
+    """
+    if bounds is None:
+        return _whole_slices(grid)
+    lo = np.full((grid.counts[0], 3), np.inf)
+    hi = np.full((grid.counts[0], 3), -np.inf)
+    for bound in bounds:
+        ranges = None if bound is None else _pair_box_ranges(bound, grid)
+        if ranges is None:
+            return _whole_slices(grid)
+        lo, hi = np.minimum(lo, ranges[0]), np.maximum(hi, ranges[1])
+    return [
+        tuple(slice(int(a), int(b) + 1) for a, b in zip(los, his)) if np.all(los <= his) else None
+        for los, his in zip(lo, hi)
+    ]
 
 
 def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
@@ -452,7 +649,7 @@ def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
     return out
 
 
-def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
+def pairings(pairs, grid: GridSpec, levels: int = 1, bounds=None) -> np.ndarray:
     """Pairings of several field pairs on nested levels of one grid, in one pass.
 
     Returns a complex (len(pairs), levels) array: entry ``[p, j]`` is
@@ -461,11 +658,21 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
     coordinates); the last column is on ``grid`` itself.  Raises
     ValueError when a count minus 1 does not divide by ``2**(levels-1)``.
 
+    ``bounds`` holds one ``GaussianBound`` (or None) per pair, a bound of its
+    integrand such as the product of its fields' bounds.  Each axis-0 slice
+    is then evaluated and summed only inside one (x1, x2, x3) index box that
+    covers every pair's ellipsoid where its bound is at least TAIL_CUTOFF
+    times its peak, widened by one grid point per side, and a slice without
+    such a box is skipped (``_slice_boxes``); ``skipped_bounds`` bounds what
+    each value leaves out.  Without ``bounds``, or with a pair whose bound is
+    None or not finite, every box is the whole slice, and the values are
+    those of the unbounded sum, bit for bit.
+
     Each distinct field (by identity) is evaluated once per block of
     ``_slice_blocks``, so shared fields and coarser levels cost no further
-    evaluation.  Each axis-0 slice is summed over axes 2 and 3 by a real
-    matrix product with the (n2 * n3, levels) weights, then over axis 1,
-    a complex integrand as its real and imaginary parts (no complex BLAS
+    evaluation.  Each slice's box is summed over axes 2 and 3 by a real
+    matrix product with the box's (m2 * m3, levels) weights, then over axis
+    1, a complex integrand as its real and imaginary parts (no complex BLAS
     product); the slice sums are added in order.
     """
     pairs = list(pairs)
@@ -474,21 +681,26 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
             raise ValueError(f"component counts differ: {phi.n} != {f.n}")
     if not isinstance(grid, GridSpec):
         raise ValueError("pairing requires a GridSpec")
+    if bounds is not None and len(bounds) != len(pairs):
+        raise ValueError(f"{len(bounds)} bounds for {len(pairs)} pairs")
     w0, w1, w2, w3 = _level_weights(grid, levels)
-    w23 = (w2[:, None, :] * w3[None, :, :]).reshape(-1, levels)
+    boxes = _slice_boxes(bounds, grid)
     fields = list({id(f): f for pair in pairs for f in pair}.values())
     slot = {id(f): i for i, f in enumerate(fields)}
     index = [(slot[id(phi)], slot[id(f)]) for phi, f in pairs]
-    n1 = grid.counts[1]
-    contract = lambda part: np.einsum("aj,aj->j", w1, part.reshape(n1, -1) @ w23)
 
-    def slice_sums(blocks):
-        # Real parts of every pair's integrand on the slice, imaginary parts
-        # of the pairs that meet a complex value.  Freed on return, before
-        # the next slice's: kept across it they doubled the peak memory, and
-        # one buffer per pass left malloc mapping and unmapping the blocks'
-        # temporaries (ten times the page faults).
-        real = np.empty((len(pairs), n1) + grid.counts[2:])
+    def slice_sums(box, blocks):
+        # Real parts of every pair's integrand in the slice's box, imaginary
+        # parts of the pairs that meet a complex value.  Sized to the box and
+        # freed on return, before the next slice's: kept across it they
+        # doubled the peak memory, and one buffer per pass left malloc
+        # mapping and unmapping the blocks' temporaries (ten times the page
+        # faults).
+        s1, s2, s3 = box
+        shape = tuple(s.stop - s.start for s in box)
+        w23 = (w2[s2, None, :] * w3[None, s3, :]).reshape(-1, levels)
+        contract = lambda part: np.einsum("aj,aj->j", w1[s1], part.reshape(shape[0], -1) @ w23)
+        real = np.empty((len(pairs),) + shape)
         imag = {}
         i1 = 0
         for pts in blocks:
@@ -511,12 +723,42 @@ def pairings(pairs, grid: GridSpec, levels: int = 1) -> np.ndarray:
             sums[p, 1] = contract(part)
         return sums
 
+    # An unbounded pass frees a whole slice's integrand buffer after its first
+    # slice, and glibc's malloc then raises its mmap threshold to that size and
+    # its heap-trim threshold to twice it.  The same request, made and freed
+    # here untouched, keeps those thresholds for smaller boxes, so their
+    # buffers and the blocks' temporaries are reused from the heap instead of
+    # trimmed and refaulted at each slice: a fresh process's bounded 65^4
+    # four-component ladder took about 20,000 minor page faults without it
+    # and 900 with it.
+    np.empty((len(pairs),) + grid.counts[1:])
     total = np.zeros((len(pairs), 2, levels))
-    for w, blocks in zip(w0, _slice_blocks(grid)):
-        total += w * slice_sums(blocks)
+    for w, box, blocks in zip(w0, boxes, _slice_blocks(grid, boxes)):
+        if box is not None:
+            total += w * slice_sums(box, blocks)
     values = np.empty((len(pairs), levels), dtype=complex)
     values.real, values.imag = total[:, 0], total[:, 1]
     return values
+
+
+def skipped_bounds(bounds, grid: GridSpec, levels: int = 1) -> np.ndarray:
+    """What ``pairings(pairs, grid, levels, bounds)`` may leave out of each value, shape (len(bounds), levels).
+
+    Entry ``[p, j]`` is ``TAIL_CUTOFF * peak * W_j``: ``peak`` is
+    ``bounds[p].amp``, the largest value of the pair's bound, and ``W_j`` the
+    sum of level ``j``'s trapezoid weights at the grid points that the pass
+    skips, each of them outside the pair's ellipsoid.  It is exactly 0 when
+    nothing is skipped.
+    """
+    w0, *w123 = _level_weights(grid, levels)
+    whole = math.prod(w.sum(axis=0) for w in w123)
+    skipped = np.zeros(levels)
+    for w, box in zip(w0, _slice_boxes(bounds, grid)):
+        kept = 0.0 if box is None else math.prod(wk[s].sum(axis=0) for wk, s in zip(w123, box))
+        skipped += w * np.maximum(whole - kept, 0.0)
+    peaks = np.array([[0.0 if b is None else b.amp] for b in bounds])
+    with np.errstate(all="ignore"):
+        return np.where(skipped > 0, TAIL_CUTOFF * peaks * skipped, 0.0)
 
 
 def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:

@@ -971,6 +971,51 @@ class TestLargeBoostScenario:
         assert rows["active_roundtrip"]["tolerance"] == rows["passive_composition"]["tolerance"] == "1e-10"
 
 
+class TestBoundedPairing:
+    """The pairing check skips grid points where a Gaussian majorant of every integrand is negligible."""
+
+    @pytest.mark.parametrize("name", ["pairing_invariance.json", "pairing_vector_rotation.json"])
+    def test_the_report_bounds_what_was_skipped(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / name), "--out", "r.json"]) == 0
+        report = load(tmp_path / "r.json")
+        table = report["tables"]["pairing_convergence"]
+        values = [abs(complex(float(re), float(im))) for re, im in table["values"]]
+        skipped = [float(b) for b in table["skipped_bounds"]]
+        assert len(skipped) == len(values)
+        assert all(0 < b <= 1e-15 * v for b, v in zip(skipped, values))
+        sides = {r["name"]: r for r in report["results"]}["pairing_invariance"]["detail"]
+        for side in ("active_side", "test_side"):
+            value = abs(complex(*map(float, sides[side])))
+            assert 0 < float(sides[f"{side}_skipped_bound"]) <= 1e-15 * value
+
+    MONOMIAL = 'field.phi.components=[[{"coeff":1,"powers":[0,2,0,0]}]]'
+
+    # Widths at the documented extremes, forms that overflow and rapidity-8 boosts, each
+    # with the exit code it had before pairings skipped points, at the 33^4 finest grid.
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ([], 1),
+            (["field.phi.width=1.055e-154"], 1),
+            (["field.phi.width=1.055e-154", "group.omega=[8,0,0,0,0,0]"], 1),
+            (["field.phi.width=1.34e154"], 0),
+            (["field.phi.width=1.34e154", MONOMIAL], 1),
+            (["field.phi.width=1.34e154", "field.test.width=1.34e154", "group.omega=[8,0,0,0,0,0]"], 0),
+            (["field.test.width=1.34e154", "group.omega=[0,5,5,0,1,0]"], 1),
+            (["group.omega=[8,0,0,0,0,0]", MONOMIAL], 1),
+        ],
+    )
+    def test_degenerate_bound_data_keep_the_exit_codes(self, tmp_path, monkeypatch, overrides, code):
+        monkeypatch.chdir(tmp_path)
+        args = [a for o in overrides + ["grid.doublings=2"] for a in ("--override", o)]
+        assert run_cli(["run", str(SCENARIOS / "pairing_invariance.json"), "--out", "r.json", *args]) == code
+        report = load(tmp_path / "r.json")
+        bounds = report["tables"]["pairing_convergence"]["skipped_bounds"]
+        bounds += [report["results"][1]["detail"][f"{side}_skipped_bound"] for side in ("active_side", "test_side")]
+        assert all(float(b) >= 0 for b in bounds)
+
+
 class TestReportResultRow:
     def test_row_nearest_its_own_tolerance_is_shown(self):
         # the first row fails its strict tolerance although the second has the larger residual

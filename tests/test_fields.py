@@ -8,9 +8,11 @@ import covariant_kit.fields as fields_module
 from covariant_kit.fields import (
     FieldFunction,
     FrameChange,
+    GaussianBound,
     GridSpec,
     SingularFrameError,
     active_transform,
+    active_transform_bound,
     cocycle_check,
     constant_field,
     dump_field_csv,
@@ -19,7 +21,9 @@ from covariant_kit.fields import (
     pairing,
     pairings,
     passive_transform,
+    skipped_bounds,
     transform_test_function,
+    transform_test_function_bound,
     wave_packet,
 )
 from covariant_kit.geometry import AffineMap, PoincareElement
@@ -597,9 +601,8 @@ class TestHermitePairing:
         exact = 0.8 * 1.3 * gaussian_overlap(lam.T @ lam / self.S1**2, m, np.eye(4) / self.S2**2, self.C2)
         self._check(value, exact)
 
-    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
-    @pytest.mark.parametrize("coeffs", ["real", "complex"])
-    def test_active_and_test_function_laws(self, kind, coeffs):
+    def _cli_pairs(self, kind, coeffs):
+        """The pairs of the CLI's invariance check, their integrand bounds, and the oracle's values."""
         # The representation matrix comes from the package; the packets,
         # the laws' pull-backs and the integral do not.
         rep = getattr(FieldRep, kind)()
@@ -610,15 +613,298 @@ class TestHermitePairing:
         comps = self.REAL if coeffs == "real" else self.COMPLEX
         mine, other = comps[:n], comps[::-1][:n]
 
-        # The pairs of the CLI's invariance check, in one pass: phi and f are
-        # each shared by two pairs.
+        # phi and f are each shared by two pairs, as in one pass of the CLI.
         phi, f = wave_packet(self.C1, self.S1, mine), wave_packet(self.C2, self.S2, other)
         pairs = [(phi, f), (active_transform(phi, rep, self.G), f), (phi, transform_test_function(f, rep, self.G))]
-        values = pairings(pairs, self.GRID)[:, 0]
+        phi_bound, f_bound = GaussianBound.of_packet(self.C1, self.S1, mine), GaussianBound.of_packet(self.C2, self.S2, other)
+        bounds = [
+            phi_bound * f_bound,
+            active_transform_bound(phi_bound, rep, self.G) * f_bound,
+            phi_bound * transform_test_function_bound(f_bound, rep, self.G),
+        ]
         same = (np.eye(n), np.eye(4), np.zeros(4))
-        self._check(values[0], hermite_pairing((*same, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)))
-        self._check(values[1], hermite_pairing((D.T, lam, a, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)))
-        self._check(values[2], hermite_pairing((*same, self.C1, self.S1, mine), (D, inv, -inv @ a, self.C2, self.S2, other)))
+        exact = [
+            hermite_pairing((*same, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)),
+            hermite_pairing((D.T, lam, a, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)),
+            hermite_pairing((*same, self.C1, self.S1, mine), (D, inv, -inv @ a, self.C2, self.S2, other)),
+        ]
+        return pairs, bounds, exact
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
+    @pytest.mark.parametrize("coeffs", ["real", "complex"])
+    def test_active_and_test_function_laws(self, kind, coeffs):
+        pairs, _, exact = self._cli_pairs(kind, coeffs)
+        for value, oracle in zip(pairings(pairs, self.GRID)[:, 0], exact):
+            self._check(value, oracle)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
+    @pytest.mark.parametrize("coeffs", ["real", "complex"])
+    def test_bounded_pairings(self, kind, coeffs):
+        # The pass skips part of the grid, within the reported bound of the full sum.
+        pairs, bounds, exact = self._cli_pairs(kind, coeffs)
+        bounded = pairings(pairs, self.GRID, bounds=bounds)[:, 0]
+        full = pairings(pairs, self.GRID)[:, 0]
+        skipped = skipped_bounds(bounds, self.GRID)[:, 0]
+        boxes = fields_module._slice_boxes(bounds, self.GRID)
+        kept = sum(math.prod(s.stop - s.start for s in box) for box in boxes if box is not None)
+        assert kept < 0.8 * self.GRID.npoints
+        assert np.all(skipped > 0) and np.all(skipped <= 1e-15 * np.abs(exact))
+        for value, plain, bound, oracle in zip(bounded, full, skipped, exact):
+            self._check(value, oracle)
+            assert abs(value - plain) <= bound + 1e-14 * abs(plain)
+
+
+def _draw_packet(rng, n=None):
+    """Center, width and ``n`` (else 1 or 4) components of a random packet: constant, or real or complex monomials of degree <= 2."""
+    n = int(rng.choice([1, 4])) if n is None else n
+    kind = rng.choice(["constant", "real", "complex"])
+    if kind == "constant":
+        comps = [float(c) for c in rng.uniform(-1.5, 1.5, n)]
+    else:
+        comps = []
+        for _ in range(n):
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                powers = [0] * 4
+                for _ in range(int(rng.integers(0, 3))):
+                    powers[int(rng.integers(4))] += 1
+                coeff = rng.uniform(-1, 1) + (1j * rng.uniform(-1, 1) if kind == "complex" else 0.0)
+                terms.append((coeff, tuple(powers)))
+            comps.append(terms)
+    return rng.uniform(-1, 1, 4), float(rng.uniform(0.3, 3.0)), comps
+
+
+def _draw_law(rng, n):
+    """A representation for ``n`` components and a Poincare element: rapidity up to 8, shifts up to 1."""
+    rep = FieldRep.scalar() if n == 1 else getattr(FieldRep, str(rng.choice(["vector", "spinor"])))()
+    boost = rng.normal(size=3)
+    boost *= rng.uniform(0.0, 8.0) / np.linalg.norm(boost)
+    return rep, PoincareElement.from_params(np.concatenate([boost, rng.uniform(-np.pi, np.pi, 3)]), rng.uniform(-1, 1, 4))
+
+
+#: The laws of the real bounds: (of_packet, active law, test-function law).
+BOUND_LAWS = (GaussianBound.of_packet, active_transform_bound, transform_test_function_bound)
+
+
+def _bounded_fields(rng, laws=BOUND_LAWS, n=None):
+    """A random packet (of ``n`` components), its two transforms and their bounds from ``laws``, with points out to 8 widths.
+
+    Each entry is (field, bound, points): the points are the images of
+    center + y, |y| up to 8 widths, under the inverse of the field's point map.
+    """
+    of_packet, active_law, test_law = laws
+    center, width, comps = _draw_packet(rng, n)
+    packet, bound = wave_packet(center, width, comps), of_packet(center, width, comps)
+    rep, g = _draw_law(rng, packet.n)
+    y = rng.normal(size=(200, 4))
+    y *= 8 * width * rng.uniform(0.0, 1.0, (200, 1)) / np.linalg.norm(y, axis=-1, keepdims=True)
+    y[0] = 0.0
+    at = center + y
+    return [
+        (packet, bound, at),
+        (active_transform(packet, rep, g), active_law(bound, rep, g), g.inverse()(at)),
+        (transform_test_function(packet, rep, g), test_law(bound, rep, g), g(at)),
+    ]
+
+
+def _log_majorant(bound, x):
+    """log of ``bound`` at points x, and the rounding of that log.
+
+    Each entry of a pulled-back form and each product of its evaluation is
+    off by a few ulps of sqrt(A_ii A_jj) |z_i| |z_j|, z = x - center.
+    """
+    z = x - bound.center
+    reach = np.abs(z) @ np.sqrt(np.diag(bound.form))
+    return math.log(bound.amp) - np.einsum("...i,ij,...j->...", z, bound.form, z), 64 * np.finfo(float).eps * reach**2 + 1e-12
+
+
+def _log_abs(values):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values))
+
+
+def _worst_excess(laws, draws=40):
+    """Largest log(|field(x)|_2 / bound(x)) past its rounding over random fields and points; <= 0 if the bounds hold."""
+    rng = np.random.default_rng(31)
+    worst = -np.inf
+    for _ in range(draws):
+        for field, bound, x in _bounded_fields(rng, laws):
+            log_bound, rounding = _log_majorant(bound, x)
+            worst = max(worst, float(np.max(_log_abs(np.linalg.norm(field.evaluate(x), axis=-1)) - log_bound - rounding)))
+    return worst
+
+
+def _skip_excess(sides, grid):
+    """Check a bounded pass of the pairs ``(p, p_bound, q, q_bound)`` at every point it skips.
+
+    Asserts that the pass evaluates exactly its boxes' points and that each
+    skipped point's pair majorant (the product of the two bounds) is below
+    TAIL_CUTOFF times its peak.  Returns the largest
+    log(|integrand| / (TAIL_CUTOFF peak)) past its rounding at a skipped
+    point (<= 0 when the bounds hold) and the number of points kept.
+    """
+    sizes = []
+    first = sides[0][0]
+    counted = _counting(first, sizes)
+    sides = [(counted if p is first else p, a, counted if q is first else q, b) for p, a, q, b in sides]
+    bounds = [a * b for _, a, _, b in sides]
+    cut, axes = -math.log(fields_module.TAIL_CUTOFF), grid.axes()
+    worst = -np.inf
+    with np.errstate(all="ignore"):
+        pairings([(p, q) for p, _, q, _ in sides], grid, bounds=bounds)
+        boxes = fields_module._slice_boxes(bounds, grid)
+        kept = sum(math.prod(s.stop - s.start for s in box) for box in boxes if box is not None)
+        assert sum(sizes) == kept
+        for x0, box in zip(axes[0], boxes):
+            skip = np.ones(grid.counts[1:], dtype=bool)
+            if box is not None:
+                skip[box] = False
+            x = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1)[0][skip]
+            for (p, p_bound, q, q_bound), bound in zip(sides, bounds):
+                z = x - bound.center
+                assert np.all(np.einsum("...i,ij,...j->...", z, bound.form, z) >= cut)
+                integrand = np.sum(p.evaluate(x) * q.evaluate(x), axis=-1)
+                rounding = _log_majorant(p_bound, x)[1] + _log_majorant(q_bound, x)[1] + 1e-9
+                excess = _log_abs(integrand) - np.log(fields_module.TAIL_CUTOFF * bound.amp) - rounding
+                worst = max(worst, float(np.max(excess[integrand != 0], initial=-np.inf)))
+    return worst, kept
+
+
+def _worst_skipped(grid, laws, draws):
+    """``_skip_excess`` over random pairs as the CLI forms them, laws from ``laws``: the worst excess and the points kept."""
+    rng = np.random.default_rng(grid.counts[0])
+    worst, kept = -np.inf, 0
+    for _ in range(draws):
+        (phi, phi_bound, _), (moved, moved_bound, _), _ = _bounded_fields(rng, laws)
+        (f, f_bound, _), _, (pulled, pulled_bound, _) = _bounded_fields(rng, laws, phi.n)
+        sides = [(phi, phi_bound, f, f_bound), (moved, moved_bound, f, f_bound), (phi, phi_bound, pulled, pulled_bound)]
+        excess, in_boxes = _skip_excess(sides, grid)
+        worst, kept = max(worst, excess), kept + in_boxes
+    return worst, kept
+
+
+def _unwidened(center, width, comps):
+    """A broken packet bound: the monomials' coefficient sums times the packet's own Gaussian."""
+    amps = [abs(c) if np.isscalar(c) else sum(abs(coeff) for coeff, _ in c) for c in comps]
+    return GaussianBound(float(np.linalg.norm(amps)), np.eye(4) / width**2, np.asarray(center, dtype=float))
+
+
+def _norm(rep, g):
+    return fields_module._norm_bound(rep_matrix_for_element(rep, g))
+
+
+#: Broken bounds, each a (of_packet, active law, test-function law).
+BROKEN_BOUND_LAWS = {
+    "no-polynomial-widening": (_unwidened, active_transform_bound, transform_test_function_bound),
+    "test-function-law-through-g": (
+        GaussianBound.of_packet,
+        active_transform_bound,
+        lambda bound, rep, g: bound.pull_back(g, _norm(rep, g)),
+    ),
+    "no-representation-norm": (
+        GaussianBound.of_packet,
+        lambda bound, rep, g: bound.pull_back(g, abs(g.jacobian)),
+        lambda bound, rep, g: bound.pull_back(g.inverse(), 1.0),
+    ),
+}
+
+
+class TestGaussianBound:
+    """A packet's and a law's Gaussian majorant bounds the field, and bounded pairings skip only below it."""
+
+    def test_bounds_random_packets_under_the_laws(self):
+        assert _worst_excess(BOUND_LAWS) <= 0.0
+
+    @pytest.mark.parametrize("name", list(BROKEN_BOUND_LAWS))
+    def test_a_broken_bound_fails(self, name):
+        assert _worst_excess(BROKEN_BOUND_LAWS[name]) > 1e-3
+
+    @pytest.mark.parametrize("count, draws", [(17, 8), (33, 3)])
+    def test_skipped_points_are_below_the_cutoff(self, count, draws):
+        grid = GridSpec(((-7.0, 7.0),) * 4, (count,) * 4)
+        worst, kept = _worst_skipped(grid, BOUND_LAWS, draws)
+        assert worst <= 0.0
+        assert kept < 0.9 * draws * grid.npoints
+
+    def test_a_box_from_the_forward_map_skips_a_live_point(self):
+        # The two other broken bounds keep the right ellipsoids, so only the pointwise test above sees them.
+        grid = GridSpec(((-7.0, 7.0),) * 4, (17,) * 4)
+        assert _worst_skipped(grid, BROKEN_BOUND_LAWS["test-function-law-through-g"], 8)[0] > 1.0
+
+    def test_peak_and_form_of_a_pair(self):
+        # exp(-|x - c1|^2 / s1^2) exp(-|x - c2|^2 / s2^2) is a Gaussian of form 1/s1^2 + 1/s2^2
+        c1, c2 = np.array([0.3, -0.2, 0.1, 0.0]), np.array([-0.25, 0.4, 0.0, 0.2])
+        pair = GaussianBound.of_packet(c1, 1.1, [0.8]) * GaussianBound.of_packet(c2, 1.3, [-1.5])
+        a1, a2 = 1 / 1.1**2, 1 / 1.3**2
+        mu = (a1 * c1 + a2 * c2) / (a1 + a2)
+        assert_allclose(pair.form, (a1 + a2) * np.eye(4), rtol=1e-15)
+        assert_allclose(pair.center, mu, rtol=1e-14)
+        assert pair.amp == pytest.approx(1.2 * math.exp(-a1 * a2 / (a1 + a2) * np.sum((c1 - c2) ** 2)), rel=1e-14)
+
+    def test_a_monomial_packet_widens_its_gaussian(self):
+        # |y_0|^2 exp(-|y|^2 / s^2) <= (2 s^2 / (2 e e))^1 exp(-(1 - e) |y|^2 / s^2), e = 1/16
+        bound = GaussianBound.of_packet(np.zeros(4), 1.5, [[(0.5, (2, 0, 0, 0)), (1.0, (0, 0, 0, 0))]])
+        share = fields_module._MONOMIAL_SHARE
+        assert_allclose(bound.form, (1 - share) / 1.5**2 * np.eye(4))
+        assert bound.amp == pytest.approx(0.5 * 1.5**2 / (share * math.e) + 1.0, rel=1e-15)
+
+
+class TestDegenerateBounds:
+    """Bound data without a box make a whole-grid pass; extreme widths and boosts never raise or under-cover."""
+
+    GRID = GridSpec(((-7.0, 7.0),) * 4, (9,) * 4)
+    NARROW = GaussianBound(1.0, 4.0 * np.eye(4), np.zeros(4))
+    NO_BOX = {
+        "none": None,
+        "infinite-amp": GaussianBound(np.inf, np.eye(4), np.zeros(4)),
+        "nan-amp": GaussianBound(np.nan, np.eye(4), np.zeros(4)),
+        "overflowed-form": GaussianBound(1.0, np.full((4, 4), np.inf), np.zeros(4)),
+        "nan-center": GaussianBound(1.0, np.eye(4), np.array([np.nan, 0.0, 0.0, 0.0])),
+        "indefinite-form": GaussianBound(1.0, np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros(4)),
+        "zero-form": GaussianBound(1.0, np.zeros((4, 4)), np.zeros(4)),
+        "ill-conditioned-form": GaussianBound(1.0, np.diag([1.0, 1.0, 1.0, 1e-13]), np.zeros(4)),
+    }
+
+    @pytest.mark.parametrize("name", list(NO_BOX))
+    def test_a_pair_without_a_box_makes_the_whole_grid(self, name):
+        whole = fields_module._whole_slices(self.GRID)
+        assert fields_module._slice_boxes([self.NARROW], self.GRID) != whole
+        assert fields_module._slice_boxes([self.NARROW, self.NO_BOX[name]], self.GRID) == whole
+        assert np.all(skipped_bounds([self.NARROW, self.NO_BOX[name]], self.GRID, levels=2) == 0.0)
+
+    def test_a_pair_without_a_bound_keeps_the_unbounded_bits(self):
+        pairs = list(TestBlockedPairing()._pairs(FieldRep.spinor()).values())
+        grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
+        bounded = pairings(pairs, grid, levels=3, bounds=[self.NARROW, None, self.NARROW])
+        assert np.array_equal(_bits(bounded), _bits(pairings(pairs, grid, levels=3)))
+
+    def test_one_bound_per_pair(self):
+        phi = wave_packet([0, 0, 0, 0], 1.0, 1)
+        with pytest.raises(ValueError):
+            pairings([(phi, phi)], self.GRID, bounds=[self.NARROW, self.NARROW])
+
+    @pytest.mark.parametrize("monomial", [False, True])
+    @pytest.mark.parametrize("rapidity", [0.3, 8.0])
+    @pytest.mark.parametrize(
+        "phi_width, f_width", [(1.055e-154, 1.2), (1.34e154, 1.2), (1.055e-154, 1.055e-154), (1.34e154, 1.34e154), (1.055e-154, 1.34e154)]
+    )
+    def test_extreme_widths_and_boosts(self, phi_width, f_width, rapidity, monomial):
+        # The CLI's three pairs at the documented width extremes: no bound raises or warns, one
+        # pair's form or center overflows, so the pass takes the whole grid, and no pair alone
+        # skips a live point.
+        comps = [[(1.0, (0, 2, 0, 0)), (0.5, (0, 0, 0, 0))]] if monomial else [1.0]
+        c1, c2 = np.array([0.3, -0.2, 0.1, 0.0]), np.array([-0.25, 0.4, 0.0, 0.2])
+        rep, g = FieldRep.scalar(), PoincareElement.from_params([rapidity, 0, 0, 0, 0, 0], [0.5, 0, 0, 0])
+        phi, f = wave_packet(c1, phi_width, comps), wave_packet(c2, f_width, 1)
+        phi_bound, f_bound = GaussianBound.of_packet(c1, phi_width, comps), GaussianBound.of_packet(c2, f_width, 1)
+        sides = [
+            (phi, phi_bound, f, f_bound),
+            (active_transform(phi, rep, g), active_transform_bound(phi_bound, rep, g), f, f_bound),
+            (phi, phi_bound, transform_test_function(f, rep, g), transform_test_function_bound(f_bound, rep, g)),
+        ]
+        assert _skip_excess(sides, self.GRID) == (-np.inf, self.GRID.npoints)
+        for side in sides:
+            assert _skip_excess([side], self.GRID)[0] <= 0.0
 
 
 def _slice_at_once_pairing(phi, f, grid):
