@@ -646,12 +646,17 @@ class TestHermitePairing:
         full = pairings(pairs, self.GRID)[:, 0]
         skipped = skipped_bounds(bounds, self.GRID)[:, 0]
         boxes = fields_module._slice_boxes(bounds, self.GRID)
-        kept = sum(math.prod(s.stop - s.start for s in box) for box in boxes if box is not None)
+        kept = _kept_points(boxes)
         assert kept < 0.8 * self.GRID.npoints
         assert np.all(skipped > 0) and np.all(skipped <= 1e-15 * np.abs(exact))
         for value, plain, bound, oracle in zip(bounded, full, skipped, exact):
             self._check(value, oracle)
             assert abs(value - plain) <= bound + 1e-14 * abs(plain)
+
+
+def _kept_points(boxes):
+    """The number of grid points in the boxes of ``fields._slice_boxes``."""
+    return sum(math.prod(s.stop - s.start for s in box) for box in boxes if box is not None)
 
 
 def _draw_packet(rng, n=None):
@@ -753,7 +758,7 @@ def _skip_excess(sides, grid):
     with np.errstate(all="ignore"):
         pairings([(p, q) for p, _, q, _ in sides], grid, bounds=bounds)
         boxes = fields_module._slice_boxes(bounds, grid)
-        kept = sum(math.prod(s.stop - s.start for s in box) for box in boxes if box is not None)
+        kept = _kept_points(boxes)
         assert sum(sizes) == kept
         for x0, box in zip(axes[0], boxes):
             skip = np.ones(grid.counts[1:], dtype=bool)
