@@ -1,32 +1,30 @@
-"""Parametrised group families and generator extraction.
+"""Parametrised group families and their infinitesimal data.
 
 A :class:`ParamFamily` packages an s-parameter family of affine point maps
 ``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
 field components, with the identity at the base parameters ``b0 = 0``.
-A family declares only what it cannot derive: ``s`` is the number of its
-parameter labels, ``n`` the size of ``I(b0)``, and the ``T_*`` labels mark
-the pure translations.  Differentiating at ``b0`` yields the
-infinitesimal data consumed by the relation checks in
-:mod:`covariant_kit.heisenberg`:
+A family declares only what it cannot derive, its Lie-algebra data
+included, and the relation checks in :mod:`covariant_kit.heisenberg`
+read that data through:
 
 * ``rep_generators``   dI/db per parameter, an (s, n, n) stack;
-* ``flow_fields``      dH/db per parameter, sampled velocity fields;
-* ``volume_rates``     d/db of det L(b) for H(b) r = L(b) r + a(b), one volume-change rate per parameter.
+* ``flow_fields``      the declared flows h_a(r) = A_a r + c_a on sample points;
+* ``volume_rates``     tr A_a, the derivative of det[dH/dr] at b0, one per parameter.
 
 A family whose points never move (the frame-only and internal families,
-the fibre-bundle case) says so with ``point_map=None``: its flows and
-volume rates are exact zeros, and its relation has no transport term.
+the fibre-bundle case) has ``point_map=None`` and no ``flow``: its flows
+and volume rates are exact zeros, and its relation has no transport term.
 
-Derivatives are central differences (order 2 or 4) unless a family
-carries analytic ones.  Every numerical derivative in the package goes
-through one stencil, :func:`_stencil`, which gives the difference points
-and the rule that combines the values at them.  :func:`_central_diff`
-applies it to a function: along a group parameter at the scheme's step,
-and along a point coordinate at the fixed inner step 1e-6 for the
-derivative of a :class:`~covariant_kit.fields.FrameChange`;
-:func:`_param_diffs` is its one loop over group parameters.  A relation
-check in :mod:`covariant_kit.heisenberg` takes the stencil's points and
-rule directly, to evaluate the field at many stencil points at once.
+Central differences (order 2 or 4) serve the global side of a relation
+check, :func:`det_trace_residual` and a ``rep_map`` without closed form.
+Every numerical derivative in the package goes through one stencil,
+:func:`_stencil`, which gives the difference points and the rule that
+combines the values at them.  :func:`_central_diff` applies it to a
+function: along a group parameter at the scheme's step, and along a point
+coordinate at the fixed inner step 1e-6 for the derivative of a
+:class:`~covariant_kit.fields.FrameChange`; :func:`_param_diffs` is its one
+loop over group parameters.  A relation check takes the stencil's points
+and rule directly, to evaluate the field at many stencil points at once.
 Steps and tolerances are artifact choices, not anything canonical.
 """
 
@@ -38,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ALGEBRAIC_TOL, PLANES, AffineMap, lorentz_exp
+from .geometry import ALGEBRAIC_TOL, PLANES, AffineMap, lorentz_exp, lorentz_generators
 from .representations import FieldRep, rep_matrix
 
 __all__ = [
@@ -92,15 +90,16 @@ class ParamFamily:
     ``b0``.  The parameter count ``s`` is the number of ``labels``, ``b0``
     is ``s`` read-only zeros, and the component count ``n`` is read off
     ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
-    ``rep_derivative`` is an optional closed-form (s, n, n) derivative stack
-    at b0, which ``rep_generators`` returns; the frame-only and internal
-    families set it.
+    The closed forms at b0 are stored read-only: ``rep_derivative``, an optional
+    finite (s, n, n) stack that ``rep_generators`` returns, and ``flow``, the
+    finite (s, 4, 5) stack ``[A_a | c_a]`` of dH/db, set exactly when ``point_map`` is.
     """
 
     point_map: Callable[[np.ndarray], AffineMap] | None
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
     rep_derivative: np.ndarray | None = None
+    flow: np.ndarray | None = None
     b0: np.ndarray = field(init=False)
     n: int = field(init=False)
 
@@ -117,6 +116,17 @@ class ParamFamily:
         if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > ALGEBRAIC_TOL:
             raise ValueError("rep_map(b0) is not the identity matrix")
         object.__setattr__(self, "n", n)
+        if (self.flow is None) != (self.point_map is None):
+            raise ValueError("a family declares a flow exactly when it has a point_map")
+        for name, shape, dtype in (("rep_derivative", (self.s, n, n), complex), ("flow", (self.s, 4, 5), float)):
+            if getattr(self, name) is None:
+                continue
+            data = np.array(getattr(self, name))
+            if data.shape != shape or not np.can_cast(data.dtype, dtype) or not np.isfinite(data).all():
+                raise ValueError(f"{name} must be a finite {shape} {np.dtype(dtype)} stack, got {data.dtype} {data.shape}")
+            data = data.astype(dtype)
+            data.setflags(write=False)
+            object.__setattr__(self, name, data)
         if self.point_map is None:
             return
         h = self.point_map(b0)
@@ -154,27 +164,29 @@ def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDSc
 def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
     """Derivative of the component matrix at b0, per parameter: (s, n, n)."""
     if family.rep_derivative is not None:
-        return np.asarray(family.rep_derivative, dtype=complex).copy()
+        return family.rep_derivative.copy()
     f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
     return np.stack(list(_param_diffs(f, family.b0, scheme)))
 
 
-def flow_fields(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> np.ndarray:
-    """Velocity fields dH/db at b0 sampled on ``points``: (s, ..., 4)."""
+def _affine_flow(flow: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """One declared flow ``[A | c]`` (4, 5) on a point batch (..., 4): A r + c."""
+    return pts @ flow[:, :4].T + flow[:, 4]
+
+
+def flow_fields(family: ParamFamily, points: np.ndarray) -> np.ndarray:
+    """The declared velocity fields h_a at b0 sampled on ``points``: (s, ..., 4)."""
     pts = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample points must be finite")
-    if family.point_map is None:
+    if family.flow is None:
         return np.zeros((family.s, *pts.shape))
-    f = lambda b: family.point_map(b)(pts)
-    return np.stack(list(_param_diffs(f, family.b0, scheme)))
+    return np.stack([_affine_flow(f, pts) for f in family.flow])
 
 
-def volume_rates(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
-    """d/db of the point-map Jacobian determinant at b0, one number per parameter: (s,)."""
-    if family.point_map is None:
-        return np.zeros(family.s)
-    return np.array(list(_param_diffs(lambda b: family.point_map(b).jacobian, family.b0, scheme)))
+def volume_rates(family: ParamFamily) -> np.ndarray:
+    """The volume rates tr A_a, d/db of the point-map Jacobian at b0, one per parameter: (s,)."""
+    return np.zeros(family.s) if family.flow is None else np.trace(family.flow[:, :, :4], axis1=1, axis2=2)
 
 
 @dataclass(frozen=True)
@@ -192,8 +204,8 @@ def extract_all(family: ParamFamily, scheme: FDScheme, points: np.ndarray) -> Ge
     return GeneratorCoefficients(
         labels=family.labels,
         rep_derivs=rep_generators(family, scheme),
-        flow=flow_fields(family, scheme, points),
-        volume=volume_rates(family, scheme),
+        flow=flow_fields(family, points),
+        volume=volume_rates(family),
     )
 
 
@@ -218,6 +230,10 @@ def det_trace_residual(
 
 
 _POINCARE_LABELS = ("S_01", "S_02", "S_03", "S_12", "S_13", "S_23", "T_0", "T_1", "T_2", "T_3")
+#: ``[A_a | c_a]`` of the Poincare point maps: the plane generators, then the unit translations.
+_POINCARE_FLOW = np.zeros((10, 4, 5))
+_POINCARE_FLOW[:6, :, :4] = lorentz_generators()
+_POINCARE_FLOW[6:, :, 4] = np.eye(4)
 
 
 def analytic_rep_derivatives(rep: FieldRep) -> np.ndarray:
@@ -225,9 +241,8 @@ def analytic_rep_derivatives(rep: FieldRep) -> np.ndarray:
 
     ``rep.generators`` in the parameter layout of the corresponding family
     constructor: ten rows (six planes, then four translations, which never
-    move the matrix) for scalar/vector/spinor, one row for phase.  The
-    frame-only and internal families carry this table as their
-    ``rep_derivative``.
+    move the matrix) for scalar/vector/spinor, one row for phase.  Every
+    shipped family carries this table as its ``rep_derivative``.
     """
     if rep.generators is None:
         raise ValueError(f"no closed-form derivatives for {rep.kind} representations")
@@ -242,10 +257,9 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_family needs a scalar, vector, or spinor representation")
     # The point map and the rep matrix at one b share one exponential, and
-    # so do the difference stencils that revisit the same b (rep_generators,
-    # flow_fields, volume_rates and the global map of a relation check).
-    # Keys are the plane parameters' bytes; lru_cache is safe to call
-    # concurrently.
+    # so do the difference stencils that revisit the same b (a relation
+    # check's global side).  Keys are the plane parameters' bytes;
+    # lru_cache is safe to call concurrently.
     memo = functools.lru_cache(maxsize=_MEMO_SIZE)
     lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)))
     matrix = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
@@ -260,17 +274,16 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
         point_map=lambda b: AffineMap(lorentz(key_of(b)), b[6:]),
         rep_map=rep_map,
         labels=_POINCARE_LABELS,
+        rep_derivative=analytic_rep_derivatives(rep),
+        flow=_POINCARE_FLOW,
     )
 
 
 def poincare_frame_family(rep: FieldRep) -> ParamFamily:
-    """Frame-only twin of :func:`poincare_family`: the matrices change,
-    the points never move, and the derivative is the closed form."""
+    """Frame-only twin of :func:`poincare_family`: the matrices change, the points never move."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
-    # rep_map stays the Poincare family's, with its own memoised Lorentz
-    # and representation matrices; the points no longer move.
-    return replace(poincare_family(rep), point_map=None, rep_derivative=analytic_rep_derivatives(rep))
+    return replace(poincare_family(rep), point_map=None, flow=None)
 
 
 def internal_family(rep: FieldRep) -> ParamFamily:

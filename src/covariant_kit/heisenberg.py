@@ -5,15 +5,17 @@ The checks compare two routes to the same infinitesimal data:
 * the *global* route differentiates the full transformed field
   ``b -> det[dH(b)/dr] I(b) phi(H(b) r)`` by central differences at the
   family's base parameters;
-* the *local* route assembles ``Delta(r) phi(r) + I' phi(r)
-  + h(r) . grad phi(r)`` from extracted (or analytic) coefficients.
+* the *local* route assembles ``Delta phi(r) + I' phi(r) + h(r) . grad phi(r)``
+  from the family's declared flow ``h``, its rate ``Delta`` and ``I'``.
 
-Their agreement, parameter by parameter, is the content of the relation;
-residuals shrink at the order of the difference scheme.  The fibre-bundle
-relation is the same relation for a family that moves no points
-(``point_map=None``): there is no transport term, the global route
-differences ``I(b) phi(r)`` alone, the local side is purely
-``I' phi(r)``, and translation directions are exactly zero.
+Only the global route takes differences, so a wrong point map, Jacobian
+or generator table cannot cancel out.  Their agreement, parameter by
+parameter, is the content of the relation; residuals shrink at the order
+of the difference scheme.  The fibre-bundle relation is the same relation
+for a family that moves no points (``point_map=None``): there is no
+transport term, the global route differences ``I(b) phi(r)`` alone, the
+local side is purely ``I' phi(r)``, and translation directions are
+exactly zero.
 
 Finite-dimensional matrix models stand in for internal-symmetry operator
 algebras: a number operator and its unitaries, stored as diagonals, and a
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import BLOCK_POINTS, FieldFunction
-from .generators import FDScheme, ParamFamily, _param_diffs, _stencil, rep_generators
+from .generators import FDScheme, ParamFamily, _affine_flow, _param_diffs, _stencil, rep_generators, volume_rates
 from .schemas import TOLERANCES, number_text
 
 __all__ = [
@@ -180,8 +182,8 @@ def _relation_residuals(
     parameter's do not.  Each stencil point's ``point_map(b)`` and
     ``rep_map(b)`` are built once and the map moves the whole sample; the
     field is evaluated once per chunk of all the group's moved points.
-    The stencil's rule then differences the moved points (flow), the maps'
-    ``jacobian`` (volume rate) and the global values.
+    The stencil's rule differences the global values alone; the local side
+    reads the declared flow and volume rates, per parameter and chunk.
     """
     gen = rep_generators(family, scheme)
     if family.point_map is None:
@@ -189,7 +191,7 @@ def _relation_residuals(
         diffs = zip(_param_diffs(rep_f, family.b0, scheme), gen)
         return (np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
 
-    order, p = scheme.order, len(pts)
+    order, p, rates = scheme.order, len(pts), volume_rates(family)
     stencils = [_stencil(family.b0, w, scheme.step, order) for w in range(family.s)]
     per_group = max(1, BLOCK_POINTS // max(1, order * p))
     chunk = max(1, min(p, BLOCK_POINTS // order))
@@ -208,18 +210,15 @@ def _relation_residuals(
         out = [np.empty_like(phi) for _ in group]
         for start in range(0, p, chunk):
             rows = slice(start, start + chunk)
-            cols = moved[:, :, rows]
-            vals = _field_values(field, np.moveaxis(cols, 0, -1))
+            vals = _field_values(field, np.moveaxis(moved[:, :, rows], 0, -1))
             lhs = np.empty_like(vals)
             for j, mat in enumerate(mats):
                 np.einsum("ij,pj->pi", mat, vals[j], out=lhs[j])
             lhs *= jac[:, None, None]
             for i, w in enumerate(group):
-                at = slice(i * order, (i + 1) * order)
-                rule = stencils[w][1]
-                flow = rule(*cols[:, at].swapaxes(0, 1)).T
-                out[i][rows] = rule(*lhs[at]) - (
-                    rule(*jac[at]) * phi[rows]
+                flow = _affine_flow(family.flow[w], pts[rows])
+                out[i][rows] = stencils[w][1](*lhs[i * order : (i + 1) * order]) - (
+                    rates[w] * phi[rows]
                     + np.einsum("ij,pj->pi", gen[w], phi[rows])
                     + np.einsum("pk,pik->pi", flow, grads[rows])
                 )

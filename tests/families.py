@@ -9,9 +9,10 @@ from covariant_kit.geometry import AffineMap
 
 
 def dilation_family():
-    """H(b) = exp(b) r; trivial one-component matrix."""
+    """H(b) = exp(b) r, whose flow is [I | 0]; trivial one-component matrix."""
     return ParamFamily(
         point_map=lambda b: AffineMap(math.exp(b[0]) * np.eye(4)),
         rep_map=lambda b: np.eye(1, dtype=complex),
         labels=("D",),
+        flow=np.eye(4, 5)[None],
     )

@@ -12,6 +12,7 @@ from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
     _central_diff,
+    _param_diffs,
     analytic_rep_derivatives,
     det_trace_residual,
     extract_all,
@@ -30,6 +31,17 @@ from families import dilation_family
 
 POINTS = np.random.default_rng(14).uniform(-2.0, 2.0, (25, 4))
 SCHEME = FDScheme(1e-4, order=2)
+STILL = np.zeros((1, 4, 5))  # the flow of a point map that is the identity for every b
+
+
+def differenced_flows(fam, pts, scheme=SCHEME):
+    """Central differences of the family's point maps along each parameter: (s, ..., 4)."""
+    return np.stack(list(_param_diffs(lambda b: fam.point_map(b)(pts), fam.b0, scheme)))
+
+
+def differenced_rates(fam, scheme=SCHEME):
+    """Central differences of the family's point-map Jacobians along each parameter: (s,)."""
+    return np.array(list(_param_diffs(lambda b: fam.point_map(b).jacobian, fam.b0, scheme)))
 
 
 class TestSchemeValidation:
@@ -74,6 +86,7 @@ class TestFamilyValidation:
                 point_map=lambda b: AffineMap.identity(),
                 rep_map=lambda b: 2.0 * np.eye(1, dtype=complex),
                 labels=("X",),
+                flow=STILL,
             )
 
     def test_point_identity_enforced(self):
@@ -84,6 +97,7 @@ class TestFamilyValidation:
                     point_map=lambda b: h,
                     rep_map=lambda b: np.eye(1, dtype=complex),
                     labels=("X",),
+                    flow=STILL,
                 )
 
     def test_s_and_n_are_derived(self):
@@ -91,11 +105,12 @@ class TestFamilyValidation:
             point_map=lambda b: AffineMap.identity(),
             rep_map=lambda b: np.eye(3, dtype=complex),
             labels=("X", "Y"),
+            flow=np.zeros((2, 4, 5)),
         )
         assert (fam.s, fam.n) == (2, 3)
         assert np.array_equal(fam.b0, np.zeros(2)) and not fam.b0.flags.writeable
         assert dataclasses.replace(fam, rep_map=lambda b: np.eye(2, dtype=complex)).n == 2
-        fields = {f: getattr(fam, f) for f in ("point_map", "rep_map", "labels")}
+        fields = {f: getattr(fam, f) for f in ("point_map", "rep_map", "labels", "flow")}
         for derived in ({"s": 2}, {"b0": np.zeros(2)}):
             with pytest.raises(TypeError):
                 ParamFamily(**derived, **fields)
@@ -106,7 +121,58 @@ class TestFamilyValidation:
                 point_map=lambda b: AffineMap.identity(),
                 rep_map=lambda b: np.ones(3, dtype=complex),
                 labels=("X",),
+                flow=STILL,
             )
+
+    @pytest.mark.parametrize("shape", [(11, 4, 4), (3, 4, 4), (10, 4, 3), (10, 16)])
+    def test_rep_derivative_of_the_wrong_shape_rejected(self, shape):
+        # an (11, 4, 4) stack used to pass with its extra row dropped, and a
+        # (3, 4, 4) one ended in a reshape error inside the relation check
+        with pytest.raises(ValueError, match=r"rep_derivative must be a finite \(10, 4, 4\) complex128 stack"):
+            dataclasses.replace(poincare_frame_family(FieldRep.vector()), rep_derivative=np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(10, 4, 4), (9, 4, 5), (10, 5, 4), (10, 20)])
+    def test_flow_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"flow must be a finite \(10, 4, 5\) float64 stack"):
+            dataclasses.replace(poincare_family(FieldRep.vector()), flow=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_declared_data_rejected(self, bad):
+        table = analytic_rep_derivatives(FieldRep.spinor())
+        table[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="rep_derivative must be a finite"):
+            dataclasses.replace(poincare_frame_family(FieldRep.spinor()), rep_derivative=table)
+        flow = np.array(poincare_family(FieldRep.scalar()).flow)
+        flow[7, 0, 4] = bad
+        with pytest.raises(ValueError, match="flow must be a finite"):
+            dataclasses.replace(poincare_family(FieldRep.scalar()), flow=flow)
+
+    def test_complex_flow_rejected(self):
+        # casting would drop the imaginary part with only a warning
+        flow = poincare_family(FieldRep.scalar()).flow + 0.5j
+        with pytest.raises(ValueError, match=r"flow must be a finite \(10, 4, 5\) float64 stack, got complex128"):
+            dataclasses.replace(poincare_family(FieldRep.scalar()), flow=flow)
+        integral = dataclasses.replace(dilation_family(), flow=np.eye(4, 5, dtype=int)[None])
+        assert integral.flow.dtype == float and np.array_equal(integral.flow, dilation_family().flow)
+
+    def test_flow_exactly_when_points_move(self):
+        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
+            dataclasses.replace(poincare_frame_family(FieldRep.vector()), flow=poincare_family(FieldRep.vector()).flow)
+        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
+            dataclasses.replace(poincare_family(FieldRep.vector()), flow=None)
+        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
+            ParamFamily(point_map=lambda b: AffineMap.identity(), rep_map=lambda b: np.eye(1), labels=("X",))
+        assert internal_family(FieldRep.phase(1.0, 1.0)).flow is None
+
+    def test_declared_data_are_read_only_copies(self):
+        table, flow = analytic_rep_derivatives(FieldRep.vector()), np.array(poincare_family(FieldRep.vector()).flow)
+        fam = dataclasses.replace(poincare_family(FieldRep.vector()), rep_derivative=table, flow=flow)
+        table[0] = flow[0] = 7.0
+        assert np.array_equal(fam.rep_derivative, analytic_rep_derivatives(FieldRep.vector()))
+        assert np.array_equal(fam.flow, poincare_family(FieldRep.vector()).flow)
+        assert fam.rep_derivative.dtype == complex and fam.flow.dtype == float
+        assert not fam.rep_derivative.flags.writeable and not fam.flow.flags.writeable
+        assert rep_generators(fam, SCHEME).flags.writeable
 
     def test_poincare_rejects_phase(self):
         with pytest.raises(ValueError):
@@ -118,60 +184,71 @@ class TestFamilyValidation:
 
 
 class TestFlowFields:
+    """The declared flows, and the central differences of the point maps they agree with."""
+
     def test_translation_directions_are_unit_vectors(self):
         fam = poincare_family(FieldRep.scalar())
-        flows = flow_fields(fam, SCHEME, POINTS)
+        flows, differenced = flow_fields(fam, POINTS), differenced_flows(fam, POINTS)
         for mu in range(4):
             expected = np.zeros(4)
             expected[mu] = 1.0
-            assert np.abs(flows[6 + mu] - expected).max() <= 1e-10
+            assert np.array_equal(flows[6 + mu], np.broadcast_to(expected, POINTS.shape))
+            assert np.abs(differenced[6 + mu] - flows[6 + mu]).max() <= 1e-10
 
     def test_translation_exact_at_origin(self):
         fam = poincare_family(FieldRep.scalar())
         origin = np.zeros((1, 4))
-        flows = flow_fields(fam, SCHEME, origin)
-        assert np.array_equal(flows[6:], np.stack([e.reshape(1, 4) for e in np.eye(4)]))
+        expected = np.stack([e.reshape(1, 4) for e in np.eye(4)])
+        assert np.array_equal(flow_fields(fam, origin)[6:], expected)
+        assert np.array_equal(differenced_flows(fam, origin)[6:], expected)
 
     def test_rotation_boost_directions_match_generator_oracle(self):
         fam = poincare_family(FieldRep.scalar())
-        flows = flow_fields(fam, SCHEME, POINTS)
+        flows, differenced = flow_fields(fam, POINTS), differenced_flows(fam, POINTS)
         for w, (a, b) in enumerate(PLANES):
             expected = POINTS @ plane_generator(a, b).T
-            assert np.abs(flows[w] - expected).max() <= 1e-8
+            assert np.array_equal(flows[w], expected)
+            assert np.abs(differenced[w] - flows[w]).max() <= 1e-8
 
     def test_dilation_flow_is_position(self):
-        flows = flow_fields(dilation_family(), SCHEME, POINTS)
-        assert np.abs(flows[0] - POINTS).max() <= 1e-8
+        flows = flow_fields(dilation_family(), POINTS)
+        assert np.array_equal(flows[0], POINTS)
+        assert np.abs(differenced_flows(dilation_family(), POINTS)[0] - flows[0]).max() <= 1e-8
 
     def test_nonfinite_points_rejected(self):
         with pytest.raises(ValueError):
-            flow_fields(dilation_family(), SCHEME, np.array([[np.nan, 0, 0, 0]]))
+            flow_fields(dilation_family(), np.array([[np.nan, 0, 0, 0]]))
 
 
 class TestVolumeRates:
+    """The declared volume rates tr A_a, and the central differences of the Jacobians they agree with."""
+
     def test_poincare_rates_vanish(self):
         fam = poincare_family(FieldRep.vector())
-        rates = volume_rates(fam, SCHEME)
-        assert rates.shape == (10,)
-        assert np.abs(rates).max() <= 1e-8
+        rates = volume_rates(fam)
+        assert rates.shape == (10,) and np.array_equal(rates, np.zeros(10))
+        assert np.abs(differenced_rates(fam)).max() <= 1e-8
 
     def test_dilation_rate_is_dimension(self):
-        rates = volume_rates(dilation_family(), FDScheme(1e-5))
+        assert np.array_equal(volume_rates(dilation_family()), [4.0])
+        rates = differenced_rates(dilation_family(), FDScheme(1e-5))
         assert rates.shape == (1,)
         assert np.abs(rates - 4.0).max() <= 1e-8
 
     def test_dilation_rate_order4(self):
-        rates = volume_rates(dilation_family(), FDScheme(1e-4, order=4))
+        rates = differenced_rates(dilation_family(), FDScheme(1e-4, order=4))
         assert rates.shape == (1,)
-        assert np.abs(rates - 4.0).max() <= 1e-8
+        assert np.abs(rates - volume_rates(dilation_family())).max() <= 1e-8
 
     def test_anisotropic_scaling_rate(self):
         fam = ParamFamily(
             point_map=lambda b: AffineMap(np.diag([math.exp(b[0]), 1.0, 1.0, 1.0])),
             rep_map=lambda b: np.eye(1, dtype=complex),
             labels=("A",),
+            flow=np.diag([1.0, 0.0, 0.0, 0.0, 0.0])[None, :4],
         )
-        rates = volume_rates(fam, FDScheme(1e-5))
+        assert np.array_equal(volume_rates(fam), [1.0])
+        rates = differenced_rates(fam, FDScheme(1e-5))
         assert rates.shape == (1,)
         assert np.abs(rates - 1.0).max() <= 1e-8
 
@@ -181,13 +258,14 @@ class TestVolumeRates:
         fam = dilation_family() if kind == "dilation" else poincare_family(FieldRep.vector())
         scheme = FDScheme(1e-5, order=order)
         for pts in (POINTS[:6].reshape(2, 3, 4), POINTS[0]):
-            flows, rates = flow_fields(fam, scheme, pts), volume_rates(fam, scheme)
+            flows, rates = flow_fields(fam, pts), volume_rates(fam)
             assert flows.shape == (fam.s, *pts.shape) and rates.shape == (fam.s,)
+            assert np.abs(differenced_flows(fam, pts, scheme) - flows).max() <= 1e-8
+            assert np.abs(differenced_rates(fam, scheme) - rates).max() <= 1e-8
             if kind == "dilation":
-                assert np.abs(flows[0] - pts).max() <= 1e-8
-                assert np.abs(rates - 4.0).max() <= 1e-8
+                assert np.array_equal(flows[0], pts) and np.array_equal(rates, [4.0])
             else:
-                assert np.abs(rates).max() <= 1e-8
+                assert np.array_equal(rates, np.zeros(10))
 
 
 class TestRepGenerators:
@@ -239,11 +317,10 @@ class TestRepGenerators:
     @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor", "phase"])
     def test_frame_and_internal_families_carry_the_closed_form(self, variant):
         rep = FieldRep.phase(1.5, 0.5) if variant == "phase" else getattr(FieldRep, variant)()
-        fam = (internal_family if variant == "phase" else poincare_frame_family)(rep)
-        assert np.array_equal(fam.rep_derivative, analytic_rep_derivatives(rep))
-        assert np.array_equal(rep_generators(fam, SCHEME), analytic_rep_derivatives(rep))
-        if variant != "phase":
-            assert poincare_family(rep).rep_derivative is None
+        families = [internal_family(rep)] if variant == "phase" else [poincare_family(rep), poincare_frame_family(rep)]
+        for fam in families:
+            assert np.array_equal(fam.rep_derivative, analytic_rep_derivatives(rep))
+            assert np.array_equal(rep_generators(fam, SCHEME), analytic_rep_derivatives(rep))
 
     def test_custom_internal_family_has_no_closed_form(self):
         rep = FieldRep.custom(lambda b: np.eye(1, dtype=complex) * np.exp(1j * b[0]), 1, 1)
@@ -251,16 +328,14 @@ class TestRepGenerators:
 
     def test_analytic_tables_match_fd(self):
         for rep in (FieldRep.scalar(), FieldRep.vector(), FieldRep.spinor()):
-            fd = rep_generators(poincare_family(rep), SCHEME)
+            fd = rep_generators(dataclasses.replace(poincare_family(rep), rep_derivative=None), SCHEME)
             assert np.abs(fd - analytic_rep_derivatives(rep)).max() <= 1e-8
 
-    @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("kind", ["internal", "frame"])
-    def test_internal_family_flow_and_rates_exactly_zero(self, kind, order):
+    def test_internal_family_flow_and_rates_exactly_zero(self, kind):
         rep = FieldRep.phase(1.0, 1.0) if kind == "internal" else FieldRep.vector()
         fam = (internal_family if kind == "internal" else poincare_frame_family)(rep)
-        scheme = FDScheme(1e-4, order=order)
-        flows, rates = flow_fields(fam, scheme, POINTS), volume_rates(fam, scheme)
+        flows, rates = flow_fields(fam, POINTS), volume_rates(fam)
         assert flows.shape == (fam.s, *POINTS.shape) and rates.shape == (fam.s,)
         assert np.abs(flows).max() == 0.0
         assert np.abs(rates).max() == 0.0
@@ -273,7 +348,8 @@ class TestExtractAll:
         assert coeffs.rep_derivs.shape == (10, 4, 4)
         assert coeffs.flow.shape == (10,) + POINTS.shape
         assert coeffs.volume.shape == (10,)
-        assert np.array_equal(coeffs.volume, volume_rates(fam, SCHEME))
+        assert np.array_equal(coeffs.volume, volume_rates(fam))
+        assert np.array_equal(coeffs.flow, flow_fields(fam, POINTS))
         translations = [w for w, label in enumerate(coeffs.labels) if label.startswith("T_")]
         assert translations == [6, 7, 8, 9]
         assert np.abs(coeffs.rep_derivs[translations]).max() == 0.0
@@ -281,9 +357,11 @@ class TestExtractAll:
 
 
 class TestFDConvergence:
+    """rep_generators' differences of a family stripped of its closed form."""
+
     def test_order2_error_shrinks_by_four(self):
         rep = FieldRep.spinor()
-        fam = poincare_family(rep)
+        fam = dataclasses.replace(poincare_family(rep), rep_derivative=None)
         exact = analytic_rep_derivatives(rep)
         err = []
         for h in (1e-2, 5e-3):
@@ -294,7 +372,7 @@ class TestFDConvergence:
 
     def test_order4_beats_order2(self):
         rep = FieldRep.spinor()
-        fam = poincare_family(rep)
+        fam = dataclasses.replace(poincare_family(rep), rep_derivative=None)
         exact = analytic_rep_derivatives(rep)
         e2 = np.abs(rep_generators(fam, FDScheme(1e-2, order=2))[:6] - exact[:6]).max()
         e4 = np.abs(rep_generators(fam, FDScheme(1e-2, order=4))[:6] - exact[:6]).max()

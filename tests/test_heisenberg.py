@@ -12,11 +12,14 @@ from covariant_kit.generators import (
     FDScheme,
     ParamFamily,
     _param_diffs,
+    flow_fields,
     internal_family,
     poincare_family,
     poincare_frame_family,
     rep_generators,
+    volume_rates,
 )
+from covariant_kit.geometry import AffineMap
 from covariant_kit.heisenberg import (
     RelationReport,
     ToyOperatorModel,
@@ -142,14 +145,52 @@ class TestLocalRelation:
         ) / (2 * h)
         assert abs(lhs - 4.0 * phi0) <= 1e-6
 
-    def test_dilation_family_off_center(self):
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_dilation_family_off_center(self, order):
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1)
-        report = verify_local_relation(field, dilation_family(), SCHEME, POINTS)
+        report = verify_local_relation(field, dilation_family(), FDScheme(1e-4, order=order), POINTS)
         assert report.all_passed
 
+    @pytest.mark.parametrize("flow", [2.0 * np.eye(4, 5), np.eye(4, 5) + np.eye(4, 5, 4), np.zeros((4, 5))])
+    def test_flow_that_disagrees_with_the_point_map_fails(self, flow):
+        # twice the flow, a stray offset, and no flow at all (which also drops the volume rate)
+        field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1)
+        family = dataclasses.replace(dilation_family(), flow=flow[None])
+        report = verify_local_relation(field, family, SCHEME, POINTS)
+        assert not report.all_passed and report.sup_residuals[0] > 0.1
+
+    def test_jacobian_that_reads_one_fails_the_dilation_relation(self):
+        # differencing the Jacobian for the volume rate would cancel this defect out
+        class UnitJacobian(AffineMap):
+            def __post_init__(self):
+                super().__post_init__()
+                object.__setattr__(self, "jacobian", 1.0)
+
+        family = dataclasses.replace(dilation_family(), point_map=lambda b: UnitJacobian(math.exp(b[0]) * np.eye(4)))
+        field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1)
+        assert family.point_map(np.full(1, 0.5)).jacobian == 1.0
+        report = verify_local_relation(field, family, SCHEME, POINTS)
+        assert not report.all_passed and report.sup_residuals[0] > 1.0
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_negated_closed_form_generators_fail(self, order):
+        vector = FieldRep.vector()
+        negated = dataclasses.replace(vector, generators=-vector.generators)
+        field = wave_packet([0.1, 0.0, 0.3, -0.2], 1.2, 4)
+        report = verify_local_relation(field, poincare_family(negated), FDScheme(1e-4, order=order), POINTS)
+        assert not report.passed[:6].any() and report.passed[6:].all()
+        assert verify_local_relation(field, poincare_family(vector), FDScheme(1e-4, order=order), POINTS).all_passed
+
     def test_constant_field_rotation_has_no_transport_term(self):
+        # the finite-difference route: rep_generators differences rep_map as the global side does
         field = constant_field([1.0, -0.5, 0.25, 2.0])
-        report = verify_local_relation(field, poincare_family(FieldRep.vector()), SCHEME, POINTS)
+        family = dataclasses.replace(poincare_family(FieldRep.vector()), rep_derivative=None)
+        report = verify_local_relation(field, family, SCHEME, POINTS)
+        assert report.sup_residuals.max() <= 1e-10
+
+    def test_constant_field_rotation_against_the_closed_form_at_order_four(self):
+        field = constant_field([1.0, -0.5, 0.25, 2.0])
+        report = verify_local_relation(field, poincare_family(FieldRep.vector()), FDScheme(1e-4, order=4), POINTS)
         assert report.sup_residuals.max() <= 1e-10
 
     def test_convergence_ratio_order_two(self):
@@ -244,21 +285,20 @@ def per_stencil_point_residuals(field, family, scheme, pts, phi, grads):
 
     This is the reference route the blocked stencil must reproduce bit for
     bit: each stencil point's map moves the sample, the field is evaluated
-    on the moved points, and ``_param_diffs`` differences the moved points,
-    the Jacobian and the rotated, scaled values together.
+    on the moved points, ``_param_diffs`` differences the rotated, scaled
+    values, and the local side reads the declared flows and volume rates.
     """
     gen = rep_generators(family, scheme)
+    flows, rates = flow_fields(family, pts), volume_rates(family)
 
     def global_map(b):
         h = family.point_map(b)
-        moved = h(pts)
-        vals = np.asarray(field.evaluate(moved), dtype=complex)
-        rotated = np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
-        return moved, h.jacobian, h.jacobian * rotated
+        vals = np.asarray(field.evaluate(h(pts)), dtype=complex)
+        return h.jacobian * np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
 
-    for w, (flow, rate, lhs) in enumerate(_param_diffs(global_map, family.b0, scheme)):
+    for w, lhs in enumerate(_param_diffs(global_map, family.b0, scheme)):
         yield lhs - (
-            rate * phi + np.einsum("ij,pj->pi", gen[w], phi) + np.einsum("pk,pik->pi", flow, grads)
+            rates[w] * phi + np.einsum("ij,pj->pi", gen[w], phi) + np.einsum("pk,pik->pi", flows[w], grads)
         )
 
 
