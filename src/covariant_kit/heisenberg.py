@@ -4,18 +4,19 @@ The checks compare two routes to the same infinitesimal data:
 
 * the *global* route differentiates the full transformed field
   ``b -> det[dH(b)/dr] I(b) phi(H(b) r)`` by central differences at the
-  family's base parameters;
+  family's base parameters, at the check's step and each convergence step;
 * the *local* route assembles ``Delta phi(r) + I' phi(r) + h(r) . grad phi(r)``
-  from the family's declared flow ``h``, its rate ``Delta`` and ``I'``.
+  from the family's declared flow ``h``, its rate ``Delta`` and ``I'``.  It
+  depends on no step, so a check forms it once for all of them.
 
 Only the global route takes differences, so a wrong point map, Jacobian
 or generator table cannot cancel out.  Their agreement, parameter by
 parameter, is the content of the relation; residuals shrink at the order
 of the difference scheme.  The fibre-bundle relation is the same relation
-for a family that moves no points (``point_map=None``): there is no
-transport term, the global route differences ``I(b) phi(r)`` alone, the
-local side is purely ``I' phi(r)``, and translation directions are
-exactly zero.
+for a family that moves no points (``point_map=None``): no transport term,
+the global route differences ``I(b) phi(r)`` alone, the local side is the
+closed-form ``I' phi(r)`` (a differenced ``I'`` would read 0 = 0, so a
+family without one raises), and translation directions are exactly zero.
 
 Finite-dimensional matrix models stand in for internal-symmetry operator
 algebras: a number operator and its unitaries, stored as diagonals, and a
@@ -162,42 +163,40 @@ def _residual_summary(residuals) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
 
-def _relation_residuals(
-    field: FieldFunction,
-    family: ParamFamily,
-    scheme: FDScheme,
-    pts: np.ndarray,
-    phi: np.ndarray,
-    grads: np.ndarray | None,
-):
-    """The global-vs-local derivative residual of each parameter, one (p, n) array at a time.
+def _relation_residuals(field: FieldFunction, family: ParamFamily, schemes: list[FDScheme], pts, phi, grads):
+    """Each scheme's global-vs-local residuals, as (scheme index, parameter, (p, n) array) one at a time.
 
-    ``phi`` and ``grads`` are the field's values and gradient on ``pts``.
-    A family that moves no points differences ``I(b)`` alone and
-    contracts ``(dI - I') phi``; it needs no gradient.
+    The schemes share one order, and a family without ``rep_derivative`` has
+    ``I'`` differenced once, at the first one's step.  ``phi`` and ``grads``
+    are the field's values and gradient on the sample ``pts``.  A family
+    that moves no points differences ``I(b)`` alone and contracts
+    ``(dI - I') phi``: it needs no gradient, but needs the closed-form ``I'``.
 
     A moving family takes its parameters in groups whose stencil points
-    times the sample fit in ``BLOCK_POINTS``, or one parameter at a time
-    with the sample in chunks of ``BLOCK_POINTS // order`` points when one
-    parameter's do not.  Each stencil point's ``point_map(b)`` and
-    ``rep_map(b)`` are built once and the map moves the whole sample; the
-    field is evaluated once per chunk of all the group's moved points.
-    The stencil's rule differences the global values alone; the local side
-    reads the declared flow and volume rates, per parameter and chunk.
+    times the sample fit in ``BLOCK_POINTS``, or one at a time with the
+    sample in chunks of ``BLOCK_POINTS // order`` points.  A group's local
+    side is formed once from the declared flow and volume rates; each
+    scheme's stencil then differences the global side alone against it.
+    Each stencil point's maps are built once and move the whole sample, and
+    the field is evaluated once per chunk of all the group's moved points.
     """
-    gen = rep_generators(family, scheme)
+    if family.point_map is None and family.rep_derivative is None:
+        raise ValueError("a family that moves no points needs its closed-form rep_derivative")
+    gen = rep_generators(family, schemes[0])
     if family.point_map is None:
         rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-        diffs = zip(_param_diffs(rep_f, family.b0, scheme), gen)
-        return (np.einsum("ij,pj->pi", dmat - g, phi) for dmat, g in diffs)
+        for k, scheme in enumerate(schemes):
+            for w, dmat in enumerate(_param_diffs(rep_f, family.b0, scheme)):
+                yield k, w, np.einsum("ij,pj->pi", dmat - gen[w], phi)
+        return
 
-    order, p, rates = scheme.order, len(pts), volume_rates(family)
-    stencils = [_stencil(family.b0, w, scheme.step, order) for w in range(family.s)]
+    order, p, rates = schemes[0].order, len(pts), volume_rates(family)
+    stencils = [[_stencil(family.b0, w, scheme.step, order) for w in range(family.s)] for scheme in schemes]
     per_group = max(1, BLOCK_POINTS // max(1, order * p))
     chunk = max(1, min(p, BLOCK_POINTS // order))
 
-    def group_residuals(group):
-        params = [b for w in group for b in stencils[w][0]]
+    def group_residuals(group, stencil, local):
+        params = [b for w in group for b in stencil[w][0]]
         maps = [family.point_map(b) for b in params]
         mats = [np.asarray(family.rep_map(b), dtype=complex) for b in params]
         jac = np.array([h.jacobian for h in maps])
@@ -216,36 +215,41 @@ def _relation_residuals(
                 np.einsum("ij,pj->pi", mat, vals[j], out=lhs[j])
             lhs *= jac[:, None, None]
             for i, w in enumerate(group):
-                flow = _affine_flow(family.flow[w], pts[rows])
-                out[i][rows] = stencils[w][1](*lhs[i * order : (i + 1) * order]) - (
-                    rates[w] * phi[rows]
-                    + np.einsum("ij,pj->pi", gen[w], phi[rows])
-                    + np.einsum("pk,pik->pi", flow, grads[rows])
-                )
+                out[i][rows] = stencil[w][1](*lhs[i * order : (i + 1) * order]) - local[i][rows]
         return out
 
-    groups = (range(w, min(w + per_group, family.s)) for w in range(0, family.s, per_group))
-    return (r for group in groups for r in group_residuals(group))
+    for first in range(0, family.s, per_group):
+        group = range(first, min(first + per_group, family.s))
+        local = [rates[w] * phi + np.einsum("ij,pj->pi", gen[w], phi) for w in group]
+        for i, w in enumerate(group):
+            local[i] += np.einsum("pk,pik->pi", _affine_flow(family.flow[w], pts), grads)
+        for k, stencil in enumerate(stencils):
+            yield from ((k, w, r) for w, r in zip(group, group_residuals(group, stencil, local)))
 
 
 def _relation_report(field, family, scheme, points, tolerance, convergence_steps=(), **metadata) -> RelationReport:
     """The relation's report at the scheme's step, with a sup table at each convergence step.
 
     The field is evaluated once on the sample, and its gradient once only
-    for a family that moves points.
+    for a family that moves points; one pass of :func:`_relation_residuals`
+    gives every step's residuals, reduced here one array at a time.
     """
     pts, phi = _sampled(field, family, points)
     grads = None if family.point_map is None else np.asarray(field.gradient(pts), dtype=complex)
-    residuals = lambda h: _relation_residuals(field, family, FDScheme(h, scheme.order), pts, phi, grads)
-    sup, rms = _residual_summary(residuals(scheme.step))
-    conv = [[float(np.abs(r).max()) for r in residuals(h)] for h in convergence_steps]
+    schemes = [scheme, *(FDScheme(h, scheme.order) for h in convergence_steps)]
+    sup, rms = np.empty((len(schemes), family.s)), np.empty(family.s)
+    for k, w, r in _relation_residuals(field, family, schemes, pts, phi, grads):
+        d = np.abs(r)
+        sup[k, w] = d.max()
+        if k == 0:
+            rms[w] = np.sqrt(np.mean(d**2))
     return RelationReport(
         labels=family.labels,
-        sup_residuals=sup,
+        sup_residuals=sup[0],
         rms_residuals=rms,
         tolerances=np.asarray(tolerance, dtype=float),
         convergence_steps=tuple(convergence_steps),
-        convergence_sup=np.stack(conv) if conv else None,
+        convergence_sup=sup[1:] if convergence_steps else None,
         metadata={**_correspondence(family.labels), **metadata},
     )
 
@@ -262,8 +266,8 @@ def verify_local_relation(
 
     For each parameter the finite-difference derivative of the globally
     transformed field is compared against
-    ``Delta phi + I' phi + h . grad phi``.  ``convergence_steps`` adds a
-    sup-residual table at extra step sizes (largest first is customary).
+    ``Delta phi + I' phi + h . grad phi``, formed once.  ``convergence_steps``
+    adds a sup-residual table at extra step sizes (largest first is customary).
     """
     return _relation_report(field, family, scheme, points, tolerance, convergence_steps)
 
@@ -278,16 +282,12 @@ def verify_bundle_relation(
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
     This is the local relation of a family that moves no points
-    (``point_map=None``), with ``I'`` the family's closed-form
-    ``rep_derivative``; differencing both sides would read 0 = 0, so a
-    family without one raises.  For translation-like parameters the whole
-    derivative is the residual and it vanishes identically, so those
-    entries come out exactly zero.
+    (``point_map=None``), which raises without a closed-form
+    ``rep_derivative``.  A translation-like parameter's whole derivative is
+    its residual and vanishes identically, so it comes out exactly zero.
     """
     if family.point_map is not None:
         raise ValueError("bundle relations need an identity point map; use verify_local_relation instead")
-    if family.rep_derivative is None:
-        raise ValueError("bundle relations need the family's closed-form rep_derivative")
     note = (
         "frame-only family: translation parameters act trivially, so their "
         "relation is 0 = 0 and the conserved-quantity relabeling is a label, "

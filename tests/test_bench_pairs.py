@@ -64,3 +64,31 @@ class TestSummarise:
             summarise([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             summarise([], [])
+
+
+class TestWithinBound:
+    """The no-regression verdict: the change's median is worse by at most ``bound`` of the parent's."""
+
+    def test_no_bound_gives_no_verdict(self):
+        assert summarise(PARENT, PARENT)["within_bound"] is None
+
+    def test_a_loss_up_to_the_bound_is_within_it(self):
+        # parent median 12.25; 10 % of it is 1.225
+        assert summarise(PARENT, [v + 1.0 for v in PARENT], "lower", 0.1)["within_bound"]
+        assert summarise(PARENT, [v + 1.225 for v in PARENT], "lower", 0.1)["within_bound"]
+        assert not summarise(PARENT, [v + 1.5 for v in PARENT], "lower", 0.1)["within_bound"]
+
+    def test_a_gain_is_always_within_the_bound(self):
+        assert summarise(PARENT, [v - 5.0 for v in PARENT], "lower", 0.0)["within_bound"]
+        assert summarise(PARENT, PARENT, "lower", 0.0)["within_bound"]
+
+    def test_higher_is_better_flips_the_direction(self):
+        assert summarise(PARENT, [v + 5.0 for v in PARENT], "higher", 0.1)["within_bound"]
+        assert not summarise(PARENT, [v - 1.5 for v in PARENT], "higher", 0.1)["within_bound"]
+
+    def test_rules_read_direction_and_bound(self, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}, {"name": "rate"}]}'
+        )
+        assert bench_pairs.rules(tmp_path) == {"wall_s": ("lower", 0.25), "rate": ("lower", None)}
+        assert bench_pairs.rules(tmp_path / "missing") == {}

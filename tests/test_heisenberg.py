@@ -126,12 +126,12 @@ class TestLocalRelation:
         assert report.all_passed
         assert report.sup_residuals[0] <= 1e-8
 
-    def test_phase_family_self_consistent_extraction(self):
-        # with extracted coefficients both routes are the same difference
+    def test_phase_family_without_closed_form_rejected(self):
+        # differencing I(b) for both routes would read exactly 0 at any tolerance
         family = dataclasses.replace(internal_family(FieldRep.phase(2.0, 0.7)), rep_derivative=None)
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.0, 1)
-        report = verify_local_relation(field, family, SCHEME, POINTS)
-        assert report.sup_residuals.max() <= 1e-15
+        with pytest.raises(ValueError, match="closed-form rep_derivative"):
+            verify_local_relation(field, family, SCHEME, POINTS, tolerance=1e-30)
 
     def test_dilation_value_at_center(self):
         # d/db [e^{4b} phi(e^b r)] at r = 0 is 4 phi(0)
@@ -302,6 +302,13 @@ def per_stencil_point_residuals(field, family, scheme, pts, phi, grads):
         )
 
 
+def per_stencil_point_passes(field, family, schemes, pts, phi, grads):
+    """The reference route in the one-pass shape: (scheme index, parameter, residual), a run per scheme."""
+    for k, scheme in enumerate(schemes):
+        for w, residual in enumerate(per_stencil_point_residuals(field, family, scheme, pts, phi, grads)):
+            yield k, w, residual
+
+
 def counting_field(packet, sizes):
     """``packet`` with an ``evaluate`` that appends the number of points of each call to ``sizes``."""
 
@@ -310,6 +317,16 @@ def counting_field(packet, sizes):
         return packet.evaluate(pts)
 
     return FieldFunction(packet.n, evaluate, packet.gradient)
+
+
+def counting(fn, calls):
+    """``fn`` that appends its name to ``calls`` on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 class TestBlockedStencil:
@@ -336,13 +353,17 @@ class TestBlockedStencil:
         family, field, pts = self.case(kind, count)
         phi = np.asarray(field.evaluate(pts), dtype=complex)
         grads = np.asarray(field.gradient(pts), dtype=complex)
-        scheme = FDScheme(1e-3, order=order)
-        blocked = list(heisenberg_module._relation_residuals(field, family, scheme, pts, phi, grads))
-        reference = list(per_stencil_point_residuals(field, family, scheme, pts, phi, grads))
-        assert len(blocked) == len(reference) == family.s
-        for got, want in zip(blocked, reference):
-            assert got.shape == want.shape == (count, family.n)
-            assert got.tobytes() == want.tobytes()
+        schemes = [FDScheme(1e-3, order=order), FDScheme(4e-3, order=order)]
+        blocked = {}
+        for k, w, residual in heisenberg_module._relation_residuals(field, family, schemes, pts, phi, grads):
+            assert (k, w) not in blocked
+            blocked[k, w] = residual
+        assert sorted(blocked) == [(k, w) for k in range(len(schemes)) for w in range(family.s)]
+        for k, scheme in enumerate(schemes):
+            reference = list(per_stencil_point_residuals(field, family, scheme, pts, phi, grads))
+            for w, want in enumerate(reference):
+                assert blocked[k, w].shape == want.shape == (count, family.n)
+                assert blocked[k, w].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [1, 50])
     @pytest.mark.parametrize("order", [2, 4])
@@ -351,7 +372,7 @@ class TestBlockedStencil:
         family, field, pts = self.case(kind, count)
         scheme, steps = FDScheme(1e-3, order=order), (4e-3, 2e-3)
         report = verify_local_relation(field, family, scheme, pts, convergence_steps=steps)
-        monkeypatch.setattr(heisenberg_module, "_relation_residuals", per_stencil_point_residuals)
+        monkeypatch.setattr(heisenberg_module, "_relation_residuals", per_stencil_point_passes)
         assert report.to_dict() == verify_local_relation(field, family, scheme, pts, convergence_steps=steps).to_dict()
 
     def test_one_evaluation_per_pass_at_fifty_points(self):
@@ -373,6 +394,26 @@ class TestBlockedStencil:
         assert max(sizes[1:]) <= BLOCK_POINTS
         # every stencil point still sees every sample point exactly once
         assert sum(sizes[1:]) == order * family.s * 20000
+
+    @pytest.mark.parametrize("count", [50, 20000])
+    def test_generators_and_rates_built_once_per_check(self, monkeypatch, count):
+        # one pass serves the check's step and all three convergence steps
+        calls = []
+        monkeypatch.setattr(heisenberg_module, "rep_generators", counting(rep_generators, calls))
+        monkeypatch.setattr(heisenberg_module, "volume_rates", counting(volume_rates, calls))
+        field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4)
+        pts = sample_points(count=count, seed=4)
+        family = poincare_family(FieldRep.vector())
+        verify_local_relation(field, family, SCHEME, pts, convergence_steps=(4e-3, 2e-3, 1e-3))
+        assert sorted(calls) == ["rep_generators", "volume_rates"]
+
+    def test_underflowing_convergence_step_raises_before_any_stencil(self):
+        sizes = []
+        field = counting_field(wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4), sizes)
+        family = poincare_family(FieldRep.vector())
+        with pytest.raises(ValueError, match="underflow"):
+            verify_local_relation(field, family, SCHEME, POINTS, convergence_steps=(1e-3, 1e-13))
+        assert sizes == [len(POINTS)]
 
 
 class TestBundleRelation:

@@ -17,10 +17,13 @@ The last line of stdout is one JSON object: the workload, seeds and
 per-run ``correct``/``failed`` of both sides, and for each end-to-end
 metric each side's values, quartiles (q1, median, q3, linear
 interpolation), the parent's IQR, the change's wins and losses over the
-pairs (ties count as neither), and ``claim_met``: the change won at least
+pairs (ties count as neither), ``claim_met``: the change won at least
 nine pairs in ten and its median is better than the parent's by more than
-the parent's IQR.  A metric is better lower unless the change tree's
-``BENCHMARK.json`` says ``"better": "higher"``.  The exit code is 0 when
+the parent's IQR, and ``within_bound``: the change's median is worse than
+the parent's by at most the metric's relative ``bound`` times the parent's
+median (``null`` for a metric without a bound).  A metric is better lower
+unless the change tree's ``BENCHMARK.json`` says ``"better": "higher"``,
+and its bound is the one that file gives it.  The exit code is 0 when
 every run printed its JSON and said ``correct``, else 1.
 """
 
@@ -41,7 +44,7 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarise(parent: list, change: list, better: str = "lower") -> dict:
+def summarise(parent: list, change: list, better: str = "lower", bound: float | None = None) -> dict:
     """One metric's pairwise comparison; ``parent[i]`` and ``change[i]`` are pair i's values."""
     if len(parent) != len(change) or not parent:
         raise ValueError("both sides need one value per pair")
@@ -60,6 +63,7 @@ def summarise(parent: list, change: list, better: str = "lower") -> dict:
         "change_wins": wins,
         "change_losses": losses,
         "claim_met": 10 * wins >= 9 * len(parent) and sign * (pq[1] - cq[1]) > iqr,
+        "within_bound": None if bound is None else sign * (cq[1] - pq[1]) <= bound * abs(pq[1]),
     }
 
 
@@ -74,12 +78,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def directions(tree: Path) -> dict:
-    """Metric name -> "lower" or "higher", from the tree's BENCHMARK.json when it has one."""
+def rules(tree: Path) -> dict:
+    """Metric name -> (better, bound), from the tree's BENCHMARK.json when it has one."""
     path = tree / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {m["name"]: m.get("better", "lower") for m in json.loads(path.read_text()).get("end_to_end", [])}
+    metrics = json.loads(path.read_text()).get("end_to_end", [])
+    return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in metrics}
 
 
 def main(argv=None) -> int:
@@ -105,10 +110,10 @@ def main(argv=None) -> int:
     except (RuntimeError, OSError, ValueError) as err:
         print(f"bench_pairs: {err}", file=sys.stderr)
         return 1
-    better = directions(sides["change"])
+    rule = rules(sides["change"])
     names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
     metrics = {
-        name: summarise(*([r["metrics"][name]["value"] for r in runs[side]] for side in sides), better.get(name, "lower"))
+        name: summarise(*([r["metrics"][name]["value"] for r in runs[side]] for side in sides), *rule.get(name, ()))
         for name in names
     }
     print(json.dumps({
