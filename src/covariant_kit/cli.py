@@ -39,7 +39,6 @@ from .fields import (
     pairing,  # unused here; the benchmark's tracer self-test wraps cli.pairing
     pairings,
     passive_transform,
-    skipped_bounds,
     transform_test_function,
     transform_test_function_bound,
     wave_packet,
@@ -336,21 +335,19 @@ def run_pairing(scenario: dict) -> tuple[list, dict]:
         grids.append(grids[-1].refine())
     # One pass over the finest grid: the ladder's coarser levels are its
     # sub-lattices, and the invariance sides share phi and test with it.
-    # Each pair's integrand bound, the product of its fields' bounds, lets
-    # the pass skip the grid points where every integrand is negligible.
-    pairs = [(phi, test)]
+    # Each pair carries its integrand bound, the product of its fields'
+    # bounds, so the pass can skip the grid points where every integrand is
+    # negligible and return a bound on what it skipped.
     phi_bound, test_bound = _packet_bound(spec["phi"], rep.n), _packet_bound(spec["test"], rep.n)
-    bounds = [phi_bound * test_bound]
+    pairs = [(phi, test, phi_bound * test_bound)]
     invariance = "omega" in scenario["group"] or "a" in scenario["group"]
     if invariance:
         g = _group_element(scenario)
-        pairs += [(active_transform(phi, rep, g), test), (phi, transform_test_function(test, rep, g))]
-        bounds += [
-            active_transform_bound(phi_bound, rep, g) * test_bound,
-            phi_bound * transform_test_function_bound(test_bound, rep, g),
+        pairs += [
+            (active_transform(phi, rep, g), test, active_transform_bound(phi_bound, rep, g) * test_bound),
+            (phi, transform_test_function(test, rep, g), phi_bound * transform_test_function_bound(test_bound, rep, g)),
         ]
-    sums = pairings(pairs, grids[-1], levels=len(grids), bounds=bounds)
-    skipped = skipped_bounds(bounds, grids[-1], levels=len(grids))
+    sums, skipped = pairings(pairs, grids[-1], levels=len(grids))
     values = sums[0]
     # No floor on the divisor: two zeros read nan and a nonzero over zero
     # reads inf, and either fails its tolerance.
@@ -410,8 +407,8 @@ def run_scenario(scenario: dict, threads: int = 0, overrides: list[str] | None =
     }
 
 
-#: Most points a scenario may ask for, in its finest grid or its sample:
-#: about 56 times the 65^4 production grid.
+#: Most points a scenario's finest grid may have, which a pairing streams in
+#: blocks: about 56 times the 65^4 production grid.
 POINT_BUDGET = 10**9
 # Past this many doublings every grid is far above the budget, so the
 # count stops there instead of building a huge integer.
@@ -425,6 +422,11 @@ TOY_DIM_BUDGET = 1024
 #: Lorentz matrices at once: 1e5 draws took 0.65 s and 130 MB peak (30 MB of it the import) and
 #: 1e6 took 7.4 s and 942 MB on a 2-core Xeon; both grow linearly in draws.
 DRAWS_BUDGET = 10**5
+#: Largest ``grid.sample_count``.  ``transform``, ``verify-local`` and ``verify-bundle`` hold the
+#: whole sample and its fields at once: 2e5 points over 1e3 took a vector rotation check 740 B
+#: of peak RSS and 18 us per point (a spinor at order 4, 770 B and 25 us), a bundle check 310 B
+#: and a transform 200 B, on a 2-core Xeon.  So 1e6 points is about 0.8 GB and 20 s.
+SAMPLE_BUDGET = 10**6
 
 
 def _over_budget(scenario: dict) -> str | None:
@@ -437,8 +439,8 @@ def _over_budget(scenario: dict) -> str | None:
         return f"scenario exceeds the toy model budget of dimension {TOY_DIM_BUDGET}: group.dim is {group['dim']}"
     if scenario["check"] == "group-check" and group["draws"] > DRAWS_BUDGET:
         return f"scenario exceeds the group check budget of {DRAWS_BUDGET} draws: group.draws is {group['draws']}"
-    if spec["sample_count"] > POINT_BUDGET:
-        return f"scenario exceeds the budget of {POINT_BUDGET} points: grid.sample_count asks for {spec['sample_count']} points"
+    if spec["sample_count"] > SAMPLE_BUDGET:
+        return f"scenario exceeds the sample budget of {SAMPLE_BUDGET} points: grid.sample_count asks for {spec['sample_count']} points"
     levels = spec["doublings"] if scenario["check"] == "pairing" else 0
     counted = min(levels, _MAX_COUNTED_DOUBLINGS)
     finest = math.prod((k - 1) * 2**counted + 1 for k in spec["counts"])

@@ -58,7 +58,6 @@ __all__ = [
     "cocycle_check",
     "pairing",
     "pairings",
-    "skipped_bounds",
     "dump_field_csv",
     "gradient_fd_residual",
 ]
@@ -222,10 +221,10 @@ class GaussianBound:
     inequality holds up to the rounding of ``form``'s entries.  A packet's
     bound comes from its spec (``of_packet``), a law's from the law's
     counterpart (``active_transform_bound``, ``transform_test_function_bound``),
-    and two bounds multiply into the bound of their pairing integrand.  A
-    bound with entries that are not finite (an overflowing form or
-    amplitude) bounds nothing, and ``pairings`` evaluates its pair on the
-    whole grid.
+    and two bounds multiply into the bound of their pairing integrand,
+    which a pair ``(phi, f, bound)`` of ``pairings`` carries.  A bound with
+    entries that are not finite (an overflowing form or amplitude) bounds
+    nothing, and ``pairings`` evaluates its pass on the whole grid.
     """
 
     amp: float
@@ -546,9 +545,9 @@ def _slice_blocks(grid: GridSpec, boxes=None):
 
 #: The tail cutoff tau of bounded ``pairings``: a grid point is skipped only
 #: where every pair's Gaussian majorant is below tau times that pair's peak,
-#: so a pair's value loses at most tau * peak * (the skipped points' weights)
-#: (``skipped_bounds``).  At e^-50 = 1.9e-22 that is below 1e-15 of the
-#: value for the shipped and benchmark pairings.
+#: so a pair's value loses at most tau * peak * (the skipped points' weights),
+#: the skipped bound that ``pairings`` returns.  At e^-50 = 1.9e-22 that is
+#: below 1e-15 of the value for the shipped and benchmark pairings.
 TAIL_CUTOFF = math.exp(-50.0)
 #: A pair's form with a larger condition number covers the whole grid: its
 #: box, computed from a solve with that matrix, could be off by more than the
@@ -605,15 +604,12 @@ def _pair_box_ranges(bound: GaussianBound, grid: GridSpec):
 
 
 def _slice_boxes(bounds, grid: GridSpec) -> list:
-    """Each axis-0 slice's box for ``pairings``: three index ``slice``s (x1, x2, x3), or None to skip the slice.
+    """Each axis-0 slice's box for the pairs' ``bounds``: three index ``slice``s (x1, x2, x3), or None to skip the slice.
 
     A slice's box covers every pair's box (``_pair_box_ranges``), so each
-    skipped point is outside every pair's ellipsoid.  Without ``bounds``, or
-    when any pair has no bound (None) or one without a box, every box is
-    the whole slice.
+    skipped point is outside every pair's ellipsoid.  When any pair has no
+    bound (None) or one without a box, every box is the whole slice.
     """
-    if bounds is None:
-        return _whole_slices(grid)
     lo = np.full((grid.counts[0], 3), np.inf)
     hi = np.full((grid.counts[0], 3), -np.inf)
     for bound in bounds:
@@ -649,24 +645,27 @@ def _level_weights(grid: GridSpec, levels: int) -> list[np.ndarray]:
     return out
 
 
-def pairings(pairs, grid: GridSpec, levels: int = 1, bounds=None) -> np.ndarray:
-    """Pairings of several field pairs on nested levels of one grid, in one pass.
+def pairings(pairs, grid: GridSpec, levels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings of several field pairs on nested levels of one grid, in one pass, and what each skipped.
 
-    Returns a complex (len(pairs), levels) array: entry ``[p, j]`` is
-    ``pairing(*pairs[p], coarse)`` on the grid of every
-    ``2**(levels-1-j)``-th point of ``grid`` (up to the rounding of its
-    coordinates); the last column is on ``grid`` itself.  Raises
-    ValueError when a count minus 1 does not divide by ``2**(levels-1)``.
+    Each pair is a triple ``(phi, f, bound)``: ``bound`` is a
+    ``GaussianBound`` of its integrand, such as the product of its fields'
+    bounds, or None.  Returns ``(values, skipped)``, both of shape
+    (len(pairs), levels).  ``values`` is complex: entry ``[p, j]`` is the
+    pairing of ``phi`` and ``f`` on the grid of every ``2**(levels-1-j)``-th
+    point of ``grid`` (up to the rounding of its coordinates); the last
+    column is on ``grid`` itself.  Raises ValueError when a count minus 1
+    does not divide by ``2**(levels-1)``.
 
-    ``bounds`` holds one ``GaussianBound`` (or None) per pair, a bound of its
-    integrand such as the product of its fields' bounds.  Each axis-0 slice
-    is then evaluated and summed only inside one (x1, x2, x3) index box that
-    covers every pair's ellipsoid where its bound is at least TAIL_CUTOFF
-    times its peak, widened by one grid point per side, and a slice without
-    such a box is skipped (``_slice_boxes``); ``skipped_bounds`` bounds what
-    each value leaves out.  Without ``bounds``, or with a pair whose bound is
-    None or not finite, every box is the whole slice, and the values are
-    those of the unbounded sum, bit for bit.
+    Each axis-0 slice is evaluated and summed only inside one (x1, x2, x3)
+    index box that covers every pair's ellipsoid where its bound is at least
+    TAIL_CUTOFF times its peak, widened by one grid point per side, and a
+    slice without such a box is skipped (``_slice_boxes``).  ``skipped[p, j]``
+    bounds what value ``[p, j]`` leaves out: ``TAIL_CUTOFF * bound.amp * W_j``,
+    ``W_j`` the sum of level ``j``'s trapezoid weights at the skipped points,
+    taken from the same boxes, and exactly 0 when nothing is skipped.  With a
+    pair whose bound is None or not finite every box is the whole slice, and
+    the values are those of the unbounded sum, bit for bit.
 
     Each distinct field (by identity) is evaluated once per block of
     ``_slice_blocks``, so shared fields and coarser levels cost no further
@@ -676,18 +675,17 @@ def pairings(pairs, grid: GridSpec, levels: int = 1, bounds=None) -> np.ndarray:
     product); the slice sums are added in order.
     """
     pairs = list(pairs)
-    for phi, f in pairs:
+    for phi, f, _ in pairs:
         if phi.n != f.n:
             raise ValueError(f"component counts differ: {phi.n} != {f.n}")
     if not isinstance(grid, GridSpec):
         raise ValueError("pairing requires a GridSpec")
-    if bounds is not None and len(bounds) != len(pairs):
-        raise ValueError(f"{len(bounds)} bounds for {len(pairs)} pairs")
     w0, w1, w2, w3 = _level_weights(grid, levels)
+    bounds = [bound for *_, bound in pairs]
     boxes = _slice_boxes(bounds, grid)
-    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    fields = list({id(f): f for pair in pairs for f in pair[:2]}.values())
     slot = {id(f): i for i, f in enumerate(fields)}
-    index = [(slot[id(phi)], slot[id(f)]) for phi, f in pairs]
+    index = [(slot[id(phi)], slot[id(f)]) for phi, f, _ in pairs]
 
     def slice_sums(box, blocks):
         # Real parts of every pair's integrand in the slice's box, imaginary
@@ -733,32 +731,19 @@ def pairings(pairs, grid: GridSpec, levels: int = 1, bounds=None) -> np.ndarray:
     # and 900 with it.
     np.empty((len(pairs),) + grid.counts[1:])
     total = np.zeros((len(pairs), 2, levels))
+    # Per level, the trapezoid weight of the points outside the slices' boxes.
+    whole = math.prod(w.sum(axis=0) for w in (w1, w2, w3))
+    skipped = np.zeros(levels)
     for w, box, blocks in zip(w0, boxes, _slice_blocks(grid, boxes)):
         if box is not None:
             total += w * slice_sums(box, blocks)
+        kept = 0.0 if box is None else math.prod(wk[s].sum(axis=0) for wk, s in zip((w1, w2, w3), box))
+        skipped += w * np.maximum(whole - kept, 0.0)
     values = np.empty((len(pairs), levels), dtype=complex)
     values.real, values.imag = total[:, 0], total[:, 1]
-    return values
-
-
-def skipped_bounds(bounds, grid: GridSpec, levels: int = 1) -> np.ndarray:
-    """What ``pairings(pairs, grid, levels, bounds)`` may leave out of each value, shape (len(bounds), levels).
-
-    Entry ``[p, j]`` is ``TAIL_CUTOFF * peak * W_j``: ``peak`` is
-    ``bounds[p].amp``, the largest value of the pair's bound, and ``W_j`` the
-    sum of level ``j``'s trapezoid weights at the grid points that the pass
-    skips, each of them outside the pair's ellipsoid.  It is exactly 0 when
-    nothing is skipped.
-    """
-    w0, *w123 = _level_weights(grid, levels)
-    whole = math.prod(w.sum(axis=0) for w in w123)
-    skipped = np.zeros(levels)
-    for w, box in zip(w0, _slice_boxes(bounds, grid)):
-        kept = 0.0 if box is None else math.prod(wk[s].sum(axis=0) for wk, s in zip(w123, box))
-        skipped += w * np.maximum(whole - kept, 0.0)
     peaks = np.array([[0.0 if b is None else b.amp] for b in bounds])
     with np.errstate(all="ignore"):
-        return np.where(skipped > 0, TAIL_CUTOFF * peaks * skipped, 0.0)
+        return values, np.where(skipped > 0, TAIL_CUTOFF * peaks * skipped, 0.0)
 
 
 def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
@@ -766,11 +751,11 @@ def pairing(phi: FieldFunction, f: FieldFunction, grid: GridSpec) -> complex:
 
     Bilinear (no conjugation).  Accuracy is the caller's business: compare
     against ``grid.refine()`` to validate convergence.  This is the
-    one-pair, one-level ``pairings``: each field is evaluated once per
-    point, in blocks of at most BLOCK_POINTS points, so the working set
-    does not grow with the grid.
+    one-pair, one-level ``pairings`` without a bound, so no point is
+    skipped: each field is evaluated once per point, in blocks of at most
+    BLOCK_POINTS points, so the working set does not grow with the grid.
     """
-    return complex(pairings([(phi, f)], grid)[0, 0])
+    return complex(pairings([(phi, f, None)], grid)[0][0, 0])
 
 
 def dump_field_csv(field: FieldFunction, grid: GridSpec, path) -> None:

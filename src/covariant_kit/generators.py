@@ -147,13 +147,9 @@ def _stencil(x0: np.ndarray, w: int, h: float, order: int):
 
 
 def _central_diff(f: Callable[[np.ndarray], object], x0: np.ndarray, w: int, h: float, order: int):
-    """Central difference of f along coordinate w of x0 (see :func:`_stencil`);
-    a tuple f(x) has each entry differenced."""
+    """Central difference of f along coordinate w of x0 (see :func:`_stencil`)."""
     points, rule = _stencil(x0, w, h, order)
-    vals = [f(x) for x in points]
-    if isinstance(vals[0], tuple):
-        return tuple(rule(*parts) for parts in zip(*vals))
-    return rule(*vals)
+    return rule(*[f(x) for x in points])
 
 
 def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDScheme):
@@ -222,11 +218,10 @@ def det_trace_residual(
     if base.shape[0] != base.shape[1] or np.abs(base - np.eye(base.shape[0])).max() > ALGEBRAIC_TOL:
         raise ValueError("matrix family is not the identity at the base parameters")
 
-    def det_trace(b):
-        m = np.asarray(matrix_map(b), dtype=float)
-        return np.linalg.det(m), np.trace(m)
-
-    return np.array([abs(d_det - d_tr) for d_det, d_tr in _param_diffs(det_trace, b0, scheme)])
+    matrix = lambda b: np.asarray(matrix_map(b), dtype=float)
+    d_det = _param_diffs(lambda b: np.linalg.det(matrix(b)), b0, scheme)
+    d_tr = _param_diffs(lambda b: np.trace(matrix(b)), b0, scheme)
+    return np.array([abs(d - t) for d, t in zip(d_det, d_tr)])
 
 
 _POINCARE_LABELS = ("S_01", "S_02", "S_03", "S_12", "S_13", "S_23", "T_0", "T_1", "T_2", "T_3")

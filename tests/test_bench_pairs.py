@@ -86,6 +86,17 @@ class TestWithinBound:
         assert summarise(PARENT, [v + 5.0 for v in PARENT], "higher", 0.1)["within_bound"]
         assert not summarise(PARENT, [v - 1.5 for v in PARENT], "higher", 0.1)["within_bound"]
 
+    def test_a_spread_wider_than_the_bound_is_unresolved(self):
+        # parent IQR 2.25 against 10 % of its median 12.25, 1.225; 30 % is 3.675
+        assert summarise(PARENT, PARENT)["unresolved"] is None
+        assert summarise(PARENT, PARENT, "lower", 0.1)["unresolved"]
+        assert not summarise(PARENT, PARENT, "lower", 0.3)["unresolved"]
+        # every change run better than every parent run (below 10) resolves it; one at 10 does not
+        assert not summarise(PARENT, [v - 5.0 for v in PARENT], "lower", 0.1)["unresolved"]
+        assert summarise(PARENT, [9.0] * 9 + [10.0], "lower", 0.1)["unresolved"]
+        assert not summarise(PARENT, [15.0] * 10, "higher", 0.1)["unresolved"]
+        assert summarise(PARENT, [15.0] * 10, "lower", 0.1)["unresolved"]
+
     def test_rules_read_direction_and_bound(self, tmp_path):
         (tmp_path / "BENCHMARK.json").write_text(
             '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}, {"name": "rate"}]}'

@@ -451,20 +451,32 @@ class TestExitContractHoles:
         self._cap(capsys, tmp_path, monkeypatch, "group_check.json", "group.draws", draws, named)
 
     def test_benchmark_draws_are_within_the_cap(self):
-        module = _benchmark_workloads()
         draws = []
-        for name in module.WORKLOADS:
-            work = module.generate(name, 0)
-            for entry in work.entries + work.probes:
-                try:
-                    scenario = json.loads(entry.text)
-                except json.JSONDecodeError:
-                    continue  # the deliberately malformed inputs
-                if scenario.get("check") == "group-check":
-                    cli.validate(scenario)
-                    draws.append(scenario["group"]["draws"])
-                    assert cli._over_budget(scenario) is None, entry.name
+        for name, scenario in _benchmark_scenarios():
+            if scenario.get("check") == "group-check":
+                cli.validate(scenario)
+                draws.append(scenario["group"]["draws"])
+                assert cli._over_budget(scenario) is None, name
         assert draws and max(draws) <= 400
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_sample_cap(self, capsys, tmp_path, monkeypatch, over):
+        # the whole sample is held at once: 1e6 points of a verify-local check take about 0.8 GB
+        count = cli.SAMPLE_BUDGET + over
+        named = f"sample budget of {cli.SAMPLE_BUDGET} points: grid.sample_count asks for {count} points" if over else None
+        self._cap(capsys, tmp_path, monkeypatch, "verify_local_vector_rotation.json", "grid.sample_count", count, named)
+
+    def test_benchmark_samples_are_within_the_cap(self):
+        counts = []
+        for name, scenario in _benchmark_scenarios():
+            if scenario.get("check") in ("transform", "verify-local", "verify-bundle"):
+                try:
+                    cli.validate(scenario)
+                except schemas.ValidationError:
+                    continue  # an exit-2 contract input, rejected before the budget is read
+                counts.append(scenario["grid"]["sample_count"])
+                assert cli._over_budget(scenario) is None, name
+        assert counts and max(counts) <= 20000
 
     @pytest.mark.parametrize(
         "scenario, key, value",
@@ -517,19 +529,12 @@ class TestExitContractHoles:
         assert not list(tmp_path.iterdir())
 
     def test_benchmark_toy_dimensions_are_within_the_cap(self):
-        module = _benchmark_workloads()
         dims = []
-        for name in module.WORKLOADS:
-            work = module.generate(name, 0)
-            for entry in work.entries + work.probes:
-                try:
-                    scenario = json.loads(entry.text)
-                except json.JSONDecodeError:
-                    continue  # the deliberately malformed inputs
-                if scenario.get("check") == "toy" and scenario["group"]["dim"] >= 2:
-                    dims.append(scenario["group"]["dim"])
-                    cli.validate(scenario)
-                    assert cli._over_budget(scenario) is None, entry.name
+        for name, scenario in _benchmark_scenarios():
+            if scenario.get("check") == "toy" and scenario["group"]["dim"] >= 2:
+                dims.append(scenario["group"]["dim"])
+                cli.validate(scenario)
+                assert cli._over_budget(scenario) is None, name
         assert dims and max(dims) <= 64
 
     def test_memory_error_exits_two(self, capsys, tmp_path, monkeypatch):
@@ -989,6 +994,25 @@ class TestBoundedPairing:
             value = abs(complex(*map(float, sides[side])))
             assert 0 < float(sides[f"{side}_skipped_bound"]) <= 1e-15 * value
 
+    def test_one_pass_forms_each_pairs_box_once(self, tmp_path, monkeypatch):
+        # The values and the skipped bounds come from the same boxes and weights.
+        calls = {"_pair_box_ranges": 0, "_level_weights": 0}
+
+        def counted(name):
+            original = getattr(fields, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(fields, name, counted(name))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / "pairing_invariance.json"), "--out", "r.json"]) == 0
+        assert calls == {"_pair_box_ranges": 3, "_level_weights": 1}
+
     MONOMIAL = 'field.phi.components=[[{"coeff":1,"powers":[0,2,0,0]}]]'
 
     # Widths at the documented extremes, forms that overflow and rapidity-8 boosts, each
@@ -1081,6 +1105,19 @@ def _benchmark_workloads():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def _benchmark_scenarios():
+    """(name, scenario) of every benchmark entry and probe at seed 0 that parses as JSON."""
+    module = _benchmark_workloads()
+    for workload in module.WORKLOADS:
+        work = module.generate(workload, 0)
+        for entry in work.entries + work.probes:
+            try:
+                scenario = json.loads(entry.text)
+            except json.JSONDecodeError:
+                continue  # the deliberately malformed inputs
+            yield entry.name, scenario
 
 
 class TestToleranceNames:

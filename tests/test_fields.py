@@ -21,7 +21,6 @@ from covariant_kit.fields import (
     pairing,
     pairings,
     passive_transform,
-    skipped_bounds,
     transform_test_function,
     transform_test_function_bound,
     wave_packet,
@@ -602,7 +601,7 @@ class TestHermitePairing:
         self._check(value, exact)
 
     def _cli_pairs(self, kind, coeffs):
-        """The pairs of the CLI's invariance check, their integrand bounds, and the oracle's values."""
+        """The pairs of the CLI's invariance check, each with its integrand bound, and the oracle's values."""
         # The representation matrix comes from the package; the packets,
         # the laws' pull-backs and the integral do not.
         rep = getattr(FieldRep, kind)()
@@ -615,12 +614,11 @@ class TestHermitePairing:
 
         # phi and f are each shared by two pairs, as in one pass of the CLI.
         phi, f = wave_packet(self.C1, self.S1, mine), wave_packet(self.C2, self.S2, other)
-        pairs = [(phi, f), (active_transform(phi, rep, self.G), f), (phi, transform_test_function(f, rep, self.G))]
         phi_bound, f_bound = GaussianBound.of_packet(self.C1, self.S1, mine), GaussianBound.of_packet(self.C2, self.S2, other)
-        bounds = [
-            phi_bound * f_bound,
-            active_transform_bound(phi_bound, rep, self.G) * f_bound,
-            phi_bound * transform_test_function_bound(f_bound, rep, self.G),
+        pairs = [
+            (phi, f, phi_bound * f_bound),
+            (active_transform(phi, rep, self.G), f, active_transform_bound(phi_bound, rep, self.G) * f_bound),
+            (phi, transform_test_function(f, rep, self.G), phi_bound * transform_test_function_bound(f_bound, rep, self.G)),
         ]
         same = (np.eye(n), np.eye(4), np.zeros(4))
         exact = [
@@ -628,30 +626,48 @@ class TestHermitePairing:
             hermite_pairing((D.T, lam, a, self.C1, self.S1, mine), (*same, self.C2, self.S2, other)),
             hermite_pairing((*same, self.C1, self.S1, mine), (D, inv, -inv @ a, self.C2, self.S2, other)),
         ]
-        return pairs, bounds, exact
+        return pairs, exact
 
     @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
     @pytest.mark.parametrize("coeffs", ["real", "complex"])
     def test_active_and_test_function_laws(self, kind, coeffs):
-        pairs, _, exact = self._cli_pairs(kind, coeffs)
-        for value, oracle in zip(pairings(pairs, self.GRID)[:, 0], exact):
+        pairs, exact = self._cli_pairs(kind, coeffs)
+        values, skipped = pairings(_unbounded(pairs), self.GRID)
+        assert np.all(skipped == 0.0)
+        for value, oracle in zip(values[:, 0], exact):
             self._check(value, oracle)
 
     @pytest.mark.parametrize("kind", ["scalar", "vector", "spinor"])
     @pytest.mark.parametrize("coeffs", ["real", "complex"])
     def test_bounded_pairings(self, kind, coeffs):
         # The pass skips part of the grid, within the reported bound of the full sum.
-        pairs, bounds, exact = self._cli_pairs(kind, coeffs)
-        bounded = pairings(pairs, self.GRID, bounds=bounds)[:, 0]
-        full = pairings(pairs, self.GRID)[:, 0]
-        skipped = skipped_bounds(bounds, self.GRID)[:, 0]
-        boxes = fields_module._slice_boxes(bounds, self.GRID)
-        kept = _kept_points(boxes)
-        assert kept < 0.8 * self.GRID.npoints
+        pairs, exact = self._cli_pairs(kind, coeffs)
+        bounded, skipped = (part[:, 0] for part in pairings(pairs, self.GRID))
+        full = pairings(_unbounded(pairs), self.GRID)[0][:, 0]
+        boxes = fields_module._slice_boxes([b for *_, b in pairs], self.GRID)
+        assert _kept_points(boxes) < 0.8 * self.GRID.npoints
         assert np.all(skipped > 0) and np.all(skipped <= 1e-15 * np.abs(exact))
+        # TAIL_CUTOFF times each pair's peak times the trapezoid weight of every point outside the boxes
+        weight = np.einsum("a,b,c,d->abcd", *self.GRID.weights())[_outside(boxes, self.GRID)].sum()
+        for (*_, bound), bound_skipped in zip(pairs, skipped):
+            assert bound_skipped == pytest.approx(fields_module.TAIL_CUTOFF * bound.amp * weight, rel=1e-12)
         for value, plain, bound, oracle in zip(bounded, full, skipped, exact):
             self._check(value, oracle)
             assert abs(value - plain) <= bound + 1e-14 * abs(plain)
+
+
+def _outside(boxes, grid):
+    """Mask of the grid points outside the boxes of ``fields._slice_boxes``."""
+    outside = np.ones(grid.counts, dtype=bool)
+    for i, box in enumerate(boxes):
+        if box is not None:
+            outside[(i, *box)] = False
+    return outside
+
+
+def _unbounded(pairs):
+    """``pairs`` without their bounds: a pass of them evaluates the whole grid."""
+    return [(phi, f, None) for phi, f, *_ in pairs]
 
 
 def _kept_points(boxes):
@@ -756,7 +772,7 @@ def _skip_excess(sides, grid):
     cut, axes = -math.log(fields_module.TAIL_CUTOFF), grid.axes()
     worst = -np.inf
     with np.errstate(all="ignore"):
-        pairings([(p, q) for p, _, q, _ in sides], grid, bounds=bounds)
+        pairings([(p, q, bound) for (p, _, q, _), bound in zip(sides, bounds)], grid)
         boxes = fields_module._slice_boxes(bounds, grid)
         kept = _kept_points(boxes)
         assert sum(sizes) == kept
@@ -836,6 +852,20 @@ class TestGaussianBound:
         grid = GridSpec(((-7.0, 7.0),) * 4, (17,) * 4)
         assert _worst_skipped(grid, BROKEN_BOUND_LAWS["test-function-law-through-g"], 8)[0] > 1.0
 
+    def test_skipped_bound_is_the_weight_outside_the_boxes(self):
+        # A narrow bound skips whole x0 slices and the corners of the others, on two levels.
+        grid = GridSpec(((-7.0, 7.0),) * 4, (9,) * 4)
+        phi, bound = wave_packet(np.zeros(4), 0.5, 1), GaussianBound(1.5, 16.0 * np.eye(4), np.zeros(4))
+        skipped = pairings([(phi, phi, bound), (phi, phi, bound * bound)], grid, levels=2)[1]
+        boxes = fields_module._slice_boxes([bound, bound * bound], grid)
+        assert boxes[0] is None and boxes[4] is not None
+        outside = _outside(boxes, grid)
+        levels = fields_module._level_weights(grid, 2)
+        for j in range(2):
+            weight = np.einsum("a,b,c,d->abcd", *(w[:, j] for w in levels))[outside].sum()
+            expected = fields_module.TAIL_CUTOFF * weight * np.array([bound.amp, (bound * bound).amp])
+            assert_allclose(skipped[:, j], expected, rtol=1e-12)
+
     def test_peak_and_form_of_a_pair(self):
         # exp(-|x - c1|^2 / s1^2) exp(-|x - c2|^2 / s2^2) is a Gaussian of form 1/s1^2 + 1/s2^2
         c1, c2 = np.array([0.3, -0.2, 0.1, 0.0]), np.array([-0.25, 0.4, 0.0, 0.2])
@@ -875,18 +905,21 @@ class TestDegenerateBounds:
         whole = fields_module._whole_slices(self.GRID)
         assert fields_module._slice_boxes([self.NARROW], self.GRID) != whole
         assert fields_module._slice_boxes([self.NARROW, self.NO_BOX[name]], self.GRID) == whole
-        assert np.all(skipped_bounds([self.NARROW, self.NO_BOX[name]], self.GRID, levels=2) == 0.0)
+        phi = wave_packet([0, 0, 0, 0], 1.0, 1)
+        skipped = pairings([(phi, phi, self.NARROW), (phi, phi, self.NO_BOX[name])], self.GRID, levels=2)[1]
+        assert skipped.shape == (2, 2) and np.all(skipped == 0.0)
 
     def test_a_pair_without_a_bound_keeps_the_unbounded_bits(self):
         pairs = list(TestBlockedPairing()._pairs(FieldRep.spinor()).values())
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
-        bounded = pairings(pairs, grid, levels=3, bounds=[self.NARROW, None, self.NARROW])
-        assert np.array_equal(_bits(bounded), _bits(pairings(pairs, grid, levels=3)))
+        bounded, skipped = pairings([(phi, f, b) for (phi, f), b in zip(pairs, [self.NARROW, None, self.NARROW])], grid, levels=3)
+        assert np.array_equal(_bits(bounded), _bits(pairings(_unbounded(pairs), grid, levels=3)[0]))
+        assert np.all(skipped == 0.0)
 
-    def test_one_bound_per_pair(self):
+    def test_a_pair_without_its_bound_is_rejected(self):
         phi = wave_packet([0, 0, 0, 0], 1.0, 1)
         with pytest.raises(ValueError):
-            pairings([(phi, phi)], self.GRID, bounds=[self.NARROW, self.NARROW])
+            pairings([(phi, phi)], self.GRID)
 
     @pytest.mark.parametrize("monomial", [False, True])
     @pytest.mark.parametrize("rapidity", [0.3, 8.0])
@@ -1017,7 +1050,7 @@ class TestPairings:
     def test_levels_match_the_coarse_grids(self, kind):
         pairs = list(TestBlockedPairing()._pairs(getattr(FieldRep, kind)()).values())
         grid = GridSpec(self.BOUNDS, self.COUNTS)
-        values = pairings(pairs, grid, levels=3)
+        values = pairings(_unbounded(pairs), grid, levels=3)[0]
         assert values.shape == (len(pairs), 3)
         for j, step in enumerate((4, 2, 1)):
             coarse = GridSpec(self.BOUNDS, tuple((k - 1) // step + 1 for k in self.COUNTS))
@@ -1029,7 +1062,7 @@ class TestPairings:
     def test_counts_that_do_not_nest_are_rejected(self, counts, levels):
         phi = wave_packet([0, 0, 0, 0], 1.0, 1)
         with pytest.raises(ValueError):
-            pairings([(phi, phi)], GridSpec(((-6.0, 6.0),) * 4, counts), levels=levels)
+            pairings([(phi, phi, None)], GridSpec(((-6.0, 6.0),) * 4, counts), levels=levels)
 
     def test_a_shared_field_is_evaluated_once_per_block(self):
         # The invariance check's pairs: phi and f each appear in two of them.
@@ -1038,7 +1071,7 @@ class TestPairings:
         sizes = []
         shared = _counting(phi, sizes)
         moved = active_transform(phi, rep, g)
-        values = pairings([(shared, f), (moved, f), (shared, transform_test_function(f, rep, g))], grid)
+        values = pairings(_unbounded([(shared, f), (moved, f), (shared, transform_test_function(f, rep, g))]), grid)[0]
         assert len(sizes) == 3 * 4 and sum(sizes) == grid.npoints
         # A pair's value does not depend on the other pairs of the pass.
         assert np.array_equal(_bits(values[1, 0]), _bits(pairing(moved, f, grid)))
@@ -1106,7 +1139,7 @@ class TestPointLayout:
 
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
         wrapped = [(row_major(phi), row_major(f)) for phi, f in pairs]
-        assert np.array_equal(_bits(pairings(pairs, grid, levels=3)), _bits(pairings(wrapped, grid, levels=3)))
+        assert np.array_equal(_bits(pairings(_unbounded(pairs), grid, levels=3)[0]), _bits(pairings(_unbounded(wrapped), grid, levels=3)[0]))
 
 
 def _stripped(field):
@@ -1201,9 +1234,9 @@ class TestGridEntry:
         copies = {}
         strip = lambda field: copies.setdefault(id(field), _stripped(field))
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
-        values = pairings(pairs, grid, levels=3)
+        values = pairings(_unbounded(pairs), grid, levels=3)[0]
         assert np.any(values.imag != 0)
-        assert np.array_equal(_bits(values), _bits(pairings([(strip(a), strip(b)) for a, b in pairs], grid, levels=3)))
+        assert np.array_equal(_bits(values), _bits(pairings([(strip(a), strip(b), None) for a, b in pairs], grid, levels=3)[0]))
 
     @pytest.mark.parametrize("name", ["real-four-components", "complex-monomials", "underflowing-envelope"])
     def test_stripped_packet_gives_the_same_csv(self, monkeypatch, tmp_path, name):
@@ -1228,10 +1261,10 @@ class TestGridEntry:
         packets = [wave_packet([0.3, -0.2, 0.1, 0.0], 1.1, 4), wave_packet([-0.25, 0.4, 0.0, 0.2], 1.3, TestGridEntry.MONOMIALS)]
         phi, f = (FieldFunction(ff.n, spy(ff.evaluate), ff.gradient) for ff in packets)
         grid = GridSpec(TestPairings.BOUNDS, TestPairings.COUNTS)
-        values = pairings([(phi, f), (phi, phi), (f, f)], grid, levels=3)
+        values = pairings(_unbounded([(phi, f), (phi, phi), (f, f)]), grid, levels=3)[0]
         dump_field_csv(phi, self.GRID, tmp_path / "rebuilt.csv")
         assert seen and all(seen)
-        assert np.array_equal(_bits(values), _bits(pairings([(packets[0], packets[1])] + [(p, p) for p in packets], grid, levels=3)))
+        assert np.array_equal(_bits(values), _bits(pairings(_unbounded([(packets[0], packets[1])] + [(p, p) for p in packets]), grid, levels=3)[0]))
         dump_field_csv(packets[0], self.GRID, tmp_path / "packet.csv")
         assert (tmp_path / "rebuilt.csv").read_bytes() == (tmp_path / "packet.csv").read_bytes()
 

@@ -380,16 +380,6 @@ class TestFDConvergence:
 
 
 class TestCentralDiff:
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_tuple_entries_equal_separate_calls_bit_for_bit(self, order):
-        mat = lambda b: lorentz_exp(np.tanh(b[:6]) * b[6:])
-        pair = lambda b: (np.linalg.det(mat(b)), mat(b) @ POINTS.T)
-        b0 = np.random.default_rng(3).uniform(-0.5, 0.5, 12)
-        for w in (0, 5, 11):
-            det, moved = _central_diff(pair, b0, w, 1e-3, order)
-            assert det.tobytes() == _central_diff(lambda b: pair(b)[0], b0, w, 1e-3, order).tobytes()
-            assert moved.tobytes() == _central_diff(lambda b: pair(b)[1], b0, w, 1e-3, order).tobytes()
-
     def test_point_batch_coordinate(self):
         f = lambda r: np.stack([np.sin(r[..., 0]) * r[..., 3], r[..., 1] ** 3], axis=-1)
         for k in range(4):

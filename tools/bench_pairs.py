@@ -19,9 +19,13 @@ metric each side's values, quartiles (q1, median, q3, linear
 interpolation), the parent's IQR, the change's wins and losses over the
 pairs (ties count as neither), ``claim_met``: the change won at least
 nine pairs in ten and its median is better than the parent's by more than
-the parent's IQR, and ``within_bound``: the change's median is worse than
+the parent's IQR, ``within_bound``: the change's median is worse than
 the parent's by at most the metric's relative ``bound`` times the parent's
-median (``null`` for a metric without a bound).  A metric is better lower
+median, and ``unresolved``: the parent's IQR is wider than that allowance,
+so the medians cannot show a regression, and not every change run beats
+every parent run (both ``null`` for a metric without a bound).  A
+``within_bound`` verdict on an ``unresolved`` metric reads as unresolved,
+not as unchanged.  A metric is better lower
 unless the change tree's ``BENCHMARK.json`` says ``"better": "higher"``,
 and its bound is the one that file gives it.  The exit code is 0 when
 every run printed its JSON and said ``correct``, else 1.
@@ -53,6 +57,7 @@ def summarise(parent: list, change: list, better: str = "lower", bound: float | 
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     iqr = pq[2] - pq[0]
+    beats_every_parent_run = max(sign * c for c in change) < min(sign * p for p in parent)
     return {
         "parent": parent,
         "change": change,
@@ -64,6 +69,7 @@ def summarise(parent: list, change: list, better: str = "lower", bound: float | 
         "change_losses": losses,
         "claim_met": 10 * wins >= 9 * len(parent) and sign * (pq[1] - cq[1]) > iqr,
         "within_bound": None if bound is None else sign * (cq[1] - pq[1]) <= bound * abs(pq[1]),
+        "unresolved": None if bound is None else iqr > bound * abs(pq[1]) and not beats_every_parent_run,
     }
 
 
