@@ -427,6 +427,8 @@ DRAWS_BUDGET = 10**5
 #: of peak RSS and 18 us per point (a spinor at order 4, 770 B and 25 us), a bundle check 310 B
 #: and a transform 200 B, on a 2-core Xeon.  So 1e6 points is about 0.8 GB and 20 s.
 SAMPLE_BUDGET = 10**6
+#: The checks that build the sample, and so the only ones ``SAMPLE_BUDGET`` applies to.
+_SAMPLED_CHECKS = ("transform", "verify-local", "verify-bundle")
 
 
 def _over_budget(scenario: dict) -> str | None:
@@ -439,7 +441,7 @@ def _over_budget(scenario: dict) -> str | None:
         return f"scenario exceeds the toy model budget of dimension {TOY_DIM_BUDGET}: group.dim is {group['dim']}"
     if scenario["check"] == "group-check" and group["draws"] > DRAWS_BUDGET:
         return f"scenario exceeds the group check budget of {DRAWS_BUDGET} draws: group.draws is {group['draws']}"
-    if spec["sample_count"] > SAMPLE_BUDGET:
+    if scenario["check"] in _SAMPLED_CHECKS and spec["sample_count"] > SAMPLE_BUDGET:
         return f"scenario exceeds the sample budget of {SAMPLE_BUDGET} points: grid.sample_count asks for {spec['sample_count']} points"
     levels = spec["doublings"] if scenario["check"] == "pairing" else 0
     counted = min(levels, _MAX_COUNTED_DOUBLINGS)

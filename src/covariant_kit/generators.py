@@ -3,6 +3,8 @@
 A :class:`ParamFamily` packages an s-parameter family of affine point maps
 ``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
 field components, with the identity at the base parameters ``b0 = 0``.
+Both take parameter rows and return stacks, so a relation check builds
+the maps of every stencil point of every step in one call each.
 A family declares only what it cannot derive, its Lie-algebra data
 included, and the relation checks in :mod:`covariant_kit.heisenberg`
 read that data through:
@@ -23,20 +25,19 @@ combines the values at them.  :func:`_central_diff` applies it to a
 function: along a group parameter at the scheme's step, and along a point
 coordinate at the fixed inner step 1e-6 for the derivative of a
 :class:`~covariant_kit.fields.FrameChange`; :func:`_param_diffs` is its one
-loop over group parameters.  A relation check takes the stencil's points
-and rule directly, to evaluate the field at many stencil points at once.
+loop over group parameters.  :func:`_stencil_rows` stacks every
+parameter's stencil points, for a family's one call at all of them.
 Steps and tolerances are artifact choices, not anything canonical.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geometry import ALGEBRAIC_TOL, PLANES, AffineMap, lorentz_exp, lorentz_generators
+from .geometry import ALGEBRAIC_TOL, PLANES, _checked_affine, lorentz_exp, lorentz_generators
 from .representations import FieldRep, rep_matrix
 
 __all__ = [
@@ -55,9 +56,6 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-12
-#: Lorentz and representation matrices a Poincare family keeps.  An order-4
-#: stencil over all ten parameters visits 25 distinct plane-parameter points.
-_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,22 @@ class FDScheme:
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """s-parameter family b -> (point map H(b), component matrix I(b)).
+    """s-parameter family b -> (point map H(b), component matrix I(b)), evaluated on parameter rows.
 
-    ``point_map(b)`` returns H(b) as an :class:`~covariant_kit.geometry.AffineMap`,
-    whose ``jacobian`` is the volume factor det[dH(b)/dr]; it must be the
+    ``point_map(B)`` takes rows ``B`` (k, s) and returns H at each row as
+    its linear parts (k, 4, 4) and offsets (k, 4); the volume factor
+    det[dH(b)/dr] is the determinant of a linear part.  H must be the
     identity at ``b0``, and ``None`` means the points stay put for every b.
-    ``rep_map(b)`` returns the (n, n) matrix and must be the identity at
-    ``b0``.  The parameter count ``s`` is the number of ``labels``, ``b0``
+    ``rep_map(B)`` returns the (k, n, n) matrices and must be the identity
+    at ``b0``.  The parameter count ``s`` is the number of ``labels``, ``b0``
     is ``s`` read-only zeros, and the component count ``n`` is read off
-    ``rep_map(b0)``.  Labels ``T_*`` name the pure translations.
+    ``rep_map`` at ``b0``.  Labels ``T_*`` name the pure translations.
     The closed forms at b0 are stored read-only: ``rep_derivative``, an optional
     finite (s, n, n) stack that ``rep_generators`` returns, and ``flow``, the
     finite (s, 4, 5) stack ``[A_a | c_a]`` of dH/db, set exactly when ``point_map`` is.
     """
 
-    point_map: Callable[[np.ndarray], AffineMap] | None
+    point_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     rep_map: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...]
     rep_derivative: np.ndarray | None = None
@@ -111,9 +110,9 @@ class ParamFamily:
         b0 = np.zeros(self.s)
         b0.setflags(write=False)
         object.__setattr__(self, "b0", b0)
-        ident = np.asarray(self.rep_map(b0), dtype=complex)
-        n = ident.shape[0] if ident.ndim == 2 else -1
-        if ident.shape != (n, n) or np.abs(ident - np.eye(n)).max() > ALGEBRAIC_TOL:
+        ident = np.asarray(self.rep_map(b0[None]), dtype=complex)
+        n = ident.shape[-1] if ident.ndim == 3 else -1
+        if ident.shape != (1, n, n) or np.abs(ident[0] - np.eye(n)).max() > ALGEBRAIC_TOL:
             raise ValueError("rep_map(b0) is not the identity matrix")
         object.__setattr__(self, "n", n)
         if (self.flow is None) != (self.point_map is None):
@@ -129,8 +128,8 @@ class ParamFamily:
             object.__setattr__(self, name, data)
         if self.point_map is None:
             return
-        h = self.point_map(b0)
-        if max(np.abs(h.linear - np.eye(4)).max(), np.abs(h.offset).max()) > ALGEBRAIC_TOL:
+        linear, offset, _ = _checked_affine(*self.point_map(b0[None]), (1,))
+        if max(np.abs(linear[0] - np.eye(4)).max(), np.abs(offset[0]).max()) > ALGEBRAIC_TOL:
             raise ValueError("point_map(b0) is not the identity map")
 
 
@@ -157,12 +156,20 @@ def _param_diffs(f: Callable[[np.ndarray], object], b0: np.ndarray, scheme: FDSc
     return (_central_diff(f, b0, w, scheme.step, scheme.order) for w in range(b0.shape[0]))
 
 
+def _stencil_rows(b0: np.ndarray, scheme: FDScheme) -> tuple[np.ndarray, list]:
+    """Every parameter's stencil at the scheme's step: its points stacked parameter by parameter,
+    (s * order, s), and the rule of each parameter."""
+    stencils = [_stencil(b0, w, scheme.step, scheme.order) for w in range(b0.shape[0])]
+    return np.array([b for points, _ in stencils for b in points]), [rule for _, rule in stencils]
+
+
 def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
     """Derivative of the component matrix at b0, per parameter: (s, n, n)."""
     if family.rep_derivative is not None:
         return family.rep_derivative.copy()
-    f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-    return np.stack(list(_param_diffs(f, family.b0, scheme)))
+    rows, rules = _stencil_rows(family.b0, scheme)
+    mats = np.asarray(family.rep_map(rows), dtype=complex).reshape(family.s, scheme.order, family.n, family.n)
+    return np.stack([rule(*m) for rule, m in zip(rules, mats)])
 
 
 def _affine_flow(flow: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -251,23 +258,9 @@ def poincare_family(rep: FieldRep) -> ParamFamily:
     only (the matrix is independent of translations)."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_family needs a scalar, vector, or spinor representation")
-    # The point map and the rep matrix at one b share one exponential, and
-    # so do the difference stencils that revisit the same b (a relation
-    # check's global side).  Keys are the plane parameters' bytes;
-    # lru_cache is safe to call concurrently.
-    memo = functools.lru_cache(maxsize=_MEMO_SIZE)
-    lorentz = memo(lambda key: lorentz_exp(np.frombuffer(key)))
-    matrix = memo(lambda key: rep_matrix(rep, np.frombuffer(key)))
-    key_of = lambda b: np.asarray(b[:6], dtype=float).tobytes()
-
-    def rep_map(b):
-        if rep.kind == "vector":
-            return lorentz(key_of(b)).astype(complex)
-        return matrix(key_of(b)).copy()
-
     return ParamFamily(
-        point_map=lambda b: AffineMap(lorentz(key_of(b)), b[6:]),
-        rep_map=rep_map,
+        point_map=lambda rows: (lorentz_exp(rows[:, :6]), rows[:, 6:]),
+        rep_map=lambda rows: rep_matrix(rep, rows[:, :6]),
         labels=_POINCARE_LABELS,
         rep_derivative=analytic_rep_derivatives(rep),
         flow=_POINCARE_FLOW,
@@ -278,7 +271,12 @@ def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     """Frame-only twin of :func:`poincare_family`: the matrices change, the points never move."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
-    return replace(poincare_family(rep), point_map=None, flow=None)
+    return ParamFamily(
+        point_map=None,
+        rep_map=lambda rows: rep_matrix(rep, rows[:, :6]),
+        labels=_POINCARE_LABELS,
+        rep_derivative=analytic_rep_derivatives(rep),
+    )
 
 
 def internal_family(rep: FieldRep) -> ParamFamily:
@@ -292,7 +290,7 @@ def internal_family(rep: FieldRep) -> ParamFamily:
     labels = ("Q",) if rep.kind == "phase" else tuple(f"Q_{i + 1}" for i in range(rep.nparams))
     return ParamFamily(
         point_map=None,
-        rep_map=lambda b: rep_matrix(rep, b),
+        rep_map=lambda rows: rep_matrix(rep, rows),
         labels=labels,
         rep_derivative=None if rep.generators is None else analytic_rep_derivatives(rep),
     )

@@ -291,6 +291,18 @@ def lorentz_log_params(matrix: np.ndarray) -> np.ndarray:
     return params
 
 
+def _checked_affine(linear: np.ndarray, offset: np.ndarray, lead: tuple = ()) -> tuple:
+    """Linear parts ``lead + (4, 4)``, offsets ``lead + (4,)`` and their Jacobians det(linear),
+    each map checked as an :class:`AffineMap` checks its own: finite, and no ``|det| <= 1e-12``."""
+    L, c = _check_finite(linear, "linear part"), _check_finite(offset, "offset")
+    if L.shape != lead + (4, 4) or c.shape != lead + (4,):
+        raise ValueError("affine map needs a 4x4 linear part and a 4-vector offset")
+    det = np.linalg.det(L)
+    if not (np.abs(det) > 1e-12).all():
+        raise ValueError("affine map has a singular linear part")
+    return L, c, det
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """Invertible affine map r -> linear r + offset on R^4.
@@ -306,16 +318,11 @@ class AffineMap:
     jacobian: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        L = _check_finite(self.linear, "linear part").copy()
-        c = _check_finite(self.offset, "offset").copy()
-        if L.shape != (4, 4) or c.shape != (4,):
-            raise ValueError("affine map needs a 4x4 linear part and a 4-vector offset")
-        det = float(np.linalg.det(L))
-        if abs(det) <= 1e-12:
-            raise ValueError("affine map has a singular linear part")
+        L, c, det = _checked_affine(self.linear, self.offset)
+        L, c = L.copy(), c.copy()
         L.setflags(write=False)
         c.setflags(write=False)
-        for name, value in (("linear", L), ("offset", c), ("jacobian", det)):
+        for name, value in (("linear", L), ("offset", c), ("jacobian", float(det))):
             object.__setattr__(self, name, value)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import BLOCK_POINTS, FieldFunction
-from .generators import FDScheme, ParamFamily, _affine_flow, _param_diffs, _stencil, rep_generators, volume_rates
+from .generators import FDScheme, ParamFamily, _affine_flow, _stencil_rows, rep_generators, volume_rates
+from .geometry import _checked_affine
 from .schemas import TOLERANCES, number_text
 
 __all__ = [
@@ -63,7 +64,8 @@ class RelationReport:
     ``tolerances`` broadcasts against the labels, so checks with mixed
     strictness (e.g. exact commutator vs finite-step conjugation) fit in
     one report.  ``passed`` is derived, never stored: a parameter passes
-    iff its sup residual is within tolerance.
+    iff its sup residual is within tolerance and the report has no
+    ``failure``, the reason a check compared nothing.
     """
 
     labels: tuple[str, ...]
@@ -73,6 +75,7 @@ class RelationReport:
     convergence_steps: tuple[float, ...] = ()
     convergence_sup: np.ndarray | None = None  # (len(steps), len(labels))
     metadata: dict = dc_field(default_factory=dict)
+    failure: str | None = None
 
     def __post_init__(self):
         s = len(self.labels)
@@ -90,7 +93,7 @@ class RelationReport:
 
     @property
     def passed(self) -> np.ndarray:
-        return self.sup_residuals <= self.tolerances
+        return (self.sup_residuals <= self.tolerances) & (self.failure is None)
 
     @property
     def all_passed(self) -> bool:
@@ -116,6 +119,8 @@ class RelationReport:
             "all_passed": self.all_passed,
             "metadata": dict(self.metadata),
         }
+        if self.failure is not None:
+            out["failure"] = self.failure
         if self.convergence_sup is not None:
             out["convergence"] = {
                 "steps": [number_text(h) for h in self.convergence_steps],
@@ -163,68 +168,102 @@ def _residual_summary(residuals) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
 
+#: Rows per float product in :func:`_apply`.  BLAS rounds a row differently in
+#: products of different heights, so products go in blocks of this many rows: a
+#: chunk that starts at a multiple of it (as a relation check's chunks do) gives
+#: each row the bits it has in one pass over the whole sample.
+_PRODUCT_ROWS = 512
+
+
+def _apply(mats: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Complex matrices (..., n, n) applied to the complex rows of ``vals`` (..., p, n): M v per row, (..., p, n).
+
+    The real form [[Re M, -Im M], [Im M, Re M]] of each matrix acts on the
+    interleaved real and imaginary parts of ``vals`` as one float product, so
+    no complex product reaches BLAS (after one, a process formats floats
+    about 1.3 times slower).
+    """
+    m = np.swapaxes(mats, -1, -2)
+    re, im = m.real, m.imag
+    # (input component, its part, output component, its part), flattened to (2n, 2n)
+    real = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], -3)
+    real = real.reshape(m.shape[:-2] + (2 * m.shape[-1],) * 2)
+    out = np.empty(vals.shape, dtype=complex)
+    floats, into = np.ascontiguousarray(vals).view(float), out.view(float)
+    for start in range(0, vals.shape[-2], _PRODUCT_ROWS):
+        rows = slice(start, start + _PRODUCT_ROWS)
+        np.matmul(floats[..., rows, :], real, out=into[..., rows, :])
+    return out
+
+
 def _relation_residuals(field: FieldFunction, family: ParamFamily, schemes: list[FDScheme], pts, phi, grads):
     """Each scheme's global-vs-local residuals, as (scheme index, parameter, (p, n) array) one at a time.
 
     The schemes share one order, and a family without ``rep_derivative`` has
     ``I'`` differenced once, at the first one's step.  ``phi`` and ``grads``
-    are the field's values and gradient on the sample ``pts``.  A family
-    that moves no points differences ``I(b)`` alone and contracts
-    ``(dI - I') phi``: it needs no gradient, but needs the closed-form ``I'``.
+    are the field's values and gradient on the sample ``pts``.  One
+    ``rep_map`` and one ``point_map`` call give the maps at every stencil
+    point of every scheme, and every matrix product goes through
+    :func:`_apply`.  A family that moves no points differences ``I(b)``
+    alone and contracts ``(dI - I') phi``: it needs no gradient, but needs
+    the closed-form ``I'``.
 
     A moving family takes its parameters in groups whose stencil points
     times the sample fit in ``BLOCK_POINTS``, or one at a time with the
     sample in chunks of ``BLOCK_POINTS // order`` points.  A group's local
     side is formed once from the declared flow and volume rates; each
     scheme's stencil then differences the global side alone against it.
-    Each stencil point's maps are built once and move the whole sample, and
-    the field is evaluated once per chunk of all the group's moved points.
+    Each stencil point's map moves the whole sample in one product, as
+    :class:`~covariant_kit.geometry.AffineMap` does, and the field is
+    evaluated once per chunk of all the group's moved points.
     """
     if family.point_map is None and family.rep_derivative is None:
         raise ValueError("a family that moves no points needs its closed-form rep_derivative")
     gen = rep_generators(family, schemes[0])
+    order, s = schemes[0].order, family.s
+    stencils = [_stencil_rows(family.b0, scheme) for scheme in schemes]
+    rows = np.concatenate([points for points, _ in stencils])  # scheme by scheme, parameter by parameter
+    mats = np.asarray(family.rep_map(rows), dtype=complex)
     if family.point_map is None:
-        rep_f = lambda b: np.asarray(family.rep_map(b), dtype=complex)
-        for k, scheme in enumerate(schemes):
-            for w, dmat in enumerate(_param_diffs(rep_f, family.b0, scheme)):
-                yield k, w, np.einsum("ij,pj->pi", dmat - gen[w], phi)
+        for k, (_, rules) in enumerate(stencils):
+            for w, rule in enumerate(rules):
+                at = (k * s + w) * order
+                yield k, w, _apply(rule(*mats[at : at + order]) - gen[w], phi)
         return
 
-    order, p, rates = schemes[0].order, len(pts), volume_rates(family)
-    stencils = [[_stencil(family.b0, w, scheme.step, order) for w in range(family.s)] for scheme in schemes]
+    linear, offset, jac = _checked_affine(*family.point_map(rows), (len(rows),))
+    p, rates = len(pts), volume_rates(family)
     per_group = max(1, BLOCK_POINTS // max(1, order * p))
     chunk = max(1, min(p, BLOCK_POINTS // order))
 
-    def group_residuals(group, stencil, local):
-        params = [b for w in group for b in stencil[w][0]]
-        maps = [family.point_map(b) for b in params]
-        mats = [np.asarray(family.rep_map(b), dtype=complex) for b in params]
-        jac = np.array([h.jacobian for h in maps])
+    def group_residuals(group, rules, at, local):
+        idx = slice(at + group.start * order, at + group.stop * order)
         # Coordinate-major (4, stencil points, p), so the field reads contiguous
-        # columns.  Each map moves the whole sample in one product, as one call
-        # per stencil point would: a product over a chunk can round differently.
-        moved = np.empty((4, len(params), p))
-        for j, h in enumerate(maps):
-            moved[:, j] = h(pts).T
+        # columns.  Each map moves the whole sample in one product, as
+        # AffineMap does: a product over a chunk can round differently.
+        moved = np.empty((4, idx.stop - idx.start, p))
+        np.matmul(linear[idx], pts.T, out=moved.transpose(1, 0, 2))
+        moved += offset[idx].T[:, :, None]
         out = [np.empty_like(phi) for _ in group]
         for start in range(0, p, chunk):
-            rows = slice(start, start + chunk)
-            vals = _field_values(field, np.moveaxis(moved[:, :, rows], 0, -1))
-            lhs = np.empty_like(vals)
-            for j, mat in enumerate(mats):
-                np.einsum("ij,pj->pi", mat, vals[j], out=lhs[j])
-            lhs *= jac[:, None, None]
+            part = slice(start, start + chunk)
+            lhs = _apply(mats[idx], _field_values(field, np.moveaxis(moved[:, :, part], 0, -1)))
+            lhs *= jac[idx, None, None]
             for i, w in enumerate(group):
-                out[i][rows] = stencil[w][1](*lhs[i * order : (i + 1) * order]) - local[i][rows]
+                out[i][part] = rules[w](*lhs[i * order : (i + 1) * order]) - local[i][part]
         return out
 
-    for first in range(0, family.s, per_group):
-        group = range(first, min(first + per_group, family.s))
-        local = [rates[w] * phi + np.einsum("ij,pj->pi", gen[w], phi) for w in group]
+    for first in range(0, s, per_group):
+        group = range(first, min(first + per_group, s))
+        local = [rates[w] * phi + _apply(gen[w], phi) for w in group]
         for i, w in enumerate(group):
-            local[i] += np.einsum("pk,pik->pi", _affine_flow(family.flow[w], pts), grads)
-        for k, stencil in enumerate(stencils):
-            yield from ((k, w, r) for w, r in zip(group, group_residuals(group, stencil, local)))
+            # h . grad phi, summed over the four coordinates in order, as einsum("pk,pik->pi") sums them
+            flow, transport = _affine_flow(family.flow[w], pts), np.zeros_like(phi)
+            for c in range(4):
+                transport += flow[:, c, None] * grads[..., c]
+            local[i] += transport
+        for k, (_, rules) in enumerate(stencils):
+            yield from ((k, w, r) for w, r in zip(group, group_residuals(group, rules, k * s * order, local)))
 
 
 def _relation_report(field, family, scheme, points, tolerance, convergence_steps=(), **metadata) -> RelationReport:
@@ -232,7 +271,9 @@ def _relation_report(field, family, scheme, points, tolerance, convergence_steps
 
     The field is evaluated once on the sample, and its gradient once only
     for a family that moves points; one pass of :func:`_relation_residuals`
-    gives every step's residuals, reduced here one array at a time.
+    gives every step's residuals, reduced here one array at a time.  A field
+    that is exactly 0 on the whole sample fails the report: every residual
+    would read 0 and compare nothing.
     """
     pts, phi = _sampled(field, family, points)
     grads = None if family.point_map is None else np.asarray(field.gradient(pts), dtype=complex)
@@ -251,6 +292,7 @@ def _relation_report(field, family, scheme, points, tolerance, convergence_steps
         convergence_steps=tuple(convergence_steps),
         convergence_sup=sup[1:] if convergence_steps else None,
         metadata={**_correspondence(family.labels), **metadata},
+        failure=None if phi.any() else "the field is exactly 0 at every sample point, so the relation compares nothing",
     )
 
 

@@ -130,7 +130,8 @@ class FieldRep:
     Fields: ``kind`` (scalar, vector, spinor, phase or custom); ``n``
     components; ``nparams``, the length of the parameter vector ``rule``
     takes (6 planes for the spacetime kinds, 1 for phase); ``rule``, the
-    identity at zero; ``generators``, its closed-form derivative at zero as
+    identity at zero, which takes rows (k, nparams) too for every kind but
+    custom; ``generators``, its closed-form derivative at zero as
     a read-only (nparams, n, n) stack, None for custom; ``gamma``, the
     spinor's gamma basis, else None.  Each constructor builds these once.
     """
@@ -150,7 +151,7 @@ class FieldRep:
 
     @classmethod
     def scalar(cls) -> "FieldRep":
-        return cls("scalar", 1, 6, lambda p: np.eye(1, dtype=complex), np.zeros((6, 1, 1)))
+        return cls("scalar", 1, 6, lambda p: np.ones(p.shape[:-1] + (1, 1), dtype=complex), np.zeros((6, 1, 1)))
 
     @classmethod
     def vector(cls) -> "FieldRep":
@@ -166,7 +167,7 @@ class FieldRep:
         if e == 0:
             raise ValueError("unit charge must be nonzero")
         q, e = float(q), float(e)
-        rule = lambda p: np.array([[np.exp(-(q / (1j * e)) * float(p[0]))]], dtype=complex)
+        rule = lambda p: np.exp(-(q / (1j * e)) * p[..., :1, None])
         return cls("phase", 1, 1, rule, np.array([[[-q / (1j * e)]]]))
 
     @classmethod
@@ -185,33 +186,43 @@ def _cosh_sinhc(z: complex) -> tuple[complex, complex]:
 
 
 def _spinor_exp(gamma: GammaBasis, omega: np.ndarray) -> np.ndarray:
-    """exp S for S = -(i/2) sum_i omega[i] sigma[plane i], in closed form.
+    """exp S for S = -(i/2) sum_i omega[..., i] sigma[plane i], in closed form, for rows (..., 6).
 
     S commutes with the chirality projectors P+-, and on each chirality it
     is a traceless 2x2 block, so S^2 P+- = z+- P+-.  Hence
     exp S = sum_+- P+- (cosh sqrt(z+-) + sinh sqrt(z+-) / sqrt(z+-) S).
+    z+- and the coefficients are scalar work per row, and the products are
+    one per row, so a row's matrix does not depend on the stack it came in.
     """
-    S = (-0.5j * (omega @ gamma.plane_sigma)).reshape(4, 4)
+    lead = omega.shape[:-1]
+    S = (-0.5j * (omega[..., None, :] @ gamma.plane_sigma)).reshape(lead + (4, 4))
     P_plus, P_minus = gamma.chirality
-    z_plus, z_minus = (np.einsum("kij,ji->k", gamma.chirality, S @ S) / 2).tolist()
+    coeffs = []  # per row: cosh and sinhc of z+, then of z-
     try:
-        (cosh_p, sinhc_p), (cosh_m, sinhc_m) = _cosh_sinhc(z_plus), _cosh_sinhc(z_minus)
+        for square in (S @ S).reshape(-1, 4, 4):
+            for z in (np.einsum("kij,ji->k", gamma.chirality, square) / 2).tolist():
+                coeffs.extend(_cosh_sinhc(z))
     except OverflowError:
         raise ValueError("spinor matrix must be finite") from None
+    coeffs = np.moveaxis(np.array(coeffs).reshape(lead + (2, 2, 1, 1)), (-4, -3), (0, 1))
+    (cosh_p, sinhc_p), (cosh_m, sinhc_m) = coeffs
     return (cosh_p * P_plus + cosh_m * P_minus) + (sinhc_p * P_plus + sinhc_m * P_minus) @ S
 
 
 def rep_matrix(rep: FieldRep, params: np.ndarray | float) -> np.ndarray:
-    """Evaluate the representation matrix at the given group parameters.
+    """Evaluate the representation matrix at the given group parameters, or at each parameter row.
 
     The parameters must be finite and number ``rep.nparams`` (a phase
-    takes a bare float too).  Always the identity at zero parameters.
+    takes a bare float too); rows (k, nparams) give a (k, n, n) stack, each
+    matrix with the bits of its row alone.  Always the identity at zero parameters.
     """
     p = np.atleast_1d(np.asarray(params, dtype=float))
     if not np.isfinite(p).all():
         raise ValueError("representation parameters must be finite")
-    if p.shape != (rep.nparams,):
+    if p.shape[-1:] != (rep.nparams,) or p.ndim > 2:
         raise ValueError(f"{rep.kind} representation expects {rep.nparams} parameters, got shape {p.shape}")
+    if rep.kind == "custom" and p.ndim == 2:
+        return np.array([rep.rule(row) for row in p], dtype=complex).reshape(len(p), rep.n, rep.n)
     return np.asarray(rep.rule(p), dtype=complex)
 
 

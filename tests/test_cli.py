@@ -466,6 +466,22 @@ class TestExitContractHoles:
         named = f"sample budget of {cli.SAMPLE_BUDGET} points: grid.sample_count asks for {count} points" if over else None
         self._cap(capsys, tmp_path, monkeypatch, "verify_local_vector_rotation.json", "grid.sample_count", count, named)
 
+    @pytest.mark.parametrize(
+        "name, small",
+        [
+            ("toy_charge.json", []),
+            (
+                "pairing_invariance.json",
+                ["grid.counts=[9,9,9,9]", "grid.doublings=2", "tolerances.pairing_convergence=1e-2"],
+            ),
+        ],
+    )
+    def test_sample_cap_spares_checks_that_build_no_sample(self, tmp_path, monkeypatch, name, small):
+        # neither check reads grid.sample_count, and the cap once stopped both with exit 2
+        monkeypatch.chdir(tmp_path)
+        overrides = [arg for o in (f"grid.sample_count={cli.SAMPLE_BUDGET + 1}", *small) for arg in ("--override", o)]
+        assert run_cli(["run", str(SCENARIOS / name), "--out", "r.json", *overrides]) == 0
+
     def test_benchmark_samples_are_within_the_cap(self):
         counts = []
         for name, scenario in _benchmark_scenarios():
@@ -569,6 +585,21 @@ class TestExitContractHoles:
         assert run_cli(["run", scenario, "--out", "zero.json", *args, "--override", "grid.doublings=0"]) == 2
         assert "grid.doublings >= 1" in self._one_line(capsys)
         assert not (tmp_path / "zero.json").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["verify_local_vector_rotation.json", "verify_bundle_vector.json", "verify_local_phase.json"]
+    )
+    def test_relation_on_a_zero_field_fails(self, tmp_path, monkeypatch, name):
+        # at width 1e-150 the packet underflows to 0 at every sample point, and every residual once read 0 = 0
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", str(SCENARIOS / name), "--out", "zero.json", "--override", "field.width=1e-150"]) == 1
+        (row,) = load(tmp_path / "zero.json")["results"]
+        assert (row["passed"], row["sup_residual"]) == (False, "0")
+        assert row["detail"]["failure"] == "the field is exactly 0 at every sample point, so the relation compares nothing"
+        assert not any(row["detail"]["passed"]) and not row["detail"]["all_passed"]
+        assert run_cli(["run", str(SCENARIOS / name), "--out", "plain.json"]) == 0
+        (plain,) = load(tmp_path / "plain.json")["results"]
+        assert sorted(plain["detail"]) == sorted(key for key in row["detail"] if key != "failure")
 
     def test_pairing_of_two_zeros_fails(self, tmp_path, monkeypatch):
         # at width 1e-150 every pairing value is 0, and 0/0 once read as a converged 0

@@ -123,6 +123,21 @@ class TestBoundedMode:
         change["schema:stdout.x"] = 0.1000002
         assert compare(parent, change, BOUND)[0] != []
 
+    def test_moved_keys_are_summarised_per_leaf_path(self):
+        parent = {**PARENT, "scenario/b.json:report.results.0.sup_residual": "2e-15"}
+        change = dict(parent)
+        change["scenario/a.json:report.results.0.sup_residual"] = "4.4408920985006262e-15"  # abs 2.7e-15, rel 1.5
+        change["scenario/b.json:report.results.0.sup_residual"] = "3e-15"  # abs 1e-15, rel 0.5
+        change["scenario/a.json:report.results.1.ratio"] = "4.0000000000000009"
+        change["csv/field.csv"] = "x0,x1,re\n0.5,-1.25,0.31415926535897938\n"
+        differ, moved = compare(parent, change, BOUND)
+        assert differ == []
+        summary = compare_outputs.moves_by_leaf(moved)
+        assert list(summary) == ["(whole output)", "report.results.*.ratio", "report.results.*.sup_residual"]
+        assert summary["report.results.*.sup_residual"] == (2, 2.66e-15, 1.5)
+        assert summary["report.results.*.ratio"][0] == 1 and summary["(whole output)"][0] == 1
+        assert compare_outputs.moves_by_leaf([]) == {}
+
     def test_zero_parent_value_counts_as_infinite_relative_change(self):
         key = "scenario/a.json:report.results.0.sup_residual"
         differ, moved = compare({key: "0"}, {key: "1e-16"}, BOUND)

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from covariant_kit.geometry import ETA, PLANES, AffineMap, lorentz_exp, plane_ge
 from covariant_kit.heisenberg import verify_local_relation
 from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
-from families import dilation_family
+from families import constant, dilation_family, point_map_at, still
 
 POINTS = np.random.default_rng(14).uniform(-2.0, 2.0, (25, 4))
 SCHEME = FDScheme(1e-4, order=2)
@@ -36,12 +34,12 @@ STILL = np.zeros((1, 4, 5))  # the flow of a point map that is the identity for 
 
 def differenced_flows(fam, pts, scheme=SCHEME):
     """Central differences of the family's point maps along each parameter: (s, ..., 4)."""
-    return np.stack(list(_param_diffs(lambda b: fam.point_map(b)(pts), fam.b0, scheme)))
+    return np.stack(list(_param_diffs(lambda b: point_map_at(fam, b)(pts), fam.b0, scheme)))
 
 
 def differenced_rates(fam, scheme=SCHEME):
     """Central differences of the family's point-map Jacobians along each parameter: (s,)."""
-    return np.array(list(_param_diffs(lambda b: fam.point_map(b).jacobian, fam.b0, scheme)))
+    return np.array(list(_param_diffs(lambda b: point_map_at(fam, b).jacobian, fam.b0, scheme)))
 
 
 class TestSchemeValidation:
@@ -83,8 +81,8 @@ class TestFamilyValidation:
     def test_rep_identity_enforced(self):
         with pytest.raises(ValueError):
             ParamFamily(
-                point_map=lambda b: AffineMap.identity(),
-                rep_map=lambda b: 2.0 * np.eye(1, dtype=complex),
+                point_map=still,
+                rep_map=constant(2.0 * np.eye(1)),
                 labels=("X",),
                 flow=STILL,
             )
@@ -94,22 +92,22 @@ class TestFamilyValidation:
         for h in (AffineMap(np.eye(4), np.ones(4)), AffineMap(np.eye(4) + np.diag([1e-11, 0, 0, 0]))):
             with pytest.raises(ValueError, match="not the identity map"):
                 ParamFamily(
-                    point_map=lambda b: h,
-                    rep_map=lambda b: np.eye(1, dtype=complex),
+                    point_map=lambda rows: (h.linear[None], h.offset[None]),
+                    rep_map=constant(np.eye(1)),
                     labels=("X",),
                     flow=STILL,
                 )
 
     def test_s_and_n_are_derived(self):
         fam = ParamFamily(
-            point_map=lambda b: AffineMap.identity(),
-            rep_map=lambda b: np.eye(3, dtype=complex),
+            point_map=still,
+            rep_map=constant(np.eye(3)),
             labels=("X", "Y"),
             flow=np.zeros((2, 4, 5)),
         )
         assert (fam.s, fam.n) == (2, 3)
         assert np.array_equal(fam.b0, np.zeros(2)) and not fam.b0.flags.writeable
-        assert dataclasses.replace(fam, rep_map=lambda b: np.eye(2, dtype=complex)).n == 2
+        assert dataclasses.replace(fam, rep_map=constant(np.eye(2))).n == 2
         fields = {f: getattr(fam, f) for f in ("point_map", "rep_map", "labels", "flow")}
         for derived in ({"s": 2}, {"b0": np.zeros(2)}):
             with pytest.raises(TypeError):
@@ -118,8 +116,8 @@ class TestFamilyValidation:
     def test_non_square_rep_map_rejected(self):
         with pytest.raises(ValueError, match="not the identity"):
             ParamFamily(
-                point_map=lambda b: AffineMap.identity(),
-                rep_map=lambda b: np.ones(3, dtype=complex),
+                point_map=still,
+                rep_map=lambda rows: np.ones((len(rows), 3), dtype=complex),
                 labels=("X",),
                 flow=STILL,
             )
@@ -161,7 +159,7 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
             dataclasses.replace(poincare_family(FieldRep.vector()), flow=None)
         with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
-            ParamFamily(point_map=lambda b: AffineMap.identity(), rep_map=lambda b: np.eye(1), labels=("X",))
+            ParamFamily(point_map=still, rep_map=constant(np.eye(1)), labels=("X",))
         assert internal_family(FieldRep.phase(1.0, 1.0)).flow is None
 
     def test_declared_data_are_read_only_copies(self):
@@ -242,8 +240,11 @@ class TestVolumeRates:
 
     def test_anisotropic_scaling_rate(self):
         fam = ParamFamily(
-            point_map=lambda b: AffineMap(np.diag([math.exp(b[0]), 1.0, 1.0, 1.0])),
-            rep_map=lambda b: np.eye(1, dtype=complex),
+            point_map=lambda rows: (
+                np.stack([np.diag([math.exp(b[0]), 1.0, 1.0, 1.0]) for b in rows]),
+                np.zeros((len(rows), 4)),
+            ),
+            rep_map=constant(np.eye(1)),
             labels=("A",),
             flow=np.diag([1.0, 0.0, 0.0, 0.0, 0.0])[None, :4],
         )
@@ -417,12 +418,12 @@ class TestPoincareFamilyGeometry:
         b = np.zeros(10)
         b[0] = 0.5  # boost in plane (0, 1)
         b[6] = 1.0  # time translation
-        out = fam.point_map(b)(np.zeros((1, 4)))
+        out = point_map_at(fam, b)(np.zeros((1, 4)))
         assert_allclose(out[0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_rep_map_at_base_is_identity(self):
         fam = poincare_family(FieldRep.spinor())
-        assert np.abs(fam.rep_map(fam.b0) - np.eye(4)).max() <= 1e-12
+        assert np.abs(fam.rep_map(fam.b0[None])[0] - np.eye(4)).max() <= 1e-12
 
     def test_frame_family_never_moves_points(self):
         fam = poincare_frame_family(FieldRep.vector())
@@ -432,10 +433,11 @@ class TestPoincareFamilyGeometry:
     def test_frame_family_rep_map_equals_rep_matrix_bit_for_bit(self, variant):
         rep = getattr(FieldRep, variant)()
         fam = poincare_frame_family(rep)
-        for b in [*np.random.default_rng(17).uniform(-0.8, 0.8, (12, 10)), *_param_sequence()]:
-            got = fam.rep_map(b)
-            assert got.dtype == np.complex128
-            assert np.array_equal(got, rep_matrix(rep, b[:6]))
+        rows = np.array([*np.random.default_rng(17).uniform(-0.8, 0.8, (12, 10)), *_param_sequence()])
+        got = fam.rep_map(rows)
+        assert got.dtype == np.complex128 and got.shape == (len(rows), rep.n, rep.n)
+        for b, mat in zip(rows, got):
+            assert mat.tobytes() == rep_matrix(rep, b[:6]).tobytes()
         assert fam.point_map is None
         assert fam.labels == poincare_family(rep).labels
         assert (fam.s, fam.n) == (10, rep.n)
@@ -454,66 +456,39 @@ def _param_sequence():
     return [b1, b1, b2, b1, b3, b2, b2, b1_shifted, b1, b1_turned, b1, np.zeros(10), neg_zero, b3]
 
 
-class TestPoincareFamilyMemo:
+class TestStackedRows:
+    """A Poincare family maps parameter rows to stacks whose rows are lorentz_exp's and rep_matrix's bits."""
+
     @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
-    def test_memoised_maps_equal_uncached_bit_for_bit(self, variant):
+    def test_stacked_rows_equal_lorentz_exp_and_rep_matrix_bit_for_bit(self, variant):
         rep = getattr(FieldRep, variant)()
         fam = poincare_family(rep)
-        for i, b in enumerate(_param_sequence()):
-            lam = lorentz_exp(b[:6])
-            calls = [
-                ("linear", lambda: fam.point_map(b).linear, lam),
-                ("point", lambda: fam.point_map(b)(POINTS), POINTS @ lam.T + b[6:]),
-                ("rep", lambda: fam.rep_map(b), rep_matrix(rep, b[:6])),
-            ]
-            # vary the call order so every map sees both a cold and a warm memo
-            for name, call, expected in calls[i % 3 :] + calls[: i % 3]:
-                got = call()
-                assert got.dtype == expected.dtype, name
-                assert np.array_equal(got, expected), name
+        rows = np.array([*_param_sequence(), *np.random.default_rng(8).uniform(-0.5, 0.5, (30, 10))])
+        linear, offset = fam.point_map(rows)
+        mats = fam.rep_map(rows)
+        k = len(rows)
+        assert (linear.shape, offset.shape, mats.shape) == ((k, 4, 4), (k, 4), (k, rep.n, rep.n))
+        assert mats.dtype == np.complex128
+        for b, lam, a, mat in zip(rows, linear, offset, mats):
+            assert lam.tobytes() == lorentz_exp(b[:6]).tobytes()
+            assert a.tobytes() == b[6:].tobytes()
+            assert mat.tobytes() == rep_matrix(rep, b[:6]).tobytes()
+            assert np.array_equal(AffineMap(lam, a)(POINTS), POINTS @ lorentz_exp(b[:6]).T + b[6:])
 
-    def test_evicted_entries_are_rebuilt_exactly(self):
-        rep = FieldRep.spinor()
-        fam = poincare_family(rep)
-        seq = np.random.default_rng(8).uniform(-0.5, 0.5, (100, 10))  # more than the memo holds
-        for b in [*seq, *seq[:5]]:
-            assert np.array_equal(fam.point_map(b).linear, lorentz_exp(b[:6]))
-            assert np.array_equal(fam.rep_map(b), rep_matrix(rep, b[:6]))
+    @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
+    def test_a_row_does_not_depend_on_its_stack(self, variant):
+        fam = poincare_family(getattr(FieldRep, variant)())
+        rows = np.random.default_rng(9).uniform(-0.5, 0.5, (25, 10))
+        whole = fam.point_map(rows)[0], fam.rep_map(rows)
+        for start, stop in ((0, 1), (3, 4), (5, 17)):
+            got = fam.point_map(rows[start:stop])[0], fam.rep_map(rows[start:stop])
+            for stack, part in zip(whole, got):
+                assert part.tobytes() == stack[start:stop].tobytes()
 
-    def test_returned_rep_matrix_is_the_callers_own(self):
-        fam = poincare_family(FieldRep.spinor())
-        b = _param_sequence()[0]
-        first = fam.rep_map(b)
-        first[:] = 0.0
-        assert np.array_equal(fam.rep_map(b), rep_matrix(FieldRep.spinor(), b[:6]))
-
-    def test_memo_is_private_to_each_family(self):
-        rep = FieldRep.vector()
-        fam1, fam2 = poincare_family(rep), poincare_family(rep)
-        b1, b2 = _param_sequence()[:3:2]
-        fam1.rep_map(b1)
-        assert np.array_equal(fam2.rep_map(b2), rep_matrix(rep, b2[:6]))
-        assert np.array_equal(fam1.rep_map(b1), rep_matrix(rep, b1[:6]))
-
-    @pytest.mark.parametrize("variant", ["vector", "spinor"])
-    def test_concurrent_callers_get_their_own_parameters(self, variant):
-        rep = getattr(FieldRep, variant)()
-        fam = poincare_family(rep)
-        seq = _param_sequence()
-        expected = [(lorentz_exp(b[:6]), rep_matrix(rep, b[:6])) for b in seq]
-
-        def worker(offset):
-            for k in range(200):
-                j = (offset + k) % len(seq)
-                lam, mat = expected[j]
-                if not (np.array_equal(fam.point_map(seq[j]).linear, lam) and np.array_equal(fam.rep_map(seq[j]), mat)):
-                    return False
-            return True
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:  # more workers than cores
-                assert all(pool.map(worker, range(6), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
+    def test_internal_family_rows_equal_rep_matrix(self):
+        rows = np.array([[0.3], [-1e-4], [-0.0], [2.0]])
+        for rep in (FieldRep.phase(1.5, 0.7), FieldRep.custom(lambda b: np.diag([np.exp(1j * b[0]), 1.0]), 2, 1)):
+            mats = internal_family(rep).rep_map(rows)
+            assert mats.shape == (4, rep.n, rep.n)
+            for b, mat in zip(rows, mats):
+                assert mat.tobytes() == rep_matrix(rep, b).tobytes()

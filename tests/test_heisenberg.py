@@ -19,7 +19,7 @@ from covariant_kit.generators import (
     rep_generators,
     volume_rates,
 )
-from covariant_kit.geometry import AffineMap
+from covariant_kit.geometry import _checked_affine
 from covariant_kit.heisenberg import (
     RelationReport,
     ToyOperatorModel,
@@ -35,7 +35,7 @@ from covariant_kit.heisenberg import (
 from covariant_kit.representations import FieldRep
 from covariant_kit.schemas import SCENARIO_SCHEMA, TOLERANCES
 
-from families import dilation_family
+from families import dilation_family, point_map_at
 
 SCHEME = FDScheme(1e-4, order=2)
 POINTS = sample_points(count=60, seed=2, box=1.5)
@@ -52,6 +52,14 @@ class TestRelationReport:
         assert rep.all_passed
         with pytest.raises(ValueError):
             RelationReport(("a",), np.zeros(1), np.zeros(1), 0.0)
+
+    def test_failure_fails_every_row_and_is_the_only_new_key(self):
+        failed = RelationReport(("a", "b"), np.zeros(2), np.zeros(2), 1e-6, failure="compared nothing")
+        assert failed.passed.tolist() == [False, False] and not failed.all_passed
+        plain = RelationReport(("a", "b"), np.zeros(2), np.zeros(2), 1e-6)
+        assert plain.all_passed and "failure" not in plain.to_dict()
+        flags = {"passed": [False, False], "all_passed": False}
+        assert failed.to_dict() == {**plain.to_dict(), **flags, "failure": "compared nothing"}
 
     def test_to_dict_serialises_numbers_as_text(self):
         rep = RelationReport(
@@ -159,18 +167,19 @@ class TestLocalRelation:
         report = verify_local_relation(field, family, SCHEME, POINTS)
         assert not report.all_passed and report.sup_residuals[0] > 0.1
 
-    def test_jacobian_that_reads_one_fails_the_dilation_relation(self):
+    def test_jacobian_that_reads_one_fails_the_dilation_relation(self, monkeypatch):
         # differencing the Jacobian for the volume rate would cancel this defect out
-        class UnitJacobian(AffineMap):
-            def __post_init__(self):
-                super().__post_init__()
-                object.__setattr__(self, "jacobian", 1.0)
+        def unit_jacobians(linear, offset, lead):
+            checked_linear, checked_offset, _ = _checked_affine(linear, offset, lead)
+            return checked_linear, checked_offset, np.ones(lead)
 
-        family = dataclasses.replace(dilation_family(), point_map=lambda b: UnitJacobian(math.exp(b[0]) * np.eye(4)))
         field = wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1)
-        assert family.point_map(np.full(1, 0.5)).jacobian == 1.0
-        report = verify_local_relation(field, family, SCHEME, POINTS)
-        assert not report.all_passed and report.sup_residuals[0] > 1.0
+        honest = verify_local_relation(field, dilation_family(), SCHEME, POINTS)
+        monkeypatch.setattr(heisenberg_module, "_checked_affine", unit_jacobians)
+        report = verify_local_relation(field, dilation_family(), SCHEME, POINTS)
+        # the global side loses d/db e^{4b} = 4 phi, the local side keeps tr A = 4
+        assert honest.all_passed
+        assert not report.all_passed and 2.9 < report.sup_residuals[0] < 3.0
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_negated_closed_form_generators_fail(self, order):
@@ -243,21 +252,27 @@ class TestLocalRelation:
         plain = verify_local_relation(packet, family, FDScheme(1e-4, order=4), POINTS, convergence_steps=steps)
         assert report.to_dict() == plain.to_dict()
 
+    @pytest.mark.parametrize("family", [poincare_family(FieldRep.vector()), poincare_frame_family(FieldRep.spinor())])
     @pytest.mark.parametrize("order, steps", [(2, ()), (4, (2e-3, 1e-3))])
-    def test_one_point_map_per_stencil_point(self, order, steps):
-        family = poincare_family(FieldRep.vector())
-        calls = []
+    def test_one_point_map_and_one_rep_map_call_per_check(self, family, order, steps):
+        calls = {"point_map": [], "rep_map": []}
 
-        def point_map(b):
-            calls.append(b)
-            return family.point_map(b)
+        def counted(name):
+            def call(rows):
+                calls[name].append(rows.shape)
+                return getattr(family, name)(rows)
 
-        counted = dataclasses.replace(family, point_map=point_map)
-        calls.clear()
+            return call
+
+        maps = {name: counted(name) for name in calls if getattr(family, name) is not None}
+        with_counts = dataclasses.replace(family, **maps)
+        for made in calls.values():
+            made.clear()  # the family's own identity probe at b0
         field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4)
         scheme = FDScheme(1e-4, order=order)
-        report = verify_local_relation(field, counted, scheme, POINTS, convergence_steps=steps)
-        assert len(calls) == order * family.s * (1 + len(steps))
+        report = verify_local_relation(field, with_counts, scheme, POINTS, convergence_steps=steps)
+        every_row = (order * family.s * (1 + len(steps)), family.s)
+        assert calls == {name: [every_row] if name in maps else [] for name in calls}
         plain = verify_local_relation(field, family, scheme, POINTS, convergence_steps=steps)
         assert report.to_dict() == plain.to_dict()
 
@@ -274,32 +289,67 @@ class TestLocalRelation:
                 wave_packet([0, 0, 0, 0], 1.0, 2), poincare_family(FieldRep.vector()), SCHEME, POINTS
             )
 
+    @pytest.mark.parametrize("kind", ["vector", "phase", "frame"])
+    def test_field_that_is_zero_on_the_whole_sample_fails(self, kind):
+        family = {
+            "vector": poincare_family(FieldRep.vector()),
+            "phase": internal_family(FieldRep.phase(1.5, 0.5)),
+            "frame": poincare_frame_family(FieldRep.vector()),
+        }[kind]
+        zero = constant_field([0.0] * family.n)
+        report = verify_local_relation(zero, family, SCHEME, POINTS)
+        assert np.array_equal(report.sup_residuals, np.zeros(family.s)) and not report.passed.any()
+        assert report.failure == "the field is exactly 0 at every sample point, so the relation compares nothing"
+        # one nonzero value anywhere on the sample is something to compare
+        spike = lambda pts: np.where(pts[..., :1] == POINTS[7, 0], 1e-300, 0.0) * np.ones(family.n)
+        one = FieldFunction(family.n, spike, zero.gradient)
+        assert verify_local_relation(one, family, SCHEME, POINTS).failure is None
+
+    @pytest.mark.parametrize(
+        "linear, message",
+        [(np.zeros((4, 4)), "singular linear part"), (np.full((4, 4), np.nan), "linear part must be finite")],
+    )
+    def test_point_map_stack_is_checked_as_affine_maps_are(self, linear, message):
+        # every stencil row off b0 gets the bad linear part; b0 itself is the identity, so the family builds
+        def point_map(rows):
+            at_b0 = (rows == 0).all(axis=1)[:, None, None]
+            return np.where(at_b0, np.eye(4), linear), np.zeros((len(rows), 4))
+
+        family = dataclasses.replace(dilation_family(), point_map=point_map)
+        with pytest.raises(ValueError, match=message):
+            verify_local_relation(wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1), family, SCHEME, POINTS)
+
     def test_nonfinite_field_rejected(self):
         bad = constant_field([np.inf])
         with pytest.raises(ValueError):
             verify_local_relation(bad, poincare_family(FieldRep.scalar()), SCHEME, POINTS)
 
 
-def per_stencil_point_residuals(field, family, scheme, pts, phi, grads):
+def complex_einsum(mat, vals):
+    """The complex product the relation check used before its real form: (n, n) by rows (p, n)."""
+    return np.einsum("ij,pj->pi", mat, vals)
+
+
+def per_stencil_point_residuals(field, family, scheme, pts, phi, grads, product=heisenberg_module._apply):
     """The relation's residuals by one field evaluation per stencil point.
 
     This is the reference route the blocked stencil must reproduce bit for
-    bit: each stencil point's map moves the sample, the field is evaluated
-    on the moved points, ``_param_diffs`` differences the rotated, scaled
-    values, and the local side reads the declared flows and volume rates.
+    bit: each stencil point's map, as an ``AffineMap``, moves the sample,
+    the field is evaluated on the moved points, ``_param_diffs`` differences
+    the rotated, scaled values, and the local side reads the declared flows
+    and volume rates, with ``h . grad phi`` as an einsum.  Every matrix
+    product goes through ``product``.
     """
     gen = rep_generators(family, scheme)
     flows, rates = flow_fields(family, pts), volume_rates(family)
 
     def global_map(b):
-        h = family.point_map(b)
+        h = point_map_at(family, b)
         vals = np.asarray(field.evaluate(h(pts)), dtype=complex)
-        return h.jacobian * np.einsum("ij,pj->pi", np.asarray(family.rep_map(b), dtype=complex), vals)
+        return h.jacobian * product(np.asarray(family.rep_map(b[None])[0], dtype=complex), vals)
 
     for w, lhs in enumerate(_param_diffs(global_map, family.b0, scheme)):
-        yield lhs - (
-            rates[w] * phi + np.einsum("ij,pj->pi", gen[w], phi) + np.einsum("pk,pik->pi", flows[w], grads)
-        )
+        yield lhs - (rates[w] * phi + product(gen[w], phi) + np.einsum("pk,pik->pi", flows[w], grads))
 
 
 def per_stencil_point_passes(field, family, schemes, pts, phi, grads):
@@ -364,6 +414,23 @@ class TestBlockedStencil:
             for w, want in enumerate(reference):
                 assert blocked[k, w].shape == want.shape == (count, family.n)
                 assert blocked[k, w].tobytes() == want.tobytes()
+
+    # The real-form product rounds differently from a complex einsum, by a few
+    # ulps of the values, which the difference rule divides by the step: at
+    # step 1e-3, residuals up to 2e-6 moved by at most 3e-13.
+    EINSUM_BOUND = 1e-12
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_residuals_within_a_bound_of_the_complex_einsum_route(self, kind, order):
+        family, field, pts = self.case(kind, 200)
+        phi = np.asarray(field.evaluate(pts), dtype=complex)
+        grads = np.asarray(field.gradient(pts), dtype=complex)
+        scheme = FDScheme(1e-3, order=order)
+        real = per_stencil_point_residuals(field, family, scheme, pts, phi, grads)
+        old = per_stencil_point_residuals(field, family, scheme, pts, phi, grads, product=complex_einsum)
+        for got, want in zip(real, old):
+            assert np.abs(got - want).max() <= self.EINSUM_BOUND
 
     @pytest.mark.parametrize("count", [1, 50])
     @pytest.mark.parametrize("order", [2, 4])

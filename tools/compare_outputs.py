@@ -38,7 +38,9 @@ CSV files are compared by content, cell by cell, instead of by digest.
 Exit codes and every other leaf (pass flags, integers, null) must still be
 identical.  Each key that moved within the bound is printed with its
 worst absolute and relative change, and counted; a key outside the bound
-is printed as differing.
+is printed as differing.  After the per-key lines, each leaf path that
+moved within the bound is printed with its count of keys and its worst
+absolute and relative change, beside the counts of differing keys.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from pathlib import Path
 WORKLOADS = ("quadrature", "relations", "corpus")
 #: A decimal number as the reports, demos and CSV dumps print them.
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+#: The tail of a ``compare`` line for a key that moved: its worst absolute and relative change.
+_MOVED = re.compile(r": moved by (\S+) absolute, (\S+) relative")
 
 
 def _flatten(value, prefix: str, out: dict) -> None:
@@ -237,6 +241,12 @@ def compare(parent: dict, change: dict, bound: tuple[float, float] | None = None
     return differ, moved
 
 
+def _leaf(line: str) -> str:
+    """The leaf path of a ``compare`` line's key (see :func:`by_leaf`)."""
+    _, sep, leaf = line.split(": ", 1)[0].partition(":")
+    return ".".join("*" if part.isdigit() else part for part in leaf.split(".")) if sep else "(whole output)"
+
+
 def by_leaf(lines: list[str]) -> dict[str, int]:
     """The number of ``compare`` lines per leaf path, sorted by path.
 
@@ -246,10 +256,18 @@ def by_leaf(lines: list[str]) -> dict[str, int]:
     """
     counts: dict[str, int] = {}
     for line in lines:
-        _, sep, leaf = line.split(": ", 1)[0].partition(":")
-        leaf = ".".join("*" if part.isdigit() else part for part in leaf.split(".")) if sep else "(whole output)"
-        counts[leaf] = counts.get(leaf, 0) + 1
+        counts[_leaf(line)] = counts.get(_leaf(line), 0) + 1
     return dict(sorted(counts.items()))
+
+
+def moves_by_leaf(moved: list[str]) -> dict[str, tuple[int, float, float]]:
+    """Per leaf path of the moved-within-bound lines of ``compare``: (count, worst absolute, worst relative change)."""
+    worst: dict[str, tuple[int, float, float]] = {}
+    for line in moved:
+        change_abs, change_rel = map(float, _MOVED.search(line).groups())
+        count, most_abs, most_rel = worst.get(_leaf(line), (0, 0.0, 0.0))
+        worst[_leaf(line)] = (count + 1, max(most_abs, change_abs), max(most_rel, change_rel))
+    return dict(sorted(worst.items()))
 
 
 def main(argv=None) -> int:
@@ -286,6 +304,10 @@ def main(argv=None) -> int:
         print("differing keys by leaf path:")
     for leaf, count in by_leaf(diffs).items():
         print(f"  {leaf}: {count}")
+    if moved:
+        print("keys moved within the bound by leaf path: count, worst absolute, worst relative change:")
+    for leaf, (count, worst_abs, worst_rel) in moves_by_leaf(moved).items():
+        print(f"  {leaf}: {count}, {worst_abs:.3g}, {worst_rel:.3g}")
     summary = f"{len(sides[0])} parent and {len(sides[1])} changed outputs compared; {len(diffs)} differ"
     if args.bound is not None:
         summary += f"; {len(moved)} moved within rel={args.bound[0]:g}, abs={args.bound[1]:g}"
