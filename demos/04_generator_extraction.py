@@ -5,7 +5,7 @@ closed form: the matrix coefficients dI/db, the flows h_a(r) = A_a r + c_a
 of the point maps, and the volume rates tr A_a.  Differencing the family
 at its base point lands on the same tables; the error shrinks at the order
 of the scheme.  Stripping a family of its closed form (``rep_derivative=None``)
-makes ``rep_generators`` difference ``rep_map`` instead.
+makes ``rep_generators`` difference the family's matrices instead.
 
 Run:  python demos/04_generator_extraction.py
 """
@@ -34,13 +34,13 @@ points = np.random.default_rng(1).uniform(-2, 2, (20, 4))
 
 
 def stripped(family):
-    """The family without its closed-form matrix derivative, so rep_generators differences rep_map."""
+    """The family without its closed-form matrix derivative, so rep_generators differences its matrices."""
     return dataclasses.replace(family, rep_derivative=None)
 
 
 def map_at(family, b):
-    """The family's point map at one parameter vector: ``point_map`` takes rows and returns stacks."""
-    linear, offset = family.point_map(b[None])
+    """The family's point map at one parameter vector: ``maps`` takes rows and returns stacks."""
+    _, linear, offset = family.maps(b[None])
     return AffineMap(linear[0], offset[0])
 
 

@@ -91,6 +91,17 @@ def _result(name: str, sup: float, tol: float, detail: dict | None = None) -> di
     return out
 
 
+#: Why a row whose compared values are all exactly 0 fails: it compared nothing.
+_COMPARED_NOTHING = "the compared values are exactly 0 at every sample point, so the row compares nothing"
+
+
+def _compared(row: dict, *values) -> dict:
+    """``row``, failed with ``detail.failure`` when every one of ``values`` is exactly 0."""
+    if any(np.any(v) for v in values):
+        return row
+    return {**row, "passed": False, "detail": {**row.get("detail", {}), "failure": _COMPARED_NOTHING}}
+
+
 def _report_result(name: str, report) -> dict:
     """The report's row with the largest sup/tolerance (ties to the larger residual, NaN first)."""
     sup, tol = report.sup_residuals, report.tolerances
@@ -181,9 +192,11 @@ def run_group_check(scenario: dict) -> tuple[list, dict]:
         )
 
     g = PoincareElement.from_params(rng.uniform(-0.5, 0.5, 6), rng.uniform(-1, 1, 4))
-    trans = chart_transition(AffineMap.identity(), g)
-    round_trip = trans.coord_map.compose(trans.coord_map.inverse())
-    chart_res = float(np.abs(np.column_stack([round_trip.linear - np.eye(4), round_trip.offset])).max())
+    # A general chart u, drawn after g so the rows above keep their bits: with u = 1 the two
+    # composition orders of chart_transition agree.  Both maps must carry u-coordinates to g's.
+    u = AffineMap(np.diag(rng.uniform(0.5, 2.0, 4)) @ lorentz_exp(rng.uniform(-0.5, 0.5, 6)), rng.uniform(-1, 1, 4))
+    trans, x = chart_transition(u, g), rng.uniform(-2.0, 2.0, (16, 4))
+    chart_res = float(max(np.abs(trans.coord_map(u(x)) - g(x)).max(), np.abs(u(trans.point_map(x)) - g(x)).max()))
 
     results = [
         _result("metric_preservation", metric_res, _tol(scenario, "metric"), {"draws": draws}),
@@ -233,7 +246,8 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
 
     moved = active_transform(field, rep, g)
     back = active_transform(moved, rep, g.inverse())
-    round_res = float(np.abs(back.evaluate(pts) - field.evaluate(pts)).max())
+    values, back_values = field.evaluate(pts), back.evaluate(pts)
+    round_res = float(np.abs(back_values - values).max())
 
     # A step scaled by 1/max|L| spans the same fraction of the moved packet at any boost.
     grad_res = gradient_fd_residual(moved, pts[:32], 1e-4 / np.abs(g.linear).max())
@@ -242,15 +256,20 @@ def run_transform(scenario: dict) -> tuple[list, dict]:
     composed = passive_transform(field, rep, g.compose(g)).evaluate(pts)
     comp_res = float(np.abs(twice - composed).max())
     # Both fields can underflow to 0 on the whole sample at a large boost;
-    # the row then compares nothing, and its detail shows that as 0.
+    # the row then compares nothing, and fails with its detail showing that as 0.
     compared_max_abs = max(float(np.abs(twice).max()), float(np.abs(composed).max()))
 
     # Their roundoff grows with the entries of L squared, as in geometry._check_lorentz.
     round_tol = _tol(scenario, "roundtrip") * max(1.0, np.abs(g.linear).max()) ** 2
+    grad_tol = _tol(scenario, "gradient")
     results = [
-        _result("active_roundtrip", round_res, round_tol),
-        _result("gradient_chain_rule", grad_res, _tol(scenario, "gradient")),
-        _result("passive_composition", comp_res, round_tol, {"compared_max_abs": number_text(compared_max_abs)}),
+        _compared(_result("active_roundtrip", round_res, round_tol), values, back_values),
+        # grad_res is relative to max(|grad|, 1e-30): with an exactly 0 gradient it is 0 only if the differences are
+        _compared(_result("gradient_chain_rule", grad_res, grad_tol), moved.gradient(pts[:32]), grad_res),
+        _compared(
+            _result("passive_composition", comp_res, round_tol, {"compared_max_abs": number_text(compared_max_abs)}),
+            compared_max_abs,
+        ),
     ]
     tables = {}
     if scenario["output"]["dump_fields"]:

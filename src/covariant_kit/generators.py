@@ -1,10 +1,10 @@
 """Parametrised group families and their infinitesimal data.
 
-A :class:`ParamFamily` packages an s-parameter family of affine point maps
-``H(b)`` on R^4 together with representation matrices ``I(b)`` acting on
-field components, with the identity at the base parameters ``b0 = 0``.
-Both take parameter rows and return stacks, so a relation check builds
-the maps of every stencil point of every step in one call each.
+A :class:`ParamFamily` packages an s-parameter family of representation
+matrices ``I(b)`` acting on field components together with affine point
+maps ``H(b)`` on R^4, with the identity at the base parameters ``b0 = 0``.
+One map takes parameter rows and returns both as stacks, so a relation
+check builds them at every stencil point of every step in one call.
 A family declares only what it cannot derive, its Lie-algebra data
 included, and the relation checks in :mod:`covariant_kit.heisenberg`
 read that data through:
@@ -14,11 +14,11 @@ read that data through:
 * ``volume_rates``     tr A_a, the derivative of det[dH/dr] at b0, one per parameter.
 
 A family whose points never move (the frame-only and internal families,
-the fibre-bundle case) has ``point_map=None`` and no ``flow``: its flows
+the fibre-bundle case) returns no point maps and has no ``flow``: its flows
 and volume rates are exact zeros, and its relation has no transport term.
 
 Central differences (order 2 or 4) serve the global side of a relation
-check, :func:`det_trace_residual` and a ``rep_map`` without closed form.
+check, :func:`det_trace_residual` and matrices without closed form.
 Every numerical derivative in the package goes through one stencil,
 :func:`_stencil`, which gives the difference points and the rule that
 combines the values at them.  :func:`_central_diff` applies it to a
@@ -79,23 +79,22 @@ class FDScheme:
 
 @dataclass(frozen=True)
 class ParamFamily:
-    """s-parameter family b -> (point map H(b), component matrix I(b)), evaluated on parameter rows.
+    """s-parameter family b -> (component matrix I(b), point map H(b)), evaluated on parameter rows.
 
-    ``point_map(B)`` takes rows ``B`` (k, s) and returns H at each row as
-    its linear parts (k, 4, 4) and offsets (k, 4); the volume factor
-    det[dH(b)/dr] is the determinant of a linear part.  H must be the
-    identity at ``b0``, and ``None`` means the points stay put for every b.
-    ``rep_map(B)`` returns the (k, n, n) matrices and must be the identity
-    at ``b0``.  The parameter count ``s`` is the number of ``labels``, ``b0``
-    is ``s`` read-only zeros, and the component count ``n`` is read off
-    ``rep_map`` at ``b0``.  Labels ``T_*`` name the pure translations.
-    The closed forms at b0 are stored read-only: ``rep_derivative``, an optional
-    finite (s, n, n) stack that ``rep_generators`` returns, and ``flow``, the
-    finite (s, 4, 5) stack ``[A_a | c_a]`` of dH/db, set exactly when ``point_map`` is.
+    ``maps(B)`` takes rows ``B`` (k, s) and returns ``(mats, linear, offset)``:
+    the (k, n, n) matrices I, and H at each row as its linear parts (k, 4, 4)
+    and offsets (k, 4); the volume factor det[dH(b)/dr] is the determinant of
+    a linear part.  A family whose points stay put for every b returns
+    ``None, None`` for H.  Both are the identity at ``b0``, which is ``s``
+    read-only zeros, ``s`` being the number of ``labels``; the component
+    count ``n`` is read off the matrices at ``b0``.  Labels ``T_*`` name the
+    pure translations.  The closed forms at b0 are stored read-only:
+    ``rep_derivative``, an optional finite (s, n, n) stack that
+    ``rep_generators`` returns, and ``flow``, the finite (s, 4, 5) stack
+    ``[A_a | c_a]`` of dH/db, set exactly when ``maps`` moves points.
     """
 
-    point_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
-    rep_map: Callable[[np.ndarray], np.ndarray]
+    maps: Callable[[np.ndarray], tuple]
     labels: tuple[str, ...]
     rep_derivative: np.ndarray | None = None
     flow: np.ndarray | None = None
@@ -110,13 +109,15 @@ class ParamFamily:
         b0 = np.zeros(self.s)
         b0.setflags(write=False)
         object.__setattr__(self, "b0", b0)
-        ident = np.asarray(self.rep_map(b0[None]), dtype=complex)
+        mats, linear, offset = self.maps(b0[None])
+        ident = np.asarray(mats, dtype=complex)
         n = ident.shape[-1] if ident.ndim == 3 else -1
         if ident.shape != (1, n, n) or np.abs(ident[0] - np.eye(n)).max() > ALGEBRAIC_TOL:
-            raise ValueError("rep_map(b0) is not the identity matrix")
+            raise ValueError("maps(b0) is not the identity matrix")
         object.__setattr__(self, "n", n)
-        if (self.flow is None) != (self.point_map is None):
-            raise ValueError("a family declares a flow exactly when it has a point_map")
+        moves = linear is not None or offset is not None
+        if (self.flow is not None) != moves:
+            raise ValueError("a family declares a flow exactly when its maps move points")
         for name, shape, dtype in (("rep_derivative", (self.s, n, n), complex), ("flow", (self.s, 4, 5), float)):
             if getattr(self, name) is None:
                 continue
@@ -126,11 +127,10 @@ class ParamFamily:
             data = data.astype(dtype)
             data.setflags(write=False)
             object.__setattr__(self, name, data)
-        if self.point_map is None:
-            return
-        linear, offset, _ = _checked_affine(*self.point_map(b0[None]), (1,))
-        if max(np.abs(linear[0] - np.eye(4)).max(), np.abs(offset[0]).max()) > ALGEBRAIC_TOL:
-            raise ValueError("point_map(b0) is not the identity map")
+        if moves:
+            linear, offset, _ = _checked_affine(linear, offset, (1,))
+            if max(np.abs(linear[0] - np.eye(4)).max(), np.abs(offset[0]).max()) > ALGEBRAIC_TOL:
+                raise ValueError("maps(b0) is not the identity map")
 
 
 def _stencil(x0: np.ndarray, w: int, h: float, order: int):
@@ -168,7 +168,7 @@ def rep_generators(family: ParamFamily, scheme: FDScheme) -> np.ndarray:
     if family.rep_derivative is not None:
         return family.rep_derivative.copy()
     rows, rules = _stencil_rows(family.b0, scheme)
-    mats = np.asarray(family.rep_map(rows), dtype=complex).reshape(family.s, scheme.order, family.n, family.n)
+    mats = np.asarray(family.maps(rows)[0], dtype=complex).reshape(family.s, scheme.order, family.n, family.n)
     return np.stack([rule(*m) for rule, m in zip(rules, mats)])
 
 
@@ -255,32 +255,29 @@ def analytic_rep_derivatives(rep: FieldRep) -> np.ndarray:
 def poincare_family(rep: FieldRep) -> ParamFamily:
     """Ten-parameter family: 6 rotation/boost parameters drive both the
     point map and the matrix, 4 translation parameters drive the point map
-    only (the matrix is independent of translations)."""
+    only (the matrix is independent of translations).  One ``lorentz_exp``
+    call gives the linear parts, and a vector's matrices are those parts, as
+    its ``rep_matrix`` rule makes them."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_family needs a scalar, vector, or spinor representation")
-    return ParamFamily(
-        point_map=lambda rows: (lorentz_exp(rows[:, :6]), rows[:, 6:]),
-        rep_map=lambda rows: rep_matrix(rep, rows[:, :6]),
-        labels=_POINCARE_LABELS,
-        rep_derivative=analytic_rep_derivatives(rep),
-        flow=_POINCARE_FLOW,
-    )
+
+    def maps(rows):
+        linear = lorentz_exp(rows[:, :6])
+        return linear.astype(complex) if rep.kind == "vector" else rep_matrix(rep, rows[:, :6]), linear, rows[:, 6:]
+
+    return ParamFamily(maps, _POINCARE_LABELS, rep_derivative=analytic_rep_derivatives(rep), flow=_POINCARE_FLOW)
 
 
 def poincare_frame_family(rep: FieldRep) -> ParamFamily:
     """Frame-only twin of :func:`poincare_family`: the matrices change, the points never move."""
     if rep.kind not in ("scalar", "vector", "spinor"):
         raise ValueError("poincare_frame_family needs a scalar, vector, or spinor representation")
-    return ParamFamily(
-        point_map=None,
-        rep_map=lambda rows: rep_matrix(rep, rows[:, :6]),
-        labels=_POINCARE_LABELS,
-        rep_derivative=analytic_rep_derivatives(rep),
-    )
+    maps = lambda rows: (rep_matrix(rep, rows[:, :6]), None, None)
+    return ParamFamily(maps, _POINCARE_LABELS, rep_derivative=analytic_rep_derivatives(rep))
 
 
 def internal_family(rep: FieldRep) -> ParamFamily:
-    """Family for internal transformations: spacetime points stay put (``point_map=None``).
+    """Family for internal transformations: spacetime points stay put (no point maps, no ``flow``).
 
     Phase representations give the one-parameter charge family ``Q``;
     custom representations supply their own parameter count and no closed form.
@@ -288,9 +285,5 @@ def internal_family(rep: FieldRep) -> ParamFamily:
     if rep.kind not in ("phase", "custom"):
         raise ValueError("internal_family needs a phase or custom representation")
     labels = ("Q",) if rep.kind == "phase" else tuple(f"Q_{i + 1}" for i in range(rep.nparams))
-    return ParamFamily(
-        point_map=None,
-        rep_map=lambda rows: rep_matrix(rep, rows),
-        labels=labels,
-        rep_derivative=None if rep.generators is None else analytic_rep_derivatives(rep),
-    )
+    derivative = None if rep.generators is None else analytic_rep_derivatives(rep)
+    return ParamFamily(lambda rows: (rep_matrix(rep, rows), None, None), labels, rep_derivative=derivative)

@@ -13,7 +13,7 @@ Only the global route takes differences, so a wrong point map, Jacobian
 or generator table cannot cancel out.  Their agreement, parameter by
 parameter, is the content of the relation; residuals shrink at the order
 of the difference scheme.  The fibre-bundle relation is the same relation
-for a family that moves no points (``point_map=None``): no transport term,
+for a family that moves no points (no ``flow``): no transport term,
 the global route differences ``I(b) phi(r)`` alone, the local side is the
 closed-form ``I' phi(r)`` (a differenced ``I'`` would read 0 = 0, so a
 family without one raises), and translation directions are exactly zero.
@@ -202,7 +202,7 @@ def _relation_residuals(field: FieldFunction, family: ParamFamily, schemes: list
     The schemes share one order, and a family without ``rep_derivative`` has
     ``I'`` differenced once, at the first one's step.  ``phi`` and ``grads``
     are the field's values and gradient on the sample ``pts``.  One
-    ``rep_map`` and one ``point_map`` call give the maps at every stencil
+    ``maps`` call gives the matrices and point maps at every stencil
     point of every scheme, and every matrix product goes through
     :func:`_apply`.  A family that moves no points differences ``I(b)``
     alone and contracts ``(dI - I') phi``: it needs no gradient, but needs
@@ -217,21 +217,22 @@ def _relation_residuals(field: FieldFunction, family: ParamFamily, schemes: list
     :class:`~covariant_kit.geometry.AffineMap` does, and the field is
     evaluated once per chunk of all the group's moved points.
     """
-    if family.point_map is None and family.rep_derivative is None:
+    if family.flow is None and family.rep_derivative is None:
         raise ValueError("a family that moves no points needs its closed-form rep_derivative")
     gen = rep_generators(family, schemes[0])
     order, s = schemes[0].order, family.s
     stencils = [_stencil_rows(family.b0, scheme) for scheme in schemes]
     rows = np.concatenate([points for points, _ in stencils])  # scheme by scheme, parameter by parameter
-    mats = np.asarray(family.rep_map(rows), dtype=complex)
-    if family.point_map is None:
+    mats, linear, offset = family.maps(rows)
+    mats = np.asarray(mats, dtype=complex)
+    if family.flow is None:
         for k, (_, rules) in enumerate(stencils):
             for w, rule in enumerate(rules):
                 at = (k * s + w) * order
                 yield k, w, _apply(rule(*mats[at : at + order]) - gen[w], phi)
         return
 
-    linear, offset, jac = _checked_affine(*family.point_map(rows), (len(rows),))
+    linear, offset, jac = _checked_affine(linear, offset, (len(rows),))
     p, rates = len(pts), volume_rates(family)
     per_group = max(1, BLOCK_POINTS // max(1, order * p))
     chunk = max(1, min(p, BLOCK_POINTS // order))
@@ -276,7 +277,7 @@ def _relation_report(field, family, scheme, points, tolerance, convergence_steps
     would read 0 and compare nothing.
     """
     pts, phi = _sampled(field, family, points)
-    grads = None if family.point_map is None else np.asarray(field.gradient(pts), dtype=complex)
+    grads = None if family.flow is None else np.asarray(field.gradient(pts), dtype=complex)
     schemes = [scheme, *(FDScheme(h, scheme.order) for h in convergence_steps)]
     sup, rms = np.empty((len(schemes), family.s)), np.empty(family.s)
     for k, w, r in _relation_residuals(field, family, schemes, pts, phi, grads):
@@ -324,11 +325,11 @@ def verify_bundle_relation(
     """Pointwise relation for frame-only families: d/db [I(b) phi] = I' phi.
 
     This is the local relation of a family that moves no points
-    (``point_map=None``), which raises without a closed-form
+    (no ``flow``), which raises without a closed-form
     ``rep_derivative``.  A translation-like parameter's whole derivative is
     its residual and vanishes identically, so it comes out exactly zero.
     """
-    if family.point_map is not None:
+    if family.flow is not None:
         raise ValueError("bundle relations need an identity point map; use verify_local_relation instead")
     note = (
         "frame-only family: translation parameters act trivially, so their "

@@ -14,8 +14,9 @@ import pytest
 from jsonschema import Draft7Validator, ValidationError, validate
 from jsonschema.exceptions import best_match
 
-from covariant_kit import cli, fields, generators, schemas
+from covariant_kit import cli, fields, schemas
 from covariant_kit.cli import main
+from covariant_kit.geometry import ChartTransition
 from covariant_kit.heisenberg import RelationReport
 from covariant_kit.schemas import CHECK_KINDS, REPORT_SCHEMA, SCENARIO_SCHEMA, TOLERANCE_NAMES, number_text
 
@@ -949,55 +950,91 @@ class TestResolution:
         assert runs[0][3] == json.dumps(spelled)
 
 
+class TestGroupCheck:
+    def test_swapped_chart_transition_fails_the_roundtrip_row(self, tmp_path, monkeypatch):
+        # the row once composed coord_map with its own inverse at u = 1, which either order passes
+        def swapped(u, u_prime):
+            u_inv = u.inverse()
+            return ChartTransition(coord_map=u_inv.compose(u_prime), point_map=u_prime.compose(u_inv))
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "group_check.json"), "--out", "r.json"]
+        assert run_cli(argv) == 0
+        honest = load(tmp_path / "r.json")["results"]
+        monkeypatch.setattr(cli, "chart_transition", swapped)
+        assert run_cli(argv) == 1
+        rows = load(tmp_path / "r.json")["results"]
+        assert rows[:4] == honest[:4] and rows[4]["name"] == honest[4]["name"] == "chart_transition_roundtrip"
+        assert not rows[4]["passed"] and float(rows[4]["sup_residual"]) > 0.1
+        assert float(honest[4]["sup_residual"]) <= 1e-13
+
+
 class TestLargeBoostScenario:
     def test_transform_at_rapidity_five_runs(self, capsys, tmp_path, monkeypatch):
         # An exact boost with cosh 5 = 74 used to fail the absolute metric check
         # and exit 2; with a fixed gradient step it then failed gradient_chain_rule
-        # on truncation (6.0e-5 against 1e-6).
+        # on truncation (6.0e-5 against 1e-6).  Its passive_composition compares
+        # two fields that are 0 on the whole sample, so that row fails.
         monkeypatch.chdir(tmp_path)
         scenario = load(SCENARIOS / "transform_vector_boost.json")
         scenario["group"]["omega"][0] = 5.0
         scenario["output"] = {"report": "r.json", "dump_fields": False}
         Path("scenario.json").write_text(json.dumps(scenario))
-        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 0
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 1
         assert "could not be executed" not in capsys.readouterr().err
         report = load(tmp_path / "r.json")
         validate(report, REPORT_SCHEMA)
         passed = {r["name"]: r["passed"] for r in report["results"]}
-        assert passed["active_roundtrip"] is True and passed["gradient_chain_rule"] is True
+        assert passed == {"active_roundtrip": True, "gradient_chain_rule": True, "passive_composition": False}
+        assert report["results"][2]["detail"]["failure"] == cli._COMPARED_NOTHING
 
 
     @pytest.mark.parametrize("rapidity", [8.0, 0.5])
     def test_roundtrip_rows_are_judged_relative_to_the_boost(self, tmp_path, monkeypatch, rapidity):
         # At rapidity 8 (cosh 8 = 1490) the round trip reads 9.8e-10 of pure roundoff,
         # which failed the absolute 1e-10; 0.5 is the shipped scenario, which passes.
+        # At rapidity 8 passive_composition compares nothing (see the next test) and fails.
         monkeypatch.chdir(tmp_path)
         scenario = load(SCENARIOS / "transform_vector_boost.json")
         scenario["group"]["omega"][0] = rapidity
         scenario["output"] = {"report": "r.json", "dump_fields": False}
         Path("scenario.json").write_text(json.dumps(scenario))
-        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == 0
+        assert run_cli(["run", "scenario.json", "--out", "r.json"]) == (1 if rapidity == 8.0 else 0)
         rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
         bound = 1e-10 * np.cosh(rapidity) ** 2
+        assert rows["active_roundtrip"]["passed"] is True
         for name in ("active_roundtrip", "passive_composition"):
-            assert rows[name]["passed"] is True
             assert float(rows[name]["tolerance"]) == pytest.approx(bound, rel=1e-12)
             assert float(rows[name]["sup_residual"]) <= bound
 
     @pytest.mark.parametrize("rapidity", [8.0, 0.5])
     def test_passive_composition_shows_what_it_compared(self, tmp_path, monkeypatch, rapidity):
         # At rapidity 8 both composed fields underflow to 0 on the whole sample,
-        # so the row's 0 residual compares nothing, and its detail says so.
+        # so the row's 0 residual compares nothing: it fails, and its detail says so.
         monkeypatch.chdir(tmp_path)
         argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), "--out", "r.json"]
         omega = f"group.omega=[{rapidity},0,0,0,0,0]"
-        assert run_cli([*argv, "--override", omega, "--override", "output.dump_fields=false"]) == 0
-        rows = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}
-        compared = float(rows["passive_composition"]["detail"]["compared_max_abs"])
+        code = run_cli([*argv, "--override", omega, "--override", "output.dump_fields=false"])
+        row = {r["name"]: r for r in load(tmp_path / "r.json")["results"]}["passive_composition"]
+        compared = float(row["detail"]["compared_max_abs"])
         if rapidity == 8.0:
-            assert compared == 0.0 and float(rows["passive_composition"]["sup_residual"]) == 0.0
+            assert code == 1 and (row["passed"], compared, float(row["sup_residual"])) == (False, 0.0, 0.0)
+            assert row["detail"]["failure"] == cli._COMPARED_NOTHING
         else:
-            assert compared > 0.1
+            assert code == 0 and compared > 0.1 and "failure" not in row["detail"]
+
+    def test_transform_of_a_zero_field_fails_every_row(self, tmp_path, monkeypatch):
+        # at width 1e-150 the packet underflows to 0 at every sample point, and every row once passed at 0
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", str(SCENARIOS / "transform_vector_boost.json"), "--out", "r.json"]
+        assert run_cli([*argv, "--override", "field.width=1e-150", "--override", "output.dump_fields=false"]) == 1
+        rows = load(tmp_path / "r.json")["results"]
+        assert [(r["passed"], r["sup_residual"], r["detail"]["failure"]) for r in rows] == [
+            (False, "0", cli._COMPARED_NOTHING)
+        ] * 3
+        assert run_cli([*argv, "--override", "output.dump_fields=false"]) == 0
+        plain = load(tmp_path / "r.json")["results"]
+        assert ["detail" in r for r in plain] == [False, False, True] and "failure" not in plain[2]["detail"]
 
     def test_rotation_keeps_the_plain_roundtrip_tolerance(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1386,16 +1423,15 @@ class TestValidate:
             assert cli.validate(load(SCENARIOS / name)) is None
 
     def test_layer_names_the_benchmark_tracer_wraps_still_exist(self):
-        # perfbench/tracing.py rebinds these by name; a missing one would
-        # silently drop its layer from the traced benchmark
-        for module, name in [
-            (cli, "validate"),
-            (cli, "run_scenario"),
-            (cli, "main"),
-            (generators, "lorentz_exp"),
-            (generators, "extract_all"),
-        ]:
-            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        # perfbench/tracing.py rebinds every name in TARGETS, and wraps fields.wave_packet;
+        # a missing one would silently drop its layer from the traced benchmark
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        targets = [(module, name) for module, name, _ in tracing.TARGETS] + [("fields", "wave_packet")]
+        assert ("geometry", "lorentz_exp", "geometry.lorentz_exp") in tracing.TARGETS
+        for module, name in targets:
+            assert callable(getattr(importlib.import_module(f"covariant_kit.{module}"), name, None)), f"{module}.{name}"
 
 
 class TestSchemaCommand:

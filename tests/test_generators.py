@@ -25,7 +25,7 @@ from covariant_kit.geometry import ETA, PLANES, AffineMap, lorentz_exp, plane_ge
 from covariant_kit.heisenberg import verify_local_relation
 from covariant_kit.representations import FieldRep, rep_matrix, sigma_tensor
 
-from families import constant, dilation_family, point_map_at, still
+from families import constant, dilation_family, point_map_at
 
 POINTS = np.random.default_rng(14).uniform(-2.0, 2.0, (25, 4))
 SCHEME = FDScheme(1e-4, order=2)
@@ -80,47 +80,31 @@ class TestSchemeValidation:
 class TestFamilyValidation:
     def test_rep_identity_enforced(self):
         with pytest.raises(ValueError):
-            ParamFamily(
-                point_map=still,
-                rep_map=constant(2.0 * np.eye(1)),
-                labels=("X",),
-                flow=STILL,
-            )
+            ParamFamily(maps=constant(2.0 * np.eye(1)), labels=("X",), flow=STILL)
 
     def test_point_identity_enforced(self):
         # an offset of 1, and a linear part off by 1e-11
         for h in (AffineMap(np.eye(4), np.ones(4)), AffineMap(np.eye(4) + np.diag([1e-11, 0, 0, 0]))):
             with pytest.raises(ValueError, match="not the identity map"):
                 ParamFamily(
-                    point_map=lambda rows: (h.linear[None], h.offset[None]),
-                    rep_map=constant(np.eye(1)),
+                    maps=lambda rows: (np.ones((1, 1, 1), dtype=complex), h.linear[None], h.offset[None]),
                     labels=("X",),
                     flow=STILL,
                 )
 
     def test_s_and_n_are_derived(self):
-        fam = ParamFamily(
-            point_map=still,
-            rep_map=constant(np.eye(3)),
-            labels=("X", "Y"),
-            flow=np.zeros((2, 4, 5)),
-        )
+        fam = ParamFamily(maps=constant(np.eye(3)), labels=("X", "Y"), flow=np.zeros((2, 4, 5)))
         assert (fam.s, fam.n) == (2, 3)
         assert np.array_equal(fam.b0, np.zeros(2)) and not fam.b0.flags.writeable
-        assert dataclasses.replace(fam, rep_map=constant(np.eye(2))).n == 2
-        fields = {f: getattr(fam, f) for f in ("point_map", "rep_map", "labels", "flow")}
+        assert dataclasses.replace(fam, maps=constant(np.eye(2))).n == 2
+        fields = {f: getattr(fam, f) for f in ("maps", "labels", "flow")}
         for derived in ({"s": 2}, {"b0": np.zeros(2)}):
             with pytest.raises(TypeError):
                 ParamFamily(**derived, **fields)
 
-    def test_non_square_rep_map_rejected(self):
-        with pytest.raises(ValueError, match="not the identity"):
-            ParamFamily(
-                point_map=still,
-                rep_map=lambda rows: np.ones((len(rows), 3), dtype=complex),
-                labels=("X",),
-                flow=STILL,
-            )
+    def test_non_square_matrices_rejected(self):
+        with pytest.raises(ValueError, match="not the identity matrix"):
+            ParamFamily(maps=constant(np.ones(3)), labels=("X",), flow=STILL)
 
     @pytest.mark.parametrize("shape", [(11, 4, 4), (3, 4, 4), (10, 4, 3), (10, 16)])
     def test_rep_derivative_of_the_wrong_shape_rejected(self, shape):
@@ -154,12 +138,14 @@ class TestFamilyValidation:
         assert integral.flow.dtype == float and np.array_equal(integral.flow, dilation_family().flow)
 
     def test_flow_exactly_when_points_move(self):
-        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
+        with pytest.raises(ValueError, match="flow exactly when its maps move points"):
             dataclasses.replace(poincare_frame_family(FieldRep.vector()), flow=poincare_family(FieldRep.vector()).flow)
-        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
+        with pytest.raises(ValueError, match="flow exactly when its maps move points"):
             dataclasses.replace(poincare_family(FieldRep.vector()), flow=None)
-        with pytest.raises(ValueError, match="flow exactly when it has a point_map"):
-            ParamFamily(point_map=still, rep_map=constant(np.eye(1)), labels=("X",))
+        with pytest.raises(ValueError, match="flow exactly when its maps move points"):
+            ParamFamily(maps=constant(np.eye(1)), labels=("X",))
+        with pytest.raises(ValueError, match="flow exactly when its maps move points"):
+            ParamFamily(maps=constant(np.eye(1), moves=False), labels=("X",), flow=STILL)
         assert internal_family(FieldRep.phase(1.0, 1.0)).flow is None
 
     def test_declared_data_are_read_only_copies(self):
@@ -240,11 +226,11 @@ class TestVolumeRates:
 
     def test_anisotropic_scaling_rate(self):
         fam = ParamFamily(
-            point_map=lambda rows: (
+            maps=lambda rows: (
+                np.ones((len(rows), 1, 1), dtype=complex),
                 np.stack([np.diag([math.exp(b[0]), 1.0, 1.0, 1.0]) for b in rows]),
                 np.zeros((len(rows), 4)),
             ),
-            rep_map=constant(np.eye(1)),
             labels=("A",),
             flow=np.diag([1.0, 0.0, 0.0, 0.0, 0.0])[None, :4],
         )
@@ -421,24 +407,24 @@ class TestPoincareFamilyGeometry:
         out = point_map_at(fam, b)(np.zeros((1, 4)))
         assert_allclose(out[0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
-    def test_rep_map_at_base_is_identity(self):
+    def test_matrix_at_base_is_identity(self):
         fam = poincare_family(FieldRep.spinor())
-        assert np.abs(fam.rep_map(fam.b0[None])[0] - np.eye(4)).max() <= 1e-12
+        assert np.abs(fam.maps(fam.b0[None])[0][0] - np.eye(4)).max() <= 1e-12
 
     def test_frame_family_never_moves_points(self):
         fam = poincare_frame_family(FieldRep.vector())
-        assert fam.point_map is None
+        assert fam.maps(np.ones((3, 10)))[1:] == (None, None) and fam.flow is None
 
     @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
-    def test_frame_family_rep_map_equals_rep_matrix_bit_for_bit(self, variant):
+    def test_frame_family_matrices_equal_rep_matrix_bit_for_bit(self, variant):
         rep = getattr(FieldRep, variant)()
         fam = poincare_frame_family(rep)
         rows = np.array([*np.random.default_rng(17).uniform(-0.8, 0.8, (12, 10)), *_param_sequence()])
-        got = fam.rep_map(rows)
+        got, linear, offset = fam.maps(rows)
         assert got.dtype == np.complex128 and got.shape == (len(rows), rep.n, rep.n)
         for b, mat in zip(rows, got):
             assert mat.tobytes() == rep_matrix(rep, b[:6]).tobytes()
-        assert fam.point_map is None
+        assert linear is None and offset is None
         assert fam.labels == poincare_family(rep).labels
         assert (fam.s, fam.n) == (10, rep.n)
 
@@ -464,8 +450,7 @@ class TestStackedRows:
         rep = getattr(FieldRep, variant)()
         fam = poincare_family(rep)
         rows = np.array([*_param_sequence(), *np.random.default_rng(8).uniform(-0.5, 0.5, (30, 10))])
-        linear, offset = fam.point_map(rows)
-        mats = fam.rep_map(rows)
+        mats, linear, offset = fam.maps(rows)
         k = len(rows)
         assert (linear.shape, offset.shape, mats.shape) == ((k, 4, 4), (k, 4), (k, rep.n, rep.n))
         assert mats.dtype == np.complex128
@@ -479,16 +464,16 @@ class TestStackedRows:
     def test_a_row_does_not_depend_on_its_stack(self, variant):
         fam = poincare_family(getattr(FieldRep, variant)())
         rows = np.random.default_rng(9).uniform(-0.5, 0.5, (25, 10))
-        whole = fam.point_map(rows)[0], fam.rep_map(rows)
+        whole = fam.maps(rows)
         for start, stop in ((0, 1), (3, 4), (5, 17)):
-            got = fam.point_map(rows[start:stop])[0], fam.rep_map(rows[start:stop])
+            got = fam.maps(rows[start:stop])
             for stack, part in zip(whole, got):
                 assert part.tobytes() == stack[start:stop].tobytes()
 
     def test_internal_family_rows_equal_rep_matrix(self):
         rows = np.array([[0.3], [-1e-4], [-0.0], [2.0]])
         for rep in (FieldRep.phase(1.5, 0.7), FieldRep.custom(lambda b: np.diag([np.exp(1j * b[0]), 1.0]), 2, 1)):
-            mats = internal_family(rep).rep_map(rows)
-            assert mats.shape == (4, rep.n, rep.n)
+            mats, linear, offset = internal_family(rep).maps(rows)
+            assert mats.shape == (4, rep.n, rep.n) and linear is None and offset is None
             for b, mat in zip(rows, mats):
                 assert mat.tobytes() == rep_matrix(rep, b).tobytes()

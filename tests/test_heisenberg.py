@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import covariant_kit.generators as generators_module
 import covariant_kit.heisenberg as heisenberg_module
+import covariant_kit.representations as representations_module
 from covariant_kit.fields import BLOCK_POINTS, FieldFunction, constant_field, wave_packet
 from covariant_kit.generators import (
     FDScheme,
@@ -19,7 +21,7 @@ from covariant_kit.generators import (
     rep_generators,
     volume_rates,
 )
-from covariant_kit.geometry import _checked_affine
+from covariant_kit.geometry import _checked_affine, lorentz_exp
 from covariant_kit.heisenberg import (
     RelationReport,
     ToyOperatorModel,
@@ -191,7 +193,7 @@ class TestLocalRelation:
         assert verify_local_relation(field, poincare_family(vector), FDScheme(1e-4, order=order), POINTS).all_passed
 
     def test_constant_field_rotation_has_no_transport_term(self):
-        # the finite-difference route: rep_generators differences rep_map as the global side does
+        # the finite-difference route: rep_generators differences the matrices as the global side does
         field = constant_field([1.0, -0.5, 0.25, 2.0])
         family = dataclasses.replace(poincare_family(FieldRep.vector()), rep_derivative=None)
         report = verify_local_relation(field, family, SCHEME, POINTS)
@@ -254,27 +256,41 @@ class TestLocalRelation:
 
     @pytest.mark.parametrize("family", [poincare_family(FieldRep.vector()), poincare_frame_family(FieldRep.spinor())])
     @pytest.mark.parametrize("order, steps", [(2, ()), (4, (2e-3, 1e-3))])
-    def test_one_point_map_and_one_rep_map_call_per_check(self, family, order, steps):
-        calls = {"point_map": [], "rep_map": []}
+    def test_one_maps_call_per_check(self, family, order, steps):
+        calls = []
 
-        def counted(name):
-            def call(rows):
-                calls[name].append(rows.shape)
-                return getattr(family, name)(rows)
+        def counted(rows):
+            calls.append(rows.shape)
+            return family.maps(rows)
 
-            return call
-
-        maps = {name: counted(name) for name in calls if getattr(family, name) is not None}
-        with_counts = dataclasses.replace(family, **maps)
-        for made in calls.values():
-            made.clear()  # the family's own identity probe at b0
+        with_counts = dataclasses.replace(family, maps=counted)
+        assert calls == [(1, family.s)]  # the family's own identity probe at b0
         field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, 4)
         scheme = FDScheme(1e-4, order=order)
         report = verify_local_relation(field, with_counts, scheme, POINTS, convergence_steps=steps)
-        every_row = (order * family.s * (1 + len(steps)), family.s)
-        assert calls == {name: [every_row] if name in maps else [] for name in calls}
+        assert calls == [(1, family.s), (order * family.s * (1 + len(steps)), family.s)]
         plain = verify_local_relation(field, family, scheme, POINTS, convergence_steps=steps)
         assert report.to_dict() == plain.to_dict()
+
+    @pytest.mark.parametrize("variant", ["scalar", "vector", "spinor"])
+    def test_one_exponential_per_check_after_the_identity_probe(self, monkeypatch, variant):
+        # a vector check used to exponentiate its rows once for the point maps and again for the matrices
+        calls = []
+
+        def counted(rows):
+            calls.append(np.shape(rows))
+            return lorentz_exp(rows)
+
+        for module in (generators_module, representations_module):
+            monkeypatch.setattr(module, "lorentz_exp", counted)
+        rep = getattr(FieldRep, variant)()
+        field = wave_packet([0.1, -0.2, 0.0, 0.3], 1.0, rep.n)
+        verify_local_relation(field, poincare_family(rep), SCHEME, POINTS, convergence_steps=(2e-3,))
+        assert calls == [(1, 6), (40, 6)]
+        calls.clear()
+        verify_bundle_relation(field, poincare_frame_family(rep), SCHEME, POINTS)
+        # only a vector's matrices are Lorentz matrices
+        assert calls == ([(1, 6), (20, 6)] if variant == "vector" else [])
 
     def test_metadata_correspondence_labels(self):
         field = wave_packet([0, 0, 0, 0], 1.0, 1)
@@ -311,11 +327,12 @@ class TestLocalRelation:
     )
     def test_point_map_stack_is_checked_as_affine_maps_are(self, linear, message):
         # every stencil row off b0 gets the bad linear part; b0 itself is the identity, so the family builds
-        def point_map(rows):
+        def maps(rows):
             at_b0 = (rows == 0).all(axis=1)[:, None, None]
-            return np.where(at_b0, np.eye(4), linear), np.zeros((len(rows), 4))
+            mats = np.ones((len(rows), 1, 1), dtype=complex)
+            return mats, np.where(at_b0, np.eye(4), linear), np.zeros((len(rows), 4))
 
-        family = dataclasses.replace(dilation_family(), point_map=point_map)
+        family = dataclasses.replace(dilation_family(), maps=maps)
         with pytest.raises(ValueError, match=message):
             verify_local_relation(wave_packet([0.0, 0.0, 0.0, 0.0], 1.3, 1), family, SCHEME, POINTS)
 
@@ -346,7 +363,7 @@ def per_stencil_point_residuals(field, family, scheme, pts, phi, grads, product=
     def global_map(b):
         h = point_map_at(family, b)
         vals = np.asarray(field.evaluate(h(pts)), dtype=complex)
-        return h.jacobian * product(np.asarray(family.rep_map(b[None])[0], dtype=complex), vals)
+        return h.jacobian * product(np.asarray(family.maps(b[None])[0][0], dtype=complex), vals)
 
     for w, lhs in enumerate(_param_diffs(global_map, family.b0, scheme)):
         yield lhs - (rates[w] * phi + product(gen[w], phi) + np.einsum("pk,pik->pi", flows[w], grads))
